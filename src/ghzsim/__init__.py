@@ -2,8 +2,8 @@
 seen by uniformly accelerated observers under amplitude damping."""
 
 from .channels import DampingParams, KrausPair, amplitude_damping_kraus, apply_damping
-from .closedform import CATALOG, CoverageError, cf_eval, cf_sum_rules
-from .engine import damped_scenario_state, is_x_structured, numeric_measures
+from .closedform import CATALOG, CoverageError, cf_eval
+from .engine import damped_scenario_state, is_x_structured, numeric_batch, numeric_measures
 from .measures import MeasureTriple, StructureError, XState, coherence_l1, extract_xstate, gte, gtn
 from .qcore import (
     DensityOperator,
@@ -23,6 +23,7 @@ from .sweep import (
     ConfigError,
     SweepConfig,
     SweepRecord,
+    cf_sum_rules,
     emit_figure_data,
     find_boundary,
     run_audit,

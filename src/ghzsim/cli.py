@@ -104,7 +104,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", default=None, choices=("csv", "json"))
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--config", default=None, help="flat key=value config file")
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="accepted for compatibility; evaluation is single-process",
+    )
     parser.add_argument("--seed", type=int, default=None)
 
 
@@ -248,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _merge_config(args)
         return _COMMANDS[args.command](args)
-    except (ConfigError, ParameterError, LabelError, ValueError) as exc:
+    except (ConfigError, ParameterError, LabelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

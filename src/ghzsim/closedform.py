@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .engine import numeric_measures
-
 
 class CoverageError(KeyError):
     """No catalog entry exists for the requested (scenario, measure)."""
@@ -248,50 +246,3 @@ SUM_RULES: tuple[SumRule, ...] = (
         rhs=lambda a, p: 4.0 * (1.0 - p) ** 2 * a * a * (1.0 - a * a),
     ),
 )
-
-
-@dataclass(frozen=True)
-class SumRuleResidual:
-    name: str
-    asserted: bool
-    numeric_lhs: float
-    closedform_lhs: float
-    rhs: float
-
-    @property
-    def numeric_residual(self) -> float:
-        return abs(self.numeric_lhs - self.rhs)
-
-    @property
-    def closedform_residual(self) -> float:
-        return abs(self.closedform_lhs - self.rhs)
-
-
-def cf_sum_rules(alpha: float, beta: float, p: float) -> tuple[SumRuleResidual, ...]:
-    """Residuals of all coherence relations at one parameter point.
-
-    The numeric-engine coherence is the authoritative side; the catalog
-    residual is reported alongside it for comparison.
-    """
-    numeric_cache: dict[str, float] = {}
-
-    def numeric_c(name: str) -> float:
-        if name not in numeric_cache:
-            numeric_cache[name] = numeric_measures(name, alpha, beta, p, ("C",))["C"]
-        return numeric_cache[name]
-
-    def catalog_c(name: str) -> float:
-        return cf_eval(name, "C", alpha, beta, p)
-
-    out = []
-    for rule in SUM_RULES:
-        out.append(
-            SumRuleResidual(
-                name=rule.name,
-                asserted=rule.asserted,
-                numeric_lhs=rule.lhs(numeric_c, alpha),
-                closedform_lhs=rule.lhs(catalog_c, alpha),
-                rhs=rule.rhs(alpha, p),
-            )
-        )
-    return tuple(out)

@@ -1,11 +1,16 @@
 """Parameter sweeps, engine audits, sum-rule checks, figure-data emission
 and sudden-death boundary finding.
 
+Every numeric evaluation goes through the batched kernel
+`engine.numeric_batch`, one call per natural batch: a grid is evaluated one
+beta row at a time into per-measure (beta, p) arrays, a boundary scan is one
+call per beta, and the sum rules are one call per scenario over all sampled
+points. Evaluation runs in a single process; the `workers` setting is
+accepted and validated but does not change how or where points are computed.
+
 All outputs are deterministic for a fixed configuration: grid order defines
 row order, floats are serialized with 17 significant digits, random sampling
-is driven by an explicit seed, and reports carry no timestamps. Worker-pool
-evaluation merges results by grid index, so the worker count never changes
-the output bytes.
+is driven by an explicit seed, and reports carry no timestamps.
 """
 from __future__ import annotations
 
@@ -13,15 +18,14 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .closedform import CATALOG, SUM_RULES, cf_eval, cf_sum_rules
-from .engine import MEASURES, is_x_structured, numeric_measures
-from .unruh import BETA_MAX, SCENARIOS, scenario
+from .closedform import CATALOG, SUM_RULES, cf_eval
+from .engine import MEASURES, is_x_structured, numeric_batch, numeric_measures
+from .unruh import BETA_MAX, BETA_TOL, SCENARIOS, scenario
 
 ENGINES = ("numeric", "closedform", "both")
 DEFAULT_ALPHA = 1.0 / math.sqrt(2.0)
@@ -42,6 +46,7 @@ class SweepConfig:
     engine: str = "both"
     output_path: str | None = None
     fmt: str = "csv"
+    #: Accepted and validated for compatibility; evaluation is single-process.
     workers: int = 1
     tol: float = 1e-8
     seed: int = DEFAULT_SEED
@@ -50,13 +55,13 @@ class SweepConfig:
     def validate(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha={self.alpha} outside [0, 1]")
-        for name, (lo, hi, steps), limit in (
-            ("beta", self.beta_range, BETA_MAX),
-            ("p", self.p_range, 1.0),
+        for name, (lo, hi, steps), limit, slack in (
+            ("beta", self.beta_range, BETA_MAX, BETA_TOL),
+            ("p", self.p_range, 1.0, 0.0),
         ):
             if steps < 2:
                 raise ConfigError(f"{name} steps must be >= 2, got {steps}")
-            if not (0.0 <= lo <= hi <= limit + 1e-12):
+            if not (0.0 <= lo <= hi <= limit + slack):
                 raise ConfigError(f"{name} range ({lo}, {hi}) outside [0, {limit}]")
         if self.scenario not in SCENARIOS:
             raise ConfigError(
@@ -93,26 +98,21 @@ def _axis(rng: tuple[float, float, int]) -> list[float]:
     return [float(v) for v in np.linspace(lo, hi, steps)]
 
 
-def _numeric_point(args: tuple[str, float, float, float, tuple[str, ...]]) -> dict[str, float]:
-    name, alpha, beta, p, measures = args
-    return dict(numeric_measures(name, alpha, beta, p, measures))
-
-
 def _numeric_grid(
     name: str,
     alpha: float,
     betas: Sequence[float],
     ps: Sequence[float],
     measures: tuple[str, ...],
-    workers: int,
-) -> list[dict[str, float]]:
-    """Numeric measures at every grid point, in (beta, p) row-major order."""
-    points = [(name, alpha, b, p, measures) for b in betas for p in ps]
-    if workers > 1:
-        chunk = max(1, len(points) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_numeric_point, points, chunksize=chunk))
-    return [_numeric_point(pt) for pt in points]
+) -> dict[str, np.ndarray]:
+    """Numeric measures over the grid as per-measure (beta, p) arrays, one
+    kernel call per beta row."""
+    grid = {m: np.empty((len(betas), len(ps))) for m in measures}
+    p_row = np.asarray(ps, dtype=float)
+    for bi, beta in enumerate(betas):
+        for measure, values in numeric_batch(name, alpha, beta, p_row, measures).items():
+            grid[measure][bi] = values
+    return grid
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
@@ -122,20 +122,18 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     betas, ps = _axis(config.beta_range), _axis(config.p_range)
     engines = ("numeric", "closedform") if config.engine == "both" else (config.engine,)
 
-    numeric = None
+    numeric = {}
     if "numeric" in engines:
-        numeric = _numeric_grid(
-            config.scenario, config.alpha, betas, ps, config.measures, config.workers
-        )
+        grid = _numeric_grid(config.scenario, config.alpha, betas, ps, config.measures)
+        numeric = {m: values.tolist() for m, values in grid.items()}
 
     rows: list[SweepRecord] = []
-    idx = 0
-    for beta in betas:
-        for p in ps:
+    for bi, beta in enumerate(betas):
+        for pi, p in enumerate(ps):
             for measure in config.measures:
                 for eng in engines:
                     if eng == "numeric":
-                        value = numeric[idx][measure]  # type: ignore[index]
+                        value = numeric[measure][bi][pi]
                     else:
                         value = cf_eval(config.scenario, measure, config.alpha, beta, p)
                     rows.append(
@@ -143,7 +141,6 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
                             config.scenario, measure, eng, config.alpha, beta, p, value
                         )
                     )
-            idx += 1
     return rows
 
 
@@ -256,21 +253,22 @@ def find_boundary(
     threshold = S_THRESHOLD if measure == "S" else 0.0
 
     def value(beta: float, p: float) -> float:
-        v = numeric_measures(scen, alpha, beta, p, (measure,))[measure]
-        if math.isnan(v):
-            raise ConfigError(
-                f"numeric {measure} undefined for scenario {scenario_name}: "
-                "its reduced state is not X-structured"
-            )
-        return v
+        return numeric_measures(scen, alpha, beta, p, (measure,))[measure]
 
     betas = _axis((0.0, BETA_MAX, beta_samples))
     n_scan = int(round(1.0 / scan_step))
     scan_ps = [k / n_scan for k in range(n_scan + 1)]
+    scan_row = np.asarray(scan_ps)
 
     curve: list[BoundaryPoint] = []
     for beta in betas:
-        values = [value(beta, p) for p in scan_ps]
+        values = numeric_batch(scen, alpha, beta, scan_row, (measure,))[measure]
+        if np.isnan(values).any():
+            raise ConfigError(
+                f"numeric {measure} undefined for scenario {scenario_name}: "
+                "its reduced state is not X-structured"
+            )
+        values = values.tolist()
         if measure == "S":
             above = [v > S_THRESHOLD + 1e-12 for v in values]
             if not above[0]:
@@ -371,30 +369,79 @@ def emit_figure_data(
     ps = _axis((0.0, 1.0, resolution))
 
     use_catalog = scenario_name == "AB_I_B_II"
-    numeric = None
+    numeric = {}
     if not use_catalog:
-        numeric = _numeric_grid(scenario_name, alpha, betas, ps, measures, workers=1)
+        numeric = _numeric_grid(scenario_name, alpha, betas, ps, measures)
 
     stem, ext = os.path.splitext(out_path)
     written = []
     for measure in measures:
         path = out_path if len(measures) == 1 else f"{stem}_{measure}{ext or '.csv'}"
+        if use_catalog:
+            surface = [[cf_eval(scenario_name, measure, alpha, b, p) for p in ps] for b in betas]
+        else:
+            surface = numeric[measure].tolist()
         lines = ["beta,p,value"]
-        idx = 0
-        for beta in betas:
-            for p in ps:
-                if use_catalog:
-                    v = cf_eval(scenario_name, measure, alpha, beta, p)
-                else:
-                    v = numeric[idx][measure]  # type: ignore[index]
+        for beta, row in zip(betas, surface):
+            for p, v in zip(ps, row):
                 lines.append(f"{_fmt(beta)},{_fmt(p)},{_fmt(v)}")
-                idx += 1
         write_text_atomic(path, "\n".join(lines) + "\n")
         written.append(path)
     return written
 
 
 # --- sum rules -----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SumRuleResidual:
+    name: str
+    asserted: bool
+    numeric_lhs: float
+    closedform_lhs: float
+    rhs: float
+
+    @property
+    def numeric_residual(self) -> float:
+        return abs(self.numeric_lhs - self.rhs)
+
+    @property
+    def closedform_residual(self) -> float:
+        return abs(self.closedform_lhs - self.rhs)
+
+
+def _sum_rule_terms(alphas, betas, ps) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(numeric lhs, catalog lhs, rhs) arrays of each rule in SUM_RULES over
+    the broadcast points (alpha, beta, p). The numeric coherences take one
+    kernel call per scenario; catalog and rhs are scalar expressions."""
+    alphas, betas, ps = (
+        np.asarray(v, dtype=float).ravel() for v in np.broadcast_arrays(alphas, betas, ps)
+    )
+    points = list(zip(alphas.tolist(), betas.tolist(), ps.tolist()))
+    numeric = {name: numeric_batch(name, alphas, betas, ps, ("C",))["C"] for name in SCENARIOS}
+    catalog = {
+        name: np.array([cf_eval(name, "C", a, b, p) for a, b, p in points]) for name in SCENARIOS
+    }
+    return [
+        (
+            rule.lhs(numeric.__getitem__, alphas),
+            rule.lhs(catalog.__getitem__, alphas),
+            np.array([rule.rhs(a, p) for a, _, p in points]),
+        )
+        for rule in SUM_RULES
+    ]
+
+
+def cf_sum_rules(alpha: float, beta: float, p: float) -> tuple[SumRuleResidual, ...]:
+    """Residuals of all coherence relations at one parameter point.
+
+    The numeric-engine coherence is the authoritative side; the catalog
+    residual is reported alongside it for comparison.
+    """
+    return tuple(
+        SumRuleResidual(rule.name, rule.asserted, float(num[0]), float(cat[0]), float(rhs[0]))
+        for rule, (num, cat, rhs) in zip(SUM_RULES, _sum_rule_terms(alpha, beta, p))
+    )
+
 
 def sum_rule_samples(
     alpha: float | None, samples: int, seed: int
@@ -410,26 +457,21 @@ def sum_rule_samples(
     alphas = rng.uniform(0.0, 1.0, samples) if alpha is None else np.full(samples, alpha)
     betas = rng.uniform(0.0, BETA_MAX, samples)
     ps = rng.uniform(0.0, 1.0, samples)
-
-    worst = {rule.name: {"numeric": 0.0, "closedform": 0.0} for rule in SUM_RULES}
-    for a, b, p in zip(alphas, betas, ps):
-        for res in cf_sum_rules(float(a), float(b), float(p)):
-            worst[res.name]["numeric"] = max(worst[res.name]["numeric"], res.numeric_residual)
-            worst[res.name]["closedform"] = max(
-                worst[res.name]["closedform"], res.closedform_residual
-            )
+    terms = _sum_rule_terms(alphas, betas, ps)
 
     # alpha-dependence of the reported-only relation at a fixed (beta, p).
     beta0, p0 = math.pi / 6.0, 0.3
+    alphas0 = [0.1 * k for k in range(1, 10)]
+    reported = next(k for k, rule in enumerate(SUM_RULES) if not rule.asserted)
+    num0, _, rhs0 = _sum_rule_terms(alphas0, beta0, p0)[reported]
     alpha_dependence = []
-    for a in [0.1 * k for k in range(1, 10)]:
-        res = next(r for r in cf_sum_rules(a, beta0, p0) if not r.asserted)
+    for a, residual in zip(alphas0, np.abs(num0 - rhs0).tolist()):
         scale = a * a * (1.0 - a * a) ** 2
         alpha_dependence.append(
             {
                 "alpha": a,
-                "numeric_residual": res.numeric_residual,
-                "residual_over_alpha2_times_1_minus_alpha2_sq": res.numeric_residual / scale,
+                "numeric_residual": residual,
+                "residual_over_alpha2_times_1_minus_alpha2_sq": residual / scale,
             }
         )
 
@@ -441,10 +483,10 @@ def sum_rule_samples(
             {
                 "name": rule.name,
                 "asserted": rule.asserted,
-                "max_numeric_residual": worst[rule.name]["numeric"],
-                "max_closedform_residual": worst[rule.name]["closedform"],
+                "max_numeric_residual": float(np.max(np.abs(num - rhs), initial=0.0)),
+                "max_closedform_residual": float(np.max(np.abs(cat - rhs), initial=0.0)),
             }
-            for rule in SUM_RULES
+            for rule, (num, cat, rhs) in zip(SUM_RULES, terms)
         ],
         "reported_rule_alpha_dependence": {
             "beta": beta0,
@@ -498,13 +540,12 @@ def run_audit(config: SweepConfig, scenarios: Sequence[str] | None = None) -> Au
         raise ConfigError("audit requires engine=both")
     names = list(scenarios) if scenarios is not None else sorted(SCENARIOS)
     betas, ps = _axis(config.beta_range), _axis(config.p_range)
+    points = [(beta, p) for beta in betas for p in ps]
 
     entries = []
     flags: list[str] = []
     for name in names:
-        numeric = _numeric_grid(
-            name, config.alpha, betas, ps, tuple(MEASURES), config.workers
-        )
+        numeric = _numeric_grid(name, config.alpha, betas, ps, MEASURES)
         x_structured = is_x_structured(name)
         for measure in MEASURES:
             if (name, measure) not in CATALOG:
@@ -524,17 +565,16 @@ def run_audit(config: SweepConfig, scenarios: Sequence[str] | None = None) -> Au
                 )
                 flags.append(f"{name}/{measure}: reduced state not X-structured")
                 continue
+            # First maximum in row-major order; a NaN deviation never wins.
+            values = numeric[measure].ravel().tolist()
             worst_dev, worst_idx = -1.0, 0
-            idx = 0
-            for bi in range(len(betas)):
-                for pi in range(len(ps)):
-                    cf = cf_eval(name, measure, config.alpha, betas[bi], ps[pi])
-                    dev = abs(numeric[idx][measure] - cf)
-                    if dev > worst_dev:
-                        worst_dev, worst_idx = dev, idx
-                    idx += 1
-            bi, pi = divmod(worst_idx, len(ps))
-            cf_at = cf_eval(name, measure, config.alpha, betas[bi], ps[pi])
+            for idx, (beta, p) in enumerate(points):
+                dev = abs(values[idx] - cf_eval(name, measure, config.alpha, beta, p))
+                if dev > worst_dev:
+                    worst_dev, worst_idx = dev, idx
+            beta_at, p_at = points[worst_idx]
+            numeric_at = values[worst_idx]
+            cf_at = cf_eval(name, measure, config.alpha, beta_at, p_at)
             ok = worst_dev <= config.tol
             entries.append(
                 {
@@ -542,9 +582,9 @@ def run_audit(config: SweepConfig, scenarios: Sequence[str] | None = None) -> Au
                     "measure": measure,
                     "status": "compared",
                     "max_abs_deviation": worst_dev,
-                    "beta_at_max": betas[bi],
-                    "p_at_max": ps[pi],
-                    "numeric_at_max": numeric[worst_idx][measure],
+                    "beta_at_max": beta_at,
+                    "p_at_max": p_at,
+                    "numeric_at_max": numeric_at,
                     "closedform_at_max": cf_at,
                     "pass": ok,
                 }
@@ -552,8 +592,8 @@ def run_audit(config: SweepConfig, scenarios: Sequence[str] | None = None) -> Au
             if not ok:
                 flags.append(
                     f"{name}/{measure}: max deviation {_fmt(worst_dev)} at "
-                    f"beta={_fmt(betas[bi])}, p={_fmt(ps[pi])} "
-                    f"(numeric={_fmt(numeric[worst_idx][measure])}, "
+                    f"beta={_fmt(beta_at)}, p={_fmt(p_at)} "
+                    f"(numeric={_fmt(numeric_at)}, "
                     f"closedform={_fmt(cf_at)})"
                 )
 

@@ -30,6 +30,10 @@ from .qcore import (
 )
 
 BETA_MAX = math.pi / 4
+#: Slack on the upper beta limit, so that pi/4 computed another way passes.
+#: Every beta range check uses it: a beta accepted anywhere is accepted by
+#: the pipeline.
+BETA_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,7 @@ class UnruhParams:
     beta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.beta <= BETA_MAX + 1e-15:
+        if not 0.0 <= self.beta <= BETA_MAX + BETA_TOL:
             raise ParameterError(f"beta={self.beta} outside [0, pi/4]")
 
 

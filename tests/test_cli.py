@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+import ghzsim.sweep
 from ghzsim.cli import EXIT_AUDIT_FLAGGED, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 
@@ -112,6 +115,16 @@ class TestExitCodes:
 
     def test_boundary_requires_measure(self):
         assert run(["boundary", "--scenario", "ABC_I"]) == EXIT_CONFIG
+
+    def test_internal_value_error_is_not_a_config_error(self, monkeypatch):
+        """A bug inside the engine must surface as itself, not as bad input."""
+
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(ghzsim.sweep, "numeric_batch", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            run(["sweep", "--beta-steps", "2", "--p-steps", "2"])
 
 
 class TestAuditCommand:

@@ -13,7 +13,9 @@ from ghzsim import (
     BETA_MAX,
     DampingParams,
     GhzParams,
+    ParameterError,
     SCENARIOS,
+    StructureError,
     UnruhParams,
     apply_damping,
     coherence_l1,
@@ -22,6 +24,7 @@ from ghzsim import (
     gte,
     gtn,
     is_x_structured,
+    numeric_batch,
     numeric_measures,
     scenario,
     scenario_reduced_state,
@@ -131,3 +134,49 @@ class TestIsXStructured:
     @pytest.mark.parametrize("name", NON_X_SCENARIOS)
     def test_non_x_scenarios(self, name):
         assert not is_x_structured(name)
+
+
+def _unit_interval_with_ends(hi: float = 1.0):
+    return st.one_of(st.sampled_from([0.0, hi]), st.floats(0.0, hi))
+
+
+class TestNumericBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(
+                _unit_interval_with_ends(),
+                _unit_interval_with_ends(BETA_MAX),
+                _unit_interval_with_ends(),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_matches_reduce_kraus_extract_path(self, points):
+        """Each point of a batch, every scenario, agrees with the scalar
+        reference path: reduce, Kraus-sum damping, X extraction, then the
+        measure functions. A point without the X pattern is NaN for S/E on
+        both sides."""
+        alphas, betas, ps = (np.array(axis) for axis in zip(*points))
+        for name, scen in SCENARIOS.items():
+            batch = numeric_batch(name, alphas, betas, ps)
+            for n, (alpha, beta, p) in enumerate(points):
+                rho = scenario_reduced_state(GhzParams(alpha), UnruhParams(beta), scen)
+                rho = apply_damping(rho, scen.damped_modes, DampingParams(p))
+                try:
+                    x = extract_xstate(rho)
+                    expected = {"S": gtn(x), "E": gte(x)}
+                except StructureError:
+                    expected = {"S": math.nan, "E": math.nan}
+                expected["C"] = coherence_l1(rho)
+                for measure, want in expected.items():
+                    got = batch[measure][n]
+                    where = (name, measure, alpha, beta, p)
+                    assert math.isnan(got) == math.isnan(want), where
+                    if not math.isnan(want):
+                        assert abs(got - want) <= 1e-13, where
+
+    def test_rejects_p_outside_unit_interval(self):
+        with pytest.raises(ParameterError, match="outside"):
+            numeric_batch("ABC_I", 0.7, 0.2, np.array([0.5, 1.0 + 1e-13]))

@@ -7,7 +7,15 @@ import math
 
 import pytest
 
-from ghzsim import ConfigError, SweepConfig, find_boundary, run_audit, run_sweep, sum_rule_samples
+from ghzsim import (
+    ConfigError,
+    SweepConfig,
+    find_boundary,
+    numeric_measures,
+    run_audit,
+    run_sweep,
+    sum_rule_samples,
+)
 from ghzsim.sweep import (
     DEFAULT_SEED,
     boundary_to_csv,
@@ -47,6 +55,18 @@ class TestSweepConfig:
     def test_default_config_is_valid(self):
         SweepConfig().validate()
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"beta_range": (0.0, math.pi / 4 + 1e-13, 3)},
+            {"p_range": (0.0, 1.0 + 1e-13, 3)},
+        ],
+    )
+    def test_ranges_past_the_pipeline_limits_fail_validation(self, kwargs):
+        """A range the pipeline would reject mid-run is rejected up front."""
+        with pytest.raises(ConfigError):
+            SweepConfig(**kwargs).validate()
+
 
 class TestRunSweep:
     def test_row_count_and_order(self):
@@ -71,6 +91,28 @@ class TestRunSweep:
             values.setdefault((row.beta, row.p, row.measure), {})[row.engine] = row.value
         for point, pair in values.items():
             assert pair["numeric"] == pytest.approx(pair["closedform"], abs=1e-12), point
+
+    @pytest.mark.parametrize("name", ["AB_I_C_II", "AB_I_B_II"])
+    def test_numeric_rows_equal_point_evaluation(self, name):
+        """Every cell of a 7x7 row-batched grid equals the per-point engine
+        at that cell's (beta, p), NaN included, in row-major order."""
+        rows = run_sweep(
+            SweepConfig(
+                alpha=0.6,
+                scenario=name,
+                beta_range=(0.0, math.pi / 4, 7),
+                p_range=(0.0, 1.0, 7),
+                engine="numeric",
+            )
+        )
+        assert len(rows) == 7 * 7 * 3
+        axis = [k / 6.0 for k in range(7)]
+        for k, row in enumerate(rows):
+            bi, rest = divmod(k, 7 * 3)
+            assert row.beta == pytest.approx(axis[bi] * math.pi / 4, abs=1e-15)
+            assert row.p == pytest.approx(axis[rest // 3], abs=1e-15)
+            want = numeric_measures(name, 0.6, row.beta, row.p)[row.measure]
+            assert row.value == want or (math.isnan(row.value) and math.isnan(want)), row
 
     def test_worker_count_does_not_change_rows(self):
         base = run_sweep(SMALL)
