@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: sweep, audit, boundary, sumrules, figure. Every flag can also
-be supplied through a flat key=value config file (--config); explicit flags
-win over config-file values.
+Subcommands: sweep, audit, boundary, sumrules, figure. Each registers only
+the flags it reads, so an unknown or ignored flag is an error. Every flag but
+--config can also be supplied through a flat key=value config file
+(--config); explicit flags win over config-file values, and a key that is
+not a flag of the subcommand is a configuration error.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 the audit found
 discrepancies above tolerance.
@@ -19,6 +21,7 @@ from .sweep import (
     DEFAULT_SEED,
     BETA_MAX,
     ConfigError,
+    ENGINES,
     FIGURES,
     SweepConfig,
     boundary_to_csv,
@@ -30,7 +33,6 @@ from .sweep import (
     run_audit,
     run_sweep,
     sum_rule_samples,
-    write_records,
     write_text_atomic,
     _jsonify,
 )
@@ -56,61 +58,83 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_CASTS = {
-    "alpha": float,
-    "beta_steps": int,
-    "p_steps": int,
-    "scenario": str,
-    "measures": str,
-    "engine": str,
-    "out": str,
-    "format": str,
-    "tol": float,
-    "workers": int,
-    "seed": int,
-    "samples": int,
-    "measure": str,
-    "figure": int,
-    "resolution": int,
-    "beta": float,
-    "p": float,
+def _switch(raw: str) -> bool:
+    """Config-file value of an on/off flag."""
+    if raw.lower() not in ("true", "false"):
+        raise ValueError(raw)
+    return raw.lower() == "true"
+
+
+#: flag -> (type, further argparse settings). The type also casts the flag's
+#: config-file value; `_switch` marks an on/off flag.
+_FLAGS: dict[str, tuple] = {
+    "alpha": (float, {"help": "GHZ amplitude (default 1/sqrt(2))"}),
+    "beta_steps": (int, {}),
+    "p_steps": (int, {}),
+    "scenario": (str, {"choices": sorted(SCENARIOS)}),
+    "all_scenarios": (
+        _switch,
+        {"help": "audit every scenario (default unless --scenario is given)"},
+    ),
+    "measures": (str, {"help": "comma list from S,E,C"}),
+    "measure": (str, {"choices": ("S", "E")}),
+    "engine": (str, {"choices": ENGINES}),
+    "figure": (int, {"choices": sorted(FIGURES)}),
+    "resolution": (int, {}),
+    "tol": (float, {}),
+    "seed": (int, {}),
+    "samples": (int, {"help": "random sum-rule points"}),
+    "workers": (int, {"help": "accepted for compatibility; evaluation is single-process"}),
+    "out": (str, {"help": "output path (stdout when omitted)"}),
+    "format": (str, {"choices": ("csv", "json")}),
+    "config": (str, {"help": "flat key=value config file"}),
+}
+
+#: subcommand -> (help, the flags it reads). No subcommand takes a flag it
+#: would ignore.
+_SUBCOMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "sweep": (
+        "evaluate measures over a (beta, p) grid",
+        ("alpha", "beta_steps", "p_steps", "scenario", "measures", "engine", "out",
+         "format", "workers", "config"),
+    ),
+    "audit": (
+        "compare closed forms against the numeric engine",
+        ("alpha", "beta_steps", "p_steps", "scenario", "all_scenarios", "tol", "seed",
+         "samples", "workers", "out", "config"),
+    ),
+    "boundary": (
+        "sudden-death boundary p*(beta)",
+        ("alpha", "beta_steps", "scenario", "measure", "tol", "out", "format", "config"),
+    ),
+    "sumrules": ("coherence sum-rule residuals", ("alpha", "samples", "seed", "out", "config")),
+    "figure": (
+        "emit surface data for one figure",
+        ("alpha", "figure", "resolution", "out", "config"),
+    ),
 }
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill argparse None values from the config file, casting as needed."""
-    if not getattr(args, "config", None):
+    """Fill unset flags from the config file, casting and checking values
+    as the flags themselves would."""
+    if args.config is None:
         return args
-    file_values = _read_config_file(args.config)
-    for key, raw in file_values.items():
-        if key not in _CASTS:
-            raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, key, None) is None:
-            try:
-                setattr(args, key, _CASTS[key](raw))
-            except ValueError:
-                raise ConfigError(f"config key {key}={raw!r} has the wrong type") from None
+    flags = _SUBCOMMANDS[args.command][1]
+    for key, raw in _read_config_file(args.config).items():
+        if key not in flags or key == "config":
+            raise ConfigError(f"config key {key!r} is not a flag of {args.command}")
+        if getattr(args, key) is not None:
+            continue
+        cast, settings = _FLAGS[key]
+        try:
+            value = cast(raw)
+        except ValueError:
+            raise ConfigError(f"config key {key}={raw!r} has the wrong type") from None
+        if value not in settings.get("choices", (value,)):
+            raise ConfigError(f"config key {key}={raw!r} is not one of {settings['choices']}")
+        setattr(args, key, value)
     return args
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=None, help="GHZ amplitude (default 1/sqrt(2))")
-    parser.add_argument("--beta-steps", type=int, default=None, dest="beta_steps")
-    parser.add_argument("--p-steps", type=int, default=None, dest="p_steps")
-    parser.add_argument("--scenario", default=None, choices=sorted(SCENARIOS))
-    parser.add_argument("--measures", default=None, help="comma list from S,E,C")
-    parser.add_argument("--engine", default=None, choices=("numeric", "closedform", "both"))
-    parser.add_argument("--out", default=None, help="output path (stdout when omitted)")
-    parser.add_argument("--format", default=None, choices=("csv", "json"))
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--config", default=None, help="flat key=value config file")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="accepted for compatibility; evaluation is single-process",
-    )
-    parser.add_argument("--seed", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,50 +146,38 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sweep = sub.add_parser("sweep", help="evaluate measures over a (beta, p) grid")
-    _add_common(p_sweep)
-
-    p_audit = sub.add_parser("audit", help="compare closed forms against the numeric engine")
-    _add_common(p_audit)
-    p_audit.add_argument("--samples", type=int, default=None, help="random sum-rule points")
-    p_audit.add_argument(
-        "--all-scenarios",
-        action="store_true",
-        help="audit every scenario (default unless --scenario is given)",
-    )
-
-    p_boundary = sub.add_parser("boundary", help="sudden-death boundary p*(beta)")
-    _add_common(p_boundary)
-    p_boundary.add_argument("--measure", default=None, choices=("S", "E"))
-
-    p_rules = sub.add_parser("sumrules", help="coherence sum-rule residuals")
-    _add_common(p_rules)
-    p_rules.add_argument("--samples", type=int, default=None)
-
-    p_figure = sub.add_parser("figure", help="emit surface data for one figure")
-    _add_common(p_figure)
-    p_figure.add_argument("--figure", type=int, default=None, choices=sorted(FIGURES))
-    p_figure.add_argument("--resolution", type=int, default=None)
-
+    for command, (help_text, flags) in _SUBCOMMANDS.items():
+        p_command = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            cast, settings = _FLAGS[flag]
+            kind = {"action": "store_true"} if cast is _switch else {"type": cast}
+            p_command.add_argument(
+                "--" + flag.replace("_", "-"), dest=flag, default=None, **kind, **settings
+            )
     return parser
 
 
-def _sweep_config(args: argparse.Namespace, engine_default: str = "both") -> SweepConfig:
-    measures = tuple((args.measures or "S,E,C").split(","))
+def _given(args: argparse.Namespace, flag: str, default):
+    """The flag's value, or `default` when neither the command line nor the
+    config file set it (or the subcommand has no such flag)."""
+    value = getattr(args, flag, None)
+    return default if value is None else value
+
+
+def _sweep_config(args: argparse.Namespace) -> SweepConfig:
     return SweepConfig(
-        alpha=args.alpha if args.alpha is not None else DEFAULT_ALPHA,
-        beta_range=(0.0, BETA_MAX, args.beta_steps or 101),
-        p_range=(0.0, 1.0, args.p_steps or 101),
-        scenario=args.scenario or "ABC_I",
-        measures=measures,
-        engine=args.engine or engine_default,
+        alpha=_given(args, "alpha", DEFAULT_ALPHA),
+        beta_range=(0.0, BETA_MAX, _given(args, "beta_steps", 101)),
+        p_range=(0.0, 1.0, _given(args, "p_steps", 101)),
+        scenario=_given(args, "scenario", "ABC_I"),
+        measures=tuple(_given(args, "measures", "S,E,C").split(",")),
+        engine=_given(args, "engine", "both"),
         output_path=args.out,
-        fmt=args.format or "csv",
-        workers=args.workers or 1,
-        tol=args.tol if args.tol is not None else 1e-8,
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
-        samples=getattr(args, "samples", None) or 1000,
+        fmt=_given(args, "format", "csv"),
+        workers=_given(args, "workers", 1),
+        tol=_given(args, "tol", 1e-8),
+        seed=_given(args, "seed", DEFAULT_SEED),
+        samples=_given(args, "samples", 1000),
     )
 
 
@@ -200,13 +212,13 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
     if args.measure is None:
         raise ConfigError("boundary requires --measure S|E")
     result = find_boundary(
-        scenario_name=args.scenario or "ABC_I",
+        scenario_name=_given(args, "scenario", "ABC_I"),
         measure=args.measure,
-        alpha=args.alpha if args.alpha is not None else DEFAULT_ALPHA,
-        beta_samples=args.beta_steps or 33,
-        bisect_tol=args.tol if args.tol is not None else 1e-6,
+        alpha=_given(args, "alpha", DEFAULT_ALPHA),
+        beta_samples=_given(args, "beta_steps", 33),
+        bisect_tol=_given(args, "tol", 1e-6),
     )
-    fmt = args.format or "csv"
+    fmt = _given(args, "format", "csv")
     text = boundary_to_csv(result) if fmt == "csv" else boundary_to_json(result)
     _emit(text, args.out)
     return EXIT_OK
@@ -215,8 +227,8 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
 def _cmd_sumrules(args: argparse.Namespace) -> int:
     report = sum_rule_samples(
         alpha=args.alpha,
-        samples=getattr(args, "samples", None) or 1000,
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
+        samples=_given(args, "samples", 1000),
+        seed=_given(args, "seed", DEFAULT_SEED),
     )
     _emit(json.dumps(_jsonify(report), indent=2) + "\n", args.out)
     return EXIT_OK
@@ -229,8 +241,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         raise ConfigError("figure requires --out")
     written = emit_figure_data(
         figure_id=args.figure,
-        alpha=args.alpha if args.alpha is not None else DEFAULT_ALPHA,
-        resolution=args.resolution or 101,
+        alpha=_given(args, "alpha", DEFAULT_ALPHA),
+        resolution=_given(args, "resolution", 101),
         out_path=args.out,
     )
     for path in written:

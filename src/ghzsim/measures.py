@@ -1,4 +1,4 @@
-"""X-state parameter extraction and the three quantumness measures.
+"""X-state extraction and the three quantumness measures.
 
 For a three-qubit X-matrix (nonzero entries on the main diagonal and the
 antidiagonal only) the measures have closed evaluations:
@@ -13,6 +13,9 @@ antidiagonal only) the measures have closed evaluations:
 Diagonal entries 1..4 are d_1..d_4; entries 8..5 are e_1..e_4, so d_i and
 e_i sit on mirrored positions. f_i lives on the (i, 9-i) antidiagonal slot
 (1-based indices).
+
+The X test and each measure are written once, as array expressions over
+matrix stacks (`stack_measures`); the scalar functions are their N = 1 case.
 """
 from __future__ import annotations
 
@@ -22,6 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import DensityOperator, SizeError
+
+#: Largest off-pattern magnitude an X-structured matrix may carry.
+X_TOL = 1e-12
+
+#: Off-pattern slots of an 8x8 matrix: neither diagonal nor antidiagonal.
+_OFF_X = ~(np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1])
+_F_ROWS = np.arange(4)
+_SQRT2_8 = 8.0 * math.sqrt(2.0)
 
 
 class StructureError(ValueError):
@@ -44,54 +55,81 @@ class MeasureTriple:
     c: float
 
 
-#: (row, col) of f_1..f_4 in the upper triangle.
-_F_SLOTS = ((0, 7), (1, 6), (2, 5), (3, 4))
+def is_x(absm: np.ndarray) -> np.ndarray:
+    """Per matrix of an (N, 8, 8) stack of magnitudes: no off-pattern entry
+    above X_TOL."""
+    return ~(np.max(absm[:, _OFF_X], axis=1, initial=0.0) > X_TOL)
 
 
-def extract_xstate(rho: DensityOperator, tol: float = 1e-12) -> XState:
+def _slots(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, e, f) of an 8x8 matrix or (N, 8, 8) stack as (4, ...) arrays."""
+    diag = np.diagonal(mat, axis1=-2, axis2=-1).real
+    return diag[..., :4].T, diag[..., 7:3:-1].T, mat[..., _F_ROWS, 7 - _F_ROWS].T
+
+
+def svetlichny(d: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """S from (4, ...) arrays of d_i, e_i and |f_i|."""
+    (d1, d2, d3, d4), (e1, e2, e3, e4) = d, e
+    n = d1 - d2 - d3 + d4 - e4 + e3 + e2 - e1
+    return np.maximum(_SQRT2_8 * f.max(axis=0), 4.0 * np.abs(n))
+
+
+def tripartite_entanglement(d: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """E from (4, ...) arrays of d_i, e_i and |f_i|."""
+    roots = np.sqrt(np.maximum(d * e, 0.0))
+    total = roots[0] + roots[1] + roots[2] + roots[3]
+    best = (f - (total - roots)).max(axis=0)
+    return 2.0 * np.maximum(0.0, best)
+
+
+def l1_coherence(absm: np.ndarray) -> np.ndarray:
+    """C of a matrix, or of each matrix in a stack, of magnitudes."""
+    return absm.sum(axis=(-2, -1)) - np.trace(absm, axis1=-2, axis2=-1)
+
+
+def stack_measures(stack: np.ndarray, measures: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """The requested measures of every matrix in an (N, 8, 8) stack as (N,)
+    arrays. S and E are NaN where the matrix is not X-structured."""
+    absm = np.abs(stack)
+    out: dict[str, np.ndarray] = {}
+    if "C" in measures:
+        out["C"] = l1_coherence(absm)
+    if "S" in measures or "E" in measures:
+        x = is_x(absm)
+        d, e, f = _slots(stack)
+        f = np.abs(f)
+        if "S" in measures:
+            out["S"] = np.where(x, svetlichny(d, e, f), math.nan)
+        if "E" in measures:
+            out["E"] = np.where(x, tripartite_entanglement(d, e, f), math.nan)
+    return out
+
+
+def extract_xstate(rho: DensityOperator, tol: float = X_TOL) -> XState:
     """Read off (d, e, f); reject any off-pattern entry above `tol`."""
     mat = rho.matrix
     if mat.shape != (8, 8):
         raise SizeError(f"expected a three-mode operator, got shape {mat.shape}")
-
-    allowed = {(i, i) for i in range(8)} | {(i, 7 - i) for i in range(8)}
-    worst = (0.0, None)
-    for i in range(8):
-        for j in range(8):
-            if (i, j) in allowed:
-                continue
-            mag = abs(mat[i, j])
-            if mag > worst[0]:
-                worst = (mag, (i, j))
-    if worst[0] > tol:
+    off = np.where(_OFF_X, np.abs(mat), 0.0)
+    worst = int(np.argmax(off))  # the first maximum in row-major order
+    if off.flat[worst] > tol:
         raise StructureError(
-            f"matrix is not X-structured: entry {worst[1]} has magnitude {worst[0]:.3e}"
+            f"matrix is not X-structured: entry {divmod(worst, 8)} has magnitude "
+            f"{off.flat[worst]:.3e}"
         )
-
-    d = tuple(float(mat[i, i].real) for i in range(4))
-    e = tuple(float(mat[7 - i, 7 - i].real) for i in range(4))
-    f = tuple(complex(mat[i, j]) for i, j in _F_SLOTS)
-    return XState(d, e, f)  # type: ignore[arg-type]
+    return XState(*(tuple(v.tolist()) for v in _slots(mat)))  # type: ignore[arg-type]
 
 
 def gtn(x: XState) -> float:
     """Svetlichny value of an X-state (threshold 4 is the caller's concern)."""
-    d1, d2, d3, d4 = x.d
-    e1, e2, e3, e4 = x.e
-    n = d1 - d2 - d3 + d4 - e4 + e3 + e2 - e1
-    f_max = max(abs(fi) for fi in x.f)
-    return max(8.0 * math.sqrt(2.0) * f_max, 4.0 * abs(n))
+    return float(svetlichny(np.array(x.d), np.array(x.e), np.abs(x.f)))
 
 
 def gte(x: XState) -> float:
     """Genuine tripartite entanglement of an X-state."""
-    roots = [math.sqrt(max(di * ei, 0.0)) for di, ei in zip(x.d, x.e)]
-    total = sum(roots)
-    best = max(abs(fi) - (total - ri) for fi, ri in zip(x.f, roots))
-    return 2.0 * max(0.0, best)
+    return float(tripartite_entanglement(np.array(x.d), np.array(x.e), np.abs(x.f)))
 
 
 def coherence_l1(rho: DensityOperator) -> float:
     """Sum of absolute off-diagonal entries; equals 2*sum|f_i| on X-states."""
-    mat = rho.matrix
-    return float(np.sum(np.abs(mat)) - np.sum(np.abs(np.diag(mat))))
+    return float(l1_coherence(np.abs(rho.matrix)))

@@ -3,10 +3,12 @@ and sudden-death boundary finding.
 
 Every numeric evaluation goes through the batched kernel
 `engine.numeric_batch`, one call per natural batch: a grid is evaluated one
-beta row at a time into per-measure (beta, p) arrays, a boundary scan is one
-call per beta, and the sum rules are one call per scenario over all sampled
-points. Evaluation runs in a single process; the `workers` setting is
-accepted and validated but does not change how or where points are computed.
+beta row at a time into per-measure (beta, p) arrays; a boundary is one such
+row per beta for its coarse p scan, then one call per bisection step that
+halves the brackets of all betas at once; the sum rules are one call per
+scenario over all sampled points. Evaluation runs in a single process; the
+`workers` setting is accepted and validated but does not change how or where
+points are computed.
 
 All outputs are deterministic for a fixed configuration: grid order defines
 row order, floats are serialized with 17 significant digits, random sampling
@@ -24,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .closedform import CATALOG, SUM_RULES, cf_eval
-from .engine import MEASURES, is_x_structured, numeric_batch, numeric_measures
+from .engine import MEASURES, is_x_structured, numeric_batch
 from .unruh import BETA_MAX, BETA_TOL, SCENARIOS, scenario
 
 ENGINES = ("numeric", "closedform", "both")
@@ -127,6 +129,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         grid = _numeric_grid(config.scenario, config.alpha, betas, ps, config.measures)
         numeric = {m: values.tolist() for m, values in grid.items()}
 
+    scen, alpha = config.scenario, config.alpha
     rows: list[SweepRecord] = []
     for bi, beta in enumerate(betas):
         for pi, p in enumerate(ps):
@@ -135,21 +138,15 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
                     if eng == "numeric":
                         value = numeric[measure][bi][pi]
                     else:
-                        value = cf_eval(config.scenario, measure, config.alpha, beta, p)
-                    rows.append(
-                        SweepRecord(
-                            config.scenario, measure, eng, config.alpha, beta, p, value
-                        )
-                    )
+                        value = cf_eval(scen, measure, alpha, beta, p)
+                    rows.append(SweepRecord(scen, measure, eng, alpha, beta, p, value))
     return rows
 
 
 # --- serialization -----------------------------------------------------------
 
 def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    return format(x, ".17g")
+    return "nan" if math.isnan(x) else format(x, ".17g")
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -191,11 +188,6 @@ def records_to_json(rows: Iterable[SweepRecord]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def write_records(rows: Sequence[SweepRecord], path: str, fmt: str) -> None:
-    text = records_to_csv(rows) if fmt == "csv" else records_to_json(rows)
-    write_text_atomic(path, text)
-
-
 # --- sudden-death boundary ----------------------------------------------------
 
 S_THRESHOLD = 4.0
@@ -220,15 +212,26 @@ class BoundaryResult:
     scan_step: float
 
 
-def _bisect(predicate, lo: float, hi: float, tol: float) -> float:
-    """First p where `predicate` (true at lo, false at hi) flips."""
-    while hi - lo > tol:
+#: measure -> (threshold, bisection level, whether a first crossing at the
+#: p = 1 scan point counts). The scan finds the first value <= threshold +
+#: 1e-12; bisection keeps its lower end while the value exceeds its level.
+_BOUNDARY_RULES = {"S": (S_THRESHOLD, S_THRESHOLD, True), "E": (0.0, ZERO_TOL, False)}
+
+
+def _bisect(scen, measure, alpha, betas, lo, hi, level, tol) -> np.ndarray:
+    """Per beta, the p in (lo, hi] where the measure stops exceeding `level`
+    (it does at lo and does not at hi), to within `tol`. Every bracket is
+    halved in the same kernel call; a bracket stops once it is no wider than
+    `tol` or no float lies strictly inside it."""
+    while True:
         mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+        active = np.flatnonzero((hi - lo > tol) & (lo < mid) & (mid < hi))
+        if not active.size:
+            return hi
+        mid = mid[active]
+        above = numeric_batch(scen, alpha, betas[active], mid, (measure,))[measure] > level
+        lo[active[above]] = mid[above]
+        hi[active[~above]] = mid[~above]
 
 
 def find_boundary(
@@ -244,71 +247,52 @@ def find_boundary(
     For S the crossing is where the Svetlichny value falls to 4 from above;
     for E it is where the entanglement first reaches 0. A coarse scan locates
     the first crossing bracket (the surfaces are not globally monotonic in p),
-    then bisection refines it. Absence of a crossing is data, not an error; a
-    zero reached only at the p = 1 endpoint counts as no crossing in [0, 1).
+    then bisection refines it. A curve that starts on the threshold crosses
+    at p = 0, one that starts below it never crosses. Absence of a crossing
+    is data, not an error; for E a zero reached only at the p = 1 endpoint
+    counts as no crossing in [0, 1).
     """
-    if measure not in ("S", "E"):
+    if measure not in _BOUNDARY_RULES:
         raise ConfigError(f"boundary measure must be S or E, got {measure!r}")
+    if not bisect_tol > 0.0:
+        raise ConfigError(f"bisection tolerance must be > 0, got {bisect_tol}")
+    if beta_samples < 1:
+        raise ConfigError(f"beta samples must be >= 1, got {beta_samples}")
     scen = scenario(scenario_name)
-    threshold = S_THRESHOLD if measure == "S" else 0.0
-
-    def value(beta: float, p: float) -> float:
-        return numeric_measures(scen, alpha, beta, p, (measure,))[measure]
+    threshold, level, endpoint_counts = _BOUNDARY_RULES[measure]
 
     betas = _axis((0.0, BETA_MAX, beta_samples))
     n_scan = int(round(1.0 / scan_step))
-    scan_ps = [k / n_scan for k in range(n_scan + 1)]
-    scan_row = np.asarray(scan_ps)
+    scan_ps = np.arange(n_scan + 1) / n_scan
+    values = _numeric_grid(scen.name, alpha, betas, scan_ps, (measure,))[measure]
+    if np.isnan(values).any():
+        raise ConfigError(
+            f"numeric {measure} undefined for scenario {scenario_name}: "
+            "its reduced state is not X-structured"
+        )
 
-    curve: list[BoundaryPoint] = []
-    for beta in betas:
-        values = numeric_batch(scen, alpha, beta, scan_row, (measure,))[measure]
-        if np.isnan(values).any():
-            raise ConfigError(
-                f"numeric {measure} undefined for scenario {scenario_name}: "
-                "its reduced state is not X-structured"
-            )
-        values = values.tolist()
-        if measure == "S":
-            above = [v > S_THRESHOLD + 1e-12 for v in values]
-            if not above[0]:
-                # Starts at/below the classical bound: p* = 0 only if it
-                # starts exactly on it, otherwise there is nothing to cross.
-                if abs(values[0] - S_THRESHOLD) <= 1e-9:
-                    curve.append(BoundaryPoint(beta, 0.0, "crossing"))
-                else:
-                    curve.append(BoundaryPoint(beta, None, "no_crossing"))
-                continue
-            first_cross = next((k for k, a in enumerate(above) if not a), None)
-            if first_cross is None:
-                curve.append(BoundaryPoint(beta, None, "no_crossing"))
-                continue
-            lo, hi = scan_ps[first_cross - 1], scan_ps[first_cross]
-            p_star = _bisect(
-                lambda p: value(beta, p) > S_THRESHOLD, lo, hi, bisect_tol
-            )
-            curve.append(BoundaryPoint(beta, p_star, "crossing"))
-        else:
-            positive = [v > ZERO_TOL for v in values]
-            if not positive[0]:
-                curve.append(BoundaryPoint(beta, 0.0, "crossing"))
-                continue
-            first_zero = next((k for k, pos in enumerate(positive) if not pos), None)
-            if first_zero is None or scan_ps[first_zero] >= 1.0 - 1e-12:
-                curve.append(BoundaryPoint(beta, None, "no_crossing"))
-                continue
-            lo, hi = scan_ps[first_zero - 1], scan_ps[first_zero]
-            p_star = _bisect(lambda p: value(beta, p) > ZERO_TOL, lo, hi, bisect_tol)
-            curve.append(BoundaryPoint(beta, p_star, "crossing"))
+    reached = values <= threshold + 1e-12
+    first = np.argmax(reached, axis=1)
+    crosses = reached.any(axis=1)
+    if not endpoint_counts:
+        crosses &= scan_ps[first] < 1.0 - 1e-12
+    p_star = np.full(len(betas), math.nan)
+    p_star[(first == 0) & crosses & (np.abs(values[:, 0] - threshold) <= 1e-9)] = 0.0
+    bracket = (first > 0) & crosses
+    k = first[bracket]
+    p_star[bracket] = _bisect(
+        scen, measure, alpha, np.asarray(betas)[bracket], scan_ps[k - 1], scan_ps[k],
+        level, bisect_tol,
+    )
 
+    curve = tuple(
+        BoundaryPoint(beta, None, "no_crossing")
+        if math.isnan(ps)
+        else BoundaryPoint(beta, ps, "crossing")
+        for beta, ps in zip(betas, p_star.tolist())
+    )
     return BoundaryResult(
-        scenario=scenario_name,
-        measure=measure,
-        alpha=alpha,
-        threshold=threshold,
-        curve=tuple(curve),
-        bisect_tol=bisect_tol,
-        scan_step=scan_step,
+        scenario_name, measure, alpha, threshold, curve, bisect_tol, scan_step
     )
 
 
@@ -356,9 +340,9 @@ def emit_figure_data(
     """Write beta/p/value surfaces for one figure, one file per measure.
 
     Single-measure figures write exactly `out_path`; multi-measure figures
-    suffix the measure before the extension. Figure 7's S and E surfaces come
-    from the closed-form catalog because its reduced state is not
-    X-structured and the numeric pipeline leaves those measures undefined.
+    suffix the measure before the extension. A figure whose scenario is not
+    X-structured (Figure 7) takes its surfaces from the closed-form catalog,
+    because the numeric pipeline leaves S and E undefined there.
     """
     if figure_id not in FIGURES:
         raise ConfigError(f"figure id must be in {sorted(FIGURES)}, got {figure_id}")
@@ -368,10 +352,8 @@ def emit_figure_data(
     betas = _axis((0.0, BETA_MAX, resolution))
     ps = _axis((0.0, 1.0, resolution))
 
-    use_catalog = scenario_name == "AB_I_B_II"
-    numeric = {}
-    if not use_catalog:
-        numeric = _numeric_grid(scenario_name, alpha, betas, ps, measures)
+    use_catalog = not is_x_structured(scenario_name)
+    numeric = {} if use_catalog else _numeric_grid(scenario_name, alpha, betas, ps, measures)
 
     stem, ext = os.path.splitext(out_path)
     written = []
@@ -453,6 +435,8 @@ def sum_rule_samples(
     is reported with its alpha-dependence instead of being gated: its residual
     scales as alpha^2 (1 - alpha^2)^2, vanishing only at alpha in {0, 1}.
     """
+    if samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     alphas = rng.uniform(0.0, 1.0, samples) if alpha is None else np.full(samples, alpha)
     betas = rng.uniform(0.0, BETA_MAX, samples)
@@ -565,16 +549,15 @@ def run_audit(config: SweepConfig, scenarios: Sequence[str] | None = None) -> Au
                 )
                 flags.append(f"{name}/{measure}: reduced state not X-structured")
                 continue
+            values = numeric[measure].ravel()
+            catalog = [cf_eval(name, measure, config.alpha, beta, p) for beta, p in points]
             # First maximum in row-major order; a NaN deviation never wins.
-            values = numeric[measure].ravel().tolist()
-            worst_dev, worst_idx = -1.0, 0
-            for idx, (beta, p) in enumerate(points):
-                dev = abs(values[idx] - cf_eval(name, measure, config.alpha, beta, p))
-                if dev > worst_dev:
-                    worst_dev, worst_idx = dev, idx
+            devs = np.abs(values - catalog)
+            devs[np.isnan(devs)] = -1.0
+            worst_idx = int(np.argmax(devs))
+            worst_dev = float(devs[worst_idx])
             beta_at, p_at = points[worst_idx]
-            numeric_at = values[worst_idx]
-            cf_at = cf_eval(name, measure, config.alpha, beta_at, p_at)
+            numeric_at, cf_at = float(values[worst_idx]), catalog[worst_idx]
             ok = worst_dev <= config.tol
             entries.append(
                 {

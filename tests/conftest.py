@@ -1,9 +1,13 @@
 """Shared fixtures, independent numeric oracles, and the acceptance summary.
 
-The oracles here deliberately avoid the package's own linear-algebra paths
-(loop-based partial trace, Kraus-sum channel) so the tests cross-check two
-independent implementations: `trace_out_oracle` uses einsum contraction and
-`damp_qubit_oracle` applies the analytic 2x2 block map of the damping channel.
+The oracles here are written separately from the package's own code paths,
+so the tests cross-check two implementations. `trace_out_oracle` contracts
+with einsum, where the package takes one axis trace per mode.
+`damp_qubit_oracle` damps one qubit of one matrix out of place, building a
+new array from the four operator blocks; the package's single damping kernel,
+`channels.damp_stack`, updates whole (N, 2^n, 2^n) stacks in place, one p
+per matrix. Differential tests of the numeric engine damp with the oracle,
+never with `apply_damping`, because that is the kernel's N = 1 case.
 """
 from __future__ import annotations
 

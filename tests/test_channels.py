@@ -3,6 +3,8 @@ physical laws it must obey (trace preservation, positivity, commutation
 with discarding untouched modes)."""
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from ghzsim import (
     ParameterError,
     amplitude_damping_kraus,
     apply_damping,
+    damp_stack,
     partial_trace,
     validate_density,
 )
@@ -59,6 +62,19 @@ class TestApplyDamping:
         for label, pos in [(ModeLabel.A, 0), (ModeLabel.B, 1), (ModeLabel.C, 2)]:
             out = apply_damping(rho, [label], DampingParams(p))
             expected = damp_qubit_oracle(rho.matrix, 3, pos, p)
+            np.testing.assert_allclose(out.matrix, expected, atol=1e-14)
+
+    def test_matches_kraus_sum_of_the_defining_pair(self, rng):
+        """The block map is the Kraus sum of `amplitude_damping_kraus`."""
+        rho = DensityOperator(ABC, random_density_matrix(rng, 8))
+        pair = amplitude_damping_kraus(DampingParams(0.42))
+        for label, pos in [(ModeLabel.A, 0), (ModeLabel.B, 1), (ModeLabel.C, 2)]:
+            ops = [
+                reduce(np.kron, [k if i == pos else np.eye(2) for i in range(3)])
+                for k in (pair.m0, pair.m1)
+            ]
+            expected = sum(op @ rho.matrix @ op.conj().T for op in ops)
+            out = apply_damping(rho, [label], DampingParams(0.42))
             np.testing.assert_allclose(out.matrix, expected, atol=1e-14)
 
     def test_two_targets_compose_single_target_maps(self, rng):
@@ -110,3 +126,29 @@ class TestApplyDamping:
             partial_trace(rho, {ModeLabel.A, ModeLabel.B}), [ModeLabel.B], params
         )
         np.testing.assert_allclose(damp_first.matrix, trace_first.matrix, atol=1e-13)
+
+
+class TestDampStack:
+    def test_per_point_probability_matches_oracle(self, rng):
+        """Every matrix of an (N, 8, 8) stack is damped at its own p."""
+        ps = np.array([0.0, 0.13, 0.5, 0.77, 1.0])
+        mats = np.array([random_density_matrix(rng, 8) for _ in ps])
+        for positions in ([1], [0, 2]):
+            out = damp_stack(mats.copy(), positions, ps)
+            for mat, p, got in zip(mats, ps, out):
+                expected = mat
+                for pos in positions:
+                    expected = damp_qubit_oracle(expected, 3, pos, p)
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+    def test_two_mode_stack_with_scalar_probability(self, rng):
+        mats = np.array([random_density_matrix(rng, 4) for _ in range(3)])
+        out = damp_stack(mats.copy(), [0], 0.4)
+        for mat, got in zip(mats, out):
+            np.testing.assert_allclose(got, damp_qubit_oracle(mat, 2, 0, 0.4), atol=1e-14)
+
+    @pytest.mark.parametrize("p", [-1e-13, 1.0 + 1e-13, float("nan")])
+    def test_rejects_probability_outside_unit_interval(self, rng, p):
+        stack = random_density_matrix(rng, 8)[None]
+        with pytest.raises(ParameterError, match="outside"):
+            damp_stack(stack, [0], np.array([p]))

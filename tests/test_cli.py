@@ -127,6 +127,75 @@ class TestExitCodes:
             run(["sweep", "--beta-steps", "2", "--p-steps", "2"])
 
 
+class TestExplicitValues:
+    """A value given on the command line is used, even when it is 0."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep", "--beta-steps", "0"],
+            ["sweep", "--workers", "0", "--beta-steps", "2", "--p-steps", "2"],
+            ["sumrules", "--samples", "0"],
+            ["figure", "--figure", "1", "--resolution", "0", "--out", "unused.csv"],
+            ["boundary", "--measure", "S", "--beta-steps", "0"],
+        ],
+    )
+    def test_zero_is_not_replaced_by_the_default(self, args):
+        assert run(args) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_boundary_rejects_nonpositive_tolerance(self, tol):
+        assert run(["boundary", "--measure", "S", "--beta-steps", "2", "--tol", tol]) == EXIT_CONFIG
+
+
+class TestFlagSets:
+    """Each subcommand accepts only the flags it reads."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sumrules", "--scenario", "AB_I_B_II"],
+            ["sumrules", "--engine", "numeric"],
+            ["sumrules", "--p-steps", "9"],
+            ["audit", "--format", "csv"],
+            ["audit", "--measures", "C"],
+            ["boundary", "--p-steps", "9", "--measure", "S"],
+            ["boundary", "--workers", "2", "--measure", "S"],
+            ["figure", "--seed", "3", "--figure", "1"],
+            ["sweep", "--samples", "5"],
+        ],
+    )
+    def test_ignored_flag_is_rejected(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("sweep", "beta"), ("sweep", "p"), ("sweep", "tol"), ("sumrules", "scenario"),
+         ("sweep", "config")],
+    )
+    def test_config_key_outside_the_flag_set(self, tmp_path, command, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 0.3\n")
+        assert run([command, "--config", str(cfg)]) == EXIT_CONFIG
+
+    def test_config_value_outside_choices(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        assert run(["boundary", "--measure", "S", "--config", str(cfg)]) == EXIT_CONFIG
+
+    def test_switch_from_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("all-scenarios = true\nscenario = ABC_I\n")
+        out = tmp_path / "audit.json"
+        code = run(["audit", "--config", str(cfg), "--beta-steps", "3", "--p-steps", "3",
+                    "--samples", "5", "--out", str(out)])
+        assert code == EXIT_AUDIT_FLAGGED
+        assert len(json.loads(out.read_text())["config"]["scenarios"]) == 8
+
+
 class TestAuditCommand:
     def test_flagged_audit_exits_nonzero(self, tmp_path):
         out = tmp_path / "audit.json"

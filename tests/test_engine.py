@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ghzsim import (
     BETA_MAX,
     DampingParams,
+    DensityOperator,
     GhzParams,
     ParameterError,
     SCENARIOS,
@@ -30,6 +31,7 @@ from ghzsim import (
     scenario_reduced_state,
     validate_density,
 )
+from conftest import damp_qubit_oracle
 
 ALPHA_GHZ = 1.0 / math.sqrt(2.0)
 
@@ -155,15 +157,18 @@ class TestNumericBatch:
     )
     def test_matches_reduce_kraus_extract_path(self, points):
         """Each point of a batch, every scenario, agrees with the scalar
-        reference path: reduce, Kraus-sum damping, X extraction, then the
-        measure functions. A point without the X pattern is NaN for S/E on
-        both sides."""
+        reference path: reduce, the independent block-map damping oracle,
+        X extraction, then the measure functions. A point without the X
+        pattern is NaN for S/E on both sides."""
         alphas, betas, ps = (np.array(axis) for axis in zip(*points))
         for name, scen in SCENARIOS.items():
             batch = numeric_batch(name, alphas, betas, ps)
             for n, (alpha, beta, p) in enumerate(points):
                 rho = scenario_reduced_state(GhzParams(alpha), UnruhParams(beta), scen)
-                rho = apply_damping(rho, scen.damped_modes, DampingParams(p))
+                mat = rho.matrix
+                for mode in scen.damped_modes:
+                    mat = damp_qubit_oracle(mat, 3, rho.register.position(mode), p)
+                rho = DensityOperator(rho.register, mat)
                 try:
                     x = extract_xstate(rho)
                     expected = {"S": gtn(x), "E": gte(x)}

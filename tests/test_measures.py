@@ -56,6 +56,13 @@ class TestExtractXstate:
         with pytest.raises(StructureError, match="not X-structured"):
             extract_xstate(DensityOperator(ABC, mat))
 
+    def test_reports_first_worst_entry_in_row_major_order(self):
+        mat = GHZ.copy()
+        mat[1, 2] = mat[2, 1] = 1e-6
+        mat[0, 3] = mat[3, 0] = 1e-6
+        with pytest.raises(StructureError, match=r"entry \(0, 3\) has magnitude 1\.000e-06"):
+            extract_xstate(DensityOperator(ABC, mat))
+
     def test_tolerance_is_respected(self):
         mat = GHZ.copy()
         mat[0, 3] = mat[3, 0] = 1e-6

@@ -5,12 +5,15 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
+import ghzsim.sweep
 from ghzsim import (
     ConfigError,
     SweepConfig,
     find_boundary,
+    numeric_batch,
     numeric_measures,
     run_audit,
     run_sweep,
@@ -175,6 +178,71 @@ class TestFindBoundary:
     def test_rejects_non_x_scenario(self):
         with pytest.raises(ConfigError, match="not X-structured"):
             find_boundary("AB_I_B_II", "S", ALPHA_GHZ, beta_samples=2)
+
+    def test_matches_closed_form_curve(self):
+        """At alpha = 1/sqrt 2 the ABC_I Svetlichny value falls to 4 at
+        p* = 1 - 1/(2 cos^2 beta), for every beta of the default curve."""
+        tol = 1e-6
+        result = find_boundary("ABC_I", "S", ALPHA_GHZ, beta_samples=33, bisect_tol=tol)
+        assert len(result.curve) == 33
+        for pt in result.curve:
+            assert pt.status == "crossing"
+            expected = 1.0 - 1.0 / (2.0 * math.cos(pt.beta) ** 2)
+            assert abs(pt.p_star - expected) <= 2.0 * tol, pt.beta
+
+    @pytest.mark.parametrize("measure", ["S", "E"])
+    def test_matches_scalar_bisection_exactly(self, measure):
+        """Batched bisection gives the bits of the one-beta-at-a-time loop,
+        on a two-damped scenario whose curves mix crossings and none."""
+        name = "AB_I_C_I"
+        threshold, level = (4.0, 4.0) if measure == "S" else (0.0, 1e-12)
+        scan = [k / 1000 for k in range(1001)]
+        expected = []
+        for beta in np.linspace(0.0, math.pi / 4, 9).tolist():
+            values = numeric_batch(name, ALPHA_GHZ, beta, np.array(scan), (measure,))[measure]
+            k = next((k for k, v in enumerate(values) if not v > threshold + 1e-12), None)
+            if k == 0:
+                p_star = 0.0 if abs(values[0] - threshold) <= 1e-9 else None
+            elif k is None or (measure == "E" and k == 1000):
+                p_star = None
+            else:
+                lo, hi = scan[k - 1], scan[k]
+                while hi - lo > 1e-6:
+                    mid = 0.5 * (lo + hi)
+                    if numeric_measures(name, ALPHA_GHZ, beta, mid, (measure,))[measure] > level:
+                        lo = mid
+                    else:
+                        hi = mid
+                p_star = hi
+            expected.append(p_star)
+        result = find_boundary(name, measure, ALPHA_GHZ, beta_samples=9)
+        assert [pt.p_star for pt in result.curve] == expected
+        assert None in expected and any(p not in (None, 0.0) for p in expected)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_tolerance(self, tol):
+        with pytest.raises(ConfigError, match="tolerance"):
+            find_boundary("ABC_I", "S", ALPHA_GHZ, beta_samples=2, bisect_tol=tol)
+
+    def test_rejects_empty_curve(self):
+        with pytest.raises(ConfigError, match="beta samples"):
+            find_boundary("ABC_I", "S", ALPHA_GHZ, beta_samples=0)
+
+    def test_tolerance_below_float_spacing_terminates(self, monkeypatch):
+        """Bisection stops once no float lies strictly inside a bracket: a
+        1e-3 bracket takes about 43 halvings to reach float spacing."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            assert len(calls) <= 100, "bisection does not terminate"
+            return numeric_batch(*args, **kwargs)
+
+        monkeypatch.setattr(ghzsim.sweep, "numeric_batch", counted)
+        result = find_boundary("ABC_I", "S", ALPHA_GHZ, beta_samples=5, bisect_tol=1e-300)
+        for pt in result.curve:
+            expected = 1.0 - 1.0 / (2.0 * math.cos(pt.beta) ** 2)
+            assert pt.p_star == pytest.approx(expected, abs=1e-14)
 
     def test_serialization(self):
         result = find_boundary("ABC_I", "S", ALPHA_GHZ, beta_samples=2)
