@@ -39,6 +39,7 @@ from .unruh import (
     UnruhParams,
     build_ghz,
     scenario,
+    scenario_reduced_stack,
     scenario_reduced_state,
     unruh_expand,
 )

@@ -58,7 +58,11 @@ def damp_stack(stack: np.ndarray, positions: Iterable[int], p) -> np.ndarray:
     complex stack, matrix k at probability p[k] (a scalar p applies to all).
 
     Works in place on a C-contiguous stack and returns the damped stack.
+    Any other stack is a caller's bug: its reshaped views would be copies,
+    so this raises ValueError rather than damp it out of place.
     """
+    if not (stack.flags.c_contiguous and stack.flags.writeable):
+        raise ValueError("damp_stack needs a writeable C-contiguous stack")
     n = len(stack)
     p = np.broadcast_to(np.asarray(p, dtype=float), (n,))
     bad = ~((p >= 0.0) & (p <= 1.0))

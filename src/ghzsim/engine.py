@@ -12,50 +12,54 @@ for any density matrix and is always finite. The X test is decided per
 point.
 
 `numeric_batch` takes broadcastable (alpha, beta, p) arrays and only wires
-the steps together: it stacks the reduced (undamped) 8x8 matrices, cached
-per (scenario, alpha, beta), into an (N, 8, 8) array, damps them with the
-channel kernel `channels.damp_stack` at every point's own p, and measures
-the stack with `measures.stack_measures`. The scalar functions are its
-N = 1 case. Callers batch by structure (one grid row, one boundary scan,
-one bisection step, one sum-rule sample set), never a whole grid, so a
-stack stays within a few MB.
+the steps together: `unruh.scenario_reduced_stack` builds the reduced
+(undamped) 8x8 matrices, one per (alpha, beta) element a block of points
+uses, never one per p; the channel kernel `channels.damp_stack` damps a
+copy of them at every point's own p; `measures.stack_measures` measures the
+stack. The scalar functions are its N = 1 case. A call evaluates its
+flattened points BLOCK_POINTS at a time, so its temporaries stay bounded
+(about 7 KiB per two-damped point) however many points it is given.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterable, Mapping
+import math
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .channels import damp_stack
 from .measures import is_x, stack_measures
 from .qcore import DensityOperator, ModeRegister
-from .unruh import GhzParams, Scenario, UnruhParams, scenario, scenario_reduced_state
+from .unruh import Scenario, scenario, scenario_reduced_stack
 
 MEASURES = ("S", "E", "C")
+
+#: Points damped and measured together in one pass of `numeric_batch`.
+BLOCK_POINTS = 4096
 
 
 def _as_scenario(scen: "Scenario | str") -> Scenario:
     return scen if isinstance(scen, Scenario) else scenario(scen)
 
 
-@lru_cache(maxsize=4096)
-def _reduced(name: str, alpha: float, beta: float) -> np.ndarray:
-    """Cached 3-mode reduced matrix of one scenario."""
-    return scenario_reduced_state(GhzParams(alpha), UnruhParams(beta), scenario(name)).matrix
-
-
-def _damped_stack(scen: Scenario, alpha, beta, p) -> np.ndarray:
-    """(N, 8, 8) damped reduced matrices over the flattened broadcast of
-    (alpha, beta, p), in row-major order."""
-    a, b, pp = (np.asarray(v, dtype=float).ravel() for v in np.broadcast_arrays(alpha, beta, p))
-    # A fresh copy of the cached matrices, so damping may work in place.
-    stack = np.array(
-        [_reduced(scen.name, x, y) for x, y in zip(a.tolist(), b.tolist())], dtype=complex
-    ).reshape(-1, 8, 8)
+def _damped_blocks(scen: Scenario, alpha, beta, p) -> Iterator[tuple[slice, np.ndarray]]:
+    """(slice, damped (n, 8, 8) stack) over the flattened broadcast of
+    (alpha, beta, p) in row-major order, BLOCK_POINTS points at a time."""
+    a, b = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
+    shape = np.broadcast_shapes(a.shape, np.shape(p))
+    # The (alpha, beta) element and the p of every point.
+    ab = np.broadcast_to(np.arange(a.size).reshape(a.shape), shape).ravel()
+    pp = np.broadcast_to(np.asarray(p, dtype=float), shape).ravel()
+    a, b = a.ravel(), b.ravel()
     # Region tuples are stored in register order, so they are the register.
     positions = [scen.regions.index(m) for m in scen.damped_modes]
-    return damp_stack(stack, positions, pp)
+    for start in range(0, len(pp), BLOCK_POINTS):
+        block = slice(start, start + BLOCK_POINTS)
+        used, inverse = np.unique(ab[block], return_inverse=True)
+        reduced = scenario_reduced_stack(a[used], b[used], scen)
+        # Indexing copies each point's matrix into a fresh C-contiguous
+        # stack, which damping then updates in place.
+        yield block, damp_stack(reduced[inverse], positions, pp[block])
 
 
 def numeric_batch(
@@ -70,8 +74,11 @@ def numeric_batch(
     if unknown:
         raise ValueError(f"unknown measures {sorted(unknown)}; expected subset of {MEASURES}")
     shape = np.broadcast_shapes(np.shape(alpha), np.shape(beta), np.shape(p))
-    values = stack_measures(_damped_stack(scen, alpha, beta, p), wanted)
-    return {m: values[m].reshape(shape) for m in wanted}
+    values = {m: np.empty(math.prod(shape)) for m in wanted}
+    for block, stack in _damped_blocks(scen, alpha, beta, p):
+        for m, v in stack_measures(stack, wanted).items():
+            values[m][block] = v
+    return {m: v.reshape(shape) for m, v in values.items()}
 
 
 def damped_scenario_state(
@@ -80,8 +87,8 @@ def damped_scenario_state(
     """Reduced scenario state after amplitude damping of its kept
     accelerated modes (reduction first; the two orders commute)."""
     scen = _as_scenario(scen)
-    mat = _damped_stack(scen, float(alpha), float(beta), float(p))[0]
-    return DensityOperator(ModeRegister(scen.regions), mat)
+    _, stack = next(_damped_blocks(scen, float(alpha), float(beta), float(p)))
+    return DensityOperator(ModeRegister(scen.regions), stack[0])
 
 
 def numeric_measures(
@@ -100,4 +107,5 @@ def is_x_structured(scen: "Scenario | str") -> bool:
     """Whether the scenario's reduced states carry the X pattern (and hence
     numeric S/E are defined). Decided from the state itself at a generic
     interior point, not from a hard-coded list."""
-    return bool(is_x(np.abs(_damped_stack(_as_scenario(scen), 0.6, 0.5, 0.3)))[0])
+    rho = damped_scenario_state(scen, 0.6, 0.5, 0.3)
+    return bool(is_x(np.abs(rho.matrix)[None])[0])

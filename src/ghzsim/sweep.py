@@ -80,6 +80,8 @@ class SweepConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -437,6 +439,8 @@ def sum_rule_samples(
     """
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     alphas = rng.uniform(0.0, 1.0, samples) if alpha is None else np.full(samples, alpha)
     betas = rng.uniform(0.0, BETA_MAX, samples)

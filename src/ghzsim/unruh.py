@@ -10,6 +10,16 @@ For a fermionic field the vacuum and excited states map as
 
 with beta in [0, pi/4]; beta = 0 is the inertial limit and beta = pi/4 the
 infinite-acceleration limit.
+
+`build_ghz`, `unruh_expand` and `qcore.partial_trace` define a scenario's
+reduced state on labeled registers, one point at a time. The pipeline uses
+their array form, `scenario_reduced_stack`: it holds the GHZ amplitudes of
+N points as an (N, 2, 2, 2) tensor, expands Bob's mode (when he
+accelerates) and then Charlie's with array slices, forms the outer products
+with the kept modes first and sums out the traced modes one at a time in
+register order. It does the same multiplications and additions in the same
+order as the register-level path, so each of its matrices is bit-equal to
+that path's; `scenario_reduced_state` is its N = 1 case.
 """
 from __future__ import annotations
 
@@ -26,7 +36,6 @@ from .qcore import (
     ModeRegister,
     ParameterError,
     PureState,
-    partial_trace,
 )
 
 BETA_MAX = math.pi / 4
@@ -36,6 +45,19 @@ BETA_MAX = math.pi / 4
 BETA_TOL = 1e-15
 
 
+#: name -> (upper limit, as shown in messages) of each state parameter.
+_RANGES = {"alpha": (1.0, "1"), "beta": (BETA_MAX + BETA_TOL, "pi/4")}
+
+
+def _check(name: str, values) -> None:
+    """Reject any value of parameter `name` outside [0, limit], NaN included."""
+    upper, shown = _RANGES[name]
+    values = np.asarray(values, dtype=float)
+    bad = ~((values >= 0.0) & (values <= upper))
+    if bad.any():
+        raise ParameterError(f"{name}={values[bad][0]} outside [0, {shown}]")
+
+
 @dataclass(frozen=True)
 class GhzParams:
     """Amplitude of the |000> component of alpha|000> + sqrt(1-alpha^2)|111>."""
@@ -43,8 +65,7 @@ class GhzParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ParameterError(f"alpha={self.alpha} outside [0, 1]")
+        _check("alpha", self.alpha)
 
 
 @dataclass(frozen=True)
@@ -54,8 +75,7 @@ class UnruhParams:
     beta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.beta <= BETA_MAX + BETA_TOL:
-            raise ParameterError(f"beta={self.beta} outside [0, pi/4]")
+        _check("beta", self.beta)
 
 
 class ScenarioKind(Enum):
@@ -164,6 +184,53 @@ def unruh_expand(state: PureState, target: ModeLabel, params: UnruhParams) -> Pu
     return PureState(new_register, vec)
 
 
+def _expand_stack(psi: np.ndarray, axis: int, cos_b: np.ndarray, sin_b: np.ndarray) -> np.ndarray:
+    """`unruh_expand` of the mode at tensor `axis` of an (N, 2, ..., 2)
+    amplitude stack: the mode's axis becomes the (_I, _II) axis pair."""
+    psi = np.moveaxis(psi, axis, 1)
+    out = np.zeros((len(psi), 2, 2) + psi.shape[2:], dtype=complex)
+    per_point = (-1,) + (1,) * (psi.ndim - 2)
+    out[:, 0, 0] = psi[:, 0] * cos_b.reshape(per_point)
+    out[:, 1, 1] = psi[:, 0] * sin_b.reshape(per_point)
+    out[:, 1, 0] = psi[:, 1]
+    return np.moveaxis(out, (1, 2), (axis, axis + 1))
+
+
+def scenario_reduced_stack(alpha, beta, scen: Scenario) -> np.ndarray:
+    """(N, 8, 8) C-contiguous reduced matrices of one scenario, one per
+    element of the broadcast of (alpha, beta) in row-major order."""
+    a, b = (np.asarray(v, dtype=float).ravel() for v in np.broadcast_arrays(alpha, beta))
+    _check("alpha", a)
+    _check("beta", b)
+    n = len(a)
+    psi = np.zeros((n, 2, 2, 2), dtype=complex)  # axes (N, A, B, C)
+    psi[:, 0, 0, 0] = a
+    psi[:, 1, 1, 1] = np.sqrt(1.0 - a * a)
+    cos_b, sin_b = np.cos(b), np.sin(b)
+    register: tuple[ModeLabel, ...] = (ModeLabel.A, ModeLabel.B, ModeLabel.C)
+    # Bob before Charlie, as in the register-level path: the order fixes
+    # the rounding of the amplitude products.
+    expanded = (ModeLabel.B, ModeLabel.C)
+    if scen.kind is ScenarioKind.CHARLIE_ACCELERATED:
+        expanded = (ModeLabel.C,)
+    for target in expanded:
+        pos = register.index(target)
+        psi = _expand_stack(psi, 1 + pos, cos_b, sin_b)
+        register = register[:pos] + _WEDGE_PAIRS[target] + register[pos + 1 :]
+    kept = [register.index(m) for m in scen.regions]
+    traced = [i for i in range(len(register)) if i not in kept]
+    # (N, traced..., kept...) -> (N, T, 8): row t holds the kept amplitudes
+    # at traced bits t. Each rho_t = psi_t psi_t^dag is the (t, t) block of
+    # the full density matrix, and partial_trace adds those blocks over the
+    # first traced mode, then the next.
+    psi = np.transpose(psi, [0] + [1 + i for i in traced + kept]).reshape(n, -1, 8)
+    rho = psi[..., :, None] * psi.conj()[..., None, :]
+    rho = rho.reshape((n,) + (2,) * len(traced) + (8, 8))
+    for _ in traced:
+        rho = rho.sum(axis=1)
+    return rho
+
+
 def scenario_reduced_state(
     ghz: GhzParams, unruh: UnruhParams, scen: Scenario
 ) -> DensityOperator:
@@ -171,10 +238,9 @@ def scenario_reduced_state(
 
     Charlie's mode is always expanded; Bob's is expanded too when both
     observers accelerate (same beta for both). The inaccessible complement
-    of the kept regions is traced out.
+    of the kept regions is traced out. This is `scenario_reduced_stack` at
+    one point; the reference composition is
+    partial_trace(unruh_expand(...).to_density(), scen.regions).
     """
-    state = build_ghz(ghz)
-    if scen.kind is ScenarioKind.BOB_CHARLIE_ACCELERATED:
-        state = unruh_expand(state, ModeLabel.B, unruh)
-    state = unruh_expand(state, ModeLabel.C, unruh)
-    return partial_trace(state.to_density(), scen.regions)
+    matrix = scenario_reduced_stack(ghz.alpha, unruh.beta, scen)[0]
+    return DensityOperator(ModeRegister(scen.regions), matrix)

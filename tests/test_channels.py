@@ -152,3 +152,14 @@ class TestDampStack:
         stack = random_density_matrix(rng, 8)[None]
         with pytest.raises(ParameterError, match="outside"):
             damp_stack(stack, [0], np.array([p]))
+
+    def test_rejects_a_stack_it_cannot_damp_in_place(self, rng):
+        """A stack that is not C-contiguous and writeable is a caller's bug:
+        a plain ValueError, not a ParameterError about user input."""
+        mats = np.array([random_density_matrix(rng, 8) for _ in range(3)])
+        readonly = mats.copy()
+        readonly.flags.writeable = False
+        for stack in (np.asfortranarray(mats), mats.transpose(0, 2, 1), readonly):
+            with pytest.raises(ValueError, match="C-contiguous") as err:
+                damp_stack(stack, [0], 0.3)
+            assert not isinstance(err.value, ParameterError)

@@ -143,6 +143,16 @@ class TestExplicitValues:
     def test_zero_is_not_replaced_by_the_default(self, args):
         assert run(args) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sumrules", "--samples", "5", "--seed", "-1"],
+            ["audit", "--beta-steps", "3", "--p-steps", "3", "--samples", "5", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_is_a_config_error(self, args):
+        assert run(args) == EXIT_CONFIG
+
     @pytest.mark.parametrize("tol", ["0", "-1"])
     def test_boundary_rejects_nonpositive_tolerance(self, tol):
         assert run(["boundary", "--measure", "S", "--beta-steps", "2", "--tol", tol]) == EXIT_CONFIG

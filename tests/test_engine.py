@@ -31,6 +31,9 @@ from ghzsim import (
     scenario_reduced_state,
     validate_density,
 )
+from ghzsim import engine
+from ghzsim.engine import MEASURES
+from ghzsim.sweep import _numeric_grid
 from conftest import damp_qubit_oracle
 
 ALPHA_GHZ = 1.0 / math.sqrt(2.0)
@@ -185,3 +188,44 @@ class TestNumericBatch:
     def test_rejects_p_outside_unit_interval(self):
         with pytest.raises(ParameterError, match="outside"):
             numeric_batch("ABC_I", 0.7, 0.2, np.array([0.5, 1.0 + 1e-13]))
+
+
+@pytest.fixture
+def build_sizes(monkeypatch) -> list[int]:
+    """Number of reduced matrices of each call to the batched builder."""
+    sizes: list[int] = []
+    build = engine.scenario_reduced_stack
+
+    def counting(alpha, beta, scen):
+        stack = build(alpha, beta, scen)
+        sizes.append(len(stack))
+        return stack
+
+    monkeypatch.setattr(engine, "scenario_reduced_stack", counting)
+    return sizes
+
+
+class TestReducedBuilds:
+    def test_grid_builds_one_matrix_per_beta_row(self, build_sizes):
+        betas = np.linspace(0.0, BETA_MAX, 5).tolist()
+        ps = np.linspace(0.0, 1.0, 101).tolist()
+        _numeric_grid("AB_I_C_I", ALPHA_GHZ, betas, ps, MEASURES)
+        assert sum(build_sizes) == 5
+
+    @pytest.mark.parametrize("name", ["AB_I_C_I", "AB_I_B_II"])
+    def test_blocks_are_byte_identical_to_one_pass(self, monkeypatch, build_sizes, name):
+        """Points split over several blocks give the bytes of one block, and
+        no block builds more matrices than it has points."""
+        rng = np.random.default_rng(11)
+        alphas = rng.uniform(0.0, 1.0, (3, 1))
+        betas = rng.uniform(0.0, BETA_MAX, (3, 4))
+        ps = rng.uniform(0.0, 1.0, (2, 1, 4))
+        whole = numeric_batch(name, alphas, betas, ps)
+        assert build_sizes == [12]
+        build_sizes.clear()
+        monkeypatch.setattr(engine, "BLOCK_POINTS", 5)
+        split = numeric_batch(name, alphas, betas, ps)
+        assert len(build_sizes) == 5 and max(build_sizes) <= 5
+        for measure in MEASURES:
+            assert split[measure].shape == whole[measure].shape == (2, 3, 4)
+            assert split[measure].tobytes() == whole[measure].tobytes(), measure

@@ -307,6 +307,24 @@ class TestSumRuleSamples:
         b = sum_rule_samples(0.8, samples=50, seed=7)
         assert a == b
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            sum_rule_samples(None, samples=5, seed=-1)
+
+
+class TestNegativeSeed:
+    def test_fails_validation(self):
+        with pytest.raises(ConfigError, match="seed"):
+            SweepConfig(seed=-1).validate()
+
+    def test_audit_fails_before_evaluating_the_grid(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the grid was evaluated")
+
+        monkeypatch.setattr(ghzsim.sweep, "numeric_batch", unreachable)
+        with pytest.raises(ConfigError, match="seed"):
+            run_audit(SweepConfig(seed=-1))
+
 
 @pytest.fixture(scope="module")
 def report():

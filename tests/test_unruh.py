@@ -20,7 +20,9 @@ from ghzsim import (
     ScenarioKind,
     UnruhParams,
     build_ghz,
+    partial_trace,
     scenario,
+    scenario_reduced_stack,
     scenario_reduced_state,
     unruh_expand,
 )
@@ -197,3 +199,70 @@ class TestScenarioReducedState:
         for scen in SCENARIOS.values():
             rho = scenario_reduced_state(GhzParams(0.8), UnruhParams(0.6), scen)
             assert validate_density(rho).ok, scen.name
+
+
+def _ends_or_inside(hi: float):
+    return st.one_of(st.sampled_from([0.0, hi]), st.floats(0.0, hi))
+
+
+def _register_level(alpha: float, beta: float, scen):
+    """The defining path: expand Bob (if accelerated), then Charlie, form
+    the full density matrix and trace out the unkept modes."""
+    state = build_ghz(GhzParams(alpha))
+    if scen.kind is ScenarioKind.BOB_CHARLIE_ACCELERATED:
+        state = unruh_expand(state, ModeLabel.B, UnruhParams(beta))
+    state = unruh_expand(state, ModeLabel.C, UnruhParams(beta))
+    return state, partial_trace(state.to_density(), scen.regions).matrix
+
+
+class TestScenarioReducedStack:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(_ends_or_inside(1.0), _ends_or_inside(BETA_MAX)), min_size=1, max_size=6
+        )
+    )
+    def test_bit_equal_to_register_level_path(self, points):
+        """Every matrix of the batched build equals the register-level
+        reduction exactly, and the einsum oracle to 1e-15, in all scenarios."""
+        alphas, betas = (np.array(axis) for axis in zip(*points))
+        for name, scen in SCENARIOS.items():
+            stack = scenario_reduced_stack(alphas, betas, scen)
+            assert stack.shape == (len(points), 8, 8)
+            assert stack.dtype == complex and stack.flags.c_contiguous
+            for k, (alpha, beta) in enumerate(points):
+                state, want = _register_level(alpha, beta, scen)
+                where = (name, alpha, beta)
+                assert np.array_equal(stack[k], want), where
+                full = np.outer(state.vector, state.vector.conj())
+                keep = [state.register.position(m) for m in scen.regions]
+                oracle = trace_out_oracle(full, state.register.n_modes, keep)
+                assert np.max(np.abs(stack[k] - oracle)) <= 1e-15, where
+
+    def test_one_matrix_per_element_of_the_broadcast(self):
+        betas = np.linspace(0.0, BETA_MAX, 4)
+        stack = scenario_reduced_stack(0.6, betas[:, None] * np.ones(3), scenario("ABC_II"))
+        assert stack.shape == (12, 8, 8)
+        for k, beta in enumerate(np.repeat(betas, 3)):
+            assert np.array_equal(stack[k], _register_level(0.6, float(beta), scenario("ABC_II"))[1])
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [
+            (-1e-12, 0.3),
+            (1.0 + 1e-12, 0.3),
+            (math.nan, 0.3),
+            (0.5, -1e-12),
+            (0.5, BETA_MAX + 1e-13),
+            (0.5, math.nan),
+        ],
+    )
+    def test_rejects_out_of_range_or_nan(self, alpha, beta):
+        with pytest.raises(ParameterError, match="outside"):
+            scenario_reduced_stack(np.array([0.5, alpha]), np.array([0.3, beta]), scenario("AB_I_C_I"))
+
+    def test_params_reject_nan(self):
+        with pytest.raises(ParameterError):
+            GhzParams(math.nan)
+        with pytest.raises(ParameterError):
+            UnruhParams(math.nan)
