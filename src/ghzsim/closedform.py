@@ -10,58 +10,67 @@ The coherences of the Bob-and-Charlie scenarios follow from the damped
 antidiagonal entry of each reduced matrix via C = 2|f'|. The two region
 combinations not listed explicitly (AB_II_C_I and AC_I_C_II) reuse their
 Bob<->Charlie symmetric partner's expressions.
+
+Every expression is a numpy array expression, so `cf_eval` maps
+broadcastable (alpha, beta, p) to an array of the broadcast shape, like the
+numeric engine. Powers use `np.float_power` (libm `pow`, as float `**` does):
+array `**` multiplies instead and would move some values in the last digit.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 
 class CoverageError(KeyError):
     """No catalog entry exists for the requested (scenario, measure)."""
 
 
-def _ghz_weight(alpha: float) -> float:
-    return alpha * math.sqrt(max(1.0 - alpha * alpha, 0.0))
+def _ghz_weight(alpha: np.ndarray) -> np.ndarray:
+    return alpha * np.sqrt(np.maximum(1.0 - alpha * alpha, 0.0))
 
 
-_SQRT2_8 = 8.0 * math.sqrt(2.0)
+_SQRT2_8 = 8.0 * np.sqrt(2.0)
+
+#: libm `pow`, as Python's float `**` (see the module docstring).
+_pow = np.float_power
 
 
 # --- Charlie accelerated, accessible wedge kept -----------------------------
 
-def _s_abc_i(a: float, b: float, p: float) -> float:
-    f_branch = _SQRT2_8 * math.sqrt(1.0 - p) * _ghz_weight(a) * math.cos(b)
-    cb2, sb2 = math.cos(b) ** 2, math.sin(b) ** 2
+def _s_abc_i(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    f_branch = _SQRT2_8 * np.sqrt(1.0 - p) * _ghz_weight(a) * np.cos(b)
+    cb2, sb2 = _pow(np.cos(b), 2), _pow(np.sin(b), 2)
     n_branch = 4.0 * (
         a * a * cb2 + 2.0 * p * a * a * sb2 - a * a * sb2 + (2.0 * p - 1.0) * (1.0 - a * a)
     )
-    return max(f_branch, n_branch)
+    return np.maximum(f_branch, n_branch)
 
 
-def _e_abc_i(a: float, b: float, p: float) -> float:
-    lead = math.sqrt(1.0 - p) * _ghz_weight(a) * math.cos(b)
+def _e_abc_i(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    lead = np.sqrt(1.0 - p) * _ghz_weight(a) * np.cos(b)
     # Single radical over the product (1-p) * a^2 sin^2(b) * p * (1-a^2).
-    cross = math.sqrt(max((1.0 - p) * a * a * math.sin(b) ** 2 * p * (1.0 - a * a), 0.0))
-    return 2.0 * max(0.0, lead - cross)
+    cross = np.sqrt(np.maximum((1.0 - p) * a * a * _pow(np.sin(b), 2) * p * (1.0 - a * a), 0.0))
+    return 2.0 * np.maximum(0.0, lead - cross)
 
 
-def _c_abc_i(a: float, b: float, p: float) -> float:
-    return 2.0 * math.sqrt(1.0 - p) * _ghz_weight(a) * math.cos(b)
+def _c_abc_i(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return 2.0 * np.sqrt(1.0 - p) * _ghz_weight(a) * np.cos(b)
 
 
 # --- Charlie accelerated, inaccessible wedge kept ---------------------------
 
-def _s_abc_ii(a: float, b: float, p: float) -> float:
-    f_branch = _SQRT2_8 * math.sqrt(1.0 - p) * _ghz_weight(a) * math.sin(b)
-    cb2, sb2 = math.cos(b) ** 2, math.sin(b) ** 2
+def _s_abc_ii(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    f_branch = _SQRT2_8 * np.sqrt(1.0 - p) * _ghz_weight(a) * np.sin(b)
+    cb2, sb2 = _pow(np.cos(b), 2), _pow(np.sin(b), 2)
     n_branch = 4.0 * (a * a * cb2 + 2.0 * p * a * a * sb2 + (1.0 - a * a) - a * a * sb2)
-    return max(f_branch, n_branch)
+    return np.maximum(f_branch, n_branch)
 
 
-def _e_abc_ii(a: float, b: float, p: float) -> float:
-    return 2.0 * math.sqrt(1.0 - p) * _ghz_weight(a) * math.sin(b)
+def _e_abc_ii(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return 2.0 * np.sqrt(1.0 - p) * _ghz_weight(a) * np.sin(b)
 
 
 _c_abc_ii = _e_abc_ii  # the E = C identity for this combination
@@ -69,80 +78,81 @@ _c_abc_ii = _e_abc_ii  # the E = C identity for this combination
 
 # --- Bob and Charlie accelerated --------------------------------------------
 
-def _s_ab_i_c_i(a: float, b: float, p: float) -> float:
-    f_branch = _SQRT2_8 * math.sqrt(1.0 - p) * _ghz_weight(a) * math.cos(b)
-    cb, sb = math.cos(b), math.sin(b)
+def _s_ab_i_c_i(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    f_branch = _SQRT2_8 * np.sqrt(1.0 - p) * _ghz_weight(a) * np.cos(b)
+    cb, sb = np.cos(b), np.sin(b)
     q = 1.0 - 2.0 * p + 2.0 * p * p
     # The quartic bracket is read with q multiplying sin^4(b); that is the
     # only reading consistent with the p = 0 limit of the same expression.
     n_branch = 4.0 * (
-        a * a * (cb ** 4 - 2.0 * sb ** 2 * cb ** 2 + q * sb ** 4) - q * (1.0 - a * a)
+        a * a * (_pow(cb, 4) - 2.0 * _pow(sb, 2) * _pow(cb, 2) + q * _pow(sb, 4))
+        - q * (1.0 - a * a)
     )
-    return max(f_branch, n_branch)
+    return np.maximum(f_branch, n_branch)
 
 
-def _e_ab_i_c_i(a: float, b: float, p: float) -> float:
-    cb, sb = math.cos(b), math.sin(b)
-    lead = (1.0 - p) * _ghz_weight(a) * cb ** 2
-    mid = a * sb * math.sqrt(max((1.0 - p) * cb ** 2 - (1.0 - p) * p * sb ** 2, 0.0))
-    tail = (1.0 - p) * a * sb ** 2 * math.sqrt(max(p * (1.0 - a * a), 0.0))
-    return 2.0 * max(0.0, lead - mid - tail)
+def _e_ab_i_c_i(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    cb, sb = np.cos(b), np.sin(b)
+    lead = (1.0 - p) * _ghz_weight(a) * _pow(cb, 2)
+    mid = a * sb * np.sqrt(np.maximum((1.0 - p) * _pow(cb, 2) - (1.0 - p) * p * _pow(sb, 2), 0.0))
+    tail = (1.0 - p) * a * _pow(sb, 2) * np.sqrt(np.maximum(p * (1.0 - a * a), 0.0))
+    return 2.0 * np.maximum(0.0, lead - mid - tail)
 
 
-def _c_ab_i_c_i(a: float, b: float, p: float) -> float:
-    return 2.0 * (1.0 - p) * _ghz_weight(a) * math.cos(b) ** 2
+def _c_ab_i_c_i(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return 2.0 * (1.0 - p) * _ghz_weight(a) * _pow(np.cos(b), 2)
 
 
-def _s_ab_i_c_ii(a: float, b: float, p: float) -> float:
-    f_branch = _SQRT2_8 * (1.0 - p) * _ghz_weight(a) * math.sin(b) * math.cos(b)
-    cb2, sb2 = math.cos(b) ** 2, math.sin(b) ** 2
-    n_branch = 4.0 * (a * a * (cb2 - sb2) ** 2 + (1.0 - 2.0 * p) * (1.0 - a * a))
-    return max(f_branch, n_branch)
+def _s_ab_i_c_ii(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    f_branch = _SQRT2_8 * (1.0 - p) * _ghz_weight(a) * np.sin(b) * np.cos(b)
+    cb2, sb2 = _pow(np.cos(b), 2), _pow(np.sin(b), 2)
+    n_branch = 4.0 * (a * a * _pow(cb2 - sb2, 2) + (1.0 - 2.0 * p) * (1.0 - a * a))
+    return np.maximum(f_branch, n_branch)
 
 
-def _e_ab_i_c_ii(a: float, b: float, p: float) -> float:
-    lead = (1.0 - p) * _ghz_weight(a) * math.sin(b) * math.cos(b)
-    tail = (1.0 - p) * a * math.sin(b) ** 2 * math.sqrt(max(p * (1.0 - a * a), 0.0))
-    return 2.0 * max(0.0, lead - tail)
+def _e_ab_i_c_ii(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    lead = (1.0 - p) * _ghz_weight(a) * np.sin(b) * np.cos(b)
+    tail = (1.0 - p) * a * _pow(np.sin(b), 2) * np.sqrt(np.maximum(p * (1.0 - a * a), 0.0))
+    return 2.0 * np.maximum(0.0, lead - tail)
 
 
-def _c_ab_i_c_ii(a: float, b: float, p: float) -> float:
-    return 2.0 * (1.0 - p) * _ghz_weight(a) * math.sin(b) * math.cos(b)
+def _c_ab_i_c_ii(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return 2.0 * (1.0 - p) * _ghz_weight(a) * np.sin(b) * np.cos(b)
 
 
-def _s_ab_ii_c_ii(a: float, b: float, p: float) -> float:
-    f_branch = _SQRT2_8 * (1.0 - p) * _ghz_weight(a) * math.sin(b) ** 2
-    cb2, sb2 = math.cos(b) ** 2, math.sin(b) ** 2
-    n_branch = 4.0 * (a * a * (cb2 - sb2) ** 2 - (1.0 - a * a))
-    return max(f_branch, n_branch)
+def _s_ab_ii_c_ii(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    f_branch = _SQRT2_8 * (1.0 - p) * _ghz_weight(a) * _pow(np.sin(b), 2)
+    cb2, sb2 = _pow(np.cos(b), 2), _pow(np.sin(b), 2)
+    n_branch = 4.0 * (a * a * _pow(cb2 - sb2, 2) - (1.0 - a * a))
+    return np.maximum(f_branch, n_branch)
 
 
-def _e_ab_ii_c_ii(a: float, b: float, p: float) -> float:
-    return 2.0 * max(0.0, (1.0 - p) * _ghz_weight(a) * math.sin(b) ** 2)
+def _e_ab_ii_c_ii(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return 2.0 * np.maximum(0.0, (1.0 - p) * _ghz_weight(a) * _pow(np.sin(b), 2))
 
 
-def _c_ab_ii_c_ii(a: float, b: float, p: float) -> float:
-    return 2.0 * (1.0 - p) * _ghz_weight(a) * math.sin(b) ** 2
+def _c_ab_ii_c_ii(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return 2.0 * (1.0 - p) * _ghz_weight(a) * _pow(np.sin(b), 2)
 
 
-def _s_ab_i_b_ii(a: float, b: float, p: float) -> float:
-    f_branch = _SQRT2_8 * (1.0 - p) * a * a * math.sin(b) * math.cos(b)
-    cb2, sb2 = math.cos(b) ** 2, math.sin(b) ** 2
+def _s_ab_i_b_ii(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    f_branch = _SQRT2_8 * (1.0 - p) * a * a * np.sin(b) * np.cos(b)
+    cb2, sb2 = _pow(np.cos(b), 2), _pow(np.sin(b), 2)
     n_branch = 4.0 * (
         a * a * (cb2 + (2.0 * p + 2.0 * p * p - 1.0) * sb2) + (1.0 - p) * (1.0 - a * a)
     )
-    return max(f_branch, n_branch)
+    return np.maximum(f_branch, n_branch)
 
 
-def _e_ab_i_b_ii(a: float, b: float, p: float) -> float:
-    return 2.0 * max(0.0, (1.0 - p) * a * a * math.sin(b) * math.cos(b))
+def _e_ab_i_b_ii(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return 2.0 * np.maximum(0.0, (1.0 - p) * a * a * np.sin(b) * np.cos(b))
 
 
-def _c_ab_i_b_ii(a: float, b: float, p: float) -> float:
-    return 2.0 * (1.0 - p) * a * a * math.sin(b) * math.cos(b)
+def _c_ab_i_b_ii(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return 2.0 * (1.0 - p) * a * a * np.sin(b) * np.cos(b)
 
 
-CatalogFn = Callable[[float, float, float], float]
+CatalogFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 CATALOG: dict[tuple[str, str], CatalogFn] = {
     ("ABC_I", "S"): _s_abc_i,
@@ -173,13 +183,14 @@ CATALOG: dict[tuple[str, str], CatalogFn] = {
 }
 
 
-def cf_eval(scenario_name: str, measure: str, alpha: float, beta: float, p: float) -> float:
-    """Evaluate one catalog expression."""
+def cf_eval(scenario_name: str, measure: str, alpha, beta, p) -> np.ndarray:
+    """Evaluate one catalog expression at every point of the broadcast of
+    (alpha, beta, p); the result has the broadcast shape."""
     try:
         fn = CATALOG[(scenario_name, measure)]
     except KeyError:
         raise CoverageError(f"no closed form for ({scenario_name}, {measure})") from None
-    return fn(alpha, beta, p)
+    return fn(*np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha, beta, p))))
 
 
 @dataclass(frozen=True)
@@ -237,12 +248,12 @@ SUM_RULES: tuple[SumRule, ...] = (
         "bc_wedge_coherence_sq",
         asserted=True,
         lhs=_lhs_bc_wedges_sq,
-        rhs=lambda a, p: 4.0 * (1.0 - p) ** 2 * a * a * (1.0 - a * a),
+        rhs=lambda a, p: 4.0 * _pow(1.0 - p, 2) * a * a * (1.0 - a * a),
     ),
     SumRule(
         "same_observer_weighted_sq",
         asserted=False,
         lhs=_lhs_same_observer_weighted,
-        rhs=lambda a, p: 4.0 * (1.0 - p) ** 2 * a * a * (1.0 - a * a),
+        rhs=lambda a, p: 4.0 * _pow(1.0 - p, 2) * a * a * (1.0 - a * a),
     ),
 )

@@ -4,12 +4,15 @@ One evaluation point is (scenario, alpha, beta, p): build the GHZ-like
 state, expand the accelerated observers' modes, reduce to the scenario's
 three kept modes, damp the kept accelerated modes, then evaluate S/E/C.
 
-S and E are defined through the X-state parameterization. Two region
-combinations (AB_I_B_II and AC_I_C_II) reduce to states whose coherence
-connects basis states differing in only two bits, so they are not
-X-structured and S/E come out as NaN there; the l1-coherence C is defined
-for any density matrix and is always finite. The X test is decided per
-point.
+S and E are defined through the X-state parameterization, and the X test is
+decided per point: S/E are NaN exactly where the damped state has an
+off-pattern entry above `measures.X_TOL`; the l1-coherence C is always
+finite. AB_I_B_II and AC_I_C_II keep both wedge modes of one observer, whose
+coherence connects basis states two bit flips apart. It vanishes only on the
+beta = 0 row, the p = 1 column and at alpha = 0, so only there are S/E finite
+(201 values of a 101 x 101 sweep at alpha = 1/sqrt(2)). `is_x_structured`
+decides for a whole scenario from one interior point; the audit and the
+figures use it.
 
 `numeric_batch` takes broadcastable (alpha, beta, p) arrays and only wires
 the steps together: `unruh.scenario_reduced_stack` builds the reduced

@@ -1,14 +1,16 @@
 """Parameter sweeps, engine audits, sum-rule checks, figure-data emission
 and sudden-death boundary finding.
 
-Every numeric evaluation goes through the batched kernel
-`engine.numeric_batch`, one call per natural batch: a grid is evaluated one
-beta row at a time into per-measure (beta, p) arrays; a boundary is one such
-row per beta for its coarse p scan, then one call per bisection step that
-halves the brackets of all betas at once; the sum rules are one call per
-scenario over all sampled points. Evaluation runs in a single process; the
-`workers` setting is accepted and validated but does not change how or where
-points are computed.
+Both engines map broadcastable (alpha, beta, p) arrays to arrays: the
+numeric kernel `engine.numeric_batch` and the closed-form catalog
+`closedform.cf_eval`. Each is called once per natural batch, never once per
+point: a grid is one kernel call and one catalog call per measure on the
+(beta, 1) x (p,) broadcast, giving per-measure (beta, p) arrays; a boundary
+is one such kernel call for its coarse p scan, then one call per bisection
+step that halves the brackets of all betas at once; the sum rules are one
+kernel call and one catalog call per scenario over all sampled points.
+Evaluation runs in a single process; the `workers` setting is accepted and
+validated but does not change how or where points are computed.
 
 All outputs are deterministic for a fixed configuration: grid order defines
 row order, floats are serialized with 17 significant digits, random sampling
@@ -25,9 +27,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .closedform import CATALOG, SUM_RULES, cf_eval
+from .closedform import SUM_RULES, cf_eval
 from .engine import MEASURES, is_x_structured, numeric_batch
-from .unruh import BETA_MAX, BETA_TOL, SCENARIOS, scenario
+from .unruh import BETA_MAX, BETA_TOL, SCENARIOS, GhzParams, scenario
 
 ENGINES = ("numeric", "closedform", "both")
 DEFAULT_ALPHA = 1.0 / math.sqrt(2.0)
@@ -80,6 +82,8 @@ class SweepConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        if not self.tol >= 0.0:
+            raise ConfigError(f"tol must be >= 0, got {self.tol}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -102,47 +106,28 @@ def _axis(rng: tuple[float, float, int]) -> list[float]:
     return [float(v) for v in np.linspace(lo, hi, steps)]
 
 
-def _numeric_grid(
-    name: str,
-    alpha: float,
-    betas: Sequence[float],
-    ps: Sequence[float],
-    measures: tuple[str, ...],
-) -> dict[str, np.ndarray]:
-    """Numeric measures over the grid as per-measure (beta, p) arrays, one
-    kernel call per beta row."""
-    grid = {m: np.empty((len(betas), len(ps))) for m in measures}
-    p_row = np.asarray(ps, dtype=float)
-    for bi, beta in enumerate(betas):
-        for measure, values in numeric_batch(name, alpha, beta, p_row, measures).items():
-            grid[measure][bi] = values
-    return grid
-
-
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Evaluate the configured grid; rows ordered by (beta index, p index),
     then measure (config order), then engine (numeric before closedform)."""
     config.validate()
     betas, ps = _axis(config.beta_range), _axis(config.p_range)
     engines = ("numeric", "closedform") if config.engine == "both" else (config.engine,)
+    scen, alpha, measures = config.scenario, config.alpha, config.measures
+    grid = (alpha, np.asarray(betas)[:, None], np.asarray(ps))
 
-    numeric = {}
+    surfaces = {}
     if "numeric" in engines:
-        grid = _numeric_grid(config.scenario, config.alpha, betas, ps, config.measures)
-        numeric = {m: values.tolist() for m, values in grid.items()}
-
-    scen, alpha = config.scenario, config.alpha
-    rows: list[SweepRecord] = []
-    for bi, beta in enumerate(betas):
-        for pi, p in enumerate(ps):
-            for measure in config.measures:
-                for eng in engines:
-                    if eng == "numeric":
-                        value = numeric[measure][bi][pi]
-                    else:
-                        value = cf_eval(scen, measure, alpha, beta, p)
-                    rows.append(SweepRecord(scen, measure, eng, alpha, beta, p, value))
-    return rows
+        surfaces["numeric"] = numeric_batch(scen, *grid, measures)
+    if "closedform" in engines:
+        surfaces["closedform"] = {m: cf_eval(scen, m, *grid) for m in measures}
+    values = {eng: {m: v.tolist() for m, v in s.items()} for eng, s in surfaces.items()}
+    return [
+        SweepRecord(scen, measure, eng, alpha, beta, p, values[eng][measure][bi][pi])
+        for bi, beta in enumerate(betas)
+        for pi, p in enumerate(ps)
+        for measure in measures
+        for eng in engines
+    ]
 
 
 # --- serialization -----------------------------------------------------------
@@ -266,7 +251,7 @@ def find_boundary(
     betas = _axis((0.0, BETA_MAX, beta_samples))
     n_scan = int(round(1.0 / scan_step))
     scan_ps = np.arange(n_scan + 1) / n_scan
-    values = _numeric_grid(scen.name, alpha, betas, scan_ps, (measure,))[measure]
+    values = numeric_batch(scen, alpha, np.asarray(betas)[:, None], scan_ps, (measure,))[measure]
     if np.isnan(values).any():
         raise ConfigError(
             f"numeric {measure} undefined for scenario {scenario_name}: "
@@ -350,23 +335,24 @@ def emit_figure_data(
         raise ConfigError(f"figure id must be in {sorted(FIGURES)}, got {figure_id}")
     if resolution < 16:
         raise ConfigError(f"resolution must be >= 16, got {resolution}")
+    # The pipeline's alpha range check, decided before either engine runs.
+    GhzParams(alpha)
     scenario_name, measures = FIGURES[figure_id]
     betas = _axis((0.0, BETA_MAX, resolution))
     ps = _axis((0.0, 1.0, resolution))
+    grid = (alpha, np.asarray(betas)[:, None], np.asarray(ps))
 
-    use_catalog = not is_x_structured(scenario_name)
-    numeric = {} if use_catalog else _numeric_grid(scenario_name, alpha, betas, ps, measures)
+    if is_x_structured(scenario_name):
+        surfaces = numeric_batch(scenario_name, *grid, measures)
+    else:
+        surfaces = {m: cf_eval(scenario_name, m, *grid) for m in measures}
 
     stem, ext = os.path.splitext(out_path)
     written = []
     for measure in measures:
         path = out_path if len(measures) == 1 else f"{stem}_{measure}{ext or '.csv'}"
-        if use_catalog:
-            surface = [[cf_eval(scenario_name, measure, alpha, b, p) for p in ps] for b in betas]
-        else:
-            surface = numeric[measure].tolist()
         lines = ["beta,p,value"]
-        for beta, row in zip(betas, surface):
+        for beta, row in zip(betas, surfaces[measure].tolist()):
             for p, v in zip(ps, row):
                 lines.append(f"{_fmt(beta)},{_fmt(p)},{_fmt(v)}")
         write_text_atomic(path, "\n".join(lines) + "\n")
@@ -395,21 +381,18 @@ class SumRuleResidual:
 
 def _sum_rule_terms(alphas, betas, ps) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(numeric lhs, catalog lhs, rhs) arrays of each rule in SUM_RULES over
-    the broadcast points (alpha, beta, p). The numeric coherences take one
-    kernel call per scenario; catalog and rhs are scalar expressions."""
+    the broadcast points (alpha, beta, p): one kernel call and one catalog
+    call per scenario."""
     alphas, betas, ps = (
         np.asarray(v, dtype=float).ravel() for v in np.broadcast_arrays(alphas, betas, ps)
     )
-    points = list(zip(alphas.tolist(), betas.tolist(), ps.tolist()))
     numeric = {name: numeric_batch(name, alphas, betas, ps, ("C",))["C"] for name in SCENARIOS}
-    catalog = {
-        name: np.array([cf_eval(name, "C", a, b, p) for a, b, p in points]) for name in SCENARIOS
-    }
+    catalog = {name: cf_eval(name, "C", alphas, betas, ps) for name in SCENARIOS}
     return [
         (
             rule.lhs(numeric.__getitem__, alphas),
             rule.lhs(catalog.__getitem__, alphas),
-            np.array([rule.rhs(a, p) for a, _, p in points]),
+            rule.rhs(alphas, ps),
         )
         for rule in SUM_RULES
     ]
@@ -528,16 +511,14 @@ def run_audit(config: SweepConfig, scenarios: Sequence[str] | None = None) -> Au
         raise ConfigError("audit requires engine=both")
     names = list(scenarios) if scenarios is not None else sorted(SCENARIOS)
     betas, ps = _axis(config.beta_range), _axis(config.p_range)
-    points = [(beta, p) for beta in betas for p in ps]
+    grid = (config.alpha, np.asarray(betas)[:, None], np.asarray(ps))
 
     entries = []
     flags: list[str] = []
     for name in names:
-        numeric = _numeric_grid(name, config.alpha, betas, ps, MEASURES)
+        numeric = numeric_batch(name, *grid, MEASURES)
         x_structured = is_x_structured(name)
         for measure in MEASURES:
-            if (name, measure) not in CATALOG:
-                continue
             if measure in ("S", "E") and not x_structured:
                 entries.append(
                     {
@@ -553,15 +534,15 @@ def run_audit(config: SweepConfig, scenarios: Sequence[str] | None = None) -> Au
                 )
                 flags.append(f"{name}/{measure}: reduced state not X-structured")
                 continue
-            values = numeric[measure].ravel()
-            catalog = [cf_eval(name, measure, config.alpha, beta, p) for beta, p in points]
+            values = numeric[measure]
+            catalog = cf_eval(name, measure, *grid)
             # First maximum in row-major order; a NaN deviation never wins.
             devs = np.abs(values - catalog)
             devs[np.isnan(devs)] = -1.0
-            worst_idx = int(np.argmax(devs))
-            worst_dev = float(devs[worst_idx])
-            beta_at, p_at = points[worst_idx]
-            numeric_at, cf_at = float(values[worst_idx]), catalog[worst_idx]
+            bi, pi = divmod(int(np.argmax(devs)), len(ps))
+            worst_dev = float(devs[bi, pi])
+            beta_at, p_at = betas[bi], ps[pi]
+            numeric_at, cf_at = float(values[bi, pi]), float(catalog[bi, pi])
             ok = worst_dev <= config.tol
             entries.append(
                 {

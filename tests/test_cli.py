@@ -217,6 +217,14 @@ class TestAuditCommand:
         payload = json.loads(out.read_text())
         assert any(f.startswith("AB_I_C_I/S") for f in payload["flags"])
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tolerance_is_a_config_error(self, tmp_path, tol):
+        out = tmp_path / "audit.json"
+        code = run(["audit", "--beta-steps", "3", "--p-steps", "3", "--samples", "5",
+                    "--tol", tol, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
     def test_clean_audit_exits_zero(self, tmp_path):
         out = tmp_path / "audit.json"
         code = run(
@@ -256,6 +264,16 @@ class TestFigureCommand:
     def test_requires_figure_and_out(self, tmp_path):
         assert run(["figure", "--out", str(tmp_path / "f.csv")]) == EXIT_CONFIG
         assert run(["figure", "--figure", "1"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("figure", ["1", "7"])
+    @pytest.mark.parametrize("alpha", ["2", "nan"])
+    def test_alpha_outside_unit_interval(self, tmp_path, figure, alpha):
+        """Both engines' figures check alpha the same way."""
+        out = tmp_path / "f.csv"
+        code = run(["figure", "--figure", figure, "--alpha", alpha, "--resolution", "16",
+                    "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
 
     def test_emits_surfaces(self, tmp_path, capsys):
         out = tmp_path / "fig2.csv"

@@ -5,9 +5,18 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from ghzsim import CATALOG, CoverageError, SCENARIOS, cf_eval, cf_sum_rules, numeric_measures
+from ghzsim import (
+    BETA_MAX,
+    CATALOG,
+    CoverageError,
+    SCENARIOS,
+    cf_eval,
+    cf_sum_rules,
+    numeric_measures,
+)
 from ghzsim.closedform import SUM_RULES
 
 ALPHA_GHZ = 1.0 / math.sqrt(2.0)
@@ -70,6 +79,58 @@ class TestCatalog:
             a = numeric_measures("AB_I_C_II", 0.6, 0.5, 0.2, (measure,))[measure]
             b = numeric_measures("AB_II_C_I", 0.6, 0.5, 0.2, (measure,))[measure]
             assert a == pytest.approx(b, abs=1e-13)
+
+
+class TestArrayCatalog:
+    @pytest.mark.parametrize("name,measure", sorted(CATALOG))
+    def test_batch_equals_point_evaluation(self, name, measure):
+        """A broadcast batch gives, bit for bit, the value of each point
+        evaluated alone from Python floats."""
+        alphas = np.array([[0.0], [1.0], [ALPHA_GHZ], [0.37]])
+        ps = np.array([[1.0], [0.0], [0.37], [0.8]])
+        betas = np.linspace(0.0, BETA_MAX, 1001)
+        batch = cf_eval(name, measure, alphas, betas, ps)
+        assert batch.shape == (4, 1001)
+        points = np.array(
+            [
+                [cf_eval(name, measure, a, b, p) for b in betas.tolist()]
+                for a, p in zip(alphas.ravel().tolist(), ps.ravel().tolist())
+            ]
+        )
+        assert batch.tobytes() == points.tobytes()
+
+    def test_scalar_arguments_give_a_float(self):
+        value = cf_eval("ABC_I", "C", *POINT)
+        assert isinstance(value, float) and np.shape(value) == ()
+
+    #: AB_I_C_I (E, C) as float.hex at alpha = 1/sqrt(2) and two betas of the
+    #: 1001-step axis, per p in (0, 0.25, 0.5, 0.75). Ten of these sixteen
+    #: values move in the last digit when powers are taken by array `**`.
+    PINNED = {
+        0.51993358416911084: [
+            ("0x1.25b08379b7bc4p-3", "0x1.819f286e687d7p-1"),
+            ("0x0.0p+0", "0x1.21375e52ce5e1p-1"),
+            ("0x0.0p+0", "0x1.819f286e687d7p-2"),
+            ("0x0.0p+0", "0x1.819f286e687d7p-3"),
+        ],
+        0.58512163173109899: [
+            ("0x1.670979bad5d30p-5", "0x1.63d24d0adaec4p-1"),
+            ("0x0.0p+0", "0x1.0addb9c824313p-1"),
+            ("0x0.0p+0", "0x1.63d24d0adaec4p-2"),
+            ("0x0.0p+0", "0x1.63d24d0adaec4p-3"),
+        ],
+    }
+
+    def test_powers_round_like_python_floats(self):
+        betas = np.linspace(0.0, BETA_MAX, 1001)[[662, 745]]
+        assert betas.tolist() == list(self.PINNED)
+        ps = np.array([0.0, 0.25, 0.5, 0.75])
+        e, c = (cf_eval("AB_I_C_I", m, ALPHA_GHZ, betas[:, None], ps).tolist() for m in "EC")
+        got = {
+            beta: [(ev.hex(), cv.hex()) for ev, cv in zip(e_row, c_row)]
+            for beta, e_row, c_row in zip(betas.tolist(), e, c)
+        }
+        assert got == self.PINNED
 
 
 class TestSumRules:

@@ -33,7 +33,6 @@ from ghzsim import (
 )
 from ghzsim import engine
 from ghzsim.engine import MEASURES
-from ghzsim.sweep import _numeric_grid
 from conftest import damp_qubit_oracle
 
 ALPHA_GHZ = 1.0 / math.sqrt(2.0)
@@ -125,6 +124,18 @@ class TestNumericMeasures:
         assert math.isnan(values["E"])
         assert values["C"] == pytest.approx(0.30310889132455343, abs=1e-13)
 
+    @pytest.mark.parametrize("name", NON_X_SCENARIOS)
+    def test_x_test_is_decided_per_point(self, name):
+        """The two-flip coherence vanishes on the beta = 0 row and the p = 1
+        column, so S and E are finite there and only there."""
+        betas = np.linspace(0.0, BETA_MAX, 5)[:, None]
+        ps = np.linspace(0.0, 1.0, 5)
+        values = numeric_batch(name, ALPHA_GHZ, betas, ps)
+        on_x = (betas == 0.0) | (ps == 1.0)
+        for measure in ("S", "E"):
+            assert np.array_equal(np.isfinite(values[measure]), on_x), measure
+        assert np.isfinite(values["C"]).all()
+
     def test_full_damping_leaves_ground_state_statistics(self):
         values = numeric_measures("AB_I_C_I", 0.8, 0.5, 1.0)
         assert values["C"] == pytest.approx(0.0, abs=1e-14)
@@ -207,9 +218,9 @@ def build_sizes(monkeypatch) -> list[int]:
 
 class TestReducedBuilds:
     def test_grid_builds_one_matrix_per_beta_row(self, build_sizes):
-        betas = np.linspace(0.0, BETA_MAX, 5).tolist()
-        ps = np.linspace(0.0, 1.0, 101).tolist()
-        _numeric_grid("AB_I_C_I", ALPHA_GHZ, betas, ps, MEASURES)
+        betas = np.linspace(0.0, BETA_MAX, 5)[:, None]
+        ps = np.linspace(0.0, 1.0, 101)
+        numeric_batch("AB_I_C_I", ALPHA_GHZ, betas, ps, MEASURES)
         assert sum(build_sizes) == 5
 
     @pytest.mark.parametrize("name", ["AB_I_C_I", "AB_I_B_II"])

@@ -49,6 +49,8 @@ class TestSweepConfig:
             {"fmt": "xml"},
             {"workers": 0},
             {"samples": 0},
+            {"tol": -1.0},
+            {"tol": math.nan},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -57,6 +59,9 @@ class TestSweepConfig:
 
     def test_default_config_is_valid(self):
         SweepConfig().validate()
+
+    def test_zero_tolerance_is_valid(self):
+        SweepConfig(tol=0.0).validate()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -333,6 +338,27 @@ def report():
 
 
 class TestRunAudit:
+    def test_evaluates_whole_grids_not_points(self, monkeypatch):
+        """Each engine is called once per grid or sample set: per scenario,
+        one kernel call for the grid and two for the sum rules, one catalog
+        call per compared measure and two for the sum rules."""
+        calls = {"cf_eval": 0, "numeric_batch": 0}
+
+        def counting(name):
+            fn = getattr(ghzsim.sweep, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(ghzsim.sweep, name, counted)
+
+        counting("cf_eval")
+        counting("numeric_batch")
+        run_audit(SweepConfig())
+        assert calls["cf_eval"] <= 36
+        assert calls["numeric_batch"] <= 24
+
     def test_requires_both_engines(self):
         with pytest.raises(ConfigError):
             run_audit(SweepConfig(engine="numeric"))
