@@ -4,7 +4,7 @@ seen by uniformly accelerated observers under amplitude damping."""
 from .channels import DampingParams, KrausPair, amplitude_damping_kraus, apply_damping, damp_stack
 from .closedform import CATALOG, CoverageError, cf_eval
 from .engine import damped_scenario_state, is_x_structured, numeric_batch, numeric_measures
-from .measures import MeasureTriple, StructureError, XState, coherence_l1, extract_xstate, gte, gtn
+from .measures import StructureError, XState, coherence_l1, extract_xstate, gte, gtn
 from .qcore import (
     DensityOperator,
     LabelError,
@@ -22,6 +22,7 @@ from .sweep import (
     BoundaryResult,
     ConfigError,
     SweepConfig,
+    SweepGrid,
     SweepRecord,
     cf_sum_rules,
     emit_figure_data,

@@ -48,13 +48,6 @@ class XState:
     f: tuple[complex, complex, complex, complex]
 
 
-@dataclass(frozen=True)
-class MeasureTriple:
-    s: float
-    e_gte: float
-    c: float
-
-
 def is_x(absm: np.ndarray) -> np.ndarray:
     """Per matrix of an (N, 8, 8) stack of magnitudes: no off-pattern entry
     above X_TOL."""

@@ -1,16 +1,19 @@
 """Parameter sweeps, engine audits, sum-rule checks, figure-data emission
 and sudden-death boundary finding.
 
-Both engines map broadcastable (alpha, beta, p) arrays to arrays: the
-numeric kernel `engine.numeric_batch` and the closed-form catalog
-`closedform.cf_eval`. Each is called once per natural batch, never once per
-point: a grid is one kernel call and one catalog call per measure on the
-(beta, 1) x (p,) broadcast, giving per-measure (beta, p) arrays; a boundary
-is one such kernel call for its coarse p scan, then one call per bisection
-step that halves the brackets of all betas at once; the sum rules are one
-kernel call and one catalog call per scenario over all sampled points.
-Evaluation runs in a single process; the `workers` setting is accepted and
-validated but does not change how or where points are computed.
+Both engines map broadcastable (alpha, beta, p) arrays to arrays, the
+numeric kernel `engine.numeric_batch` and the catalog `closedform.cf_eval`,
+and each is called once per natural batch, never once per point: a grid is
+one kernel call and one catalog call per measure on the (beta, 1) x (p,)
+broadcast; a boundary is one kernel call for its coarse p scan, then one per
+bisection step over all betas; the sum rules are one kernel call and one
+catalog call per scenario. Evaluation runs in a single process; the
+`workers` setting is validated but changes nothing.
+
+`run_sweep` returns a `SweepGrid`, one (beta, p) array per (measure, engine)
+that reads as a sequence of `SweepRecord`s built on demand. The audit and
+the figures evaluate their grids through it, and sweep and figure output is
+written straight from the arrays, in the documented row order.
 
 All outputs are deterministic for a fixed configuration: grid order defines
 row order, floats are serialized with 17 significant digits, random sampling
@@ -22,14 +25,14 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .closedform import SUM_RULES, cf_eval
 from .engine import MEASURES, is_x_structured, numeric_batch
-from .unruh import BETA_MAX, BETA_TOL, SCENARIOS, GhzParams, scenario
+from .unruh import BETA_MAX, BETA_TOL, SCENARIOS, scenario
 
 ENGINES = ("numeric", "closedform", "both")
 DEFAULT_ALPHA = 1.0 / math.sqrt(2.0)
@@ -101,39 +104,57 @@ class SweepRecord:
     value: float
 
 
-def _axis(rng: tuple[float, float, int]) -> list[float]:
+@dataclass(frozen=True, eq=False)
+class SweepGrid(Sequence[SweepRecord]):
+    """A sweep's (beta, p) surfaces, read as the sequence of its records:
+    ordered by (beta index, p index), then measure (config order), then
+    engine (numeric before closedform). A record is built when indexed."""
+
+    scenario: str
+    alpha: float
+    betas: tuple[float, ...]
+    ps: tuple[float, ...]
+    #: (measure, engine) -> (len(betas), len(ps)) array, in record order.
+    surfaces: dict[tuple[str, str], np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.betas) * len(self.ps) * len(self.surfaces)
+
+    def __getitem__(self, index: int) -> SweepRecord:
+        point, column = divmod(range(len(self))[index], len(self.surfaces))
+        bi, pi = divmod(point, len(self.ps))
+        (measure, engine), surface = list(self.surfaces.items())[column]
+        beta, p, value = self.betas[bi], self.ps[pi], float(surface[bi, pi])
+        return SweepRecord(self.scenario, measure, engine, self.alpha, beta, p, value)
+
+
+def _axis(rng: tuple[float, float, int]) -> tuple[float, ...]:
     lo, hi, steps = rng
-    return [float(v) for v in np.linspace(lo, hi, steps)]
+    return tuple(np.linspace(lo, hi, steps).tolist())
 
 
-def run_sweep(config: SweepConfig) -> list[SweepRecord]:
-    """Evaluate the configured grid; rows ordered by (beta index, p index),
-    then measure (config order), then engine (numeric before closedform)."""
+def run_sweep(config: SweepConfig) -> SweepGrid:
+    """Evaluate the configured grid: one kernel call and one catalog call
+    per measure over the (beta, 1) x (p,) broadcast."""
     config.validate()
     betas, ps = _axis(config.beta_range), _axis(config.p_range)
     engines = ("numeric", "closedform") if config.engine == "both" else (config.engine,)
     scen, alpha, measures = config.scenario, config.alpha, config.measures
     grid = (alpha, np.asarray(betas)[:, None], np.asarray(ps))
 
-    surfaces = {}
-    if "numeric" in engines:
-        surfaces["numeric"] = numeric_batch(scen, *grid, measures)
-    if "closedform" in engines:
-        surfaces["closedform"] = {m: cf_eval(scen, m, *grid) for m in measures}
-    values = {eng: {m: v.tolist() for m, v in s.items()} for eng, s in surfaces.items()}
-    return [
-        SweepRecord(scen, measure, eng, alpha, beta, p, values[eng][measure][bi][pi])
-        for bi, beta in enumerate(betas)
-        for pi, p in enumerate(ps)
-        for measure in measures
-        for eng in engines
-    ]
+    numeric = numeric_batch(scen, *grid, measures) if "numeric" in engines else {}
+    surfaces = {
+        (m, e): numeric[m] if e == "numeric" else cf_eval(scen, m, *grid)
+        for m in measures
+        for e in engines
+    }
+    return SweepGrid(scen, alpha, betas, ps, surfaces)
 
 
 # --- serialization -----------------------------------------------------------
 
 def _fmt(x: float) -> str:
-    return "nan" if math.isnan(x) else format(x, ".17g")
+    return format(x, ".17g")
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -149,28 +170,37 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def records_to_csv(rows: Iterable[SweepRecord]) -> str:
-    lines = ["scenario,measure,engine,alpha,beta,p,value"]
-    for r in rows:
-        lines.append(
-            f"{r.scenario},{r.measure},{r.engine},"
-            f"{_fmt(r.alpha)},{_fmt(r.beta)},{_fmt(r.p)},{_fmt(r.value)}"
-        )
-    return "\n".join(lines) + "\n"
+def _grid_csv(header: str, betas, ps, columns: list[tuple[str, np.ndarray]]) -> str:
+    """CSV of (beta, p) surfaces: after `header`, one line per grid point and
+    column, beta slowest, then p, then column order. A line is the column's
+    prefix, then beta, p and the surface value, each float in the `_fmt`
+    format. Each axis value and each surface is formatted once."""
+    fmt = "{:.17g}".format
+    ps_text = [fmt(p) for p in ps]
+    keys = [f"{b},{p}," for b in map(fmt, betas) for p in ps_text]
+    cells = [
+        [prefix + key + v for key, v in zip(keys, map(fmt, s.ravel().tolist()), strict=True)]
+        for prefix, s in columns
+    ]
+    return "\n".join([header, *(line for point in zip(*cells) for line in point)]) + "\n"
 
 
-def records_to_json(rows: Iterable[SweepRecord]) -> str:
+def records_to_csv(grid: SweepGrid) -> str:
+    alpha = _fmt(grid.alpha)
+    columns = [(f"{grid.scenario},{m},{e},{alpha},", s) for (m, e), s in grid.surfaces.items()]
+    return _grid_csv("scenario,measure,engine,alpha,beta,p,value", grid.betas, grid.ps, columns)
+
+
+def records_to_json(grid: SweepGrid) -> str:
+    heads = [
+        {"scenario": grid.scenario, "measure": m, "engine": e, "alpha": grid.alpha}
+        for m, e in grid.surfaces
+    ]
+    points = [(beta, p) for beta in grid.betas for p in grid.ps]
     payload = [
-        {
-            "scenario": r.scenario,
-            "measure": r.measure,
-            "engine": r.engine,
-            "alpha": r.alpha,
-            "beta": r.beta,
-            "p": r.p,
-            "value": None if math.isnan(r.value) else r.value,
-        }
-        for r in rows
+        {**head, "beta": beta, "p": p, "value": None if math.isnan(v) else v}
+        for (beta, p), *values in zip(points, *(s.ravel().tolist() for s in grid.surfaces.values()))
+        for head, v in zip(heads, values)
     ]
     return json.dumps(payload, indent=2) + "\n"
 
@@ -335,29 +365,18 @@ def emit_figure_data(
         raise ConfigError(f"figure id must be in {sorted(FIGURES)}, got {figure_id}")
     if resolution < 16:
         raise ConfigError(f"resolution must be >= 16, got {resolution}")
-    # The pipeline's alpha range check, decided before either engine runs.
-    GhzParams(alpha)
     scenario_name, measures = FIGURES[figure_id]
-    betas = _axis((0.0, BETA_MAX, resolution))
-    ps = _axis((0.0, 1.0, resolution))
-    grid = (alpha, np.asarray(betas)[:, None], np.asarray(ps))
-
-    if is_x_structured(scenario_name):
-        surfaces = numeric_batch(scenario_name, *grid, measures)
-    else:
-        surfaces = {m: cf_eval(scenario_name, m, *grid) for m in measures}
+    engine = "numeric" if is_x_structured(scenario_name) else "closedform"
+    grid = run_sweep(
+        SweepConfig(alpha, (0.0, BETA_MAX, resolution), (0.0, 1.0, resolution),
+                    scenario=scenario_name, measures=measures, engine=engine)
+    )
 
     stem, ext = os.path.splitext(out_path)
-    written = []
-    for measure in measures:
-        path = out_path if len(measures) == 1 else f"{stem}_{measure}{ext or '.csv'}"
-        lines = ["beta,p,value"]
-        for beta, row in zip(betas, surfaces[measure].tolist()):
-            for p, v in zip(ps, row):
-                lines.append(f"{_fmt(beta)},{_fmt(p)},{_fmt(v)}")
-        write_text_atomic(path, "\n".join(lines) + "\n")
-        written.append(path)
-    return written
+    paths = [out_path] if len(measures) == 1 else [f"{stem}_{m}{ext or '.csv'}" for m in measures]
+    for path, surface in zip(paths, grid.surfaces.values()):
+        write_text_atomic(path, _grid_csv("beta,p,value", grid.betas, grid.ps, [("", surface)]))
+    return paths
 
 
 # --- sum rules -----------------------------------------------------------------
@@ -510,16 +529,13 @@ def run_audit(config: SweepConfig, scenarios: Sequence[str] | None = None) -> Au
     if config.engine != "both":
         raise ConfigError("audit requires engine=both")
     names = list(scenarios) if scenarios is not None else sorted(SCENARIOS)
-    betas, ps = _axis(config.beta_range), _axis(config.p_range)
-    grid = (config.alpha, np.asarray(betas)[:, None], np.asarray(ps))
-
     entries = []
     flags: list[str] = []
     for name in names:
-        numeric = numeric_batch(name, *grid, MEASURES)
-        x_structured = is_x_structured(name)
+        compared = MEASURES if is_x_structured(name) else ("C",)
+        sweep = run_sweep(replace(config, scenario=name, measures=compared))
         for measure in MEASURES:
-            if measure in ("S", "E") and not x_structured:
+            if measure not in compared:
                 entries.append(
                     {
                         "scenario": name,
@@ -534,14 +550,14 @@ def run_audit(config: SweepConfig, scenarios: Sequence[str] | None = None) -> Au
                 )
                 flags.append(f"{name}/{measure}: reduced state not X-structured")
                 continue
-            values = numeric[measure]
-            catalog = cf_eval(name, measure, *grid)
+            values = sweep.surfaces[measure, "numeric"]
+            catalog = sweep.surfaces[measure, "closedform"]
             # First maximum in row-major order; a NaN deviation never wins.
             devs = np.abs(values - catalog)
             devs[np.isnan(devs)] = -1.0
-            bi, pi = divmod(int(np.argmax(devs)), len(ps))
+            bi, pi = divmod(int(np.argmax(devs)), len(sweep.ps))
             worst_dev = float(devs[bi, pi])
-            beta_at, p_at = betas[bi], ps[pi]
+            beta_at, p_at = sweep.betas[bi], sweep.ps[pi]
             numeric_at, cf_at = float(values[bi, pi]), float(catalog[bi, pi])
             ok = worst_dev <= config.tol
             entries.append(

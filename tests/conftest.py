@@ -8,11 +8,21 @@ new array from the four operator blocks; the package's single damping kernel,
 `channels.damp_stack`, updates whole (N, 2^n, 2^n) stacks in place, one p
 per matrix. Differential tests of the numeric engine damp with the oracle,
 never with `apply_damping`, because that is the kernel's N = 1 case.
+
+`sweep_records_oracle`, `records_csv_oracle`, `records_json_oracle` and
+`figure_csv_oracle` are the per-record and per-cell writers the package
+replaced with its columnar grid writer; the serialization tests require the
+package's output to equal theirs byte for byte.
 """
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 import pytest
+
+from ghzsim import SweepRecord, cf_eval, numeric_batch
 
 # --- independent oracles ------------------------------------------------------
 
@@ -53,6 +63,67 @@ def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def _fmt_oracle(x: float) -> str:
+    return "nan" if math.isnan(x) else format(x, ".17g")
+
+
+def sweep_records_oracle(config) -> list[SweepRecord]:
+    """The records of a sweep, built one by one from the two engines: rows
+    ordered by (beta index, p index), then measure, then engine."""
+    betas = np.linspace(*config.beta_range).tolist()
+    ps = np.linspace(*config.p_range).tolist()
+    engines = ("numeric", "closedform") if config.engine == "both" else (config.engine,)
+    grid = (config.alpha, np.asarray(betas)[:, None], np.asarray(ps))
+    values = {}
+    for m in config.measures:
+        if "numeric" in engines:
+            values[m, "numeric"] = numeric_batch(config.scenario, *grid, (m,))[m].tolist()
+        if "closedform" in engines:
+            values[m, "closedform"] = cf_eval(config.scenario, m, *grid).tolist()
+    return [
+        SweepRecord(config.scenario, m, e, config.alpha, beta, p, values[m, e][bi][pi])
+        for bi, beta in enumerate(betas)
+        for pi, p in enumerate(ps)
+        for m in config.measures
+        for e in engines
+    ]
+
+
+def records_csv_oracle(rows) -> str:
+    lines = ["scenario,measure,engine,alpha,beta,p,value"]
+    for r in rows:
+        lines.append(
+            f"{r.scenario},{r.measure},{r.engine},{_fmt_oracle(r.alpha)},"
+            f"{_fmt_oracle(r.beta)},{_fmt_oracle(r.p)},{_fmt_oracle(r.value)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def records_json_oracle(rows) -> str:
+    payload = [
+        {
+            "scenario": r.scenario,
+            "measure": r.measure,
+            "engine": r.engine,
+            "alpha": r.alpha,
+            "beta": r.beta,
+            "p": r.p,
+            "value": None if math.isnan(r.value) else r.value,
+        }
+        for r in rows
+    ]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def figure_csv_oracle(betas, ps, surface: np.ndarray) -> str:
+    """One figure file, written cell by cell."""
+    lines = ["beta,p,value"]
+    for beta, row in zip(betas, surface.tolist()):
+        for p, v in zip(ps, row):
+            lines.append(f"{_fmt_oracle(beta)},{_fmt_oracle(p)},{_fmt_oracle(v)}")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzsim import (
+    BETA_MAX,
+    SCENARIOS,
     DampingParams,
     DensityOperator,
     ModeLabel,
@@ -20,6 +22,7 @@ from ghzsim import (
     apply_damping,
     damp_stack,
     partial_trace,
+    scenario_reduced_stack,
     validate_density,
 )
 from conftest import damp_qubit_oracle, random_density_matrix
@@ -163,3 +166,25 @@ class TestDampStack:
             with pytest.raises(ValueError, match="C-contiguous") as err:
                 damp_stack(stack, [0], 0.3)
             assert not isinstance(err.value, ParameterError)
+
+
+class TestDampingSemigroup:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(SCENARIOS)),
+        alpha=st.floats(0.0, 1.0),
+        beta=st.floats(0.0, BETA_MAX),
+        p=st.floats(0.0, 1.0),
+        q=st.floats(0.0, 1.0),
+    )
+    def test_damping_at_p_then_q_is_damping_at_the_combined_probability(
+        self, name, alpha, beta, p, q
+    ):
+        """Decay survived with probability 1 - p and then 1 - q is survived
+        with probability (1 - p)(1 - q): the channels form a semigroup."""
+        scen = SCENARIOS[name]
+        positions = [scen.regions.index(m) for m in scen.damped_modes]
+        rho = scenario_reduced_stack(alpha, beta, scen)
+        twice = damp_stack(damp_stack(rho.copy(), positions, p), positions, q)
+        once = damp_stack(rho.copy(), positions, 1.0 - (1.0 - p) * (1.0 - q))
+        np.testing.assert_allclose(twice, once, rtol=0, atol=1e-14)

@@ -240,3 +240,24 @@ class TestReducedBuilds:
         for measure in MEASURES:
             assert split[measure].shape == whole[measure].shape == (2, 3, 4)
             assert split[measure].tobytes() == whole[measure].tobytes(), measure
+
+
+class TestMonotonicityInP:
+    """Damping is an incoherent operation and local damping is LOCC, so at
+    fixed (alpha, beta) neither the l1-coherence C nor the GME monotone E
+    may grow with p. S may, and is not tested."""
+
+    PS = np.linspace(0.0, 1.0, 201)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(SCENARIOS)),
+        alpha=st.floats(0.0, 1.0),
+        beta=st.floats(0.0, BETA_MAX),
+    )
+    def test_coherence_and_entanglement_never_increase_with_p(self, name, alpha, beta):
+        measures = ("E", "C") if name in X_SCENARIOS else ("C",)
+        values = numeric_batch(name, alpha, beta, self.PS, measures)
+        for measure in measures:
+            rise = np.diff(values[measure])
+            assert rise.max() <= 1e-12, (measure, float(self.PS[1 + rise.argmax()]))

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
 import ghzsim.sweep
 from ghzsim import (
+    BETA_MAX,
     ConfigError,
     SweepConfig,
+    SweepGrid,
+    cf_eval,
     find_boundary,
     numeric_batch,
     numeric_measures,
@@ -27,6 +31,13 @@ from ghzsim.sweep import (
     records_to_csv,
     records_to_json,
     write_text_atomic,
+    _fmt,
+)
+from conftest import (
+    figure_csv_oracle,
+    records_csv_oracle,
+    records_json_oracle,
+    sweep_records_oracle,
 )
 
 ALPHA_GHZ = 1.0 / math.sqrt(2.0)
@@ -155,11 +166,78 @@ class TestSerialization:
         payload = json.loads(records_to_json(run_sweep(config)))
         assert payload[0]["value"] is None
 
+    @pytest.mark.parametrize(
+        "x, text",
+        [(math.nan, "nan"), (math.inf, "inf"), (-0.0, "-0"), (0.1, "0.10000000000000001")],
+    )
+    def test_float_format(self, x, text):
+        """The one float format of every text output, grid writer included."""
+        assert _fmt(x) == text
+
     def test_atomic_write(self, tmp_path):
         target = tmp_path / "out.csv"
         write_text_atomic(str(target), "hello\n")
         assert target.read_text() == "hello\n"
         assert list(tmp_path.iterdir()) == [target]
+
+
+#: A 7x5 grid of the non-X scenario, whose numeric S and E are NaN off the
+#: beta = 0 row and the p = 1 column, and a one-engine, one-measure sweep.
+COLUMNAR_CONFIGS = [
+    SweepConfig(scenario="AB_I_B_II", beta_range=(0.0, BETA_MAX, 7), p_range=(0.0, 1.0, 5)),
+    SweepConfig(
+        alpha=0.3, scenario="AB_I_C_II", beta_range=(0.1, 0.7, 6), p_range=(0.2, 0.9, 4),
+        measures=("E",), engine="closedform",
+    ),
+]
+
+
+class TestColumnarOutput:
+    """The grid writer against the per-record writers it replaced."""
+
+    @pytest.mark.parametrize("config", COLUMNAR_CONFIGS)
+    def test_csv_and_json_equal_the_per_record_writers(self, config):
+        grid = run_sweep(config)
+        records = sweep_records_oracle(config)
+        assert records_csv_oracle(records).count("nan") == (48 if config.engine == "both" else 0)
+        assert records_to_csv(grid) == records_csv_oracle(records)
+        assert records_to_json(grid) == records_json_oracle(records)
+
+    @pytest.mark.parametrize("config", COLUMNAR_CONFIGS)
+    def test_grid_reads_as_its_records(self, config):
+        grid = run_sweep(config)
+        assert isinstance(grid, Sequence) and isinstance(grid, SweepGrid)
+        assert records_csv_oracle(grid) == records_csv_oracle(sweep_records_oracle(config))
+        assert grid[-1] == grid[len(grid) - 1]
+        with pytest.raises(IndexError):
+            grid[len(grid)]
+
+    def test_writers_build_no_records(self, monkeypatch):
+        grid = run_sweep(COLUMNAR_CONFIGS[0])
+
+        def no_records(*args):
+            raise AssertionError("a writer built a SweepRecord")
+
+        monkeypatch.setattr(ghzsim.sweep, "SweepRecord", no_records)
+        records_to_csv(grid)
+        records_to_json(grid)
+
+    @pytest.mark.parametrize("figure_id", [1, 2, 7])
+    def test_figure_files_equal_the_per_cell_writer(self, tmp_path, figure_id):
+        """Figure 1 has one measure, figure 2 two; figure 7 takes the
+        catalog path."""
+        name, measures = ghzsim.sweep.FIGURES[figure_id]
+        betas = np.linspace(0.0, BETA_MAX, 17).tolist()
+        ps = np.linspace(0.0, 1.0, 17).tolist()
+        grid = (ALPHA_GHZ, np.asarray(betas)[:, None], np.asarray(ps))
+        written = emit_figure_data(figure_id, ALPHA_GHZ, 17, str(tmp_path / "f.csv"))
+        assert len(written) == len(measures)
+        for path, measure in zip(written, measures):
+            if figure_id == 7:
+                surface = cf_eval(name, measure, *grid)
+            else:
+                surface = numeric_batch(name, *grid, (measure,))[measure]
+            assert open(path).read() == figure_csv_oracle(betas, ps, surface)
 
 
 class TestFindBoundary:
