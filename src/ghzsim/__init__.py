@@ -4,18 +4,15 @@ seen by uniformly accelerated observers under amplitude damping."""
 from .channels import DampingParams, KrausPair, amplitude_damping_kraus, apply_damping, damp_stack
 from .closedform import CATALOG, CoverageError, cf_eval
 from .engine import damped_scenario_state, is_x_structured, numeric_batch, numeric_measures
-from .measures import StructureError, XState, coherence_l1, extract_xstate, gte, gtn
 from .qcore import (
     DensityOperator,
     LabelError,
     ModeLabel,
     ModeRegister,
     ParameterError,
-    PureState,
     SizeError,
     ValidationReport,
     partial_trace,
-    tensor_product,
     validate_density,
 )
 from .sweep import (
@@ -24,7 +21,6 @@ from .sweep import (
     SweepConfig,
     SweepGrid,
     SweepRecord,
-    cf_sum_rules,
     emit_figure_data,
     find_boundary,
     run_audit,
@@ -38,11 +34,9 @@ from .unruh import (
     Scenario,
     ScenarioKind,
     UnruhParams,
-    build_ghz,
     scenario,
     scenario_reduced_stack,
     scenario_reduced_state,
-    unruh_expand,
 )
 
 __version__ = "0.1.0"

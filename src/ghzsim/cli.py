@@ -46,15 +46,19 @@ EXIT_AUDIT_FLAGGED = 4
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = list(handle)
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: config file is not UTF-8 text") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, value = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 

@@ -1,4 +1,4 @@
-"""X-state extraction and the three quantumness measures.
+"""The X-state test and the three quantumness measures.
 
 For a three-qubit X-matrix (nonzero entries on the main diagonal and the
 antidiagonal only) the measures have closed evaluations:
@@ -15,16 +15,14 @@ e_i sit on mirrored positions. f_i lives on the (i, 9-i) antidiagonal slot
 (1-based indices).
 
 The X test and each measure are written once, as array expressions over
-matrix stacks (`stack_measures`); the scalar functions are their N = 1 case.
+(N, 8, 8) matrix stacks; `stack_measures` evaluates them on a stack and
+leaves S and E NaN on a matrix that fails the X test.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .qcore import DensityOperator, SizeError
 
 #: Largest off-pattern magnitude an X-structured matrix may carry.
 X_TOL = 1e-12
@@ -35,19 +33,6 @@ _F_ROWS = np.arange(4)
 _SQRT2_8 = 8.0 * math.sqrt(2.0)
 
 
-class StructureError(ValueError):
-    """The matrix does not have the X pattern within tolerance."""
-
-
-@dataclass(frozen=True)
-class XState:
-    """The 12 defining scalars of a three-qubit X-matrix."""
-
-    d: tuple[float, float, float, float]
-    e: tuple[float, float, float, float]
-    f: tuple[complex, complex, complex, complex]
-
-
 def is_x(absm: np.ndarray) -> np.ndarray:
     """Per matrix of an (N, 8, 8) stack of magnitudes: no off-pattern entry
     above X_TOL."""
@@ -55,20 +40,20 @@ def is_x(absm: np.ndarray) -> np.ndarray:
 
 
 def _slots(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d, e, f) of an 8x8 matrix or (N, 8, 8) stack as (4, ...) arrays."""
+    """(d, e, f) of an (N, 8, 8) stack as (4, N) arrays."""
     diag = np.diagonal(mat, axis1=-2, axis2=-1).real
     return diag[..., :4].T, diag[..., 7:3:-1].T, mat[..., _F_ROWS, 7 - _F_ROWS].T
 
 
 def svetlichny(d: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """S from (4, ...) arrays of d_i, e_i and |f_i|."""
+    """S from (4, N) arrays of d_i, e_i and |f_i|."""
     (d1, d2, d3, d4), (e1, e2, e3, e4) = d, e
     n = d1 - d2 - d3 + d4 - e4 + e3 + e2 - e1
     return np.maximum(_SQRT2_8 * f.max(axis=0), 4.0 * np.abs(n))
 
 
 def tripartite_entanglement(d: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """E from (4, ...) arrays of d_i, e_i and |f_i|."""
+    """E from (4, N) arrays of d_i, e_i and |f_i|."""
     roots = np.sqrt(np.maximum(d * e, 0.0))
     total = roots[0] + roots[1] + roots[2] + roots[3]
     best = (f - (total - roots)).max(axis=0)
@@ -76,7 +61,7 @@ def tripartite_entanglement(d: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.n
 
 
 def l1_coherence(absm: np.ndarray) -> np.ndarray:
-    """C of a matrix, or of each matrix in a stack, of magnitudes."""
+    """C of each matrix in an (N, 8, 8) stack of magnitudes."""
     return absm.sum(axis=(-2, -1)) - np.trace(absm, axis1=-2, axis2=-1)
 
 
@@ -96,33 +81,3 @@ def stack_measures(stack: np.ndarray, measures: tuple[str, ...]) -> dict[str, np
         if "E" in measures:
             out["E"] = np.where(x, tripartite_entanglement(d, e, f), math.nan)
     return out
-
-
-def extract_xstate(rho: DensityOperator, tol: float = X_TOL) -> XState:
-    """Read off (d, e, f); reject any off-pattern entry above `tol`."""
-    mat = rho.matrix
-    if mat.shape != (8, 8):
-        raise SizeError(f"expected a three-mode operator, got shape {mat.shape}")
-    off = np.where(_OFF_X, np.abs(mat), 0.0)
-    worst = int(np.argmax(off))  # the first maximum in row-major order
-    if off.flat[worst] > tol:
-        raise StructureError(
-            f"matrix is not X-structured: entry {divmod(worst, 8)} has magnitude "
-            f"{off.flat[worst]:.3e}"
-        )
-    return XState(*(tuple(v.tolist()) for v in _slots(mat)))  # type: ignore[arg-type]
-
-
-def gtn(x: XState) -> float:
-    """Svetlichny value of an X-state (threshold 4 is the caller's concern)."""
-    return float(svetlichny(np.array(x.d), np.array(x.e), np.abs(x.f)))
-
-
-def gte(x: XState) -> float:
-    """Genuine tripartite entanglement of an X-state."""
-    return float(tripartite_entanglement(np.array(x.d), np.array(x.e), np.abs(x.f)))
-
-
-def coherence_l1(rho: DensityOperator) -> float:
-    """Sum of absolute off-diagonal entries; equals 2*sum|f_i| on X-states."""
-    return float(l1_coherence(np.abs(rho.matrix)))

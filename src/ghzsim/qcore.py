@@ -1,4 +1,5 @@
-"""Dense complex linear algebra over labeled qubit registers.
+"""Labeled qubit registers and the density operators on them: the mode
+labels, the partial trace and the density-matrix sanity checks.
 
 Basis convention is big-endian: the first mode of a register is the most
 significant bit, so a register (A, B, C) enumerates the computational basis
@@ -8,12 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Union
+from typing import Iterable
 
 import numpy as np
-
-#: Largest register the dense kernels accept (128 x 128 matrices).
-MAX_MODES = 7
 
 
 class LabelError(ValueError):
@@ -21,7 +19,7 @@ class LabelError(ValueError):
 
 
 class SizeError(ValueError):
-    """An operation would exceed the configured register size limit."""
+    """A register is empty, or a matrix does not match its register's size."""
 
 
 class ParameterError(ValueError):
@@ -62,8 +60,6 @@ class ModeRegister:
         object.__setattr__(self, "modes", modes)
         if not modes:
             raise SizeError("register must contain at least one mode")
-        if len(modes) > MAX_MODES:
-            raise SizeError(f"register of {len(modes)} modes exceeds maximum of {MAX_MODES}")
         if len(set(modes)) != len(modes):
             raise LabelError(f"duplicate mode labels in register: {[m.value for m in modes]}")
 
@@ -82,12 +78,6 @@ class ModeRegister:
         except ValueError:
             raise LabelError(f"mode {label.value} not in register {self}") from None
 
-    def __contains__(self, label: object) -> bool:
-        try:
-            return ModeLabel(label) in self.modes  # type: ignore[arg-type]
-        except ValueError:
-            return False
-
     def restricted(self, keep: Iterable[ModeLabel]) -> "ModeRegister":
         """Sub-register with only `keep`, original order preserved."""
         keep_set = {ModeLabel(k) for k in keep}
@@ -96,47 +86,8 @@ class ModeRegister:
             raise LabelError(f"labels {sorted(m.value for m in missing)} not in register {self}")
         return ModeRegister(tuple(m for m in self.modes if m in keep_set))
 
-    def bitstrings(self) -> list[str]:
-        n = self.n_modes
-        return [format(i, f"0{n}b") for i in range(self.dim)]
-
     def __str__(self) -> str:
         return "(" + ",".join(m.value for m in self.modes) + ")"
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Normalized state vector over a labeled register."""
-
-    register: ModeRegister
-    vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        vec = np.asarray(self.vector, dtype=complex)
-        if vec.shape != (self.register.dim,):
-            raise SizeError(f"vector shape {vec.shape} does not match register {self.register}")
-        vec = vec.copy()
-        vec.flags.writeable = False
-        object.__setattr__(self, "vector", vec)
-
-    @classmethod
-    def from_amplitudes(cls, register: ModeRegister, amplitudes: Mapping[str, complex]) -> "PureState":
-        vec = np.zeros(register.dim, dtype=complex)
-        n = register.n_modes
-        for bits, amp in amplitudes.items():
-            if len(bits) != n or set(bits) - {"0", "1"}:
-                raise LabelError(f"bitstring {bits!r} invalid for register {register}")
-            vec[int(bits, 2)] = amp
-        return cls(register, vec)
-
-    def amplitude(self, bits: str) -> complex:
-        return complex(self.vector[int(bits, 2)])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
-
-    def to_density(self) -> "DensityOperator":
-        return DensityOperator(self.register, np.outer(self.vector, self.vector.conj()))
 
 
 @dataclass(frozen=True)
@@ -157,30 +108,6 @@ class DensityOperator:
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
-
-
-MatrixLike = Union[DensityOperator, np.ndarray]
-
-
-def _as_matrix(op: MatrixLike) -> np.ndarray:
-    if isinstance(op, DensityOperator):
-        return op.matrix
-    mat = np.asarray(op, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise SizeError(f"operand of shape {mat.shape} is not a square matrix")
-    if mat.shape[0] & (mat.shape[0] - 1):
-        raise SizeError(f"operand dimension {mat.shape[0]} is not a power of two")
-    return mat
-
-
-def tensor_product(a: MatrixLike, b: MatrixLike) -> np.ndarray:
-    """Kronecker product with `a` as the more significant tensor factor."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    if ma.shape[0] * mb.shape[0] > 2 ** MAX_MODES:
-        raise SizeError(
-            f"tensor product dimension {ma.shape[0] * mb.shape[0]} exceeds 2^{MAX_MODES}"
-        )
-    return np.kron(ma, mb)
 
 
 def partial_trace(rho: DensityOperator, keep: Iterable[ModeLabel]) -> DensityOperator:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -158,10 +159,21 @@ def _fmt(x: float) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it over
+    `path`, so no reader sees a partial file. The file keeps the mode a
+    plain open() would leave, not mkstemp's 0o600: an existing file's own
+    mode, else 0o666 less the umask."""
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), mode)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -209,6 +221,8 @@ def records_to_json(grid: SweepGrid) -> str:
 
 S_THRESHOLD = 4.0
 ZERO_TOL = 1e-12
+#: Spacing of the coarse p scan that brackets a boundary crossing.
+SCAN_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -257,7 +271,6 @@ def find_boundary(
     alpha: float,
     beta_samples: int,
     bisect_tol: float = 1e-6,
-    scan_step: float = 1e-3,
 ) -> BoundaryResult:
     """Sudden-death curve p*(beta) from the numeric engine.
 
@@ -279,7 +292,7 @@ def find_boundary(
     threshold, level, endpoint_counts = _BOUNDARY_RULES[measure]
 
     betas = _axis((0.0, BETA_MAX, beta_samples))
-    n_scan = int(round(1.0 / scan_step))
+    n_scan = int(round(1.0 / SCAN_STEP))
     scan_ps = np.arange(n_scan + 1) / n_scan
     values = numeric_batch(scen, alpha, np.asarray(betas)[:, None], scan_ps, (measure,))[measure]
     if np.isnan(values).any():
@@ -309,7 +322,7 @@ def find_boundary(
         for beta, ps in zip(betas, p_star.tolist())
     )
     return BoundaryResult(
-        scenario_name, measure, alpha, threshold, curve, bisect_tol, scan_step
+        scenario_name, measure, alpha, threshold, curve, bisect_tol, SCAN_STEP
     )
 
 
@@ -381,23 +394,6 @@ def emit_figure_data(
 
 # --- sum rules -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SumRuleResidual:
-    name: str
-    asserted: bool
-    numeric_lhs: float
-    closedform_lhs: float
-    rhs: float
-
-    @property
-    def numeric_residual(self) -> float:
-        return abs(self.numeric_lhs - self.rhs)
-
-    @property
-    def closedform_residual(self) -> float:
-        return abs(self.closedform_lhs - self.rhs)
-
-
 def _sum_rule_terms(alphas, betas, ps) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(numeric lhs, catalog lhs, rhs) arrays of each rule in SUM_RULES over
     the broadcast points (alpha, beta, p): one kernel call and one catalog
@@ -415,18 +411,6 @@ def _sum_rule_terms(alphas, betas, ps) -> list[tuple[np.ndarray, np.ndarray, np.
         )
         for rule in SUM_RULES
     ]
-
-
-def cf_sum_rules(alpha: float, beta: float, p: float) -> tuple[SumRuleResidual, ...]:
-    """Residuals of all coherence relations at one parameter point.
-
-    The numeric-engine coherence is the authoritative side; the catalog
-    residual is reported alongside it for comparison.
-    """
-    return tuple(
-        SumRuleResidual(rule.name, rule.asserted, float(num[0]), float(cat[0]), float(rhs[0]))
-        for rule, (num, cat, rhs) in zip(SUM_RULES, _sum_rule_terms(alpha, beta, p))
-    )
 
 
 def sum_rule_samples(

@@ -11,15 +11,12 @@ For a fermionic field the vacuum and excited states map as
 with beta in [0, pi/4]; beta = 0 is the inertial limit and beta = pi/4 the
 infinite-acceleration limit.
 
-`build_ghz`, `unruh_expand` and `qcore.partial_trace` define a scenario's
-reduced state on labeled registers, one point at a time. The pipeline uses
-their array form, `scenario_reduced_stack`: it holds the GHZ amplitudes of
-N points as an (N, 2, 2, 2) tensor, expands Bob's mode (when he
-accelerates) and then Charlie's with array slices, forms the outer products
-with the kept modes first and sums out the traced modes one at a time in
-register order. It does the same multiplications and additions in the same
-order as the register-level path, so each of its matrices is bit-equal to
-that path's; `scenario_reduced_state` is its N = 1 case.
+`scenario_reduced_stack` builds a scenario's reduced states for N points
+at once. It holds the GHZ amplitudes as an (N, 2, 2, 2) tensor, expands
+Bob's mode (when he accelerates) and then Charlie's with array slices,
+forms the outer products with the kept modes first and sums out the traced
+modes one at a time in register order. `scenario_reduced_state` is its
+N = 1 case.
 """
 from __future__ import annotations
 
@@ -35,7 +32,6 @@ from .qcore import (
     ModeLabel,
     ModeRegister,
     ParameterError,
-    PureState,
 )
 
 BETA_MAX = math.pi / 4
@@ -136,57 +132,16 @@ def scenario(name: str) -> Scenario:
         ) from None
 
 
-def build_ghz(params: GhzParams) -> PureState:
-    """alpha|000> + sqrt(1-alpha^2)|111> over the register (A, B, C)."""
-    register = ModeRegister((ModeLabel.A, ModeLabel.B, ModeLabel.C))
-    alpha = params.alpha
-    return PureState.from_amplitudes(
-        register, {"000": alpha, "111": math.sqrt(1.0 - alpha * alpha)}
-    )
-
-
 _WEDGE_PAIRS = {
     ModeLabel.B: (ModeLabel.B_I, ModeLabel.B_II),
     ModeLabel.C: (ModeLabel.C_I, ModeLabel.C_II),
 }
 
 
-def unruh_expand(state: PureState, target: ModeLabel, params: UnruhParams) -> PureState:
-    """Replace `target` by its wedge-mode pair, in place in the register.
-
-    The accessible mode takes the target's original position and the
-    inaccessible mode is inserted immediately after it.
-    """
-    target = ModeLabel(target)
-    if target not in _WEDGE_PAIRS:
-        raise LabelError(f"mode {target.value} has no wedge-mode expansion")
-    mode_i, mode_ii = _WEDGE_PAIRS[target]
-    if mode_i in state.register or mode_ii in state.register:
-        raise LabelError(f"mode {target.value} already expanded in register {state.register}")
-    pos = state.register.position(target)
-
-    old_modes = state.register.modes
-    new_modes = old_modes[:pos] + (mode_i, mode_ii) + old_modes[pos + 1 :]
-    new_register = ModeRegister(new_modes)
-
-    n = state.register.n_modes
-    cos_b, sin_b = math.cos(params.beta), math.sin(params.beta)
-    vec = np.zeros(new_register.dim, dtype=complex)
-    for idx in np.flatnonzero(state.vector):
-        amp = state.vector[idx]
-        bits = format(idx, f"0{n}b")
-        prefix, bit, suffix = bits[:pos], bits[pos], bits[pos + 1 :]
-        if bit == "0":
-            vec[int(prefix + "00" + suffix, 2)] += amp * cos_b
-            vec[int(prefix + "11" + suffix, 2)] += amp * sin_b
-        else:
-            vec[int(prefix + "10" + suffix, 2)] += amp
-    return PureState(new_register, vec)
-
-
 def _expand_stack(psi: np.ndarray, axis: int, cos_b: np.ndarray, sin_b: np.ndarray) -> np.ndarray:
-    """`unruh_expand` of the mode at tensor `axis` of an (N, 2, ..., 2)
-    amplitude stack: the mode's axis becomes the (_I, _II) axis pair."""
+    """Wedge expansion of the mode at tensor `axis` of an (N, 2, ..., 2)
+    amplitude stack: the mode's axis becomes the (_I, _II) axis pair, with
+    |0> -> cos|00> + sin|11> and |1> -> |10>."""
     psi = np.moveaxis(psi, axis, 1)
     out = np.zeros((len(psi), 2, 2) + psi.shape[2:], dtype=complex)
     per_point = (-1,) + (1,) * (psi.ndim - 2)
@@ -208,8 +163,8 @@ def scenario_reduced_stack(alpha, beta, scen: Scenario) -> np.ndarray:
     psi[:, 1, 1, 1] = np.sqrt(1.0 - a * a)
     cos_b, sin_b = np.cos(b), np.sin(b)
     register: tuple[ModeLabel, ...] = (ModeLabel.A, ModeLabel.B, ModeLabel.C)
-    # Bob before Charlie, as in the register-level path: the order fixes
-    # the rounding of the amplitude products.
+    # Bob before Charlie: the order fixes the rounding of the amplitude
+    # products.
     expanded = (ModeLabel.B, ModeLabel.C)
     if scen.kind is ScenarioKind.CHARLIE_ACCELERATED:
         expanded = (ModeLabel.C,)
@@ -239,8 +194,7 @@ def scenario_reduced_state(
     Charlie's mode is always expanded; Bob's is expanded too when both
     observers accelerate (same beta for both). The inaccessible complement
     of the kept regions is traced out. This is `scenario_reduced_stack` at
-    one point; the reference composition is
-    partial_trace(unruh_expand(...).to_density(), scen.regions).
+    one point.
     """
     matrix = scenario_reduced_stack(ghz.alpha, unruh.beta, scen)[0]
     return DensityOperator(ModeRegister(scen.regions), matrix)

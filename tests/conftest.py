@@ -9,6 +9,14 @@ new array from the four operator blocks; the package's single damping kernel,
 per matrix. Differential tests of the numeric engine damp with the oracle,
 never with `apply_damping`, because that is the kernel's N = 1 case.
 
+`register_reduced_oracle` builds a scenario's reduced state one point at a
+time on a labeled register: the GHZ vector, the wedge expansion of each
+accelerated mode by its bit strings, the full outer product and
+`qcore.partial_trace`. The batched builder must equal it bit for bit.
+`x_measures_oracle` evaluates S, E and C of one matrix in Python scalars,
+straight from the formulas in the `measures` module docstring, so the
+engine's differential test shares no code with the kernels it checks.
+
 `sweep_records_oracle`, `records_csv_oracle`, `records_json_oracle` and
 `figure_csv_oracle` are the per-record and per-cell writers the package
 replaced with its columnar grid writer; the serialization tests require the
@@ -18,11 +26,22 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from ghzsim import SweepRecord, cf_eval, numeric_batch
+from ghzsim import (
+    DensityOperator,
+    LabelError,
+    ModeLabel,
+    ModeRegister,
+    ScenarioKind,
+    SweepRecord,
+    cf_eval,
+    numeric_batch,
+    partial_trace,
+)
 
 # --- independent oracles ------------------------------------------------------
 
@@ -56,6 +75,81 @@ def damp_qubit_oracle(mat: np.ndarray, n_modes: int, pos: int, p: float) -> np.n
     out[1, 1] = (1.0 - p) * r11
     out = np.moveaxis(out, (0, 1), (pos, n_modes + pos))
     return out.reshape(mat.shape)
+
+
+_WEDGES = {
+    ModeLabel.B: (ModeLabel.B_I, ModeLabel.B_II),
+    ModeLabel.C: (ModeLabel.C_I, ModeLabel.C_II),
+}
+
+
+def ghz_oracle(alpha: float) -> tuple[tuple[ModeLabel, ...], np.ndarray]:
+    """alpha|000> + sqrt(1-alpha^2)|111> over the register (A, B, C)."""
+    vec = np.zeros(8, dtype=complex)
+    vec[0b000] = alpha
+    vec[0b111] = math.sqrt(1.0 - alpha * alpha)
+    return (ModeLabel.A, ModeLabel.B, ModeLabel.C), vec
+
+
+def wedge_expand_oracle(modes, vec: np.ndarray, target: ModeLabel, beta: float):
+    """Replace `target` in place by its wedge pair (_I, then _II), mapping
+    |0> -> cos(beta)|00> + sin(beta)|11> and |1> -> |10> bit string by bit
+    string. Returns the new (modes, vector)."""
+    if target not in modes or target not in _WEDGES:
+        raise LabelError(f"mode {target.value} cannot be expanded in {modes}")
+    pos, n = modes.index(target), len(modes)
+    cos_b, sin_b = math.cos(beta), math.sin(beta)
+    out = np.zeros(2 ** (n + 1), dtype=complex)
+    for idx in np.flatnonzero(vec):
+        amp = vec[idx]
+        bits = format(idx, f"0{n}b")
+        head, bit, tail = bits[:pos], bits[pos], bits[pos + 1 :]
+        if bit == "0":
+            out[int(head + "00" + tail, 2)] += amp * cos_b
+            out[int(head + "11" + tail, 2)] += amp * sin_b
+        else:
+            out[int(head + "10" + tail, 2)] += amp
+    return modes[:pos] + _WEDGES[target] + modes[pos + 1 :], out
+
+
+def expanded_ghz_oracle(alpha: float, beta: float, scen):
+    """(modes, vector) of the GHZ state with Bob's mode (when he
+    accelerates) and then Charlie's expanded."""
+    modes, vec = ghz_oracle(alpha)
+    targets = [ModeLabel.C]
+    if scen.kind is ScenarioKind.BOB_CHARLIE_ACCELERATED:
+        targets.insert(0, ModeLabel.B)
+    for target in targets:
+        modes, vec = wedge_expand_oracle(modes, vec, target, beta)
+    return modes, vec
+
+
+def register_reduced_oracle(alpha: float, beta: float, scen) -> np.ndarray:
+    """The scenario's reduced 8x8 matrix: the expanded GHZ vector's outer
+    product with the unkept modes traced out by `qcore.partial_trace`."""
+    modes, vec = expanded_ghz_oracle(alpha, beta, scen)
+    full = DensityOperator(ModeRegister(modes), np.outer(vec, vec.conj()))
+    return partial_trace(full, scen.regions).matrix
+
+
+def x_measures_oracle(mat: np.ndarray) -> dict[str, float]:
+    """S, E and C of one 8x8 matrix, in Python scalars, from the formulas of
+    the `measures` docstring. S and E are NaN when any entry off both the
+    diagonal and the antidiagonal exceeds 1e-12 in magnitude."""
+    m = mat.tolist()
+    off_diagonal = [(i, j) for i in range(8) for j in range(8) if i != j]
+    out = {"C": sum(abs(m[i][j]) for i, j in off_diagonal)}
+    if any(abs(m[i][j]) > 1e-12 for i, j in off_diagonal if i + j != 7):
+        return {"S": math.nan, "E": math.nan, **out}
+    d = [m[i][i].real for i in range(4)]  # entries 1..4
+    e = [m[7 - i][7 - i].real for i in range(4)]  # entries 8..5
+    f = [abs(m[i][7 - i]) for i in range(4)]  # slots (i, 9 - i)
+    (d1, d2, d3, d4), (e1, e2, e3, e4) = d, e
+    n = d1 - d2 - d3 + d4 - e4 + e3 + e2 - e1
+    out["S"] = max(8.0 * math.sqrt(2.0) * max(f), 4.0 * abs(n))
+    m_i = [sum(math.sqrt(max(d[j] * e[j], 0.0)) for j in range(4) if j != i) for i in range(4)]
+    out["E"] = 2.0 * max(0.0, max(f[i] - m_i[i] for i in range(4)))
+    return out
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -129,6 +223,14 @@ def figure_csv_oracle(betas, ps, surface: np.ndarray) -> str:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def umask_022():
+    """Run the test under umask 022, then restore the caller's umask."""
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
 
 
 # --- acceptance summary -------------------------------------------------------

@@ -44,6 +44,11 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out.startswith("scenario,measure,engine,")
 
+    def test_out_file_mode_follows_umask(self, tmp_path, umask_022):
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--beta-steps", "3", "--p-steps", "3", "--out", str(out)]) == EXIT_OK
+        assert out.stat().st_mode & 0o777 == 0o644
+
     def test_deterministic_output(self, tmp_path):
         args = ["sweep", "--beta-steps", "5", "--p-steps", "5"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -99,6 +104,12 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("beta-steps = many\n")
         assert run(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"alpha = 0.5\xff\n")
+        assert run(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {cfg}: config file is not UTF-8 text\n"
 
 
 class TestExitCodes:

@@ -14,10 +14,10 @@ from ghzsim import (
     CoverageError,
     SCENARIOS,
     cf_eval,
-    cf_sum_rules,
     numeric_measures,
 )
 from ghzsim.closedform import SUM_RULES
+from ghzsim.sweep import _sum_rule_terms
 
 ALPHA_GHZ = 1.0 / math.sqrt(2.0)
 POINT = (ALPHA_GHZ, math.pi / 6, 0.3)
@@ -133,6 +133,10 @@ class TestArrayCatalog:
         assert got == self.PINNED
 
 
+#: Index of the one relation that is reported, not asserted.
+REPORTED = next(k for k, rule in enumerate(SUM_RULES) if not rule.asserted)
+
+
 class TestSumRules:
     def test_rule_inventory(self):
         names = [rule.name for rule in SUM_RULES]
@@ -146,16 +150,16 @@ class TestSumRules:
 
     def test_asserted_rules_hold_numerically(self):
         for alpha, beta, p in [(0.3, 0.2, 0.1), (0.9, 0.7, 0.6), POINT]:
-            for res in cf_sum_rules(alpha, beta, p):
-                if res.asserted:
-                    assert res.numeric_residual < 1e-12, res.name
-                    assert res.closedform_residual < 1e-12, res.name
+            for rule, (num, cat, rhs) in zip(SUM_RULES, _sum_rule_terms(alpha, beta, p)):
+                if rule.asserted:
+                    assert abs(num[0] - rhs[0]) < 1e-12, rule.name
+                    assert abs(cat[0] - rhs[0]) < 1e-12, rule.name
 
     def test_reported_rule_residual_formula(self):
         """The non-asserted relation undercounts by a cross term; its
         residual is 8 (1-p)^2 alpha^2 (1-alpha^2)^2 sin^2(beta) cos^2(beta)."""
         alpha, beta, p = 0.6, 0.5, 0.25
-        res = next(r for r in cf_sum_rules(alpha, beta, p) if not r.asserted)
+        num, _, rhs = _sum_rule_terms(alpha, beta, p)[REPORTED]
         a2 = alpha * alpha
         expected = (
             8.0
@@ -165,9 +169,9 @@ class TestSumRules:
             * math.sin(beta) ** 2
             * math.cos(beta) ** 2
         )
-        assert res.rhs - res.numeric_lhs == pytest.approx(expected, abs=1e-13)
+        assert rhs[0] - num[0] == pytest.approx(expected, abs=1e-13)
 
     def test_reported_rule_vanishes_at_alpha_endpoints(self):
         for alpha in (0.0, 1.0):
-            res = next(r for r in cf_sum_rules(alpha, 0.5, 0.3) if not r.asserted)
-            assert res.numeric_residual < 1e-13
+            num, _, rhs = _sum_rule_terms(alpha, 0.5, 0.3)[REPORTED]
+            assert abs(num[0] - rhs[0]) < 1e-13

@@ -1,8 +1,6 @@
-"""Labeled-register linear algebra: registers, states, tensor products,
-partial traces and density-matrix validation."""
+"""Labeled-register linear algebra: registers, partial traces and
+density-matrix validation."""
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
@@ -14,10 +12,8 @@ from ghzsim import (
     LabelError,
     ModeLabel,
     ModeRegister,
-    PureState,
     SizeError,
     partial_trace,
-    tensor_product,
     validate_density,
 )
 from conftest import random_density_matrix, trace_out_oracle
@@ -30,13 +26,6 @@ class TestModeRegister:
         assert ABC.n_modes == 3
         assert ABC.dim == 8
         assert ABC.position(ModeLabel.B) == 1
-        assert ModeLabel.A in ABC
-        assert ModeLabel.C_I not in ABC
-        assert "not-a-label" not in ABC
-
-    def test_big_endian_bitstrings(self):
-        reg = ModeRegister((ModeLabel.A, ModeLabel.B))
-        assert reg.bitstrings() == ["00", "01", "10", "11"]
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(LabelError):
@@ -61,59 +50,6 @@ class TestModeRegister:
     def test_labels_accepted_as_strings(self):
         reg = ModeRegister(("A", "B_I"))
         assert reg.modes == (ModeLabel.A, ModeLabel.B_I)
-
-
-class TestPureState:
-    def test_from_amplitudes_places_big_endian(self):
-        state = PureState.from_amplitudes(ABC, {"110": 1.0})
-        assert state.vector[6] == 1.0
-        assert state.amplitude("110") == 1.0
-
-    def test_invalid_bitstring(self):
-        with pytest.raises(LabelError):
-            PureState.from_amplitudes(ABC, {"0120": 1.0})
-
-    def test_shape_mismatch(self):
-        with pytest.raises(SizeError):
-            PureState(ABC, np.zeros(4))
-
-    def test_to_density_is_projector(self):
-        amp = 1.0 / math.sqrt(2.0)
-        state = PureState.from_amplitudes(ABC, {"000": amp, "111": amp})
-        rho = state.to_density()
-        assert rho.trace() == pytest.approx(1.0)
-        np.testing.assert_allclose(rho.matrix @ rho.matrix, rho.matrix, atol=1e-15)
-
-    def test_vector_is_immutable(self):
-        state = PureState.from_amplitudes(ABC, {"000": 1.0})
-        with pytest.raises(ValueError):
-            state.vector[0] = 0.0
-
-
-class TestTensorProduct:
-    def test_matches_kron(self, rng):
-        a = random_density_matrix(rng, 4)
-        b = random_density_matrix(rng, 2)
-        np.testing.assert_array_equal(tensor_product(a, b), np.kron(a, b))
-
-    def test_first_factor_is_most_significant(self):
-        zero = np.diag([1.0, 0.0])
-        one = np.diag([0.0, 1.0])
-        prod = tensor_product(zero, one)
-        assert prod[1, 1] == 1.0  # |01><01|
-
-    def test_size_guard(self, rng):
-        big = np.eye(2**6)
-        with pytest.raises(SizeError):
-            tensor_product(big, np.eye(4))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(SizeError):
-            tensor_product(np.zeros((2, 3)), np.eye(2))
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(SizeError):
-            tensor_product(np.eye(3), np.eye(2))
 
 
 class TestPartialTrace:

@@ -25,6 +25,7 @@ from ghzsim import (
 )
 from ghzsim.sweep import (
     DEFAULT_SEED,
+    SCAN_STEP,
     boundary_to_csv,
     boundary_to_json,
     emit_figure_data,
@@ -174,11 +175,18 @@ class TestSerialization:
         """The one float format of every text output, grid writer included."""
         assert _fmt(x) == text
 
-    def test_atomic_write(self, tmp_path):
+    def test_atomic_write(self, tmp_path, umask_022):
         target = tmp_path / "out.csv"
         write_text_atomic(str(target), "hello\n")
         assert target.read_text() == "hello\n"
         assert list(tmp_path.iterdir()) == [target]
+        # The mode a plain open() gives under umask 022, not mkstemp's 0o600,
+        # and an existing file keeps its own mode.
+        assert target.stat().st_mode & 0o777 == 0o644
+        target.chmod(0o600)
+        write_text_atomic(str(target), "again\n")
+        assert target.read_text() == "again\n"
+        assert target.stat().st_mode & 0o777 == 0o600
 
 
 #: A 7x5 grid of the non-X scenario, whose numeric S and E are NaN off the
@@ -334,7 +342,12 @@ class TestFindBoundary:
         assert len(csv_lines) == 3
         payload = json.loads(boundary_to_json(result))
         assert payload["threshold"] == 4.0
+        assert payload["scan_step"] == SCAN_STEP == 1e-3
         assert payload["curve"][0]["status"] == "crossing"
+
+    def test_scan_step_is_not_a_parameter(self):
+        with pytest.raises(TypeError, match="scan_step"):
+            find_boundary("ABC_I", "S", ALPHA_GHZ, beta_samples=2, scan_step=0.0)
 
 
 class TestEmitFigureData:

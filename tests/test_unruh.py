@@ -13,20 +13,21 @@ from ghzsim import (
     GhzParams,
     LabelError,
     ModeLabel,
-    ModeRegister,
     ParameterError,
-    PureState,
     SCENARIOS,
     ScenarioKind,
     UnruhParams,
-    build_ghz,
-    partial_trace,
     scenario,
     scenario_reduced_stack,
     scenario_reduced_state,
-    unruh_expand,
 )
-from conftest import trace_out_oracle
+from conftest import (
+    expanded_ghz_oracle,
+    ghz_oracle,
+    register_reduced_oracle,
+    trace_out_oracle,
+    wedge_expand_oracle,
+)
 
 ALPHA_GHZ = 1.0 / math.sqrt(2.0)
 
@@ -48,37 +49,37 @@ class TestParams:
 
 
 class TestBuildGhz:
+    """The register-level reference state that the batched builder is held
+    to bit for bit (`conftest.ghz_oracle`)."""
+
     def test_amplitudes(self):
-        state = build_ghz(GhzParams(0.6))
-        assert state.amplitude("000") == pytest.approx(0.6)
-        assert state.amplitude("111") == pytest.approx(0.8)
-        assert state.norm() == pytest.approx(1.0)
+        _, vec = ghz_oracle(0.6)
+        assert vec[0b000] == pytest.approx(0.6)
+        assert vec[0b111] == pytest.approx(0.8)
+        assert np.linalg.norm(vec) == pytest.approx(1.0)
 
     def test_register_order(self):
-        state = build_ghz(GhzParams(0.5))
-        assert state.register.modes == (ModeLabel.A, ModeLabel.B, ModeLabel.C)
+        modes, _ = ghz_oracle(0.5)
+        assert modes == (ModeLabel.A, ModeLabel.B, ModeLabel.C)
 
 
 class TestUnruhExpand:
+    """The reference wedge expansion (`conftest.wedge_expand_oracle`)."""
+
     def test_vacuum_mode_splits(self):
-        reg = ModeRegister((ModeLabel.C,))
-        state = PureState.from_amplitudes(reg, {"0": 1.0})
         beta = 0.3
-        out = unruh_expand(state, ModeLabel.C, UnruhParams(beta))
-        assert out.register.modes == (ModeLabel.C_I, ModeLabel.C_II)
-        assert out.amplitude("00") == pytest.approx(math.cos(beta))
-        assert out.amplitude("11") == pytest.approx(math.sin(beta))
+        modes, vec = wedge_expand_oracle((ModeLabel.C,), np.array([1.0, 0.0]), ModeLabel.C, beta)
+        assert modes == (ModeLabel.C_I, ModeLabel.C_II)
+        assert vec[0b00] == pytest.approx(math.cos(beta))
+        assert vec[0b11] == pytest.approx(math.sin(beta))
 
     def test_excited_mode_stays_in_accessible_wedge(self):
-        reg = ModeRegister((ModeLabel.C,))
-        state = PureState.from_amplitudes(reg, {"1": 1.0})
-        out = unruh_expand(state, ModeLabel.C, UnruhParams(0.7))
-        assert out.amplitude("10") == pytest.approx(1.0)
+        _, vec = wedge_expand_oracle((ModeLabel.C,), np.array([0.0, 1.0]), ModeLabel.C, 0.7)
+        assert vec[0b10] == pytest.approx(1.0)
 
     def test_wedge_pair_inserted_in_place(self):
-        state = build_ghz(GhzParams(ALPHA_GHZ))
-        out = unruh_expand(state, ModeLabel.B, UnruhParams(0.2))
-        assert out.register.modes == (
+        modes, _ = wedge_expand_oracle(*ghz_oracle(ALPHA_GHZ), ModeLabel.B, 0.2)
+        assert modes == (
             ModeLabel.A,
             ModeLabel.B_I,
             ModeLabel.B_II,
@@ -86,26 +87,22 @@ class TestUnruhExpand:
         )
 
     def test_preserves_norm(self):
-        state = build_ghz(GhzParams(0.8))
-        out = unruh_expand(state, ModeLabel.C, UnruhParams(0.5))
-        assert out.norm() == pytest.approx(1.0)
+        _, vec = wedge_expand_oracle(*ghz_oracle(0.8), ModeLabel.C, 0.5)
+        assert np.linalg.norm(vec) == pytest.approx(1.0)
 
     def test_inertial_limit_is_vacuum_padding(self):
-        state = build_ghz(GhzParams(0.8))
-        out = unruh_expand(state, ModeLabel.C, UnruhParams(0.0))
-        assert out.amplitude("0000") == pytest.approx(0.8)
-        assert out.amplitude("1110") == pytest.approx(0.6)
+        _, vec = wedge_expand_oracle(*ghz_oracle(0.8), ModeLabel.C, 0.0)
+        assert vec[0b0000] == pytest.approx(0.8)
+        assert vec[0b1110] == pytest.approx(0.6)
 
     def test_mode_without_expansion(self):
-        state = build_ghz(GhzParams(0.5))
         with pytest.raises(LabelError):
-            unruh_expand(state, ModeLabel.A, UnruhParams(0.1))
+            wedge_expand_oracle(*ghz_oracle(0.5), ModeLabel.A, 0.1)
 
     def test_double_expansion_rejected(self):
-        state = build_ghz(GhzParams(0.5))
-        once = unruh_expand(state, ModeLabel.C, UnruhParams(0.1))
+        once = wedge_expand_oracle(*ghz_oracle(0.5), ModeLabel.C, 0.1)
         with pytest.raises(LabelError):
-            unruh_expand(once, ModeLabel.C, UnruhParams(0.1))
+            wedge_expand_oracle(*once, ModeLabel.C, 0.1)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -113,9 +110,8 @@ class TestUnruhExpand:
         beta=st.floats(0.0, BETA_MAX),
     )
     def test_expansion_is_an_isometry(self, alpha, beta):
-        state = build_ghz(GhzParams(alpha))
-        out = unruh_expand(state, ModeLabel.C, UnruhParams(beta))
-        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        _, vec = wedge_expand_oracle(*ghz_oracle(alpha), ModeLabel.C, beta)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestScenarios:
@@ -179,11 +175,9 @@ class TestScenarioReducedState:
         """Full five-mode expansion contracted with the einsum oracle agrees
         with the pipeline's reduction for every scenario."""
         alpha, beta = 0.7, 0.35
-        state = build_ghz(GhzParams(alpha))
-        state = unruh_expand(state, ModeLabel.B, UnruhParams(beta))
-        state = unruh_expand(state, ModeLabel.C, UnruhParams(beta))
-        full = np.outer(state.vector, state.vector.conj())
-        order = {m: i for i, m in enumerate(state.register.modes)}
+        modes, vec = expanded_ghz_oracle(alpha, beta, scenario("AB_I_C_I"))
+        full = np.outer(vec, vec.conj())
+        order = {m: i for i, m in enumerate(modes)}
         for name, scen in SCENARIOS.items():
             if scen.kind is not ScenarioKind.BOB_CHARLIE_ACCELERATED:
                 continue
@@ -205,16 +199,6 @@ def _ends_or_inside(hi: float):
     return st.one_of(st.sampled_from([0.0, hi]), st.floats(0.0, hi))
 
 
-def _register_level(alpha: float, beta: float, scen):
-    """The defining path: expand Bob (if accelerated), then Charlie, form
-    the full density matrix and trace out the unkept modes."""
-    state = build_ghz(GhzParams(alpha))
-    if scen.kind is ScenarioKind.BOB_CHARLIE_ACCELERATED:
-        state = unruh_expand(state, ModeLabel.B, UnruhParams(beta))
-    state = unruh_expand(state, ModeLabel.C, UnruhParams(beta))
-    return state, partial_trace(state.to_density(), scen.regions).matrix
-
-
 class TestScenarioReducedStack:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -231,12 +215,12 @@ class TestScenarioReducedStack:
             assert stack.shape == (len(points), 8, 8)
             assert stack.dtype == complex and stack.flags.c_contiguous
             for k, (alpha, beta) in enumerate(points):
-                state, want = _register_level(alpha, beta, scen)
                 where = (name, alpha, beta)
-                assert np.array_equal(stack[k], want), where
-                full = np.outer(state.vector, state.vector.conj())
-                keep = [state.register.position(m) for m in scen.regions]
-                oracle = trace_out_oracle(full, state.register.n_modes, keep)
+                assert np.array_equal(stack[k], register_reduced_oracle(alpha, beta, scen)), where
+                modes, vec = expanded_ghz_oracle(alpha, beta, scen)
+                full = np.outer(vec, vec.conj())
+                keep = [modes.index(m) for m in scen.regions]
+                oracle = trace_out_oracle(full, len(modes), keep)
                 assert np.max(np.abs(stack[k] - oracle)) <= 1e-15, where
 
     def test_one_matrix_per_element_of_the_broadcast(self):
@@ -244,7 +228,7 @@ class TestScenarioReducedStack:
         stack = scenario_reduced_stack(0.6, betas[:, None] * np.ones(3), scenario("ABC_II"))
         assert stack.shape == (12, 8, 8)
         for k, beta in enumerate(np.repeat(betas, 3)):
-            assert np.array_equal(stack[k], _register_level(0.6, float(beta), scenario("ABC_II"))[1])
+            assert np.array_equal(stack[k], register_reduced_oracle(0.6, float(beta), scenario("ABC_II")))
 
     @pytest.mark.parametrize(
         "alpha, beta",
