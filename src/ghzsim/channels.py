@@ -1,15 +1,18 @@
 """Amplitude-damping channel applied to labeled qubits of a register.
 
 The channel models spontaneous decay |1> -> |0> with probability p and is
-defined by its single-qubit Kraus pair. `damp_stack`, the one damping
-kernel, applies it to a stack of matrices, one p each, through the
-equivalent map on the operator blocks r_ab of each target qubit:
+defined by its single-qubit Kraus pair. It acts on the operator blocks r_ab
+of each target qubit as
 
     [[r00, r01], [r10, r11]] -> [[r00 + p*r11, sqrt(1-p)*r01],
                                  [sqrt(1-p)*r10, (1-p)*r11]].
 
 Environments of several targets act independently, so the maps compose.
-`apply_damping` is the kernel's one-matrix case.
+`damp_entries`, the one damping kernel, applies the map to entries of N
+matrices held as rows of a (K, N) array; `block_plan` lays out each
+target's block rows over a support closed under the map (every r11 entry
+with its r00 partner). `damp_stack` is the kernel on every entry of a
+stack, and `apply_damping` its one-matrix case.
 """
 from __future__ import annotations
 
@@ -53,9 +56,42 @@ def amplitude_damping_kraus(params: DampingParams) -> KrausPair:
     return KrausPair(m0, m1)
 
 
+def block_plan(support: np.ndarray, dim: int, positions: Iterable[int]) -> list:
+    """Per target position, the (r00, matching r11, r01 and r10) rows of
+    values gathered at the sorted flat entries `support` of dim x dim
+    matrices; ValueError if an r11 entry's r00 partner is not in it."""
+    rows, cols = np.divmod(support, dim)
+    plan = []
+    for pos in positions:
+        bit = dim >> (1 + pos)  # big-endian: position 0 is the top bit
+        upper, left = (rows & bit) != 0, (cols & bit) != 0
+        k11 = np.flatnonzero(upper & left)
+        partners = support[k11] - bit * (dim + 1)
+        if not np.isin(partners, support).all():
+            raise ValueError("support is not closed under the damping map")
+        k00 = np.searchsorted(support, partners)
+        plan.append((k00, k11, np.flatnonzero(upper != left)))
+    return plan
+
+
+def damp_entries(values: np.ndarray, plan: list, p) -> np.ndarray:
+    """Damp in place, and return, the (K, N) rows of N matrices' entries laid
+    out by `plan`, matrix j at probability p[j] (a scalar p applies to all)."""
+    p = np.broadcast_to(np.asarray(p, dtype=float), values.shape[-1:])
+    bad = ~((p >= 0.0) & (p <= 1.0))
+    if bad.any():
+        raise ParameterError(f"p={p[bad][0]} outside [0, 1]")
+    sq = np.sqrt(1.0 - p)
+    for k00, k11, off in plan:
+        values[k00] += p * values[k11]  # before r11 is scaled
+        values[off] *= sq
+        values[k11] *= 1.0 - p
+    return values
+
+
 def damp_stack(stack: np.ndarray, positions: Iterable[int], p) -> np.ndarray:
     """Damp the qubits at `positions` of every matrix in an (N, 2^n, 2^n)
-    complex stack, matrix k at probability p[k] (a scalar p applies to all).
+    stack, matrix k at probability p[k] (a scalar p applies to all).
 
     Works in place on a C-contiguous stack and returns the damped stack.
     Any other stack is a caller's bug: its reshaped views would be copies,
@@ -63,22 +99,10 @@ def damp_stack(stack: np.ndarray, positions: Iterable[int], p) -> np.ndarray:
     """
     if not (stack.flags.c_contiguous and stack.flags.writeable):
         raise ValueError("damp_stack needs a writeable C-contiguous stack")
-    n = len(stack)
-    p = np.broadcast_to(np.asarray(p, dtype=float), (n,))
-    bad = ~((p >= 0.0) & (p <= 1.0))
-    if bad.any():
-        raise ParameterError(f"p={p[bad][0]} outside [0, 1]")
-    n_modes = stack.shape[-1].bit_length() - 1
-    pb = p.reshape((n,) + (1,) * (2 * n_modes - 2))
-    sq = np.sqrt(1.0 - pb)
-    tensor = stack.reshape((n,) + (2,) * (2 * n_modes))
-    for pos in positions:
-        blocks = np.moveaxis(tensor, (1 + pos, 1 + n_modes + pos), (1, 2))
-        blocks[:, 0, 0] += pb * blocks[:, 1, 1]  # before r11 is scaled
-        blocks[:, 0, 1] *= sq
-        blocks[:, 1, 0] *= sq
-        blocks[:, 1, 1] *= 1.0 - pb
-    return tensor.reshape(stack.shape)
+    dim = stack.shape[-1]
+    flat = stack.reshape(len(stack), dim * dim)
+    flat[...] = damp_entries(flat.T.copy(), block_plan(np.arange(dim * dim), dim, positions), p).T
+    return stack
 
 
 def apply_damping(

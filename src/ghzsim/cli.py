@@ -47,7 +47,7 @@ EXIT_AUDIT_FLAGGED = 4
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = list(handle)
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: config file is not UTF-8 text") from None

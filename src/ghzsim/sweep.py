@@ -203,18 +203,30 @@ def records_to_csv(grid: SweepGrid) -> str:
     return _grid_csv("scenario,measure,engine,alpha,beta,p,value", grid.betas, grid.ps, columns)
 
 
+#: float.__repr__ texts that JSON spells otherwise; a NaN value is null.
+_JSON_SPECIAL = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_num(x: float) -> str:
+    return _JSON_SPECIAL.get(text := float.__repr__(x), text)
+
+
 def records_to_json(grid: SweepGrid) -> str:
+    """The bytes `json.dumps(..., indent=2)` gives for the list of record
+    dicts (NaN values as null), from a fixed per-record template."""
     heads = [
-        {"scenario": grid.scenario, "measure": m, "engine": e, "alpha": grid.alpha}
+        f'  {{\n    "scenario": {json.dumps(grid.scenario)},\n    "measure": {json.dumps(m)},\n'
+        f'    "engine": {json.dumps(e)},\n    "alpha": {json.dumps(grid.alpha)},\n    "beta": '
         for m, e in grid.surfaces
     ]
-    points = [(beta, p) for beta in grid.betas for p in grid.ps]
-    payload = [
-        {**head, "beta": beta, "p": p, "value": None if math.isnan(v) else v}
-        for (beta, p), *values in zip(points, *(s.ravel().tolist() for s in grid.surfaces.values()))
+    ps = [_json_num(p) for p in grid.ps]
+    keys = [f'{b},\n    "p": {p},\n    "value": ' for b in map(_json_num, grid.betas) for p in ps]
+    rows = [
+        head + key + _json_num(v) + "\n  }"
+        for key, *values in zip(keys, *(s.ravel().tolist() for s in grid.surfaces.values()))
         for head, v in zip(heads, values)
     ]
-    return json.dumps(payload, indent=2) + "\n"
+    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 
 
 # --- sudden-death boundary ----------------------------------------------------

@@ -5,8 +5,9 @@ so the tests cross-check two implementations. `trace_out_oracle` contracts
 with einsum, where the package takes one axis trace per mode.
 `damp_qubit_oracle` damps one qubit of one matrix out of place, building a
 new array from the four operator blocks; the package's single damping kernel,
-`channels.damp_stack`, updates whole (N, 2^n, 2^n) stacks in place, one p
-per matrix. Differential tests of the numeric engine damp with the oracle,
+`channels.damp_entries`, updates chosen entries of N matrices in place as
+rows of a (K, N) array, one p per matrix (`damp_stack` is it on every entry
+of a stack). Differential tests of the numeric engine damp with the oracle,
 never with `apply_damping`, because that is the kernel's N = 1 case.
 
 `register_reduced_oracle` builds a scenario's reduced state one point at a

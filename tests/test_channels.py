@@ -133,16 +133,19 @@ class TestApplyDamping:
 
 class TestDampStack:
     def test_per_point_probability_matches_oracle(self, rng):
-        """Every matrix of an (N, 8, 8) stack is damped at its own p."""
-        ps = np.array([0.0, 0.13, 0.5, 0.77, 1.0])
+        """Every matrix of an (N, 8, 8) stack is damped at its own p, with
+        the composed oracle's arithmetic: the same bits, signed zeros
+        included."""
+        ps = np.array([0.0, 1e-12, 0.13, 0.5, 0.77, 1.0])
         mats = np.array([random_density_matrix(rng, 8) for _ in ps])
-        for positions in ([1], [0, 2]):
+        mats[0, 0, 7] = -0.0
+        for positions in ([1], [0, 2], [1, 2], [0, 1, 2]):
             out = damp_stack(mats.copy(), positions, ps)
             for mat, p, got in zip(mats, ps, out):
                 expected = mat
                 for pos in positions:
                     expected = damp_qubit_oracle(expected, 3, pos, p)
-                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64)), positions
 
     def test_two_mode_stack_with_scalar_probability(self, rng):
         mats = np.array([random_density_matrix(rng, 4) for _ in range(3)])

@@ -111,6 +111,17 @@ class TestConfigFile:
         assert run(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {cfg}: config file is not UTF-8 text\n"
 
+    def test_file_with_byte_order_mark(self, tmp_path):
+        """Editors that save UTF-8 with a byte-order mark put it before the
+        first key; it is not part of that key."""
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfalpha = 0.25\nmeasures = C\nengine = closedform\n")
+        out = tmp_path / "o.csv"
+        code = run(["sweep", "--config", str(cfg), "--beta-steps", "2", "--p-steps", "2",
+                    "--out", str(out)])
+        assert code == EXIT_OK
+        assert ",0.25," in out.read_text()
+
 
 class TestExitCodes:
     def test_config_error_for_bad_measures(self):

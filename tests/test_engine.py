@@ -22,11 +22,13 @@ from ghzsim import (
     numeric_batch,
     numeric_measures,
     scenario,
+    scenario_reduced_stack,
     scenario_reduced_state,
     validate_density,
 )
 from ghzsim import engine
 from ghzsim.engine import MEASURES
+from ghzsim.measures import stack_measures
 from conftest import damp_qubit_oracle, x_measures_oracle
 
 ALPHA_GHZ = 1.0 / math.sqrt(2.0)
@@ -186,6 +188,62 @@ class TestNumericBatch:
     def test_rejects_p_outside_unit_interval(self):
         with pytest.raises(ParameterError, match="outside"):
             numeric_batch("ABC_I", 0.7, 0.2, np.array([0.5, 1.0 + 1e-13]))
+
+
+#: An edge-inclusive grid: alpha and beta at both ends of their ranges and
+#: p at 0 and 1, besides interior values.
+EDGE_ALPHAS = np.array([0.0, 1e-9, 0.3, ALPHA_GHZ, 0.9, 1.0])[:, None, None]
+EDGE_BETAS = np.array([0.0, 0.1, 0.4, BETA_MAX])[:, None]
+EDGE_PS = np.array([0.0, 1e-12, 0.35, 0.8, 1.0])
+
+
+@pytest.fixture(scope="module")
+def dense_reference() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """name -> (reduced, damped) complex (N, 8, 8) stacks over the flattened
+    edge grid: the builder's matrices, damped one point at a time on every
+    entry by the block-map oracle, damped modes in register order."""
+    a, b, p = (x.ravel() for x in np.broadcast_arrays(EDGE_ALPHAS, EDGE_BETAS, EDGE_PS))
+    out = {}
+    for name, scen in SCENARIOS.items():
+        reduced = scenario_reduced_stack(a, b, scen)
+        damped = reduced.copy()
+        for mode in scen.damped_modes:
+            pos = scen.regions.index(mode)
+            damped = np.array([damp_qubit_oracle(m, 3, pos, pk) for m, pk in zip(damped, p)])
+        out[name] = reduced, damped
+    return out
+
+
+class TestSupportDamping:
+    """The engine damps only a scenario's support, in real arithmetic; its
+    measures must carry the bits of dense complex damping."""
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_measures_are_bit_identical_to_dense_damping(self, dense_reference, name):
+        want = stack_measures(dense_reference[name][1], MEASURES)
+        got = numeric_batch(name, EDGE_ALPHAS, EDGE_BETAS, EDGE_PS)
+        for measure in MEASURES:
+            # int64 views: signed zeros and NaN payloads count.
+            assert np.array_equal(
+                got[measure].ravel().view(np.int64), want[measure].view(np.int64)
+            ), measure
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_support_holds_every_nonzero_entry(self, dense_reference, name):
+        """Every entry the reduced or damped states carry is in the support,
+        and every support entry is carried somewhere on the grid."""
+        support, _ = engine._support(SCENARIOS[name])
+        carried = np.zeros(64, dtype=bool)
+        for stack in dense_reference[name]:
+            carried |= (stack.reshape(-1, 64) != 0).any(axis=0)
+        assert np.array_equal(np.flatnonzero(carried), support)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_reduced_states_are_real(self, dense_reference, name):
+        """The engine damps the real parts only: the builder's imaginary
+        parts are exactly zero."""
+        reduced, _ = dense_reference[name]
+        assert not reduced.imag.any()
 
 
 @pytest.fixture

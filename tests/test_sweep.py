@@ -211,6 +211,18 @@ class TestColumnarOutput:
         assert records_to_csv(grid) == records_csv_oracle(records)
         assert records_to_json(grid) == records_json_oracle(records)
 
+    def test_json_spells_every_float_as_the_encoder_does(self):
+        """NaN, infinities, signed zeros, subnormals and 17-digit values, and
+        a grid with no records."""
+        values = np.array([[math.nan, math.inf], [-math.inf, -0.0], [5e-324, 0.1 + 0.2]])
+        grid = SweepGrid(
+            "AB_I_C_I", 0.3, (0.0, 1e-300, BETA_MAX), (-0.0, 1.0),
+            {("S", "numeric"): values, ("C", "closedform"): values[::-1].copy()},
+        )
+        assert records_to_json(grid) == records_json_oracle(grid)
+        empty = SweepGrid("ABC_I", 0.5, (), (), {})
+        assert records_to_json(empty) == records_json_oracle(empty) == "[]\n"
+
     @pytest.mark.parametrize("config", COLUMNAR_CONFIGS)
     def test_grid_reads_as_its_records(self, config):
         grid = run_sweep(config)
