@@ -14,22 +14,19 @@ beta = 0 row, the p = 1 column and at alpha = 0, so only there are S/E finite
 decides for a whole scenario from one interior point; the audit and the
 figures use it.
 
-`numeric_batch` takes broadcastable (alpha, beta, p) arrays and only wires
-the steps together: `unruh.scenario_reduced_stack` builds the reduced
-(undamped) 8x8 matrices, one per (alpha, beta) element a block of points
-uses, never one per p; the channel kernel `channels.damp_entries` damps
-them at every point's own p; `measures.stack_measures` measures the
-stack. The scalar functions are its N = 1 case.
+`numeric_batch` takes broadcastable (alpha, beta, p) arrays and wires the
+steps together on a scenario's support: the 5 to 10 real entries its
+reduced states (near-X matrices; Hashemi Rafsanjani et al., PRA 86, 062303
+(2012)) can carry, closed under the damping block map and found once per
+scenario. `unruh.scenario_reduced_entries` builds them as (K, n) rows, one
+column per (alpha, beta) element of a block, never one per p;
+`channels.damp_entries` damps the rows at each point's own p, and
+`measures.support_measures` measures them. No 8x8 matrix is formed.
 
-Damping touches only a scenario's support: the 5 to 10 entries its reduced
-states (near-X matrices; Hashemi Rafsanjani et al., PRA 86, 062303 (2012))
-can carry, all real, closed under the damping block map and found once per
-scenario. Each block gathers their real parts, one row per entry, damps the
-rows and scatters them into a zeroed real stack. A call evaluates
-BLOCK_POINTS points at a time. Measured with tracemalloc, a block peaks at
-about 6 MiB when its points share reduced states, as grid rows do, and at
-26 MiB (6.6 KiB per point) with two damped modes and a distinct
-(alpha, beta) at every point.
+A call evaluates BLOCK_POINTS points at a time. Measured with tracemalloc,
+a block peaks at about 1.5 MiB when its points share reduced states, as
+grid rows do, and at 5.1 MiB (1.3 KiB per point) with two damped modes and
+a distinct (alpha, beta) at every point.
 """
 from __future__ import annotations
 
@@ -40,9 +37,9 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .channels import block_plan, damp_entries, damp_stack
-from .measures import is_x, stack_measures
+from .measures import support_measures
 from .qcore import DensityOperator, ModeRegister
-from .unruh import Scenario, scenario, scenario_reduced_stack
+from .unruh import Scenario, scenario, scenario_reduced_entries, scenario_reduced_stack
 
 MEASURES = ("S", "E", "C")
 
@@ -68,7 +65,7 @@ def _support(scen: Scenario) -> tuple[np.ndarray, list]:
 
 
 def _damped_blocks(scen: Scenario, alpha, beta, p) -> Iterator[tuple[slice, np.ndarray]]:
-    """(slice, damped real (n, 8, 8) stack) over the flattened broadcast of
+    """(slice, damped (K, n) support rows) over the flattened broadcast of
     (alpha, beta, p) in row-major order, BLOCK_POINTS points at a time."""
     a, b = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
     shape = np.broadcast_shapes(a.shape, np.shape(p))
@@ -80,13 +77,9 @@ def _damped_blocks(scen: Scenario, alpha, beta, p) -> Iterator[tuple[slice, np.n
     for start in range(0, len(pp), BLOCK_POINTS):
         block = slice(start, start + BLOCK_POINTS)
         used, inverse = np.unique(ab[block], return_inverse=True)
-        reduced = scenario_reduced_stack(a[used], b[used], scen).reshape(len(used), 64)
-        # Row k holds entry support[k] of each point's matrix, in a fresh
-        # C-contiguous array that damping updates in place.
-        rows = damp_entries(np.take(reduced[:, support].real.T, inverse, axis=1), plan, pp[block])
-        stack = np.zeros((len(inverse), 64))
-        stack[:, support] = rows.T
-        yield block, stack.reshape(-1, 8, 8)
+        reduced = scenario_reduced_entries(a[used], b[used], scen, support)
+        # A fresh C-contiguous array, which damping updates in place.
+        yield block, damp_entries(np.take(reduced, inverse, axis=1), plan, pp[block])
 
 
 def numeric_batch(
@@ -102,8 +95,9 @@ def numeric_batch(
         raise ValueError(f"unknown measures {sorted(unknown)}; expected subset of {MEASURES}")
     shape = np.broadcast_shapes(np.shape(alpha), np.shape(beta), np.shape(p))
     values = {m: np.empty(math.prod(shape)) for m in wanted}
-    for block, stack in _damped_blocks(scen, alpha, beta, p):
-        for m, v in stack_measures(stack, wanted).items():
+    support, _ = _support(scen)
+    for block, rows in _damped_blocks(scen, alpha, beta, p):
+        for m, v in support_measures(rows, support, wanted).items():
             values[m][block] = v
     return {m: v.reshape(shape) for m, v in values.items()}
 
@@ -114,8 +108,10 @@ def damped_scenario_state(
     """Reduced scenario state after amplitude damping of its kept
     accelerated modes (reduction first; the two orders commute)."""
     scen = _as_scenario(scen)
-    _, stack = next(_damped_blocks(scen, float(alpha), float(beta), float(p)))
-    return DensityOperator(ModeRegister(scen.regions), stack[0])
+    _, rows = next(_damped_blocks(scen, float(alpha), float(beta), float(p)))
+    matrix = np.zeros(64)
+    matrix[_support(scen)[0]] = rows[:, 0]
+    return DensityOperator(ModeRegister(scen.regions), matrix.reshape(8, 8))
 
 
 def numeric_measures(
@@ -134,5 +130,4 @@ def is_x_structured(scen: "Scenario | str") -> bool:
     """Whether the scenario's reduced states carry the X pattern (and hence
     numeric S/E are defined). Decided from the state itself at a generic
     interior point, not from a hard-coded list."""
-    rho = damped_scenario_state(scen, 0.6, 0.5, 0.3)
-    return bool(is_x(np.abs(rho.matrix)[None])[0])
+    return not math.isnan(numeric_batch(scen, 0.6, 0.5, 0.3, ("S",))["S"])

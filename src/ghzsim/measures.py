@@ -14,35 +14,33 @@ Diagonal entries 1..4 are d_1..d_4; entries 8..5 are e_1..e_4, so d_i and
 e_i sit on mirrored positions. f_i lives on the (i, 9-i) antidiagonal slot
 (1-based indices).
 
-The X test and each measure are written once, as array expressions over
-(N, 8, 8) matrix stacks; `stack_measures` evaluates them on a stack and
-leaves S and E NaN on a matrix that fails the X test.
+The X test and each measure are written once, as array expressions over N
+matrices held as the (K, N) rows of their entries at a support (sorted flat
+8x8 indices; every other entry is 0). `support_measures` evaluates them and
+leaves S and E NaN on a matrix that fails the X test; `stack_measures` is
+it on every entry of an (N, 8, 8) stack. C adds in numpy's order for a
+whole 8x8 matrix, so every support of a matrix gives the same bits.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 #: Largest off-pattern magnitude an X-structured matrix may carry.
 X_TOL = 1e-12
-
-#: Off-pattern slots of an 8x8 matrix: neither diagonal nor antidiagonal.
-_OFF_X = ~(np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1])
-_F_ROWS = np.arange(4)
 _SQRT2_8 = 8.0 * math.sqrt(2.0)
+#: Flat 8x8 indices of d_1..d_4, e_1..e_4 and f_1..f_4.
+_SLOTS = np.r_[0:36:9, 63:35:-9, 7:35:7]
 
 
-def is_x(absm: np.ndarray) -> np.ndarray:
-    """Per matrix of an (N, 8, 8) stack of magnitudes: no off-pattern entry
-    above X_TOL."""
-    return ~(np.max(absm[:, _OFF_X], axis=1, initial=0.0) > X_TOL)
-
-
-def _slots(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d, e, f) of an (N, 8, 8) stack as (4, N) arrays."""
-    diag = np.diagonal(mat, axis1=-2, axis2=-1).real
-    return diag[..., :4].T, diag[..., 7:3:-1].T, mat[..., _F_ROWS, 7 - _F_ROWS].T
+def _slots(rows: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, e, f) as (4, N) arrays, 0 for an entry outside the support."""
+    held = np.isin(_SLOTS, support)
+    out = np.zeros((12, rows.shape[-1]), dtype=rows.dtype)
+    out[held] = rows[np.searchsorted(support, _SLOTS[held])]
+    return out[:4].real, out[4:8].real, out[8:]
 
 
 def svetlichny(d: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -60,24 +58,45 @@ def tripartite_entanglement(d: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.n
     return 2.0 * np.maximum(0.0, best)
 
 
-def l1_coherence(absm: np.ndarray) -> np.ndarray:
-    """C of each matrix in an (N, 8, 8) stack of magnitudes."""
-    return absm.sum(axis=(-2, -1)) - np.trace(absm, axis1=-2, axis2=-1)
+def _pairwise(terms: list) -> np.ndarray | None:
+    """numpy's pairwise tree over 2^k partial sums, None standing for 0."""
+    if len(terms) > 1:
+        terms = [_pairwise(terms[: len(terms) // 2]), _pairwise(terms[len(terms) // 2 :])]
+    terms = [t for t in terms if t is not None]
+    return functools.reduce(np.add, terms) if terms else None
 
 
-def stack_measures(stack: np.ndarray, measures: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """The requested measures of every matrix in an (N, 8, 8) stack as (N,)
-    arrays. S and E are NaN where the matrix is not X-structured."""
-    absm = np.abs(stack)
+def l1_coherence(absr: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """C from the (K, N) magnitudes at a support holding a diagonal entry:
+    the total minus the trace, each added as numpy adds 64 and 8 contiguous
+    values (one accumulator per column, rows in order, then the tree)."""
+    columns, diagonal = [None] * 8, [None] * 8
+    for k, (i, j) in enumerate(zip(*np.divmod(support, 8))):
+        columns[j] = absr[k] if columns[j] is None else columns[j] + absr[k]
+        diagonal[j] = absr[k] if i == j else diagonal[j]
+    return _pairwise(columns) - _pairwise(diagonal)
+
+
+def support_measures(rows: np.ndarray, support, measures: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """The requested measures of the N matrices whose entries at the sorted
+    flat indices `support` are the (K, N) `rows`, as (N,) arrays. S and E
+    are NaN where a matrix fails the X test: an off-pattern entry (neither
+    diagonal nor antidiagonal) above X_TOL."""
     out: dict[str, np.ndarray] = {}
     if "C" in measures:
-        out["C"] = l1_coherence(absm)
+        out["C"] = l1_coherence(np.abs(rows), support)
     if "S" in measures or "E" in measures:
-        x = is_x(absm)
-        d, e, f = _slots(stack)
+        r, c = np.divmod(support, 8)
+        x = ~(np.max(np.abs(rows[(r != c) & (r + c != 7)]), axis=0, initial=0.0) > X_TOL)
+        d, e, f = _slots(rows, support)
         f = np.abs(f)
         if "S" in measures:
             out["S"] = np.where(x, svetlichny(d, e, f), math.nan)
         if "E" in measures:
             out["E"] = np.where(x, tripartite_entanglement(d, e, f), math.nan)
     return out
+
+
+def stack_measures(stack: np.ndarray, measures: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """`support_measures` of every matrix in an (N, 8, 8) stack."""
+    return support_measures(stack.reshape(len(stack), 64).T, np.arange(64), measures)

@@ -169,9 +169,4 @@ def validate_density(rho: DensityOperator, tol: float = 1e-10) -> ValidationRepo
     trace_dev = float(abs(np.trace(mat) - 1.0))
     hermitized = (mat + mat.conj().T) / 2.0
     min_eig = float(np.linalg.eigvalsh(hermitized)[0])
-    return ValidationReport(
-        tol=tol,
-        hermiticity_deviation=herm_dev,
-        trace_deviation=trace_dev,
-        min_eigenvalue=min_eig,
-    )
+    return ValidationReport(tol, herm_dev, trace_dev, min_eig)

@@ -278,11 +278,7 @@ def _bisect(scen, measure, alpha, betas, lo, hi, level, tol) -> np.ndarray:
 
 
 def find_boundary(
-    scenario_name: str,
-    measure: str,
-    alpha: float,
-    beta_samples: int,
-    bisect_tol: float = 1e-6,
+    scenario_name: str, measure: str, alpha: float, beta_samples: int, bisect_tol: float = 1e-6
 ) -> BoundaryResult:
     """Sudden-death curve p*(beta) from the numeric engine.
 
@@ -333,9 +329,7 @@ def find_boundary(
         else BoundaryPoint(beta, ps, "crossing")
         for beta, ps in zip(betas, p_star.tolist())
     )
-    return BoundaryResult(
-        scenario_name, measure, alpha, threshold, curve, bisect_tol, SCAN_STEP
-    )
+    return BoundaryResult(scenario_name, measure, alpha, threshold, curve, bisect_tol, SCAN_STEP)
 
 
 def boundary_to_csv(result: BoundaryResult) -> str:
@@ -376,9 +370,7 @@ FIGURES: dict[int, tuple[str, tuple[str, ...]]] = {
 }
 
 
-def emit_figure_data(
-    figure_id: int, alpha: float, resolution: int, out_path: str
-) -> list[str]:
+def emit_figure_data(figure_id: int, alpha: float, resolution: int, out_path: str) -> list[str]:
     """Write beta/p/value surfaces for one figure, one file per measure.
 
     Single-measure figures write exactly `out_path`; multi-measure figures
@@ -425,9 +417,7 @@ def _sum_rule_terms(alphas, betas, ps) -> list[tuple[np.ndarray, np.ndarray, np.
     ]
 
 
-def sum_rule_samples(
-    alpha: float | None, samples: int, seed: int
-) -> dict:
+def sum_rule_samples(alpha: float | None, samples: int, seed: int) -> dict:
     """Max residual of each coherence relation over random parameter points.
 
     When `alpha` is None it is sampled uniformly on [0, 1] together with
@@ -573,8 +563,7 @@ def run_audit(config: SweepConfig, scenarios: Sequence[str] | None = None) -> Au
                 flags.append(
                     f"{name}/{measure}: max deviation {_fmt(worst_dev)} at "
                     f"beta={_fmt(beta_at)}, p={_fmt(p_at)} "
-                    f"(numeric={_fmt(numeric_at)}, "
-                    f"closedform={_fmt(cf_at)})"
+                    f"(numeric={_fmt(numeric_at)}, closedform={_fmt(cf_at)})"
                 )
 
     rules = sum_rule_samples(None, config.samples, config.seed)

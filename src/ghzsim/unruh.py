@@ -11,12 +11,12 @@ For a fermionic field the vacuum and excited states map as
 with beta in [0, pi/4]; beta = 0 is the inertial limit and beta = pi/4 the
 infinite-acceleration limit.
 
-`scenario_reduced_stack` builds a scenario's reduced states for N points
-at once. It holds the GHZ amplitudes as an (N, 2, 2, 2) tensor, expands
-Bob's mode (when he accelerates) and then Charlie's with array slices,
-forms the outer products with the kept modes first and sums out the traced
-modes one at a time in register order. `scenario_reduced_state` is its
-N = 1 case.
+`scenario_reduced_entries`, the one builder, computes chosen entries of a
+scenario's reduced states for N points at once, in real arithmetic: it
+expands Bob's mode (when he accelerates) and then Charlie's in an
+(N, 2, 2, 2) amplitude tensor, multiplies the kept-mode amplitudes of each
+entry and sums out the traced modes in register order, for two traced modes
+as (t0 + t2) + (t1 + t3). `scenario_reduced_stack` is it on all 64 entries.
 """
 from __future__ import annotations
 
@@ -143,7 +143,7 @@ def _expand_stack(psi: np.ndarray, axis: int, cos_b: np.ndarray, sin_b: np.ndarr
     amplitude stack: the mode's axis becomes the (_I, _II) axis pair, with
     |0> -> cos|00> + sin|11> and |1> -> |10>."""
     psi = np.moveaxis(psi, axis, 1)
-    out = np.zeros((len(psi), 2, 2) + psi.shape[2:], dtype=complex)
+    out = np.zeros((len(psi), 2, 2) + psi.shape[2:])
     per_point = (-1,) + (1,) * (psi.ndim - 2)
     out[:, 0, 0] = psi[:, 0] * cos_b.reshape(per_point)
     out[:, 1, 1] = psi[:, 0] * sin_b.reshape(per_point)
@@ -151,14 +151,15 @@ def _expand_stack(psi: np.ndarray, axis: int, cos_b: np.ndarray, sin_b: np.ndarr
     return np.moveaxis(out, (1, 2), (axis, axis + 1))
 
 
-def scenario_reduced_stack(alpha, beta, scen: Scenario) -> np.ndarray:
-    """(N, 8, 8) C-contiguous reduced matrices of one scenario, one per
-    element of the broadcast of (alpha, beta) in row-major order."""
+def scenario_reduced_entries(alpha, beta, scen: Scenario, support) -> np.ndarray:
+    """(K, N) entries at the flat 8x8 indices `support` of one scenario's
+    reduced matrices, one column per element of the broadcast of
+    (alpha, beta) in row-major order."""
     a, b = (np.asarray(v, dtype=float).ravel() for v in np.broadcast_arrays(alpha, beta))
     _check("alpha", a)
     _check("beta", b)
     n = len(a)
-    psi = np.zeros((n, 2, 2, 2), dtype=complex)  # axes (N, A, B, C)
+    psi = np.zeros((n, 2, 2, 2))  # axes (N, A, B, C)
     psi[:, 0, 0, 0] = a
     psi[:, 1, 1, 1] = np.sqrt(1.0 - a * a)
     cos_b, sin_b = np.cos(b), np.sin(b)
@@ -174,27 +175,27 @@ def scenario_reduced_stack(alpha, beta, scen: Scenario) -> np.ndarray:
         register = register[:pos] + _WEDGE_PAIRS[target] + register[pos + 1 :]
     kept = [register.index(m) for m in scen.regions]
     traced = [i for i in range(len(register)) if i not in kept]
-    # (N, traced..., kept...) -> (N, T, 8): row t holds the kept amplitudes
-    # at traced bits t. Each rho_t = psi_t psi_t^dag is the (t, t) block of
-    # the full density matrix, and partial_trace adds those blocks over the
-    # first traced mode, then the next.
-    psi = np.transpose(psi, [0] + [1 + i for i in traced + kept]).reshape(n, -1, 8)
-    rho = psi[..., :, None] * psi.conj()[..., None, :]
-    rho = rho.reshape((n,) + (2,) * len(traced) + (8, 8))
-    for _ in traced:
-        rho = rho.sum(axis=1)
-    return rho
+    # (N, traced..., kept...) -> (T, 8, N): psi[t] holds the kept amplitudes
+    # at traced bits t, whose outer product is the (t, t) block of the full
+    # density matrix. Halving sums over the first traced mode, then the next.
+    psi = np.transpose(psi, [1 + i for i in traced + kept] + [0]).reshape(-1, 8, n)
+    rows, cols = np.divmod(support, 8)
+    terms = psi[:, rows] * psi[:, cols]
+    while len(terms) > 1:
+        terms = terms[: len(terms) // 2] + terms[len(terms) // 2 :]
+    return terms[0]
 
 
-def scenario_reduced_state(
-    ghz: GhzParams, unruh: UnruhParams, scen: Scenario
-) -> DensityOperator:
-    """Three-mode reduced density operator for one scenario.
+def scenario_reduced_stack(alpha, beta, scen: Scenario) -> np.ndarray:
+    """(N, 8, 8) C-contiguous complex reduced matrices of one scenario, one
+    per element of the broadcast of (alpha, beta) in row-major order."""
+    entries = scenario_reduced_entries(alpha, beta, scen, np.arange(64))
+    return entries.T.astype(complex, order="C").reshape(-1, 8, 8)
 
-    Charlie's mode is always expanded; Bob's is expanded too when both
-    observers accelerate (same beta for both). The inaccessible complement
-    of the kept regions is traced out. This is `scenario_reduced_stack` at
-    one point.
-    """
+
+def scenario_reduced_state(ghz: GhzParams, unruh: UnruhParams, scen: Scenario) -> DensityOperator:
+    """Three-mode reduced density operator for one scenario: Charlie's mode
+    expanded, and Bob's too when both observers accelerate (same beta), with
+    the inaccessible complement of the kept regions traced out."""
     matrix = scenario_reduced_stack(ghz.alpha, unruh.beta, scen)[0]
     return DensityOperator(ModeRegister(scen.regions), matrix)

@@ -17,6 +17,10 @@ accelerated mode by its bit strings, the full outer product and
 `x_measures_oracle` evaluates S, E and C of one matrix in Python scalars,
 straight from the formulas in the `measures` module docstring, so the
 engine's differential test shares no code with the kernels it checks.
+`dense_measures_oracle` is the dense form the package replaced with its
+support-row kernel: a boolean-mask X test over all 48 off-pattern slots,
+slots read off the stack's diagonals and C as `abs.sum - trace` over whole
+(N, 8, 8) stacks. The kernel must give its bits exactly.
 
 `sweep_records_oracle`, `records_csv_oracle`, `records_json_oracle` and
 `figure_csv_oracle` are the per-record and per-cell writers the package
@@ -43,6 +47,7 @@ from ghzsim import (
     numeric_batch,
     partial_trace,
 )
+from ghzsim.measures import X_TOL, svetlichny, tripartite_entanglement
 
 # --- independent oracles ------------------------------------------------------
 
@@ -150,6 +155,30 @@ def x_measures_oracle(mat: np.ndarray) -> dict[str, float]:
     out["S"] = max(8.0 * math.sqrt(2.0) * max(f), 4.0 * abs(n))
     m_i = [sum(math.sqrt(max(d[j] * e[j], 0.0)) for j in range(4) if j != i) for i in range(4)]
     out["E"] = 2.0 * max(0.0, max(f[i] - m_i[i] for i in range(4)))
+    return out
+
+
+_OFF_X = ~(np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1])
+_F_ROWS = np.arange(4)
+
+
+def dense_measures_oracle(stack: np.ndarray, measures) -> dict[str, np.ndarray]:
+    """The measures of every matrix in an (N, 8, 8) stack, read off the
+    dense stack. S and E are NaN where an off-pattern magnitude exceeds
+    X_TOL."""
+    absm = np.abs(stack)
+    out = {}
+    if "C" in measures:
+        out["C"] = absm.sum(axis=(-2, -1)) - np.trace(absm, axis1=-2, axis2=-1)
+    if "S" in measures or "E" in measures:
+        x = ~(np.max(absm[:, _OFF_X], axis=1, initial=0.0) > X_TOL)
+        diag = np.diagonal(stack, axis1=-2, axis2=-1).real
+        d, e = diag[..., :4].T, diag[..., 7:3:-1].T
+        f = np.abs(stack[..., _F_ROWS, 7 - _F_ROWS].T)
+        if "S" in measures:
+            out["S"] = np.where(x, svetlichny(d, e, f), math.nan)
+        if "E" in measures:
+            out["E"] = np.where(x, tripartite_entanglement(d, e, f), math.nan)
     return out
 
 

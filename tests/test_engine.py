@@ -28,8 +28,12 @@ from ghzsim import (
 )
 from ghzsim import engine
 from ghzsim.engine import MEASURES
-from ghzsim.measures import stack_measures
-from conftest import damp_qubit_oracle, x_measures_oracle
+from conftest import (
+    damp_qubit_oracle,
+    dense_measures_oracle,
+    register_reduced_oracle,
+    x_measures_oracle,
+)
 
 ALPHA_GHZ = 1.0 / math.sqrt(2.0)
 
@@ -200,12 +204,13 @@ EDGE_PS = np.array([0.0, 1e-12, 0.35, 0.8, 1.0])
 @pytest.fixture(scope="module")
 def dense_reference() -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """name -> (reduced, damped) complex (N, 8, 8) stacks over the flattened
-    edge grid: the builder's matrices, damped one point at a time on every
-    entry by the block-map oracle, damped modes in register order."""
+    edge grid: the register-level reference states, damped one point at a
+    time on every entry by the block-map oracle, damped modes in register
+    order."""
     a, b, p = (x.ravel() for x in np.broadcast_arrays(EDGE_ALPHAS, EDGE_BETAS, EDGE_PS))
     out = {}
     for name, scen in SCENARIOS.items():
-        reduced = scenario_reduced_stack(a, b, scen)
+        reduced = np.array([register_reduced_oracle(ak, bk, scen) for ak, bk in zip(a, b)])
         damped = reduced.copy()
         for mode in scen.damped_modes:
             pos = scen.regions.index(mode)
@@ -215,12 +220,13 @@ def dense_reference() -> dict[str, tuple[np.ndarray, np.ndarray]]:
 
 
 class TestSupportDamping:
-    """The engine damps only a scenario's support, in real arithmetic; its
-    measures must carry the bits of dense complex damping."""
+    """The engine builds, damps and measures only a scenario's support, in
+    real arithmetic; its measures must carry the bits of dense complex
+    damping of the reference states, measured on the dense stack."""
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_measures_are_bit_identical_to_dense_damping(self, dense_reference, name):
-        want = stack_measures(dense_reference[name][1], MEASURES)
+        want = dense_measures_oracle(dense_reference[name][1], MEASURES)
         got = numeric_batch(name, EDGE_ALPHAS, EDGE_BETAS, EDGE_PS)
         for measure in MEASURES:
             # int64 views: signed zeros and NaN payloads count.
@@ -240,24 +246,39 @@ class TestSupportDamping:
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_reduced_states_are_real(self, dense_reference, name):
-        """The engine damps the real parts only: the builder's imaginary
-        parts are exactly zero."""
+        """The engine builds real parts only: the reference states'
+        imaginary parts are exactly zero."""
         reduced, _ = dense_reference[name]
         assert not reduced.imag.any()
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_negative_zero_gives_the_bits_of_positive_zero(self, name):
+        """Real products keep the -0.0 of alpha = -0.0 or beta = -0.0 that
+        complex products turned into +0.0; no measure may show it."""
+        for neg, pos in [
+            ((-0.0, EDGE_BETAS, EDGE_PS), (0.0, EDGE_BETAS, EDGE_PS)),
+            ((EDGE_ALPHAS, -0.0, EDGE_PS), (EDGE_ALPHAS, 0.0, EDGE_PS)),
+            ((-0.0, -0.0, -0.0), (0.0, 0.0, 0.0)),
+        ]:
+            got, want = numeric_batch(name, *neg), numeric_batch(name, *pos)
+            for measure in MEASURES:
+                assert np.array_equal(
+                    got[measure].view(np.int64), want[measure].view(np.int64)
+                ), (measure, neg)
 
 
 @pytest.fixture
 def build_sizes(monkeypatch) -> list[int]:
-    """Number of reduced matrices of each call to the batched builder."""
+    """Number of reduced matrices of each call to the support-row builder."""
     sizes: list[int] = []
-    build = engine.scenario_reduced_stack
+    build = engine.scenario_reduced_entries
 
-    def counting(alpha, beta, scen):
-        stack = build(alpha, beta, scen)
-        sizes.append(len(stack))
-        return stack
+    def counting(alpha, beta, scen, support):
+        rows = build(alpha, beta, scen, support)
+        sizes.append(rows.shape[-1])
+        return rows
 
-    monkeypatch.setattr(engine, "scenario_reduced_stack", counting)
+    monkeypatch.setattr(engine, "scenario_reduced_entries", counting)
     return sizes
 
 

@@ -1,5 +1,6 @@
 """The X-state test and the three quantumness measures, evaluated through
-`stack_measures` on one-matrix stacks."""
+`stack_measures` on one-matrix stacks, and the support-row kernel against
+the dense oracle on random stacks."""
 from __future__ import annotations
 
 import math
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzsim.engine import MEASURES
-from ghzsim.measures import _slots, stack_measures
-from conftest import random_density_matrix
+from ghzsim.measures import X_TOL, _slots, stack_measures
+from conftest import dense_measures_oracle, random_density_matrix
 
 SQRT2_8 = 8.0 * math.sqrt(2.0)
 
@@ -49,7 +50,7 @@ class TestExtractXstate:
         d = (0.1, 0.2, 0.05, 0.15)
         e = (0.2, 0.1, 0.1, 0.1)
         f = (0.04j, 0.03, -0.02, 0.01)
-        got_d, got_e, got_f = _slots(x_matrix(d, e, f)[None])
+        got_d, got_e, got_f = _slots(x_matrix(d, e, f).reshape(64, 1), np.arange(64))
         assert got_d[:, 0].tolist() == pytest.approx(d)
         assert got_e[:, 0].tolist() == pytest.approx(e)
         assert got_f[:, 0].tolist() == pytest.approx(f)
@@ -127,3 +128,27 @@ class TestCoherence:
     def test_nonnegative_on_random_states(self, seed):
         mat = random_density_matrix(np.random.default_rng(seed), 8)
         assert measures_of(mat, ("C",))["C"] >= 0.0
+
+
+class TestFullSupportKernel:
+    """`stack_measures` is the support-row kernel on all 64 entries; it must
+    give the dense oracle's bits on any complex stack."""
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_bit_identical_to_dense_oracle(self, rng, n):
+        stack = rng.normal(size=(n, 8, 8)) + 1j * rng.normal(size=(n, 8, 8))
+        stack[rng.random((n, 8, 8)) < 0.3] = 0.0
+        # A third X-structured, a third with off-pattern entries at X_TOL
+        # or just above it, a third dense.
+        off = ~(np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1])
+        stack[: n // 3, off] = 0.0
+        near = stack[n // 3 : 2 * n // 3]
+        near[:, off] *= X_TOL / np.maximum(np.abs(near[:, off]), 1e-300)
+        near[::2, 0, 3] = np.nextafter(X_TOL, 1.0)
+        stack[:, [2, 5], [2, 5]] = -0.0
+        got = stack_measures(stack, MEASURES)
+        want = dense_measures_oracle(stack, MEASURES)
+        for measure in MEASURES:
+            # int64 views: signed zeros and NaN payloads count.
+            assert np.array_equal(got[measure].view(np.int64), want[measure].view(np.int64)), measure
+        assert np.isfinite(got["S"][: n // 3]).all()
