@@ -5,6 +5,7 @@ from .channels import DampingParams, KrausPair, amplitude_damping_kraus, apply_d
 from .closedform import CATALOG, CoverageError, cf_eval
 from .engine import damped_scenario_state, is_x_structured, numeric_batch, numeric_measures
 from .qcore import (
+    ConfigError,
     DensityOperator,
     LabelError,
     ModeLabel,
@@ -17,7 +18,6 @@ from .qcore import (
 )
 from .sweep import (
     BoundaryResult,
-    ConfigError,
     SweepConfig,
     SweepGrid,
     SweepRecord,

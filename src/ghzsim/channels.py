@@ -23,6 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .qcore import DensityOperator, ModeLabel, ParameterError
+from .unruh import _check
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,7 @@ class DampingParams:
     p: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ParameterError(f"p={self.p} outside [0, 1]")
+        _check("p", self.p)
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,7 @@ def damp_entries(values: np.ndarray, plan: list, p) -> np.ndarray:
     """Damp in place, and return, the (K, N) rows of N matrices' entries laid
     out by `plan`, matrix j at probability p[j] (a scalar p applies to all)."""
     p = np.broadcast_to(np.asarray(p, dtype=float), values.shape[-1:])
-    bad = ~((p >= 0.0) & (p <= 1.0))
-    if bad.any():
-        raise ParameterError(f"p={p[bad][0]} outside [0, 1]")
+    _check("p", p)
     sq = np.sqrt(1.0 - p)
     for k00, k11, off in plan:
         values[k00] += p * values[k11]  # before r11 is scaled

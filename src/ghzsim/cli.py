@@ -4,23 +4,22 @@ Subcommands: sweep, audit, boundary, sumrules, figure. Each registers only
 the flags it reads, so an unknown or ignored flag is an error. Every flag but
 --config can also be supplied through a flat key=value config file
 (--config); explicit flags win over config-file values, and a key that is
-not a flag of the subcommand is a configuration error.
+not a flag of the subcommand is a configuration error. Only the CLI picks
+where output goes (--out, else stdout) and its format (--format).
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 the audit found
-discrepancies above tolerance.
+Exit codes: 0 success, 2 configuration error (a ConfigError, such as a
+ParameterError), 3 I/O error, 4 the audit found discrepancies above tolerance.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .qcore import LabelError, ParameterError
+from .qcore import ConfigError, LabelError
 from .sweep import (
     DEFAULT_ALPHA,
     DEFAULT_SEED,
     BETA_MAX,
-    ConfigError,
     ENGINES,
     FIGURES,
     SweepConfig,
@@ -28,13 +27,13 @@ from .sweep import (
     boundary_to_json,
     emit_figure_data,
     find_boundary,
+    json_text,
     records_to_csv,
     records_to_json,
     run_audit,
     run_sweep,
     sum_rule_samples,
     write_text_atomic,
-    _jsonify,
 )
 from .unruh import SCENARIOS
 
@@ -176,8 +175,6 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
         scenario=_given(args, "scenario", "ABC_I"),
         measures=tuple(_given(args, "measures", "S,E,C").split(",")),
         engine=_given(args, "engine", "both"),
-        output_path=args.out,
-        fmt=_given(args, "format", "csv"),
         workers=_given(args, "workers", 1),
         tol=_given(args, "tol", 1e-8),
         seed=_given(args, "seed", DEFAULT_SEED),
@@ -193,10 +190,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _sweep_config(args)
-    rows = run_sweep(config)
-    text = records_to_csv(rows) if config.fmt == "csv" else records_to_json(rows)
-    _emit(text, config.output_path)
+    rows = run_sweep(_sweep_config(args))
+    fmt = _given(args, "format", "csv")
+    _emit(records_to_csv(rows) if fmt == "csv" else records_to_json(rows), args.out)
     return EXIT_OK
 
 
@@ -205,9 +201,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     # Audit the whole catalog unless one scenario was requested explicitly.
     names = None if (args.all_scenarios or args.scenario is None) else [args.scenario]
     report = run_audit(config, scenarios=names)
-    _emit(report.to_json(), config.output_path)
-    if report.has_flags:
-        print(f"audit: {len(report.flags)} discrepancy flag(s) raised", file=sys.stderr)
+    _emit(json_text(report), args.out)
+    if report["flags"]:
+        print(f"audit: {len(report['flags'])} discrepancy flag(s) raised", file=sys.stderr)
         return EXIT_AUDIT_FLAGGED
     return EXIT_OK
 
@@ -223,8 +219,7 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
         bisect_tol=_given(args, "tol", 1e-6),
     )
     fmt = _given(args, "format", "csv")
-    text = boundary_to_csv(result) if fmt == "csv" else boundary_to_json(result)
-    _emit(text, args.out)
+    _emit(boundary_to_csv(result) if fmt == "csv" else boundary_to_json(result), args.out)
     return EXIT_OK
 
 
@@ -234,7 +229,7 @@ def _cmd_sumrules(args: argparse.Namespace) -> int:
         samples=_given(args, "samples", 1000),
         seed=_given(args, "seed", DEFAULT_SEED),
     )
-    _emit(json.dumps(_jsonify(report), indent=2) + "\n", args.out)
+    _emit(json_text(report), args.out)
     return EXIT_OK
 
 
@@ -269,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _merge_config(args)
         return _COMMANDS[args.command](args)
-    except (ConfigError, ParameterError, LabelError) as exc:
+    except (ConfigError, LabelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -185,12 +185,13 @@ CATALOG: dict[tuple[str, str], CatalogFn] = {
 
 def cf_eval(scenario_name: str, measure: str, alpha, beta, p) -> np.ndarray:
     """Evaluate one catalog expression at every point of the broadcast of
-    (alpha, beta, p); the result has the broadcast shape."""
+    (alpha, beta, p); the result has the broadcast shape. An input of -0.0
+    is read as +0.0 (adding 0.0 changes no other value's bits)."""
     try:
         fn = CATALOG[(scenario_name, measure)]
     except KeyError:
         raise CoverageError(f"no closed form for ({scenario_name}, {measure})") from None
-    return fn(*np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha, beta, p))))
+    return fn(*np.broadcast_arrays(*(np.asarray(v, float) + 0.0 for v in (alpha, beta, p))))
 
 
 @dataclass(frozen=True)

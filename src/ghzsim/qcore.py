@@ -22,7 +22,11 @@ class SizeError(ValueError):
     """A register is empty, or a matrix does not match its register's size."""
 
 
-class ParameterError(ValueError):
+class ConfigError(ValueError):
+    """A configuration value is invalid: the CLI exits 2 for it."""
+
+
+class ParameterError(ConfigError):
     """A physical parameter is outside its allowed range."""
 
 

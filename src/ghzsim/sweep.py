@@ -12,8 +12,12 @@ catalog call per scenario. Evaluation runs in a single process; the
 
 `run_sweep` returns a `SweepGrid`, one (beta, p) array per (measure, engine)
 that reads as a sequence of `SweepRecord`s built on demand. The audit and
-the figures evaluate their grids through it, and sweep and figure output is
-written straight from the arrays, in the documented row order.
+the figures evaluate their grids through it. The writers return text; the
+CLI picks the output path and format. Sweep and figure output is written
+straight from the arrays, in the documented row order, and `json_text`
+writes every other JSON document (audit, sum rules, boundary). A config's
+alpha and range ends are checked by `unruh._check`, as the pipeline checks
+them, so a range error reads the same wherever it is raised.
 
 All outputs are deterministic for a fixed configuration: grid order defines
 row order, floats are serialized with 17 significant digits, random sampling
@@ -27,21 +31,18 @@ import os
 import stat
 import tempfile
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .closedform import SUM_RULES, cf_eval
 from .engine import MEASURES, is_x_structured, numeric_batch
-from .unruh import BETA_MAX, BETA_TOL, SCENARIOS, scenario
+from .qcore import ConfigError
+from .unruh import BETA_MAX, SCENARIOS, _check, scenario
 
 ENGINES = ("numeric", "closedform", "both")
 DEFAULT_ALPHA = 1.0 / math.sqrt(2.0)
 DEFAULT_SEED = 20260823
-
-
-class ConfigError(ValueError):
-    """A sweep/audit configuration value is invalid."""
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,6 @@ class SweepConfig:
     scenario: str = "ABC_I"
     measures: tuple[str, ...] = MEASURES
     engine: str = "both"
-    output_path: str | None = None
-    fmt: str = "csv"
     #: Accepted and validated for compatibility; evaluation is single-process.
     workers: int = 1
     tol: float = 1e-8
@@ -61,27 +60,19 @@ class SweepConfig:
     samples: int = 1000
 
     def validate(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha={self.alpha} outside [0, 1]")
-        for name, (lo, hi, steps), limit, slack in (
-            ("beta", self.beta_range, BETA_MAX, BETA_TOL),
-            ("p", self.p_range, 1.0, 0.0),
-        ):
+        _check("alpha", self.alpha)
+        for name, (lo, hi, steps) in (("beta", self.beta_range), ("p", self.p_range)):
             if steps < 2:
                 raise ConfigError(f"{name} steps must be >= 2, got {steps}")
-            if not (0.0 <= lo <= hi <= limit + slack):
-                raise ConfigError(f"{name} range ({lo}, {hi}) outside [0, {limit}]")
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(
-                f"unknown scenario {self.scenario!r}; expected one of {sorted(SCENARIOS)}"
-            )
+            _check(name, (lo, hi))
+            if lo > hi:
+                raise ConfigError(f"{name} range ({lo}, {hi}) runs backwards")
+        scenario(self.scenario)
         bad = set(self.measures) - set(MEASURES)
         if bad or not self.measures:
             raise ConfigError(f"measures must be a nonempty subset of {MEASURES}")
         if self.engine not in ENGINES:
             raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.samples < 1:
@@ -229,6 +220,22 @@ def records_to_json(grid: SweepGrid) -> str:
     return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 
 
+def _jsonify(obj):
+    if isinstance(obj, float):
+        return None if math.isnan(obj) else obj
+    if isinstance(obj, dict):
+        return {k: _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v) for v in obj]
+    return obj
+
+
+def json_text(obj) -> str:
+    """`obj` as a JSON document indented by 2, NaN floats as null. It writes
+    every JSON document but the sweep grid's (`records_to_json`)."""
+    return json.dumps(_jsonify(obj), indent=2) + "\n"
+
+
 # --- sudden-death boundary ----------------------------------------------------
 
 S_THRESHOLD = 4.0
@@ -250,9 +257,9 @@ class BoundaryResult:
     measure: str
     alpha: float
     threshold: float
-    curve: tuple[BoundaryPoint, ...]
     bisect_tol: float
     scan_step: float
+    curve: tuple[BoundaryPoint, ...]
 
 
 #: measure -> (threshold, bisection level, whether a first crossing at the
@@ -329,7 +336,7 @@ def find_boundary(
         else BoundaryPoint(beta, ps, "crossing")
         for beta, ps in zip(betas, p_star.tolist())
     )
-    return BoundaryResult(scenario_name, measure, alpha, threshold, curve, bisect_tol, SCAN_STEP)
+    return BoundaryResult(scenario_name, measure, alpha, threshold, bisect_tol, SCAN_STEP, curve)
 
 
 def boundary_to_csv(result: BoundaryResult) -> str:
@@ -341,19 +348,7 @@ def boundary_to_csv(result: BoundaryResult) -> str:
 
 
 def boundary_to_json(result: BoundaryResult) -> str:
-    payload = {
-        "scenario": result.scenario,
-        "measure": result.measure,
-        "alpha": result.alpha,
-        "threshold": result.threshold,
-        "bisect_tol": result.bisect_tol,
-        "scan_step": result.scan_step,
-        "curve": [
-            {"beta": pt.beta, "p_star": pt.p_star, "status": pt.status}
-            for pt in result.curve
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return json_text(asdict(result))
 
 
 # --- figure data ---------------------------------------------------------------
@@ -479,31 +474,9 @@ def sum_rule_samples(alpha: float | None, samples: int, seed: int) -> dict:
 
 # --- audit ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AuditReport:
-    payload: dict
-    flags: tuple[str, ...] = field(default=())
-
-    def to_json(self) -> str:
-        return json.dumps(_jsonify(self.payload), indent=2) + "\n"
-
-    @property
-    def has_flags(self) -> bool:
-        return bool(self.flags)
-
-
-def _jsonify(obj):
-    if isinstance(obj, float):
-        return None if math.isnan(obj) else obj
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
-
-
-def run_audit(config: SweepConfig, scenarios: Sequence[str] | None = None) -> AuditReport:
-    """Compare the closed-form catalog against the numeric engine.
+def run_audit(config: SweepConfig, scenarios: Sequence[str] | None = None) -> dict:
+    """Compare the closed-form catalog against the numeric engine; return
+    the report, whose "flags" list holds one line per flag.
 
     The numeric engine is authoritative. Every (scenario, measure) with a
     maximum grid deviation above `config.tol` is flagged with both engine
@@ -574,7 +547,7 @@ def run_audit(config: SweepConfig, scenarios: Sequence[str] | None = None) -> Au
                 f"{_fmt(rule['max_numeric_residual'])} exceeds 1e-10"
             )
 
-    payload = {
+    return {
         "config": {
             "alpha": config.alpha,
             "beta_range": list(config.beta_range),
@@ -588,4 +561,3 @@ def run_audit(config: SweepConfig, scenarios: Sequence[str] | None = None) -> Au
         "sum_rules": rules,
         "flags": flags,
     }
-    return AuditReport(payload=payload, flags=tuple(flags))

@@ -41,8 +41,9 @@ BETA_MAX = math.pi / 4
 BETA_TOL = 1e-15
 
 
-#: name -> (upper limit, as shown in messages) of each state parameter.
-_RANGES = {"alpha": (1.0, "1"), "beta": (BETA_MAX + BETA_TOL, "pi/4")}
+#: name -> (upper limit, as shown in messages) of each state and damping
+#: parameter. Every range check of alpha, beta and p goes through `_check`.
+_RANGES = {"alpha": (1.0, "1"), "beta": (BETA_MAX + BETA_TOL, "pi/4"), "p": (1.0, "1")}
 
 
 def _check(name: str, values) -> None:

@@ -217,6 +217,7 @@ class TestFlagSets:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("format = xml\n")
         assert run(["boundary", "--measure", "S", "--config", str(cfg)]) == EXIT_CONFIG
+        assert run(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
 
     def test_switch_from_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -99,6 +99,17 @@ class TestArrayCatalog:
         )
         assert batch.tobytes() == points.tobytes()
 
+    @pytest.mark.parametrize("name,measure", sorted(CATALOG))
+    @pytest.mark.parametrize("axes", [(0,), (1,), (2,), (0, 1, 2)], ids=["a", "b", "p", "abp"])
+    def test_negative_zero_gives_the_bits_of_positive_zero(self, name, measure, axes):
+        """alpha, beta, p or all three at -0.0 give the value at +0.0, bit
+        for bit, so no output reads -0 where the same input 0 reads 0."""
+        neg, pos = (
+            [zero if k in axes else v for k, v in enumerate(POINT)] for zero in (-0.0, 0.0)
+        )
+        got, want = (np.float64(cf_eval(name, measure, *args)) for args in (neg, pos))
+        assert got.view(np.int64) == want.view(np.int64)
+
     def test_scalar_arguments_give_a_float(self):
         value = cf_eval("ABC_I", "C", *POINT)
         assert isinstance(value, float) and np.shape(value) == ()

@@ -13,6 +13,7 @@ import ghzsim.sweep
 from ghzsim import (
     BETA_MAX,
     ConfigError,
+    DampingParams,
     SweepConfig,
     SweepGrid,
     cf_eval,
@@ -23,12 +24,14 @@ from ghzsim import (
     run_sweep,
     sum_rule_samples,
 )
+from ghzsim.channels import block_plan, damp_entries
 from ghzsim.sweep import (
     DEFAULT_SEED,
     SCAN_STEP,
     boundary_to_csv,
     boundary_to_json,
     emit_figure_data,
+    json_text,
     records_to_csv,
     records_to_json,
     write_text_atomic,
@@ -58,7 +61,7 @@ class TestSweepConfig:
             {"measures": ("S", "Q")},
             {"measures": ()},
             {"engine": "exact"},
-            {"fmt": "xml"},
+            {"beta_range": (0.5, 0.2, 11)},
             {"workers": 0},
             {"samples": 0},
             {"tol": -1.0},
@@ -86,6 +89,30 @@ class TestSweepConfig:
         """A range the pipeline would reject mid-run is rejected up front."""
         with pytest.raises(ConfigError):
             SweepConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize(
+        "name, bad, shown",
+        [("alpha", 2.0, "1"), ("alpha", -0.5, "1"), ("alpha", math.nan, "1"),
+         ("beta", 1.0, "pi/4"), ("beta", -0.1, "pi/4"), ("beta", math.nan, "pi/4"),
+         ("p", 1.5, "1"), ("p", -0.25, "1"), ("p", math.nan, "1")],
+    )
+    def test_range_errors_read_the_same_everywhere(self, name, bad, shown):
+        """The config check, the damping parameters, the damping kernel and
+        the engine reject a bad alpha, beta or p with one ConfigError text."""
+        good = {"alpha": 0.6, "beta": 0.3, "p": 0.5}
+        config = {"alpha": bad} if name == "alpha" else {f"{name}_range": (bad, bad, 3)}
+        rejecters = {
+            "validate": SweepConfig(**config).validate,
+            "numeric_batch": lambda: numeric_batch("AB_I_C_I", **{**good, name: bad}),
+        }
+        if name == "p":
+            plan = block_plan(np.arange(4), 2, [0])
+            rejecters["DampingParams"] = lambda: DampingParams(bad)
+            rejecters["damp_entries"] = lambda: damp_entries(np.zeros((4, 1)), plan, bad)
+        for where, reject in rejecters.items():
+            with pytest.raises(ConfigError) as err:
+                reject()
+            assert str(err.value) == f"{name}={bad} outside [0, {shown}]", where
 
 
 class TestRunSweep:
@@ -271,8 +298,11 @@ class TestFindBoundary:
         assert extreme.p_star == 0.0
 
     def test_entanglement_survives_until_full_damping(self):
-        result = find_boundary("ABC_I", "E", ALPHA_GHZ, beta_samples=3)
-        assert all(pt.status == "no_crossing" for pt in result.curve)
+        """The catalog puts the ABC_I entanglement zero at p* = cot^2 beta,
+        which is >= 1 on [0, pi/4]: no beta of the default curve crosses."""
+        result = find_boundary("ABC_I", "E", ALPHA_GHZ, beta_samples=33)
+        assert len(result.curve) == 33
+        assert all(pt.status == "no_crossing" and pt.p_star is None for pt in result.curve)
 
     def test_rejects_unknown_measure(self):
         with pytest.raises(ConfigError):
@@ -322,6 +352,19 @@ class TestFindBoundary:
         assert [pt.p_star for pt in result.curve] == expected
         assert None in expected and any(p not in (None, 0.0) for p in expected)
 
+    @pytest.mark.parametrize(
+        "name", ["ABC_I", "ABC_II", "AB_I_C_I", "AB_I_C_II", "AB_II_C_I", "AB_II_C_II"]
+    )
+    @pytest.mark.parametrize("alpha", [0.5, ALPHA_GHZ])
+    def test_nonlocality_dies_no_later_than_entanglement(self, name, alpha):
+        """Svetlichny nonlocality needs entanglement, so wherever both curves
+        cross at a beta, p*_S <= p*_E."""
+        s_curve = find_boundary(name, "S", alpha, 33).curve
+        e_curve = find_boundary(name, "E", alpha, 33).curve
+        for s_pt, e_pt in zip(s_curve, e_curve, strict=True):
+            if s_pt.p_star is not None and e_pt.p_star is not None:
+                assert s_pt.p_star <= e_pt.p_star, (name, s_pt.beta)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive_tolerance(self, tol):
         with pytest.raises(ConfigError, match="tolerance"):
@@ -353,6 +396,10 @@ class TestFindBoundary:
         assert csv_lines[0] == "beta,p_star,status"
         assert len(csv_lines) == 3
         payload = json.loads(boundary_to_json(result))
+        assert list(payload) == [
+            "scenario", "measure", "alpha", "threshold", "bisect_tol", "scan_step", "curve"
+        ]
+        assert list(payload["curve"][0]) == ["beta", "p_star", "status"]
         assert payload["threshold"] == 4.0
         assert payload["scan_step"] == SCAN_STEP == 1e-3
         assert payload["curve"][0]["status"] == "crossing"
@@ -467,16 +514,16 @@ class TestRunAudit:
             run_audit(SweepConfig(engine="numeric"))
 
     def test_flags_transcription_slip(self, report):
-        assert report.has_flags
-        assert any(f.startswith("AB_I_C_I/S") for f in report.flags)
+        assert report["flags"]
+        assert any(f.startswith("AB_I_C_I/S") for f in report["flags"])
 
     def test_flags_carry_both_engine_values(self, report):
-        flag = next(f for f in report.flags if f.startswith("AB_I_C_I/S"))
+        flag = next(f for f in report["flags"] if f.startswith("AB_I_C_I/S"))
         assert "numeric=" in flag and "closedform=" in flag
 
     def test_non_x_scenarios_marked(self, report):
         entries = {
-            (e["scenario"], e["measure"]): e for e in report.payload["entries"]
+            (e["scenario"], e["measure"]): e for e in report["entries"]
         }
         assert entries[("AB_I_B_II", "S")]["status"] == "not_x_structured"
         assert entries[("AC_I_C_II", "E")]["status"] == "not_x_structured"
@@ -485,11 +532,11 @@ class TestRunAudit:
 
     def test_sound_entries_pass(self, report):
         entries = {
-            (e["scenario"], e["measure"]): e for e in report.payload["entries"]
+            (e["scenario"], e["measure"]): e for e in report["entries"]
         }
         for key in [("ABC_I", "S"), ("ABC_I", "E"), ("ABC_II", "C"), ("AB_I_C_II", "E")]:
             assert entries[key]["pass"], key
 
     def test_json_round_trip_has_no_nan(self, report):
-        payload = json.loads(report.to_json())
-        assert payload["flags"] == list(report.flags)
+        payload = json.loads(json_text(report))
+        assert payload["flags"] == list(report["flags"])
