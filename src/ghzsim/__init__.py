@@ -1,7 +1,7 @@
 """Tripartite nonlocality, entanglement and l1-coherence of GHZ-like states
 seen by uniformly accelerated observers under amplitude damping."""
 
-from .channels import DampingParams, KrausPair, amplitude_damping_kraus, apply_damping, damp_stack
+from .channels import DampingParams, KrausPair, amplitude_damping_kraus, apply_damping
 from .closedform import CATALOG, CoverageError, cf_eval
 from .engine import damped_scenario_state, is_x_structured, numeric_batch, numeric_measures
 from .qcore import (
@@ -35,7 +35,6 @@ from .unruh import (
     ScenarioKind,
     UnruhParams,
     scenario,
-    scenario_reduced_stack,
     scenario_reduced_state,
 )
 

@@ -11,8 +11,8 @@ Environments of several targets act independently, so the maps compose.
 `damp_entries`, the one damping kernel, applies the map to entries of N
 matrices held as rows of a (K, N) array; `block_plan` lays out each
 target's block rows over a support closed under the map (every r11 entry
-with its r00 partner). `damp_stack` is the kernel on every entry of a
-stack, and `apply_damping` its one-matrix case.
+with its r00 partner). `apply_damping` is the kernel on every entry of one
+matrix.
 """
 from __future__ import annotations
 
@@ -87,22 +87,6 @@ def damp_entries(values: np.ndarray, plan: list, p) -> np.ndarray:
     return values
 
 
-def damp_stack(stack: np.ndarray, positions: Iterable[int], p) -> np.ndarray:
-    """Damp the qubits at `positions` of every matrix in an (N, 2^n, 2^n)
-    stack, matrix k at probability p[k] (a scalar p applies to all).
-
-    Works in place on a C-contiguous stack and returns the damped stack.
-    Any other stack is a caller's bug: its reshaped views would be copies,
-    so this raises ValueError rather than damp it out of place.
-    """
-    if not (stack.flags.c_contiguous and stack.flags.writeable):
-        raise ValueError("damp_stack needs a writeable C-contiguous stack")
-    dim = stack.shape[-1]
-    flat = stack.reshape(len(stack), dim * dim)
-    flat[...] = damp_entries(flat.T.copy(), block_plan(np.arange(dim * dim), dim, positions), p).T
-    return stack
-
-
 def apply_damping(
     rho: DensityOperator, targets: Iterable[ModeLabel], params: DampingParams
 ) -> DensityOperator:
@@ -112,5 +96,6 @@ def apply_damping(
     if not 1 <= len(target_set) <= 2:
         raise ParameterError(f"expected 1 or 2 target modes, got {len(target_set)}")
     positions = sorted(rho.register.position(t) for t in target_set)
-    stack = np.array(rho.matrix, dtype=complex)[None]
-    return DensityOperator(rho.register, damp_stack(stack, positions, params.p)[0])
+    entries = rho.matrix.reshape(-1, 1).copy()  # one matrix as a (dim^2, 1) column
+    damp_entries(entries, block_plan(np.arange(entries.size), len(rho.matrix), positions), params.p)
+    return DensityOperator(rho.register, entries.reshape(rho.matrix.shape))

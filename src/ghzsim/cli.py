@@ -263,6 +263,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args)
+        if args.out == "":
+            raise ConfigError("--out must name a file, got ''")
         return _COMMANDS[args.command](args)
     except (ConfigError, LabelError) as exc:
         print(f"error: {exc}", file=sys.stderr)

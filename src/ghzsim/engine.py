@@ -4,15 +4,15 @@ One evaluation point is (scenario, alpha, beta, p): build the GHZ-like
 state, expand the accelerated observers' modes, reduce to the scenario's
 three kept modes, damp the kept accelerated modes, then evaluate S/E/C.
 
-S and E are defined through the X-state parameterization, and the X test is
-decided per point: S/E are NaN exactly where the damped state has an
-off-pattern entry above `measures.X_TOL`; the l1-coherence C is always
-finite. AB_I_B_II and AC_I_C_II keep both wedge modes of one observer, whose
-coherence connects basis states two bit flips apart. It vanishes only on the
-beta = 0 row, the p = 1 column and at alpha = 0, so only there are S/E finite
-(201 values of a 101 x 101 sweep at alpha = 1/sqrt(2)). `is_x_structured`
-decides for a whole scenario from one interior point; the audit and the
-figures use it.
+S and E are defined through the X-state parameterization. The kernel decides
+per point: S/E are NaN exactly where the damped state has a
+`measures.off_pattern` entry above `measures.X_TOL`; the l1-coherence C is
+always finite. AB_I_B_II and AC_I_C_II keep both wedge modes of one observer,
+whose coherence connects basis states two bit flips apart. It vanishes only
+on the beta = 0 row, the p = 1 column and at alpha = 0, so only there are
+S/E finite (201 values of a 101 x 101 sweep at alpha = 1/sqrt(2)).
+`is_x_structured` decides for a whole scenario from its support, with no
+kernel call; the audit, the figures and the boundary use it.
 
 `numeric_batch` takes broadcastable (alpha, beta, p) arrays and wires the
 steps together on a scenario's support: the 5 to 10 real entries its
@@ -36,10 +36,10 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .channels import block_plan, damp_entries, damp_stack
-from .measures import support_measures
+from .channels import block_plan, damp_entries
+from .measures import off_pattern, support_measures
 from .qcore import DensityOperator, ModeRegister
-from .unruh import Scenario, scenario, scenario_reduced_entries, scenario_reduced_stack
+from .unruh import Scenario, scenario, scenario_reduced_entries
 
 MEASURES = ("S", "E", "C")
 
@@ -59,8 +59,9 @@ def _support(scen: Scenario) -> tuple[np.ndarray, list]:
     an interior p fills exactly the entries the block map reaches."""
     # Region tuples are stored in register order, so they are the register.
     positions = [scen.regions.index(m) for m in scen.damped_modes]
-    probe = np.abs(scenario_reduced_stack((0.6, 0.8), (0.3, 0.5), scen)).sum(axis=0)
-    support = np.flatnonzero(damp_stack(probe[None], positions, 0.5))
+    every = np.arange(64)
+    probe = np.abs(scenario_reduced_entries((0.6, 0.8), (0.3, 0.5), scen, every)).sum(axis=1)
+    support = np.flatnonzero(damp_entries(probe[:, None], block_plan(every, 8, positions), 0.5))
     return support, block_plan(support, 8, positions)
 
 
@@ -127,7 +128,7 @@ def numeric_measures(
 
 
 def is_x_structured(scen: "Scenario | str") -> bool:
-    """Whether the scenario's reduced states carry the X pattern (and hence
-    numeric S/E are defined). Decided from the state itself at a generic
-    interior point, not from a hard-coded list."""
-    return not math.isnan(numeric_batch(scen, 0.6, 0.5, 0.3, ("S",))["S"])
+    """Whether the scenario's damped states carry the X pattern (and hence
+    numeric S/E are defined): whether its support, found from the states
+    themselves, holds no off-pattern entry."""
+    return not off_pattern(_support(_as_scenario(scen))[0]).any()

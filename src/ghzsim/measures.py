@@ -14,12 +14,12 @@ Diagonal entries 1..4 are d_1..d_4; entries 8..5 are e_1..e_4, so d_i and
 e_i sit on mirrored positions. f_i lives on the (i, 9-i) antidiagonal slot
 (1-based indices).
 
-The X test and each measure are written once, as array expressions over N
-matrices held as the (K, N) rows of their entries at a support (sorted flat
-8x8 indices; every other entry is 0). `support_measures` evaluates them and
-leaves S and E NaN on a matrix that fails the X test; `stack_measures` is
-it on every entry of an (N, 8, 8) stack. C adds in numpy's order for a
-whole 8x8 matrix, so every support of a matrix gives the same bits.
+Each measure is written once, as an array expression over N matrices held
+as the (K, N) rows of their entries at a support (sorted flat 8x8 indices;
+every other entry is 0; a whole matrix is the support np.arange(64)).
+`support_measures` evaluates them and leaves S and E NaN on a matrix with an
+`off_pattern` entry above X_TOL. C adds in numpy's order for a whole 8x8
+matrix, so every support of a matrix gives the same bits.
 """
 from __future__ import annotations
 
@@ -33,6 +33,12 @@ X_TOL = 1e-12
 _SQRT2_8 = 8.0 * math.sqrt(2.0)
 #: Flat 8x8 indices of d_1..d_4, e_1..e_4 and f_1..f_4.
 _SLOTS = np.r_[0:36:9, 63:35:-9, 7:35:7]
+
+
+def off_pattern(support) -> np.ndarray:
+    """Mask of the flat 8x8 indices `support` off the diagonal and antidiagonal."""
+    r, c = np.divmod(support, 8)
+    return (r != c) & (r + c != 7)
 
 
 def _slots(rows: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -80,14 +86,13 @@ def l1_coherence(absr: np.ndarray, support: np.ndarray) -> np.ndarray:
 def support_measures(rows: np.ndarray, support, measures: tuple[str, ...]) -> dict[str, np.ndarray]:
     """The requested measures of the N matrices whose entries at the sorted
     flat indices `support` are the (K, N) `rows`, as (N,) arrays. S and E
-    are NaN where a matrix fails the X test: an off-pattern entry (neither
-    diagonal nor antidiagonal) above X_TOL."""
+    are NaN where a matrix fails the X test: an `off_pattern` entry above
+    X_TOL."""
     out: dict[str, np.ndarray] = {}
     if "C" in measures:
         out["C"] = l1_coherence(np.abs(rows), support)
     if "S" in measures or "E" in measures:
-        r, c = np.divmod(support, 8)
-        x = ~(np.max(np.abs(rows[(r != c) & (r + c != 7)]), axis=0, initial=0.0) > X_TOL)
+        x = ~(np.max(np.abs(rows[off_pattern(support)]), axis=0, initial=0.0) > X_TOL)
         d, e, f = _slots(rows, support)
         f = np.abs(f)
         if "S" in measures:
@@ -96,7 +101,3 @@ def support_measures(rows: np.ndarray, support, measures: tuple[str, ...]) -> di
             out["E"] = np.where(x, tripartite_entanglement(d, e, f), math.nan)
     return out
 
-
-def stack_measures(stack: np.ndarray, measures: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """`support_measures` of every matrix in an (N, 8, 8) stack."""
-    return support_measures(stack.reshape(len(stack), 64).T, np.arange(64), measures)

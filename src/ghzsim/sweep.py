@@ -69,7 +69,7 @@ class SweepConfig:
                 raise ConfigError(f"{name} range ({lo}, {hi}) runs backwards")
         scenario(self.scenario)
         bad = set(self.measures) - set(MEASURES)
-        if bad or not self.measures:
+        if bad or not self.measures or len(set(self.measures)) < len(self.measures):
             raise ConfigError(f"measures must be a nonempty subset of {MEASURES}")
         if self.engine not in ENGINES:
             raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
@@ -153,7 +153,7 @@ def write_text_atomic(path: str, text: str) -> None:
     """Write `text` to a temporary file beside `path`, then rename it over
     `path`, so no reader sees a partial file. The file keeps the mode a
     plain open() would leave, not mkstemp's 0o600: an existing file's own
-    mode, else 0o666 less the umask."""
+    mode, else 0o666 less the umask. An OSError names `path`, not the temporary file."""
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
@@ -161,16 +161,18 @@ def write_text_atomic(path: str, text: str) -> None:
         os.umask(umask)
         mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = ""
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "w") as handle:
             os.fchmod(handle.fileno(), mode)
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if os.path.exists(tmp):  # only a failed write leaves it
             os.unlink(tmp)
-        raise
 
 
 def _grid_csv(header: str, betas, ps, columns: list[tuple[str, np.ndarray]]) -> str:
@@ -304,17 +306,18 @@ def find_boundary(
     if beta_samples < 1:
         raise ConfigError(f"beta samples must be >= 1, got {beta_samples}")
     scen = scenario(scenario_name)
+    _check("alpha", alpha)
+    if not is_x_structured(scen):
+        raise ConfigError(
+            f"numeric {measure} undefined for scenario {scenario_name}: "
+            "its reduced state is not X-structured"
+        )
     threshold, level, endpoint_counts = _BOUNDARY_RULES[measure]
 
     betas = _axis((0.0, BETA_MAX, beta_samples))
     n_scan = int(round(1.0 / SCAN_STEP))
     scan_ps = np.arange(n_scan + 1) / n_scan
     values = numeric_batch(scen, alpha, np.asarray(betas)[:, None], scan_ps, (measure,))[measure]
-    if np.isnan(values).any():
-        raise ConfigError(
-            f"numeric {measure} undefined for scenario {scenario_name}: "
-            "its reduced state is not X-structured"
-        )
 
     reached = values <= threshold + 1e-12
     first = np.argmax(reached, axis=1)

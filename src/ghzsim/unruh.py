@@ -16,7 +16,8 @@ scenario's reduced states for N points at once, in real arithmetic: it
 expands Bob's mode (when he accelerates) and then Charlie's in an
 (N, 2, 2, 2) amplitude tensor, multiplies the kept-mode amplitudes of each
 entry and sums out the traced modes in register order, for two traced modes
-as (t0 + t2) + (t1 + t3). `scenario_reduced_stack` is it on all 64 entries.
+as (t0 + t2) + (t1 + t3). `scenario_reduced_state` is it on all 64 entries
+of one point.
 """
 from __future__ import annotations
 
@@ -187,16 +188,9 @@ def scenario_reduced_entries(alpha, beta, scen: Scenario, support) -> np.ndarray
     return terms[0]
 
 
-def scenario_reduced_stack(alpha, beta, scen: Scenario) -> np.ndarray:
-    """(N, 8, 8) C-contiguous complex reduced matrices of one scenario, one
-    per element of the broadcast of (alpha, beta) in row-major order."""
-    entries = scenario_reduced_entries(alpha, beta, scen, np.arange(64))
-    return entries.T.astype(complex, order="C").reshape(-1, 8, 8)
-
-
 def scenario_reduced_state(ghz: GhzParams, unruh: UnruhParams, scen: Scenario) -> DensityOperator:
     """Three-mode reduced density operator for one scenario: Charlie's mode
     expanded, and Bob's too when both observers accelerate (same beta), with
     the inaccessible complement of the kept regions traced out."""
-    matrix = scenario_reduced_stack(ghz.alpha, unruh.beta, scen)[0]
-    return DensityOperator(ModeRegister(scen.regions), matrix)
+    entries = scenario_reduced_entries(ghz.alpha, unruh.beta, scen, np.arange(64))
+    return DensityOperator(ModeRegister(scen.regions), entries.reshape(8, 8))

@@ -6,9 +6,9 @@ with einsum, where the package takes one axis trace per mode.
 `damp_qubit_oracle` damps one qubit of one matrix out of place, building a
 new array from the four operator blocks; the package's single damping kernel,
 `channels.damp_entries`, updates chosen entries of N matrices in place as
-rows of a (K, N) array, one p per matrix (`damp_stack` is it on every entry
-of a stack). Differential tests of the numeric engine damp with the oracle,
-never with `apply_damping`, because that is the kernel's N = 1 case.
+rows of a (K, N) array, one p per matrix. Differential tests of the numeric
+engine damp with the oracle, never with `apply_damping`, because that is
+the kernel on every entry of one matrix.
 
 `register_reduced_oracle` builds a scenario's reduced state one point at a
 time on a labeled register: the GHZ vector, the wedge expansion of each

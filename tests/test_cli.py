@@ -127,6 +127,15 @@ class TestExitCodes:
     def test_config_error_for_bad_measures(self):
         assert run(["sweep", "--measures", "S,Q"]) == EXIT_CONFIG
 
+    def test_config_error_for_repeated_measures(self, capsys):
+        """A repeated measure would be written once: it is rejected, not
+        silently dropped."""
+        code = run(["sweep", "--measures", "S,S,E", "--beta-steps", "2", "--p-steps", "2"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "measures must be a nonempty subset" in captured.err
+
     def test_config_error_for_bad_alpha(self):
         assert run(["sweep", "--alpha", "2.0", "--beta-steps", "2", "--p-steps", "2"]) == EXIT_CONFIG
 
@@ -134,6 +143,50 @@ class TestExitCodes:
         missing_dir = tmp_path / "no" / "such" / "dir" / "f.csv"
         code = run(["sweep", "--beta-steps", "2", "--p-steps", "2", "--out", str(missing_dir)])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", "adir"])
+    def test_io_error_text_is_reproducible(self, tmp_path, monkeypatch, capsys, target):
+        """Two failing runs print the same error, naming the requested path
+        and no temporary file, and leave no temporary file behind."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        errors = []
+        for _ in range(2):
+            code = run(["sweep", "--beta-steps", "2", "--p-steps", "2", "--out", target])
+            assert code == EXIT_IO
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("I/O error: ") and errors[0].endswith(f": '{target}'\n")
+        assert ".tmp-" not in errors[0]
+        assert [p.name for p in tmp_path.rglob("*")] == ["adir"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep", "--beta-steps", "2", "--p-steps", "2"],
+            ["audit", "--beta-steps", "2", "--p-steps", "2", "--samples", "2"],
+            ["boundary", "--measure", "S", "--beta-steps", "1"],
+            ["sumrules", "--samples", "2"],
+            ["figure", "--figure", "1", "--resolution", "16"],
+            ["figure", "--figure", "2", "--resolution", "16"],
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_out_is_a_config_error(self, tmp_path, monkeypatch, capsys, args, source):
+        """An empty --out names no file: it neither falls back to stdout nor
+        writes files with a bare suffix into the working directory."""
+        monkeypatch.chdir(tmp_path)
+        if source == "flag":
+            args = args + ["--out", ""]
+        else:
+            (tmp_path / "run.cfg").write_text("out =\n")
+            args = args + ["--config", "run.cfg"]
+        assert run(args) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --out must name a file, got ''\n"
+        left = ["run.cfg"] if source == "config" else []
+        assert sorted(p.name for p in tmp_path.iterdir()) == left
 
     def test_boundary_requires_measure(self):
         assert run(["boundary", "--scenario", "ABC_I"]) == EXIT_CONFIG

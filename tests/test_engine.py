@@ -22,7 +22,6 @@ from ghzsim import (
     numeric_batch,
     numeric_measures,
     scenario,
-    scenario_reduced_stack,
     scenario_reduced_state,
     validate_density,
 )
@@ -149,6 +148,15 @@ class TestIsXStructured:
     @pytest.mark.parametrize("name", NON_X_SCENARIOS)
     def test_non_x_scenarios(self, name):
         assert not is_x_structured(name)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_support_rule_equals_the_interior_point_probe(self, name, monkeypatch):
+        """Read from the support, the rule gives the answer of a full kernel
+        call at one interior point, and makes no kernel call itself."""
+        probe = not math.isnan(numeric_batch(name, 0.6, 0.5, 0.3, ("S",))["S"])
+        monkeypatch.setattr(engine, "_damped_blocks", None)  # a kernel call now fails
+        assert is_x_structured(name) == probe
+        assert is_x_structured(scenario(name)) == probe
 
 
 def _unit_interval_with_ends(hi: float = 1.0):

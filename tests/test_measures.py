@@ -1,6 +1,6 @@
 """The X-state test and the three quantumness measures, evaluated through
-`stack_measures` on one-matrix stacks, and the support-row kernel against
-the dense oracle on random stacks."""
+the support-row kernel on the full support np.arange(64), one matrix at a
+time and against the dense oracle on random stacks."""
 from __future__ import annotations
 
 import math
@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzsim.engine import MEASURES
-from ghzsim.measures import X_TOL, _slots, stack_measures
-from conftest import dense_measures_oracle, random_density_matrix
+from ghzsim.measures import X_TOL, _slots, off_pattern, support_measures
+from conftest import _OFF_X, dense_measures_oracle, random_density_matrix
 
 SQRT2_8 = 8.0 * math.sqrt(2.0)
 
@@ -29,7 +29,8 @@ def x_matrix(d, e, f) -> np.ndarray:
 
 
 def measures_of(mat: np.ndarray, measures=MEASURES) -> dict[str, float]:
-    return {m: float(v[0]) for m, v in stack_measures(mat[None], measures).items()}
+    values = support_measures(mat.reshape(64, 1), np.arange(64), measures)
+    return {m: float(v[0]) for m, v in values.items()}
 
 
 def s_value(d, e, f) -> float:
@@ -45,6 +46,12 @@ GHZ = x_matrix([0.5, 0, 0, 0], [0.5, 0, 0, 0], [0.5, 0, 0, 0])
 
 class TestExtractXstate:
     """Slot reading and the X test."""
+
+    def test_off_pattern_is_the_complement_of_the_x_pattern(self):
+        """The 48 entries off both diagonals, read the same on any support."""
+        assert np.array_equal(off_pattern(np.arange(64)).reshape(8, 8), _OFF_X)
+        support = np.array([0, 3, 7, 9, 14, 18, 27, 36, 49, 56, 63])
+        assert np.array_equal(off_pattern(support), _OFF_X.ravel()[support])
 
     def test_slot_convention(self):
         d = (0.1, 0.2, 0.05, 0.15)
@@ -131,8 +138,8 @@ class TestCoherence:
 
 
 class TestFullSupportKernel:
-    """`stack_measures` is the support-row kernel on all 64 entries; it must
-    give the dense oracle's bits on any complex stack."""
+    """The support-row kernel on all 64 entries must give the dense oracle's
+    bits on any complex stack."""
 
     @pytest.mark.parametrize("n", [1, 7, 300])
     def test_bit_identical_to_dense_oracle(self, rng, n):
@@ -146,7 +153,7 @@ class TestFullSupportKernel:
         near[:, off] *= X_TOL / np.maximum(np.abs(near[:, off]), 1e-300)
         near[::2, 0, 3] = np.nextafter(X_TOL, 1.0)
         stack[:, [2, 5], [2, 5]] = -0.0
-        got = stack_measures(stack, MEASURES)
+        got = support_measures(stack.reshape(n, 64).T, np.arange(64), MEASURES)
         want = dense_measures_oracle(stack, MEASURES)
         for measure in MEASURES:
             # int64 views: signed zeros and NaN payloads count.

@@ -9,6 +9,7 @@ from collections.abc import Sequence
 import numpy as np
 import pytest
 
+import ghzsim.engine
 import ghzsim.sweep
 from ghzsim import (
     BETA_MAX,
@@ -60,6 +61,7 @@ class TestSweepConfig:
             {"scenario": "nope"},
             {"measures": ("S", "Q")},
             {"measures": ()},
+            {"measures": ("S", "S", "E")},
             {"engine": "exact"},
             {"beta_range": (0.5, 0.2, 11)},
             {"workers": 0},
@@ -215,6 +217,11 @@ class TestSerialization:
         assert target.read_text() == "again\n"
         assert target.stat().st_mode & 0o777 == 0o600
 
+    def test_other_errors_propagate_and_leave_no_temporary_file(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            write_text_atomic(str(tmp_path / "x.csv"), "\ud800")
+        assert list(tmp_path.iterdir()) == []
+
 
 #: A 7x5 grid of the non-X scenario, whose numeric S and E are NaN off the
 #: beta = 0 row and the p = 1 column, and a one-engine, one-measure sweep.
@@ -308,9 +315,23 @@ class TestFindBoundary:
         with pytest.raises(ConfigError):
             find_boundary("ABC_I", "C", ALPHA_GHZ, beta_samples=2)
 
-    def test_rejects_non_x_scenario(self):
-        with pytest.raises(ConfigError, match="not X-structured"):
-            find_boundary("AB_I_B_II", "S", ALPHA_GHZ, beta_samples=2)
+    @pytest.mark.parametrize("alpha", [0.0, ALPHA_GHZ])
+    @pytest.mark.parametrize("beta_samples", [1, 2, 33])
+    @pytest.mark.parametrize("measure", ["S", "E"])
+    @pytest.mark.parametrize("name", ["AB_I_B_II", "AC_I_C_II"])
+    def test_rejects_non_x_scenario(self, name, measure, beta_samples, alpha):
+        """The scenario's structure decides, not whether one scan happens to
+        meet a non-X point: a single beta = 0 row, or alpha = 0, meets none."""
+        with pytest.raises(ConfigError) as err:
+            find_boundary(name, measure, alpha, beta_samples=beta_samples)
+        assert str(err.value) == (
+            f"numeric {measure} undefined for scenario {name}: "
+            "its reduced state is not X-structured"
+        )
+
+    def test_range_error_comes_before_the_structure_error(self):
+        with pytest.raises(ConfigError, match=r"alpha=2\.0 outside \[0, 1\]"):
+            find_boundary("AB_I_B_II", "S", 2.0, beta_samples=2)
 
     def test_matches_closed_form_curve(self):
         """At alpha = 1/sqrt 2 the ABC_I Svetlichny value falls to 4 at
@@ -512,6 +533,38 @@ class TestRunAudit:
     def test_requires_both_engines(self):
         with pytest.raises(ConfigError):
             run_audit(SweepConfig(engine="numeric"))
+
+
+class TestKernelCalls:
+    """Deciding a scenario's structure costs no kernel call: the engine
+    damps support rows only for values a command writes."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        blocks = ghzsim.engine._damped_blocks
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].name)
+            return blocks(*args, **kwargs)
+
+        monkeypatch.setattr(ghzsim.engine, "_damped_blocks", counted)
+        return calls
+
+    def test_default_audit(self, kernel_calls):
+        """One grid and two sum-rule sets per scenario."""
+        run_audit(SweepConfig())
+        assert len(kernel_calls) == 24
+
+    def test_figure(self, kernel_calls, tmp_path):
+        emit_figure_data(4, ALPHA_GHZ, 16, str(tmp_path / "f4.csv"))
+        assert kernel_calls == ["AB_I_C_I"]
+
+    @pytest.mark.parametrize("name", ["AB_I_B_II", "AC_I_C_II"])
+    def test_non_x_boundary(self, kernel_calls, name):
+        with pytest.raises(ConfigError, match="not X-structured"):
+            find_boundary(name, "S", ALPHA_GHZ, beta_samples=33)
+        assert kernel_calls == []
 
     def test_flags_transcription_slip(self, report):
         assert report["flags"]

@@ -18,9 +18,9 @@ from ghzsim import (
     ScenarioKind,
     UnruhParams,
     scenario,
-    scenario_reduced_stack,
     scenario_reduced_state,
 )
+from ghzsim.unruh import scenario_reduced_entries
 from conftest import (
     expanded_ghz_oracle,
     ghz_oracle,
@@ -199,7 +199,14 @@ def _ends_or_inside(hi: float):
     return st.one_of(st.sampled_from([0.0, hi]), st.floats(0.0, hi))
 
 
-class TestScenarioReducedStack:
+def reduced_matrices(alpha, beta, scen) -> np.ndarray:
+    """The builder on all 64 entries, as (N, 8, 8) matrices."""
+    entries = scenario_reduced_entries(alpha, beta, scen, np.arange(64))
+    assert entries.shape[0] == 64 and entries.dtype == float
+    return entries.T.reshape(-1, 8, 8)
+
+
+class TestFullSupportBuild:
     @settings(max_examples=30, deadline=None)
     @given(
         points=st.lists(
@@ -211,9 +218,8 @@ class TestScenarioReducedStack:
         reduction exactly, and the einsum oracle to 1e-15, in all scenarios."""
         alphas, betas = (np.array(axis) for axis in zip(*points))
         for name, scen in SCENARIOS.items():
-            stack = scenario_reduced_stack(alphas, betas, scen)
+            stack = reduced_matrices(alphas, betas, scen)
             assert stack.shape == (len(points), 8, 8)
-            assert stack.dtype == complex and stack.flags.c_contiguous
             for k, (alpha, beta) in enumerate(points):
                 where = (name, alpha, beta)
                 assert np.array_equal(stack[k], register_reduced_oracle(alpha, beta, scen)), where
@@ -225,7 +231,7 @@ class TestScenarioReducedStack:
 
     def test_one_matrix_per_element_of_the_broadcast(self):
         betas = np.linspace(0.0, BETA_MAX, 4)
-        stack = scenario_reduced_stack(0.6, betas[:, None] * np.ones(3), scenario("ABC_II"))
+        stack = reduced_matrices(0.6, betas[:, None] * np.ones(3), scenario("ABC_II"))
         assert stack.shape == (12, 8, 8)
         for k, beta in enumerate(np.repeat(betas, 3)):
             assert np.array_equal(stack[k], register_reduced_oracle(0.6, float(beta), scenario("ABC_II")))
@@ -243,7 +249,7 @@ class TestScenarioReducedStack:
     )
     def test_rejects_out_of_range_or_nan(self, alpha, beta):
         with pytest.raises(ParameterError, match="outside"):
-            scenario_reduced_stack(np.array([0.5, alpha]), np.array([0.3, beta]), scenario("AB_I_C_I"))
+            reduced_matrices(np.array([0.5, alpha]), np.array([0.3, beta]), scenario("AB_I_C_I"))
 
     def test_params_reject_nan(self):
         with pytest.raises(ParameterError):
