@@ -1,41 +1,42 @@
 """Tripartite nonlocality, entanglement and l1-coherence of GHZ-like states
-seen by uniformly accelerated observers under amplitude damping."""
+seen by uniformly accelerated observers under amplitude damping.
 
-from .channels import DampingParams, KrausPair, amplitude_damping_kraus, apply_damping
-from .closedform import CATALOG, CoverageError, cf_eval
-from .engine import damped_scenario_state, is_x_structured, numeric_batch, numeric_measures
-from .qcore import (
-    ConfigError,
-    DensityOperator,
-    LabelError,
-    ModeLabel,
-    ModeRegister,
-    ParameterError,
-    SizeError,
-    ValidationReport,
-    partial_trace,
-    validate_density,
-)
-from .sweep import (
-    BoundaryResult,
-    SweepConfig,
-    SweepGrid,
-    SweepRecord,
-    emit_figure_data,
-    find_boundary,
-    run_audit,
-    run_sweep,
-    sum_rule_samples,
-)
-from .unruh import (
-    BETA_MAX,
-    GhzParams,
-    SCENARIOS,
-    Scenario,
-    ScenarioKind,
-    UnruhParams,
-    scenario,
-    scenario_reduced_state,
-)
+The public names below are imported from their submodules on first use
+(PEP 562), so `import ghzsim` alone loads no submodule and not numpy. This
+lets `ghzsim.cli` set its BLAS thread default before numpy loads; the
+package itself sets nothing, so a library user's process keeps numpy's own
+thread settings.
+"""
+
+import importlib
+
+#: public name -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "channels": "DampingParams KrausPair amplitude_damping_kraus apply_damping",
+        "closedform": "CATALOG CoverageError cf_eval",
+        "engine": "damped_scenario_state is_x_structured numeric_batch numeric_measures",
+        "qcore": "ConfigError DensityOperator LabelError ModeLabel ModeRegister "
+        "ParameterError SizeError ValidationReport partial_trace validate_density",
+        "sweep": "BoundaryResult SweepConfig SweepGrid SweepRecord emit_figure_data "
+        "find_boundary run_audit run_sweep sum_rule_samples",
+        "unruh": "BETA_MAX GhzParams SCENARIOS Scenario ScenarioKind UnruhParams "
+        "scenario scenario_reduced_state",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

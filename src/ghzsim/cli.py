@@ -13,7 +13,12 @@ ParameterError), 3 I/O error, 4 the audit found discrepancies above tolerance.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+
+# No ghzsim kernel calls BLAS, and an idle OpenBLAS worker thread spins about
+# 0.1 s of CPU per process; this must run before the first numpy import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .qcore import ConfigError, LabelError
 from .sweep import (
@@ -263,8 +268,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args)
-        if args.out == "":
-            raise ConfigError("--out must name a file, got ''")
+        if args.out is not None and os.path.basename(args.out) == "":
+            raise ConfigError(f"--out must name a file, got {args.out!r}")
         return _COMMANDS[args.command](args)
     except (ConfigError, LabelError) as exc:
         print(f"error: {exc}", file=sys.stderr)

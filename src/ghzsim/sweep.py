@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import stat
 import tempfile
 from collections.abc import Sequence
@@ -418,8 +419,10 @@ def _sum_rule_terms(alphas, betas, ps) -> list[tuple[np.ndarray, np.ndarray, np.
 def sum_rule_samples(alpha: float | None, samples: int, seed: int) -> dict:
     """Max residual of each coherence relation over random parameter points.
 
-    When `alpha` is None it is sampled uniformly on [0, 1] together with
-    (beta, p); otherwise it is held fixed. The relation marked `asserted=False`
+    The points come from `random.Random(seed).uniform`, whose stream Python
+    keeps the same across versions: `samples` alphas on [0, 1] (only when
+    `alpha` is None; otherwise it is held fixed), then as many betas on
+    [0, BETA_MAX], then as many p on [0, 1]. The relation marked `asserted=False`
     is reported with its alpha-dependence instead of being gated: its residual
     scales as alpha^2 (1 - alpha^2)^2, vanishing only at alpha in {0, 1}.
     """
@@ -427,10 +430,10 @@ def sum_rule_samples(alpha: float | None, samples: int, seed: int) -> dict:
         raise ConfigError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    alphas = rng.uniform(0.0, 1.0, samples) if alpha is None else np.full(samples, alpha)
-    betas = rng.uniform(0.0, BETA_MAX, samples)
-    ps = rng.uniform(0.0, 1.0, samples)
+    rnd = random.Random(seed)
+    alphas = [rnd.uniform(0.0, 1.0) for _ in range(samples)] if alpha is None else [alpha] * samples
+    betas = [rnd.uniform(0.0, BETA_MAX) for _ in range(samples)]
+    ps = [rnd.uniform(0.0, 1.0) for _ in range(samples)]
     terms = _sum_rule_terms(alphas, betas, ps)
 
     # alpha-dependence of the reported-only relation at a fixed (beta, p).

@@ -14,6 +14,17 @@ def run(args):
     return main(args)
 
 
+#: One small run of each subcommand (figure 1 writes one file, figure 2 two).
+ONE_RUN_PER_COMMAND = [
+    ["sweep", "--beta-steps", "2", "--p-steps", "2"],
+    ["audit", "--beta-steps", "2", "--p-steps", "2", "--samples", "2"],
+    ["boundary", "--measure", "S", "--beta-steps", "1"],
+    ["sumrules", "--samples", "2"],
+    ["figure", "--figure", "1", "--resolution", "16"],
+    ["figure", "--figure", "2", "--resolution", "16"],
+]
+
+
 class TestSweepCommand:
     def test_writes_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -160,17 +171,7 @@ class TestExitCodes:
         assert ".tmp-" not in errors[0]
         assert [p.name for p in tmp_path.rglob("*")] == ["adir"]
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["sweep", "--beta-steps", "2", "--p-steps", "2"],
-            ["audit", "--beta-steps", "2", "--p-steps", "2", "--samples", "2"],
-            ["boundary", "--measure", "S", "--beta-steps", "1"],
-            ["sumrules", "--samples", "2"],
-            ["figure", "--figure", "1", "--resolution", "16"],
-            ["figure", "--figure", "2", "--resolution", "16"],
-        ],
-    )
+    @pytest.mark.parametrize("args", ONE_RUN_PER_COMMAND)
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_empty_out_is_a_config_error(self, tmp_path, monkeypatch, capsys, args, source):
         """An empty --out names no file: it neither falls back to stdout nor
@@ -187,6 +188,19 @@ class TestExitCodes:
         assert captured.err == "error: --out must name a file, got ''\n"
         left = ["run.cfg"] if source == "config" else []
         assert sorted(p.name for p in tmp_path.iterdir()) == left
+
+    @pytest.mark.parametrize("args", ONE_RUN_PER_COMMAND)
+    def test_out_without_file_name_is_a_config_error(self, tmp_path, monkeypatch, capsys, args):
+        """A directory path names no file: every subcommand rejects it the same
+        way, where `figure 2` used to write `adir/_E.csv` and the rest failed
+        on the write."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        assert run(args + ["--out", "adir/"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --out must name a file, got 'adir/'\n"
+        assert list((tmp_path / "adir").iterdir()) == []
 
     def test_boundary_requires_measure(self):
         assert run(["boundary", "--scenario", "ABC_I"]) == EXIT_CONFIG

@@ -1,0 +1,109 @@
+"""What a fresh process pays to start: `import ghzsim` loads no submodule,
+the CLI runs numpy's OpenBLAS with one thread unless the user chose a
+number, and no CLI run imports `numpy.random`.
+
+Each check runs in a new interpreter, because this test process has
+already imported numpy and every ghzsim module."""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ghzsim
+
+SRC = str(Path(ghzsim.__file__).resolve().parents[1])
+
+#: The package's public names, pinned.
+EXPORTS = {
+    "BETA_MAX", "BoundaryResult", "CATALOG", "ConfigError", "CoverageError",
+    "DampingParams", "DensityOperator", "GhzParams", "KrausPair", "LabelError",
+    "ModeLabel", "ModeRegister", "ParameterError", "SCENARIOS", "Scenario",
+    "ScenarioKind", "SizeError", "SweepConfig", "SweepGrid", "SweepRecord",
+    "UnruhParams", "ValidationReport", "amplitude_damping_kraus", "apply_damping",
+    "cf_eval", "damped_scenario_state", "emit_figure_data", "find_boundary",
+    "is_x_structured", "numeric_batch", "numeric_measures", "partial_trace",
+    "run_audit", "run_sweep", "scenario", "scenario_reduced_state",
+    "sum_rule_samples", "validate_density",
+}
+
+
+def fresh_python(code: str, **env: str) -> object:
+    """Run `code` in a new interpreter with the package on its path and
+    `env` in its environment (OPENBLAS_NUM_THREADS unset unless given), and
+    return the JSON value it prints."""
+    full_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    full_env.update(env)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=full_env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+class TestLazyPackage:
+    def test_import_loads_no_numpy(self):
+        code = "import json, sys, ghzsim; print(json.dumps(sorted(sys.modules)))"
+        loaded = fresh_python(code)
+        assert "numpy" not in loaded
+        assert [m for m in loaded if m.startswith("ghzsim.")] == []
+
+    def test_exports_resolve_on_first_use(self):
+        code = (
+            "import importlib, json, ghzsim\n"
+            "from ghzsim import engine\n"
+            "owners = {n: ghzsim._EXPORTS[n] for n in ghzsim.__all__}\n"
+            "same = [n for n, m in owners.items() if getattr(ghzsim, n)\n"
+            "        is getattr(importlib.import_module('ghzsim.' + m), n)]\n"
+            "try:\n"
+            "    ghzsim.nope\n"
+            "    unknown = 'resolved'\n"
+            "except AttributeError as exc:\n"
+            "    unknown = str(exc)\n"
+            "print(json.dumps({'all': ghzsim.__all__, 'same': same, 'unknown': unknown,\n"
+            "                  'engine': engine.__name__}))\n"
+        )
+        got = fresh_python(code)
+        assert len(got["all"]) == len(EXPORTS) == 38
+        assert set(got["all"]) == EXPORTS
+        assert set(got["same"]) == EXPORTS
+        assert got["engine"] == "ghzsim.engine"
+        assert got["unknown"] == "module 'ghzsim' has no attribute 'nope'"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/task")
+class TestBlasThreads:
+    CODE = (
+        "import json, os, ghzsim.cli\n"
+        "print(json.dumps([len(os.listdir('/proc/self/task')),\n"
+        "                  os.environ['OPENBLAS_NUM_THREADS']]))\n"
+    )
+
+    def test_cli_process_has_one_thread(self):
+        assert fresh_python(self.CODE) == [1, "1"]
+
+    def test_user_setting_wins(self):
+        assert fresh_python(self.CODE, OPENBLAS_NUM_THREADS="2")[1] == "2"
+
+
+@pytest.mark.parametrize(
+    "args, exit_code",
+    [
+        (["sumrules", "--samples", "3"], 0),
+        (["audit", "--beta-steps", "2", "--p-steps", "2", "--samples", "3"], 4),
+    ],
+)
+def test_cli_run_imports_no_numpy_random(tmp_path, args, exit_code):
+    argv = args + ["--out", str(tmp_path / "out.json")]
+    code = (
+        "import json, sys\n"
+        "from ghzsim.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps([code, 'numpy.random' in sys.modules]))\n"
+    )
+    assert fresh_python(code) == [exit_code, False]

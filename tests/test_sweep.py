@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from collections.abc import Sequence
 
 import numpy as np
@@ -486,6 +487,25 @@ class TestSumRuleSamples:
     def test_rejects_negative_seed(self):
         with pytest.raises(ConfigError, match="seed"):
             sum_rule_samples(None, samples=5, seed=-1)
+
+    @pytest.mark.parametrize("alpha", [None, 0.8])
+    def test_points_are_the_stdlib_stream_in_alpha_beta_p_order(self, monkeypatch, alpha):
+        """All alphas (when sampled), then all betas, then all p, drawn from
+        random.Random(seed), whose stream Python keeps across versions."""
+        calls = []
+        terms = ghzsim.sweep._sum_rule_terms
+
+        def capture(*points):
+            calls.append(points)
+            return terms(*points)
+
+        monkeypatch.setattr(ghzsim.sweep, "_sum_rule_terms", capture)
+        sum_rule_samples(alpha, samples=7, seed=11)
+        rnd = random.Random(11)
+        alphas = [alpha] * 7 if alpha is not None else [rnd.uniform(0.0, 1.0) for _ in range(7)]
+        betas = [rnd.uniform(0.0, BETA_MAX) for _ in range(7)]
+        ps = [rnd.uniform(0.0, 1.0) for _ in range(7)]
+        assert [np.asarray(v, dtype=float).tolist() for v in calls[0]] == [alphas, betas, ps]
 
 
 class TestNegativeSeed:
