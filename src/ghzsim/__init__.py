@@ -1,6 +1,14 @@
 """Tripartite nonlocality, entanglement and l1-coherence of GHZ-like states
 seen by uniformly accelerated observers under amplitude damping.
 
+The numeric engine has one public face: `numeric_batch` and
+`numeric_measures` evaluate S, E and C over broadcastable (alpha, beta, p),
+and `scenario_reduced_state` and `damped_scenario_state` give one point's
+whole reduced matrix, before and after damping, as a plain real (8, 8)
+array. The kernels under them (`unruh.scenario_reduced_entries`,
+`channels.damp_entries`, `measures.support_measures`) work on batched rows
+of a scenario's support entries.
+
 The public names below are imported from their submodules on first use
 (PEP 562), so `import ghzsim` alone loads no submodule and not numpy. This
 lets `ghzsim.cli` set its BLAS thread default before numpy loads; the
@@ -14,15 +22,12 @@ import importlib
 _EXPORTS = {
     name: module
     for module, names in {
-        "channels": "DampingParams KrausPair amplitude_damping_kraus apply_damping",
         "closedform": "CATALOG CoverageError cf_eval",
         "engine": "damped_scenario_state is_x_structured numeric_batch numeric_measures",
-        "qcore": "ConfigError DensityOperator LabelError ModeLabel ModeRegister "
-        "ParameterError SizeError ValidationReport partial_trace validate_density",
+        "qcore": "ConfigError LabelError ModeLabel ParameterError",
         "sweep": "BoundaryResult SweepConfig SweepGrid SweepRecord emit_figure_data "
         "find_boundary run_audit run_sweep sum_rule_samples",
-        "unruh": "BETA_MAX GhzParams SCENARIOS Scenario ScenarioKind UnruhParams "
-        "scenario scenario_reduced_state",
+        "unruh": "BETA_MAX SCENARIOS Scenario ScenarioKind scenario scenario_reduced_state",
     }.items()
     for name in names.split()
 }

@@ -1,8 +1,9 @@
-"""Amplitude-damping channel applied to labeled qubits of a register.
+"""Amplitude-damping channel applied to chosen qubits of many matrices.
 
 The channel models spontaneous decay |1> -> |0> with probability p and is
-defined by its single-qubit Kraus pair. It acts on the operator blocks r_ab
-of each target qubit as
+defined by its single-qubit Kraus pair m0 = diag(1, sqrt(1-p)) and
+m1 = sqrt(p)|0><1|. It acts on the operator blocks r_ab of each target
+qubit as
 
     [[r00, r01], [r10, r11]] -> [[r00 + p*r11, sqrt(1-p)*r01],
                                  [sqrt(1-p)*r10, (1-p)*r11]].
@@ -11,49 +12,16 @@ Environments of several targets act independently, so the maps compose.
 `damp_entries`, the one damping kernel, applies the map to entries of N
 matrices held as rows of a (K, N) array; `block_plan` lays out each
 target's block rows over a support closed under the map (every r11 entry
-with its r00 partner). `apply_damping` is the kernel on every entry of one
-matrix.
+with its r00 partner). On the full support `np.arange(dim * dim)` it damps
+every entry of a matrix.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .qcore import DensityOperator, ModeLabel, ParameterError
 from .unruh import _check
-
-
-@dataclass(frozen=True)
-class DampingParams:
-    """Decay probability p = 1 - exp(-Gamma t)."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        _check("p", self.p)
-
-
-@dataclass(frozen=True)
-class KrausPair:
-    """The two 2x2 Kraus operators of the single-qubit channel."""
-
-    m0: np.ndarray
-    m1: np.ndarray
-
-    def completeness_deviation(self) -> float:
-        total = self.m0.conj().T @ self.m0 + self.m1.conj().T @ self.m1
-        return float(np.max(np.abs(total - np.eye(2))))
-
-
-def amplitude_damping_kraus(params: DampingParams) -> KrausPair:
-    """m0 = diag(1, sqrt(1-p)); m1 maps |1> to sqrt(p)|0>."""
-    p = params.p
-    m0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - p)]], dtype=complex)
-    m1 = np.array([[0.0, math.sqrt(p)], [0.0, 0.0]], dtype=complex)
-    return KrausPair(m0, m1)
 
 
 def block_plan(support: np.ndarray, dim: int, positions: Iterable[int]) -> list:
@@ -85,17 +53,3 @@ def damp_entries(values: np.ndarray, plan: list, p) -> np.ndarray:
         values[off] *= sq
         values[k11] *= 1.0 - p
     return values
-
-
-def apply_damping(
-    rho: DensityOperator, targets: Iterable[ModeLabel], params: DampingParams
-) -> DensityOperator:
-    """`rho` after damping of one or two target qubits (one or two observers
-    in a noisy environment), every target with the same p."""
-    target_set = {ModeLabel(t) for t in targets}
-    if not 1 <= len(target_set) <= 2:
-        raise ParameterError(f"expected 1 or 2 target modes, got {len(target_set)}")
-    positions = sorted(rho.register.position(t) for t in target_set)
-    entries = rho.matrix.reshape(-1, 1).copy()  # one matrix as a (dim^2, 1) column
-    damp_entries(entries, block_plan(np.arange(entries.size), len(rho.matrix), positions), params.p)
-    return DensityOperator(rho.register, entries.reshape(rho.matrix.shape))

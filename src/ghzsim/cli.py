@@ -20,7 +20,7 @@ import sys
 # 0.1 s of CPU per process; this must run before the first numpy import.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .qcore import ConfigError, LabelError
+from .qcore import ConfigError
 from .sweep import (
     DEFAULT_ALPHA,
     DEFAULT_SEED,
@@ -66,6 +66,14 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def _real(raw: str) -> float:
+    """Value of a float flag; -0.0 is read as 0.0, so no output shows -0."""
+    return float(raw) + 0.0
+
+
+_real.__name__ = "float"  # argparse names the type in its error message
+
+
 def _switch(raw: str) -> bool:
     """Config-file value of an on/off flag."""
     if raw.lower() not in ("true", "false"):
@@ -76,7 +84,7 @@ def _switch(raw: str) -> bool:
 #: flag -> (type, further argparse settings). The type also casts the flag's
 #: config-file value; `_switch` marks an on/off flag.
 _FLAGS: dict[str, tuple] = {
-    "alpha": (float, {"help": "GHZ amplitude (default 1/sqrt(2))"}),
+    "alpha": (_real, {"help": "GHZ amplitude (default 1/sqrt(2))"}),
     "beta_steps": (int, {}),
     "p_steps": (int, {}),
     "scenario": (str, {"choices": sorted(SCENARIOS)}),
@@ -89,7 +97,7 @@ _FLAGS: dict[str, tuple] = {
     "engine": (str, {"choices": ENGINES}),
     "figure": (int, {"choices": sorted(FIGURES)}),
     "resolution": (int, {}),
-    "tol": (float, {}),
+    "tol": (_real, {}),
     "seed": (int, {}),
     "samples": (int, {"help": "random sum-rule points"}),
     "workers": (int, {"help": "accepted for compatibility; evaluation is single-process"}),
@@ -268,10 +276,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args)
-        if args.out is not None and os.path.basename(args.out) == "":
+        if args.out is not None and os.path.basename(args.out) in ("", ".", ".."):
             raise ConfigError(f"--out must name a file, got {args.out!r}")
         return _COMMANDS[args.command](args)
-    except (ConfigError, LabelError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

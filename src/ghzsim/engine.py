@@ -21,7 +21,9 @@ reduced states (near-X matrices; Hashemi Rafsanjani et al., PRA 86, 062303
 scenario. `unruh.scenario_reduced_entries` builds them as (K, n) rows, one
 column per (alpha, beta) element of a block, never one per p;
 `channels.damp_entries` damps the rows at each point's own p, and
-`measures.support_measures` measures them. No 8x8 matrix is formed.
+`measures.support_measures` measures them. No 8x8 matrix is formed, except
+by `damped_scenario_state`, which scatters one point's damped support rows
+into a plain real (8, 8) array for callers that want the whole matrix.
 
 A call evaluates BLOCK_POINTS points at a time. Measured with tracemalloc,
 a block peaks at about 1.5 MiB when its points share reduced states, as
@@ -38,7 +40,6 @@ import numpy as np
 
 from .channels import block_plan, damp_entries
 from .measures import off_pattern, support_measures
-from .qcore import DensityOperator, ModeRegister
 from .unruh import Scenario, scenario, scenario_reduced_entries
 
 MEASURES = ("S", "E", "C")
@@ -105,14 +106,14 @@ def numeric_batch(
 
 def damped_scenario_state(
     scen: "Scenario | str", alpha: float, beta: float, p: float
-) -> DensityOperator:
-    """Reduced scenario state after amplitude damping of its kept
-    accelerated modes (reduction first; the two orders commute)."""
+) -> np.ndarray:
+    """The real (8, 8) reduced scenario matrix after amplitude damping of its
+    kept accelerated modes (reduction first; the two orders commute)."""
     scen = _as_scenario(scen)
     _, rows = next(_damped_blocks(scen, float(alpha), float(beta), float(p)))
     matrix = np.zeros(64)
     matrix[_support(scen)[0]] = rows[:, 0]
-    return DensityOperator(ModeRegister(scen.regions), matrix.reshape(8, 8))
+    return matrix.reshape(8, 8)
 
 
 def numeric_measures(

@@ -17,7 +17,7 @@ expands Bob's mode (when he accelerates) and then Charlie's in an
 (N, 2, 2, 2) amplitude tensor, multiplies the kept-mode amplitudes of each
 entry and sums out the traced modes in register order, for two traced modes
 as (t0 + t2) + (t1 + t3). `scenario_reduced_state` is it on all 64 entries
-of one point.
+of one point, as a plain real (8, 8) array.
 """
 from __future__ import annotations
 
@@ -27,13 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qcore import (
-    DensityOperator,
-    LabelError,
-    ModeLabel,
-    ModeRegister,
-    ParameterError,
-)
+from .qcore import LabelError, ModeLabel, ParameterError
 
 BETA_MAX = math.pi / 4
 #: Slack on the upper beta limit, so that pi/4 computed another way passes.
@@ -54,26 +48,6 @@ def _check(name: str, values) -> None:
     bad = ~((values >= 0.0) & (values <= upper))
     if bad.any():
         raise ParameterError(f"{name}={values[bad][0]} outside [0, {shown}]")
-
-
-@dataclass(frozen=True)
-class GhzParams:
-    """Amplitude of the |000> component of alpha|000> + sqrt(1-alpha^2)|111>."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        _check("alpha", self.alpha)
-
-
-@dataclass(frozen=True)
-class UnruhParams:
-    """Acceleration angle in radians."""
-
-    beta: float
-
-    def __post_init__(self) -> None:
-        _check("beta", self.beta)
 
 
 class ScenarioKind(Enum):
@@ -188,9 +162,8 @@ def scenario_reduced_entries(alpha, beta, scen: Scenario, support) -> np.ndarray
     return terms[0]
 
 
-def scenario_reduced_state(ghz: GhzParams, unruh: UnruhParams, scen: Scenario) -> DensityOperator:
-    """Three-mode reduced density operator for one scenario: Charlie's mode
-    expanded, and Bob's too when both observers accelerate (same beta), with
-    the inaccessible complement of the kept regions traced out."""
-    entries = scenario_reduced_entries(ghz.alpha, unruh.beta, scen, np.arange(64))
-    return DensityOperator(ModeRegister(scen.regions), entries.reshape(8, 8))
+def scenario_reduced_state(scen: Scenario, alpha: float, beta: float) -> np.ndarray:
+    """The real (8, 8) reduced matrix of one scenario at one point: Charlie's
+    mode expanded, and Bob's too when both observers accelerate (same beta),
+    with the inaccessible complement of the kept regions traced out."""
+    return scenario_reduced_entries(float(alpha), float(beta), scen, np.arange(64)).reshape(8, 8)

@@ -1,19 +1,24 @@
 """Shared fixtures, independent numeric oracles, and the acceptance summary.
 
 The oracles here are written separately from the package's own code paths,
-so the tests cross-check two implementations. `trace_out_oracle` contracts
-with einsum, where the package takes one axis trace per mode.
-`damp_qubit_oracle` damps one qubit of one matrix out of place, building a
-new array from the four operator blocks; the package's single damping kernel,
-`channels.damp_entries`, updates chosen entries of N matrices in place as
-rows of a (K, N) array, one p per matrix. Differential tests of the numeric
-engine damp with the oracle, never with `apply_damping`, because that is
-the kernel on every entry of one matrix.
+so the tests cross-check two implementations. `trace_out_oracle` is the
+partial trace, an einsum contraction; the package never forms a full
+register's matrix. `damp_qubit_oracle` damps one qubit of one matrix out of
+place, building a new array from the four operator blocks; the package's
+single damping kernel, `channels.damp_entries`, updates chosen entries of N
+matrices in place as rows of a (K, N) array, one p per matrix.
+`kraus_pair_oracle` is the channel's definition, its two 2x2 Kraus
+operators, and `kraus_sum_oracle` applies them to chosen qubits as a Kraus
+sum of full-register matrices, so the kernel can be checked against the
+channel itself. `density_deviations` gives the Hermiticity, trace and
+positivity deviations of one matrix for the density-matrix checks.
+`damp_all_entries` and `damp_one` run the package's kernel on every entry
+of whole matrices, so tests can hold it to these oracles.
 
 `register_reduced_oracle` builds a scenario's reduced state one point at a
 time on a labeled register: the GHZ vector, the wedge expansion of each
 accelerated mode by its bit strings, the full outer product and
-`qcore.partial_trace`. The batched builder must equal it bit for bit.
+`trace_out_oracle`. The batched builder must equal it bit for bit.
 `x_measures_oracle` evaluates S, E and C of one matrix in Python scalars,
 straight from the formulas in the `measures` module docstring, so the
 engine's differential test shares no code with the kernels it checks.
@@ -32,21 +37,13 @@ from __future__ import annotations
 import json
 import math
 import os
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from ghzsim import (
-    DensityOperator,
-    LabelError,
-    ModeLabel,
-    ModeRegister,
-    ScenarioKind,
-    SweepRecord,
-    cf_eval,
-    numeric_batch,
-    partial_trace,
-)
+from ghzsim import LabelError, ModeLabel, ScenarioKind, SweepRecord, cf_eval, numeric_batch
+from ghzsim.channels import block_plan, damp_entries
 from ghzsim.measures import X_TOL, svetlichny, tripartite_entanglement
 
 # --- independent oracles ------------------------------------------------------
@@ -81,6 +78,39 @@ def damp_qubit_oracle(mat: np.ndarray, n_modes: int, pos: int, p: float) -> np.n
     out[1, 1] = (1.0 - p) * r11
     out = np.moveaxis(out, (0, 1), (pos, n_modes + pos))
     return out.reshape(mat.shape)
+
+
+def kraus_pair_oracle(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The single-qubit channel's Kraus pair: m0 = diag(1, sqrt(1-p)) and
+    m1 = sqrt(p)|0><1|."""
+    m0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - p)]], dtype=complex)
+    m1 = np.array([[0.0, math.sqrt(p)], [0.0, 0.0]], dtype=complex)
+    return m0, m1
+
+
+def kraus_sum_oracle(mat: np.ndarray, n_modes: int, positions, p: float) -> np.ndarray:
+    """The channel on each qubit of `positions` of one matrix, as the sum of
+    K rho K^dag over every product K of one Kraus operator per target."""
+    pair = kraus_pair_oracle(p)
+    out = mat
+    for pos in positions:
+        ops = [
+            reduce(np.kron, [k if i == pos else np.eye(2) for i in range(n_modes)])
+            for k in pair
+        ]
+        out = sum(op @ out @ op.conj().T for op in ops)
+    return out
+
+
+def density_deviations(mat: np.ndarray) -> tuple[float, float, float]:
+    """(Hermiticity deviation, trace deviation, minimum eigenvalue) of one
+    matrix. The spectrum is taken from the Hermitized matrix
+    (rho + rho^dag)/2, so a tiny floating-point asymmetry cannot poison the
+    eigenvalue test."""
+    herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
+    trace_dev = float(abs(np.trace(mat) - 1.0))
+    min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0])
+    return herm_dev, trace_dev, min_eig
 
 
 _WEDGES = {
@@ -132,10 +162,10 @@ def expanded_ghz_oracle(alpha: float, beta: float, scen):
 
 def register_reduced_oracle(alpha: float, beta: float, scen) -> np.ndarray:
     """The scenario's reduced 8x8 matrix: the expanded GHZ vector's outer
-    product with the unkept modes traced out by `qcore.partial_trace`."""
+    product with the unkept modes traced out by `trace_out_oracle`."""
     modes, vec = expanded_ghz_oracle(alpha, beta, scen)
-    full = DensityOperator(ModeRegister(modes), np.outer(vec, vec.conj()))
-    return partial_trace(full, scen.regions).matrix
+    keep = [modes.index(m) for m in scen.regions]
+    return trace_out_oracle(np.outer(vec, vec.conj()), len(modes), keep)
 
 
 def x_measures_oracle(mat: np.ndarray) -> dict[str, float]:
@@ -248,6 +278,23 @@ def figure_csv_oracle(betas, ps, surface: np.ndarray) -> str:
         for p, v in zip(ps, row):
             lines.append(f"{_fmt_oracle(beta)},{_fmt_oracle(p)},{_fmt_oracle(v)}")
     return "\n".join(lines) + "\n"
+
+
+# --- the package's damping kernel on whole matrices ---------------------------
+
+
+def damp_all_entries(stack: np.ndarray, positions, p) -> np.ndarray:
+    """The damping kernel on every entry of an (N, d, d) stack: its
+    (d^2, N) rows under the plan over the full support np.arange(d^2)."""
+    dim = stack.shape[-1]
+    rows = stack.reshape(len(stack), dim * dim).T.copy()
+    damp_entries(rows, block_plan(np.arange(dim * dim), dim, positions), p)
+    return np.ascontiguousarray(rows.T).reshape(stack.shape)
+
+
+def damp_one(mat: np.ndarray, positions, p) -> np.ndarray:
+    """The damping kernel on every entry of one matrix."""
+    return damp_all_entries(mat[None], positions, p)[0]
 
 
 @pytest.fixture

@@ -1,143 +1,83 @@
-"""Amplitude-damping channel: Kraus structure, analytic action, and the
-physical laws it must obey (trace preservation, positivity, commutation
-with discarding untouched modes)."""
+"""Amplitude-damping channel: the damping kernel against the channel's
+Kraus definition and analytic action, and the physical laws it must obey
+(trace preservation, positivity, commutation with discarding untouched
+modes)."""
 from __future__ import annotations
-
-from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzsim import (
-    BETA_MAX,
-    SCENARIOS,
-    DampingParams,
-    DensityOperator,
-    ModeLabel,
-    ModeRegister,
-    ParameterError,
-    amplitude_damping_kraus,
-    apply_damping,
-    partial_trace,
-    validate_density,
-)
+from ghzsim import BETA_MAX, SCENARIOS, ParameterError
 from ghzsim.channels import block_plan, damp_entries
 from ghzsim.unruh import scenario_reduced_entries
-from conftest import damp_qubit_oracle, random_density_matrix
-
-ABC = ModeRegister((ModeLabel.A, ModeLabel.B, ModeLabel.C))
-
-
-def damp_all_entries(stack: np.ndarray, positions, p) -> np.ndarray:
-    """The damping kernel on every entry of an (N, d, d) stack: its
-    (d^2, N) rows under the plan over the full support np.arange(d^2)."""
-    dim = stack.shape[-1]
-    rows = stack.reshape(len(stack), dim * dim).T.copy()
-    damp_entries(rows, block_plan(np.arange(dim * dim), dim, positions), p)
-    return np.ascontiguousarray(rows.T).reshape(stack.shape)
+from conftest import (
+    damp_all_entries,
+    damp_one,
+    damp_qubit_oracle,
+    density_deviations,
+    kraus_pair_oracle,
+    kraus_sum_oracle,
+    random_density_matrix,
+    trace_out_oracle,
+)
 
 
 class TestKrausPair:
     @pytest.mark.parametrize("p", [0.0, 0.17, 0.5, 1.0])
     def test_completeness(self, p):
-        pair = amplitude_damping_kraus(DampingParams(p))
-        assert pair.completeness_deviation() < 1e-15
-
-    def test_decay_element(self):
-        pair = amplitude_damping_kraus(DampingParams(0.36))
-        assert pair.m1[0, 1] == pytest.approx(0.6)
-        assert pair.m0[1, 1] == pytest.approx(0.8)
-
-    @pytest.mark.parametrize("p", [-0.2, 1.5])
-    def test_probability_range(self, p):
-        with pytest.raises(ParameterError):
-            DampingParams(p)
+        m0, m1 = kraus_pair_oracle(p)
+        total = m0.conj().T @ m0 + m1.conj().T @ m1
+        assert np.max(np.abs(total - np.eye(2))) < 1e-15
 
 
-class TestApplyDamping:
+class TestDampingMap:
     def test_identity_at_p_zero(self, rng):
-        rho = DensityOperator(ABC, random_density_matrix(rng, 8))
-        out = apply_damping(rho, [ModeLabel.B], DampingParams(0.0))
-        np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-15)
+        mat = random_density_matrix(rng, 8)
+        np.testing.assert_allclose(damp_one(mat, [1], 0.0), mat, atol=1e-15)
 
     def test_full_decay_grounds_the_target(self, rng):
-        rho = DensityOperator(ABC, random_density_matrix(rng, 8))
-        out = apply_damping(rho, [ModeLabel.C], DampingParams(1.0))
-        reduced = partial_trace(out, {ModeLabel.C})
-        np.testing.assert_allclose(reduced.matrix, np.diag([1.0, 0.0]), atol=1e-14)
+        out = damp_one(random_density_matrix(rng, 8), [2], 1.0)
+        np.testing.assert_allclose(trace_out_oracle(out, 3, [2]), np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_matches_block_map_oracle(self, rng):
-        rho = DensityOperator(ABC, random_density_matrix(rng, 8))
+        mat = random_density_matrix(rng, 8)
         p = 0.42
-        for label, pos in [(ModeLabel.A, 0), (ModeLabel.B, 1), (ModeLabel.C, 2)]:
-            out = apply_damping(rho, [label], DampingParams(p))
-            expected = damp_qubit_oracle(rho.matrix, 3, pos, p)
-            np.testing.assert_allclose(out.matrix, expected, atol=1e-14)
+        for pos in range(3):
+            expected = damp_qubit_oracle(mat, 3, pos, p)
+            np.testing.assert_allclose(damp_one(mat, [pos], p), expected, atol=1e-14)
 
-    def test_matches_kraus_sum_of_the_defining_pair(self, rng):
-        """The block map is the Kraus sum of `amplitude_damping_kraus`."""
-        rho = DensityOperator(ABC, random_density_matrix(rng, 8))
-        pair = amplitude_damping_kraus(DampingParams(0.42))
-        for label, pos in [(ModeLabel.A, 0), (ModeLabel.B, 1), (ModeLabel.C, 2)]:
-            ops = [
-                reduce(np.kron, [k if i == pos else np.eye(2) for i in range(3)])
-                for k in (pair.m0, pair.m1)
-            ]
-            expected = sum(op @ rho.matrix @ op.conj().T for op in ops)
-            out = apply_damping(rho, [label], DampingParams(0.42))
-            np.testing.assert_allclose(out.matrix, expected, atol=1e-14)
+    @pytest.mark.parametrize("positions", [[0], [1], [2], [0, 2], [1, 2]])
+    def test_matches_kraus_sum_of_the_defining_pair(self, rng, positions):
+        """The block map is the Kraus sum of the channel's defining pair, on
+        one target and on two."""
+        mat = random_density_matrix(rng, 8)
+        expected = kraus_sum_oracle(mat, 3, positions, 0.42)
+        np.testing.assert_allclose(damp_one(mat, positions, 0.42), expected, atol=1e-14)
 
     def test_two_targets_compose_single_target_maps(self, rng):
-        rho = DensityOperator(ABC, random_density_matrix(rng, 8))
+        mat = random_density_matrix(rng, 8)
         p = 0.3
-        both = apply_damping(rho, [ModeLabel.A, ModeLabel.C], DampingParams(p))
-        expected = damp_qubit_oracle(
-            damp_qubit_oracle(rho.matrix, 3, 0, p), 3, 2, p
-        )
-        np.testing.assert_allclose(both.matrix, expected, atol=1e-14)
-
-    def test_target_order_is_irrelevant(self, rng):
-        rho = DensityOperator(ABC, random_density_matrix(rng, 8))
-        a = apply_damping(rho, [ModeLabel.A, ModeLabel.B], DampingParams(0.6))
-        b = apply_damping(rho, [ModeLabel.B, ModeLabel.A], DampingParams(0.6))
-        np.testing.assert_array_equal(a.matrix, b.matrix)
-
-    def test_target_count_guard(self, rng):
-        rho = DensityOperator(ABC, random_density_matrix(rng, 8))
-        with pytest.raises(ParameterError):
-            apply_damping(rho, [], DampingParams(0.5))
-        with pytest.raises(ParameterError):
-            apply_damping(
-                rho, [ModeLabel.A, ModeLabel.B, ModeLabel.C], DampingParams(0.5)
-            )
+        expected = damp_qubit_oracle(damp_qubit_oracle(mat, 3, 0, p), 3, 2, p)
+        np.testing.assert_allclose(damp_one(mat, [0, 2], p), expected, atol=1e-14)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), p=st.floats(0.0, 1.0))
     def test_output_is_a_density_matrix(self, seed, p):
         mat = random_density_matrix(np.random.default_rng(seed), 8)
-        out = apply_damping(
-            DensityOperator(ABC, mat), [ModeLabel.B], DampingParams(p)
-        )
-        report = validate_density(out)
-        assert report.trace_deviation < 1e-13
-        assert report.min_eigenvalue >= -1e-12
+        _, trace_dev, min_eig = density_deviations(damp_one(mat, [1], p))
+        assert trace_dev < 1e-13
+        assert min_eig >= -1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), p=st.floats(0.0, 1.0))
     def test_commutes_with_discarding_untouched_modes(self, seed, p):
         """Damping B then tracing out C equals tracing out C then damping B."""
         mat = random_density_matrix(np.random.default_rng(seed), 8)
-        rho = DensityOperator(ABC, mat)
-        params = DampingParams(p)
-        damp_first = partial_trace(
-            apply_damping(rho, [ModeLabel.B], params), {ModeLabel.A, ModeLabel.B}
-        )
-        trace_first = apply_damping(
-            partial_trace(rho, {ModeLabel.A, ModeLabel.B}), [ModeLabel.B], params
-        )
-        np.testing.assert_allclose(damp_first.matrix, trace_first.matrix, atol=1e-13)
+        damp_first = trace_out_oracle(damp_one(mat, [1], p), 3, [0, 1])
+        trace_first = damp_one(trace_out_oracle(mat, 3, [0, 1]), [1], p)
+        np.testing.assert_allclose(damp_first, trace_first, atol=1e-13)
 
 
 class TestDampEntriesOnFullSupport:

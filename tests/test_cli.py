@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+import ghzsim.cli
 import ghzsim.sweep
+from ghzsim import LabelError
 from ghzsim.cli import EXIT_AUDIT_FLAGGED, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 
@@ -190,17 +192,20 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == left
 
     @pytest.mark.parametrize("args", ONE_RUN_PER_COMMAND)
-    def test_out_without_file_name_is_a_config_error(self, tmp_path, monkeypatch, capsys, args):
+    @pytest.mark.parametrize("out", ["adir/", ".", ".."])
+    def test_out_without_file_name_is_a_config_error(
+        self, tmp_path, monkeypatch, capsys, args, out
+    ):
         """A directory path names no file: every subcommand rejects it the same
-        way, where `figure 2` used to write `adir/_E.csv` and the rest failed
-        on the write."""
+        way, where `figure 2` used to write `adir/_E.csv` (or `._E.csv` for
+        `.`) and the rest failed on the write."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "adir").mkdir()
-        assert run(args + ["--out", "adir/"]) == EXIT_CONFIG
+        assert run(args + ["--out", out]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --out must name a file, got 'adir/'\n"
-        assert list((tmp_path / "adir").iterdir()) == []
+        assert captured.err == f"error: --out must name a file, got {out!r}\n"
+        assert [p.name for p in tmp_path.rglob("*")] == ["adir"]
 
     def test_boundary_requires_measure(self):
         assert run(["boundary", "--scenario", "ABC_I"]) == EXIT_CONFIG
@@ -214,6 +219,45 @@ class TestExitCodes:
         monkeypatch.setattr(ghzsim.sweep, "numeric_batch", broken)
         with pytest.raises(ValueError, match="broadcast"):
             run(["sweep", "--beta-steps", "2", "--p-steps", "2"])
+
+
+    def test_internal_label_error_is_not_a_config_error(self, monkeypatch):
+        """Only the package's own scenario table raises LabelError, so one
+        inside a command is a bug and surfaces as itself."""
+
+        def broken(*args, **kwargs):
+            raise LabelError("regions inconsistent with scenario kind")
+
+        monkeypatch.setattr(ghzsim.cli, "run_sweep", broken)
+        with pytest.raises(LabelError, match="inconsistent"):
+            run(["sweep", "--beta-steps", "2", "--p-steps", "2"])
+
+
+class TestNegativeZero:
+    """A float flag reads -0.0 as 0.0, so no output shows -0."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep", "--beta-steps", "3", "--p-steps", "3"],
+            ["audit", "--beta-steps", "2", "--p-steps", "2", "--samples", "2"],
+            ["boundary", "--measure", "S", "--beta-steps", "2", "--format", "json"],
+            ["sumrules", "--samples", "2"],
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_alpha_negative_zero_gives_the_bytes_of_zero(self, tmp_path, args, source):
+        runs = []
+        for name, alpha in (("neg", "-0.0"), ("pos", "0")):
+            out = tmp_path / f"{name}.out"
+            if source == "flag":
+                extra = ["--alpha", alpha]
+            else:
+                (tmp_path / f"{name}.cfg").write_text(f"alpha = {alpha}\n")
+                extra = ["--config", str(tmp_path / f"{name}.cfg")]
+            code = run(args + extra + ["--out", str(out)])
+            runs.append((code, out.read_bytes()))
+        assert runs[0] == runs[1]
 
 
 class TestExplicitValues:

@@ -1,5 +1,5 @@
 """What a fresh process pays to start: `import ghzsim` loads no submodule,
-the CLI runs numpy's OpenBLAS with one thread unless the user chose a
+`import ghzsim.qcore` loads neither numpy nor dataclasses, the CLI runs numpy's OpenBLAS with one thread unless the user chose a
 number, and no CLI run imports `numpy.random`.
 
 Each check runs in a new interpreter, because this test process has
@@ -21,14 +21,11 @@ SRC = str(Path(ghzsim.__file__).resolve().parents[1])
 #: The package's public names, pinned.
 EXPORTS = {
     "BETA_MAX", "BoundaryResult", "CATALOG", "ConfigError", "CoverageError",
-    "DampingParams", "DensityOperator", "GhzParams", "KrausPair", "LabelError",
-    "ModeLabel", "ModeRegister", "ParameterError", "SCENARIOS", "Scenario",
-    "ScenarioKind", "SizeError", "SweepConfig", "SweepGrid", "SweepRecord",
-    "UnruhParams", "ValidationReport", "amplitude_damping_kraus", "apply_damping",
-    "cf_eval", "damped_scenario_state", "emit_figure_data", "find_boundary",
-    "is_x_structured", "numeric_batch", "numeric_measures", "partial_trace",
-    "run_audit", "run_sweep", "scenario", "scenario_reduced_state",
-    "sum_rule_samples", "validate_density",
+    "LabelError", "ModeLabel", "ParameterError", "SCENARIOS", "Scenario",
+    "ScenarioKind", "SweepConfig", "SweepGrid", "SweepRecord", "cf_eval",
+    "damped_scenario_state", "emit_figure_data", "find_boundary",
+    "is_x_structured", "numeric_batch", "numeric_measures", "run_audit",
+    "run_sweep", "scenario", "scenario_reduced_state", "sum_rule_samples",
 }
 
 
@@ -53,6 +50,12 @@ class TestLazyPackage:
         assert "numpy" not in loaded
         assert [m for m in loaded if m.startswith("ghzsim.")] == []
 
+    def test_qcore_loads_no_numpy_and_no_dataclasses(self):
+        code = "import json, sys, ghzsim.qcore; print(json.dumps(sorted(sys.modules)))"
+        loaded = fresh_python(code)
+        assert "numpy" not in loaded
+        assert "dataclasses" not in loaded
+
     def test_exports_resolve_on_first_use(self):
         code = (
             "import importlib, json, ghzsim\n"
@@ -69,7 +72,7 @@ class TestLazyPackage:
             "                  'engine': engine.__name__}))\n"
         )
         got = fresh_python(code)
-        assert len(got["all"]) == len(EXPORTS) == 38
+        assert len(got["all"]) == len(EXPORTS) == 26
         assert set(got["all"]) == EXPORTS
         assert set(got["same"]) == EXPORTS
         assert got["engine"] == "ghzsim.engine"

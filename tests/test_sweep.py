@@ -15,7 +15,6 @@ import ghzsim.sweep
 from ghzsim import (
     BETA_MAX,
     ConfigError,
-    DampingParams,
     SweepConfig,
     SweepGrid,
     cf_eval,
@@ -100,8 +99,8 @@ class TestSweepConfig:
          ("p", 1.5, "1"), ("p", -0.25, "1"), ("p", math.nan, "1")],
     )
     def test_range_errors_read_the_same_everywhere(self, name, bad, shown):
-        """The config check, the damping parameters, the damping kernel and
-        the engine reject a bad alpha, beta or p with one ConfigError text."""
+        """The config check, the damping kernel and the engine reject a bad
+        alpha, beta or p with one ConfigError text."""
         good = {"alpha": 0.6, "beta": 0.3, "p": 0.5}
         config = {"alpha": bad} if name == "alpha" else {f"{name}_range": (bad, bad, 3)}
         rejecters = {
@@ -110,7 +109,6 @@ class TestSweepConfig:
         }
         if name == "p":
             plan = block_plan(np.arange(4), 2, [0])
-            rejecters["DampingParams"] = lambda: DampingParams(bad)
             rejecters["damp_entries"] = lambda: damp_entries(np.zeros((4, 1)), plan, bad)
         for where, reject in rejecters.items():
             with pytest.raises(ConfigError) as err:

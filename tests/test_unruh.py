@@ -10,20 +10,20 @@ from hypothesis import strategies as st
 
 from ghzsim import (
     BETA_MAX,
-    GhzParams,
     LabelError,
     ModeLabel,
     ParameterError,
     SCENARIOS,
     ScenarioKind,
-    UnruhParams,
     scenario,
     scenario_reduced_state,
 )
 from ghzsim.unruh import scenario_reduced_entries
 from conftest import (
+    density_deviations,
     expanded_ghz_oracle,
     ghz_oracle,
+    random_density_matrix,
     register_reduced_oracle,
     trace_out_oracle,
     wedge_expand_oracle,
@@ -33,19 +33,42 @@ ALPHA_GHZ = 1.0 / math.sqrt(2.0)
 
 
 class TestParams:
+    """The whole-matrix builder checks alpha and beta like the kernel."""
+
     @pytest.mark.parametrize("alpha", [-0.1, 1.1])
     def test_alpha_range(self, alpha):
         with pytest.raises(ParameterError):
-            GhzParams(alpha)
+            scenario_reduced_state(scenario("ABC_I"), alpha, 0.3)
 
     @pytest.mark.parametrize("beta", [-0.01, math.pi / 4 + 0.01])
     def test_beta_range(self, beta):
         with pytest.raises(ParameterError):
-            UnruhParams(beta)
+            scenario_reduced_state(scenario("ABC_I"), 0.6, beta)
 
     def test_beta_endpoints_allowed(self):
-        UnruhParams(0.0)
-        UnruhParams(BETA_MAX)
+        scenario_reduced_state(scenario("ABC_I"), 0.6, 0.0)
+        scenario_reduced_state(scenario("ABC_I"), 0.6, BETA_MAX)
+
+
+class TestTraceOutOracle:
+    """The einsum partial trace that every reference reduction uses."""
+
+    def test_product_state_factors_cleanly(self, rng):
+        a = random_density_matrix(rng, 2)
+        bc = random_density_matrix(rng, 4)
+        np.testing.assert_allclose(trace_out_oracle(np.kron(a, bc), 3, [1, 2]), bc, atol=1e-14)
+
+    def test_keep_all_is_identity(self, rng):
+        mat = random_density_matrix(rng, 8)
+        np.testing.assert_array_equal(trace_out_oracle(mat, 3, [0, 1, 2]), mat)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), keep_bit=st.integers(0, 2))
+    def test_preserves_trace_and_hermiticity(self, seed, keep_bit):
+        mat = random_density_matrix(np.random.default_rng(seed), 8)
+        reduced = trace_out_oracle(mat, 3, [keep_bit])
+        assert np.trace(reduced) == pytest.approx(1.0, abs=1e-13)
+        np.testing.assert_allclose(reduced, reduced.conj().T, atol=1e-14)
 
 
 class TestBuildGhz:
@@ -146,22 +169,22 @@ class TestScenarioReducedState:
         """Charlie accelerated, keeping (A, B, C_I): an X-matrix with the
         populations split by cos^2/sin^2 and coherence damped by cos(beta)."""
         alpha, beta = ALPHA_GHZ, math.pi / 6
-        rho = scenario_reduced_state(GhzParams(alpha), UnruhParams(beta), scenario("ABC_I"))
+        rho = scenario_reduced_state(scenario("ABC_I"), alpha, beta)
         expected = np.zeros((8, 8), dtype=complex)
         expected[0, 0] = alpha**2 * math.cos(beta) ** 2
         expected[1, 1] = alpha**2 * math.sin(beta) ** 2
         expected[7, 7] = 1.0 - alpha**2
         f1 = alpha * math.sqrt(1.0 - alpha**2) * math.cos(beta)
         expected[0, 7] = expected[7, 0] = f1
-        np.testing.assert_allclose(rho.matrix, expected, atol=1e-14)
+        np.testing.assert_allclose(rho, expected, atol=1e-14)
 
     def test_double_acceleration_populations(self):
         """Both accelerated, keeping (A, B_I, C_I): diagonal weights follow
         cos/sin powers of beta and the |000><111| coherence survives."""
         alpha, beta = 0.6, 0.4
         c2, s2 = math.cos(beta) ** 2, math.sin(beta) ** 2
-        rho = scenario_reduced_state(GhzParams(alpha), UnruhParams(beta), scenario("AB_I_C_I"))
-        diag = np.real(np.diag(rho.matrix))
+        rho = scenario_reduced_state(scenario("AB_I_C_I"), alpha, beta)
+        diag = np.real(np.diag(rho))
         a2 = alpha * alpha
         np.testing.assert_allclose(
             diag,
@@ -169,7 +192,7 @@ class TestScenarioReducedState:
             atol=1e-14,
         )
         f1 = alpha * c2 * math.sqrt(1.0 - a2)
-        assert rho.matrix[0, 7] == pytest.approx(f1)
+        assert rho[0, 7] == pytest.approx(f1)
 
     def test_matches_oracle_reduction(self):
         """Full five-mode expansion contracted with the einsum oracle agrees
@@ -181,18 +204,23 @@ class TestScenarioReducedState:
         for name, scen in SCENARIOS.items():
             if scen.kind is not ScenarioKind.BOB_CHARLIE_ACCELERATED:
                 continue
-            rho = scenario_reduced_state(GhzParams(alpha), UnruhParams(beta), scen)
+            rho = scenario_reduced_state(scen, alpha, beta)
             keep = [order[m] for m in scen.regions]
             np.testing.assert_allclose(
-                rho.matrix, trace_out_oracle(full, 5, keep), atol=1e-14, err_msg=name
+                rho, trace_out_oracle(full, 5, keep), atol=1e-14, err_msg=name
             )
 
     def test_reduced_states_are_valid(self):
-        from ghzsim import validate_density
-
         for scen in SCENARIOS.values():
-            rho = scenario_reduced_state(GhzParams(0.8), UnruhParams(0.6), scen)
-            assert validate_density(rho).ok, scen.name
+            herm_dev, trace_dev, min_eig = density_deviations(
+                scenario_reduced_state(scen, 0.8, 0.6)
+            )
+            assert herm_dev < 1e-10 and trace_dev < 1e-10 and min_eig >= -1e-10, scen.name
+
+    def test_is_a_plain_real_matrix(self):
+        rho = scenario_reduced_state(scenario("AB_I_C_II"), 0.7, 0.3)
+        assert type(rho) is np.ndarray
+        assert rho.shape == (8, 8) and rho.dtype == float
 
 
 def _ends_or_inside(hi: float):
@@ -251,8 +279,8 @@ class TestFullSupportBuild:
         with pytest.raises(ParameterError, match="outside"):
             reduced_matrices(np.array([0.5, alpha]), np.array([0.3, beta]), scenario("AB_I_C_I"))
 
-    def test_params_reject_nan(self):
+    def test_whole_matrix_builder_rejects_nan(self):
         with pytest.raises(ParameterError):
-            GhzParams(math.nan)
+            scenario_reduced_state(scenario("ABC_I"), math.nan, 0.3)
         with pytest.raises(ParameterError):
-            UnruhParams(math.nan)
+            scenario_reduced_state(scenario("ABC_I"), 0.6, math.nan)
