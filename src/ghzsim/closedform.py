@@ -186,12 +186,20 @@ CATALOG: dict[tuple[str, str], CatalogFn] = {
 def cf_eval(scenario_name: str, measure: str, alpha, beta, p) -> np.ndarray:
     """Evaluate one catalog expression at every point of the broadcast of
     (alpha, beta, p); the result has the broadcast shape. An input of -0.0
-    is read as +0.0 (adding 0.0 changes no other value's bits)."""
+    is read as +0.0 (adding 0.0 changes no other value's bits).
+
+    The expression sees the inputs as given, not broadcast, so on a
+    (B, 1) x (P,) grid each function of beta alone runs over B values."""
     try:
         fn = CATALOG[(scenario_name, measure)]
     except KeyError:
         raise CoverageError(f"no closed form for ({scenario_name}, {measure})") from None
-    return fn(*np.broadcast_arrays(*(np.asarray(v, float) + 0.0 for v in (alpha, beta, p))))
+    args = [np.asarray(v, float) + 0.0 for v in (alpha, beta, p)]
+    shape = np.broadcast_shapes(*(np.shape(v) for v in args))
+    value = fn(*args)
+    if np.shape(value) != shape:
+        value = np.broadcast_to(value, shape).copy()
+    return value
 
 
 @dataclass(frozen=True)

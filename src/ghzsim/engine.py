@@ -40,16 +40,12 @@ import numpy as np
 
 from .channels import block_plan, damp_entries
 from .measures import off_pattern, support_measures
-from .unruh import Scenario, scenario, scenario_reduced_entries
+from .unruh import Scenario, _as_scenario, scenario_reduced_entries
 
 MEASURES = ("S", "E", "C")
 
 #: Points damped and measured together in one pass of `numeric_batch`.
 BLOCK_POINTS = 4096
-
-
-def _as_scenario(scen: "Scenario | str") -> Scenario:
-    return scen if isinstance(scen, Scenario) else scenario(scen)
 
 
 @functools.cache

@@ -108,6 +108,10 @@ def scenario(name: str) -> Scenario:
         ) from None
 
 
+def _as_scenario(scen: "Scenario | str") -> Scenario:
+    return scen if isinstance(scen, Scenario) else scenario(scen)
+
+
 _WEDGE_PAIRS = {
     ModeLabel.B: (ModeLabel.B_I, ModeLabel.B_II),
     ModeLabel.C: (ModeLabel.C_I, ModeLabel.C_II),
@@ -162,8 +166,11 @@ def scenario_reduced_entries(alpha, beta, scen: Scenario, support) -> np.ndarray
     return terms[0]
 
 
-def scenario_reduced_state(scen: Scenario, alpha: float, beta: float) -> np.ndarray:
-    """The real (8, 8) reduced matrix of one scenario at one point: Charlie's
-    mode expanded, and Bob's too when both observers accelerate (same beta),
-    with the inaccessible complement of the kept regions traced out."""
-    return scenario_reduced_entries(float(alpha), float(beta), scen, np.arange(64)).reshape(8, 8)
+def scenario_reduced_state(scen: "Scenario | str", alpha: float, beta: float) -> np.ndarray:
+    """The real (8, 8) reduced matrix of one scenario (or scenario name) at
+    one point: Charlie's mode expanded, and Bob's too when both observers
+    accelerate (same beta), with the inaccessible complement of the kept
+    regions traced out."""
+    return scenario_reduced_entries(
+        float(alpha), float(beta), _as_scenario(scen), np.arange(64)
+    ).reshape(8, 8)

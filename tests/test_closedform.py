@@ -110,6 +110,36 @@ class TestArrayCatalog:
         got, want = (np.float64(cf_eval(name, measure, *args)) for args in (neg, pos))
         assert got.view(np.int64) == want.view(np.int64)
 
+    @pytest.mark.parametrize("name,measure", sorted(CATALOG))
+    @pytest.mark.parametrize("case", ["scalar", "negative-zero", "grid", "points"])
+    def test_axes_evaluation_gives_the_bits_of_the_broadcast_one(self, name, measure, case):
+        """`cf_eval` hands the expression its inputs unbroadcast; every value
+        keeps the bits of evaluating on the fully broadcast inputs."""
+        rng = np.random.default_rng(17)
+        points = [rng.random(300), rng.random(300) * BETA_MAX, rng.random(300)]
+        for axis in points:
+            axis[::37] = -0.0
+        args = {
+            "scalar": POINT,
+            "negative-zero": (-0.0, -0.0, -0.0),
+            "grid": (ALPHA_GHZ, np.linspace(0.0, BETA_MAX, 101)[:, None], np.linspace(0, 1, 101)),
+            "points": points,
+        }[case]
+        broadcast = np.broadcast_arrays(*(np.asarray(v, float) + 0.0 for v in args))
+        want = CATALOG[(name, measure)](*broadcast)
+        got = cf_eval(name, measure, *args)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_result_takes_the_broadcast_shape(self, monkeypatch):
+        """An expression that ignores an input still gives a writeable array
+        of the broadcast shape."""
+        monkeypatch.setitem(CATALOG, ("ABC_I", "C"), lambda a, b, p: 2.0 * np.cos(b))
+        betas = np.linspace(0.0, BETA_MAX, 5)[:, None]
+        value = cf_eval("ABC_I", "C", ALPHA_GHZ, betas, np.linspace(0.0, 1.0, 3))
+        assert value.shape == (5, 3) and value.flags.writeable
+        assert value.tolist() == np.repeat(2.0 * np.cos(betas), 3, axis=1).tolist()
+
     def test_scalar_arguments_give_a_float(self):
         value = cf_eval("ABC_I", "C", *POINT)
         assert isinstance(value, float) and np.shape(value) == ()

@@ -15,6 +15,7 @@ from ghzsim import (
     ParameterError,
     SCENARIOS,
     ScenarioKind,
+    damped_scenario_state,
     scenario,
     scenario_reduced_state,
 )
@@ -48,6 +49,18 @@ class TestParams:
     def test_beta_endpoints_allowed(self):
         scenario_reduced_state(scenario("ABC_I"), 0.6, 0.0)
         scenario_reduced_state(scenario("ABC_I"), 0.6, BETA_MAX)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_scenario_by_name(self, name):
+        by_name = scenario_reduced_state(name, 0.7, 0.3)
+        assert by_name.tobytes() == scenario_reduced_state(scenario(name), 0.7, 0.3).tobytes()
+
+    def test_unknown_scenario_name(self):
+        """Both whole-matrix functions resolve a name the same way."""
+        with pytest.raises(ParameterError, match="unknown scenario 'ABC_III'"):
+            scenario_reduced_state("ABC_III", 0.7, 0.3)
+        with pytest.raises(ParameterError, match="unknown scenario 'ABC_III'"):
+            damped_scenario_state("ABC_III", 0.7, 0.3, 0.1)
 
 
 class TestTraceOutOracle:
