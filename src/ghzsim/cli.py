@@ -8,8 +8,9 @@ not a flag of the subcommand is a configuration error. Only the CLI picks
 where output goes (--out, else stdout) and its format (--format).
 
 Exit codes: 0 success, 2 configuration error (a ConfigError, such as a
-ParameterError), 3 I/O error (a closed standard output included), 4 the
-audit found discrepancies above tolerance.
+ParameterError), 3 I/O error (a closed standard output, or a reader that
+closes the pipe early, included), 4 the audit found discrepancies above
+tolerance.
 
 `main(argv)` is the in-process API: it returns the exit code. `run()` is the
 process entry, used by the `ghzsim` console script and `python -m ghzsim.cli`.
@@ -201,13 +202,30 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
     )
 
 
+def _write_all(stream, text: str) -> None:
+    """Write `text` to a text stream through its binary layer, until every
+    byte is out. Under PYTHONUNBUFFERED that layer is the raw file, which
+    may take only part of a write (a pipe whose reader has gone), and the
+    text layer would drop the rest without an error; here the next write
+    raises EPIPE instead. The text layer is flushed first, so output keeps
+    its order. A stream with no binary layer gets the text as it is."""
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:
+        stream.write(text)
+        return
+    stream.flush()
+    data = memoryview(text.encode(stream.encoding, stream.errors))
+    while data:
+        data = data[buffer.write(data) :]  # None, from a full non-blocking file, retries
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         write_text_atomic(out, text)
     elif sys.stdout is None:  # the process started with descriptor 1 closed
         raise OSError(errno.EBADF, "standard output is closed")
     else:
-        sys.stdout.write(text)
+        _write_all(sys.stdout, text)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

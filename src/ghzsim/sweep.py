@@ -13,9 +13,12 @@ catalog call per scenario. Evaluation runs in a single process; the
 `run_sweep` returns a `SweepGrid`, one (beta, p) array per (measure, engine)
 that reads as a sequence of `SweepRecord`s built on demand. The audit and
 the figures evaluate their grids through it. The writers return text; the
-CLI picks the output path and format. Sweep and figure output is written
-straight from the arrays, in the documented row order, and `json_text`
-writes every other JSON document (audit, sum rules, boundary). A config's
+CLI picks the output path and format. Sweep CSV, sweep JSON and figure CSV
+are written straight from the arrays, in the documented row order, each by
+one `%` operation over a template that repeats one per-point block: per
+column, the column's constant text, a slot for the point's preformatted
+(beta, p) text and a slot for its value. `json_text` writes every other
+JSON document (audit, sum rules, boundary). A config's
 alpha and range ends are checked by `unruh._check`, as the pipeline checks
 them, so a range error reads the same wherever it is raised.
 
@@ -176,25 +179,46 @@ def write_text_atomic(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
-def _grid_csv(header: str, betas, ps, columns: list[tuple[str, np.ndarray]]) -> str:
+def _fill(head: str, prefixes: list[str], slots: str, keys: list[str], columns: list[list],
+          sep: str = "", tail: str = "") -> str:
+    """`head`, one block per key joined by `sep`, then `tail`, formatted by a
+    single `%` operation. A block is one cell per column, joined by `sep`:
+    the column's prefix as text (a `%` in it is escaped), then `slots`, a
+    template whose two conversions take the point's key and its value in
+    the column. `head`, `sep` and `tail` are templates with no conversion."""
+    k = len(prefixes)
+    args = [None] * (2 * k * len(keys))
+    for j, column in enumerate(columns):
+        args[2 * j :: 2 * k] = keys
+        args[2 * j + 1 :: 2 * k] = column
+    block = sep.join(prefix.replace("%", "%%") + slots for prefix in prefixes)
+    return (head + sep.join([block] * len(keys)) + tail) % tuple(args)
+
+
+def _csv_keys(betas, ps) -> list[str]:
+    """The "beta,p," text of each grid point, beta slowest."""
+    ps_text = [_fmt(p) for p in ps]
+    return [f"{b},{p}," for b in map(_fmt, betas) for p in ps_text]
+
+
+def _grid_csv(header: str, keys: list[str], columns: list[tuple[str, np.ndarray]]) -> str:
     """CSV of (beta, p) surfaces: after `header`, one line per grid point and
     column, beta slowest, then p, then column order. A line is the column's
-    prefix, then beta, p and the surface value, each float in the `_fmt`
-    format. Each axis value and each surface is formatted once."""
-    fmt = "{:.17g}".format
-    ps_text = [fmt(p) for p in ps]
-    keys = [f"{b},{p}," for b in map(fmt, betas) for p in ps_text]
-    cells = [
-        [prefix + key + v for key, v in zip(keys, map(fmt, s.ravel().tolist()), strict=True)]
-        for prefix, s in columns
-    ]
-    return "\n".join([header, *(line for point in zip(*cells) for line in point)]) + "\n"
+    prefix, the point's `_csv_keys` text and the surface value in the `_fmt`
+    format. The whole text is one `%` pass (`_fill`) over a template that
+    repeats one per-point block once per point: per column, the prefix with
+    `%` escaped as `%%`, `%s` for the key and `%.17g`, which spells every
+    float, NaN and infinities included, as `_fmt` does."""
+    prefixes = [prefix for prefix, _ in columns]
+    values = [s.ravel().tolist() for _, s in columns]
+    return _fill(header + "\n", prefixes, "%s%.17g\n", keys, values)
 
 
 def records_to_csv(grid: SweepGrid) -> str:
     alpha = _fmt(grid.alpha)
     columns = [(f"{grid.scenario},{m},{e},{alpha},", s) for (m, e), s in grid.surfaces.items()]
-    return _grid_csv("scenario,measure,engine,alpha,beta,p,value", grid.betas, grid.ps, columns)
+    header = "scenario,measure,engine,alpha,beta,p,value"
+    return _grid_csv(header, _csv_keys(grid.betas, grid.ps), columns)
 
 
 #: float.__repr__ texts that JSON spells otherwise; a NaN value is null.
@@ -205,22 +229,32 @@ def _json_num(x: float) -> str:
     return _JSON_SPECIAL.get(text := float.__repr__(x), text)
 
 
+def _json_values(surface: np.ndarray) -> list:
+    """A surface's values for a `%s` slot: Python floats, whose str is their
+    repr as json.dumps spells them, with each non-finite value replaced by
+    its JSON text."""
+    flat = surface.ravel()
+    values = flat.tolist()
+    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+        values[i] = _json_num(values[i])
+    return values
+
+
 def records_to_json(grid: SweepGrid) -> str:
     """The bytes `json.dumps(..., indent=2)` gives for the list of record
-    dicts (NaN values as null), from a fixed per-record template."""
-    heads = [
+    dicts (NaN values as null), in one `%` pass over a template that
+    repeats one per-point block of records, as `_grid_csv` does."""
+    if not len(grid):
+        return "[]\n"
+    prefixes = [
         f'  {{\n    "scenario": {json.dumps(grid.scenario)},\n    "measure": {json.dumps(m)},\n'
         f'    "engine": {json.dumps(e)},\n    "alpha": {json.dumps(grid.alpha)},\n    "beta": '
         for m, e in grid.surfaces
     ]
     ps = [_json_num(p) for p in grid.ps]
     keys = [f'{b},\n    "p": {p},\n    "value": ' for b in map(_json_num, grid.betas) for p in ps]
-    rows = [
-        head + key + _json_num(v) + "\n  }"
-        for key, *values in zip(keys, *(s.ravel().tolist() for s in grid.surfaces.values()))
-        for head, v in zip(heads, values)
-    ]
-    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
+    values = [_json_values(s) for s in grid.surfaces.values()]
+    return _fill("[\n", prefixes, "%s%s\n  }", keys, values, sep=",\n", tail="\n]\n")
 
 
 def _jsonify(obj):
@@ -390,8 +424,9 @@ def emit_figure_data(figure_id: int, alpha: float, resolution: int, out_path: st
 
     stem, ext = os.path.splitext(out_path)
     paths = [out_path] if len(measures) == 1 else [f"{stem}_{m}{ext or '.csv'}" for m in measures]
+    keys = _csv_keys(grid.betas, grid.ps)
     for path, surface in zip(paths, grid.surfaces.values()):
-        write_text_atomic(path, _grid_csv("beta,p,value", grid.betas, grid.ps, [("", surface)]))
+        write_text_atomic(path, _grid_csv("beta,p,value", keys, [("", surface)]))
     return paths
 
 

@@ -4,6 +4,7 @@ expected to surface (the numeric engine is authoritative there)."""
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ghzsim import (
     CoverageError,
     SCENARIOS,
     cf_eval,
+    numeric_batch,
     numeric_measures,
 )
 from ghzsim.closedform import SUM_RULES
@@ -211,6 +213,37 @@ class TestSumRules:
             * math.cos(beta) ** 2
         )
         assert rhs[0] - num[0] == pytest.approx(expected, abs=1e-13)
+
+    @staticmethod
+    def exact_reported_residual(alphas, betas, ps) -> np.ndarray:
+        """|lhs - rhs| of the reported relation's exact form on the numeric
+        engine: C(AB_I_C_I)^2 + C(AB_II_C_II)^2
+        + (1-a^2)(C(AB_I_B_II)^2 + C(AC_I_C_II)^2)
+        = 4(1-p)^2 a^2 (1-a^2) - 2 sin^2(2 beta)(1-p)^2 a^2 (1-a^2)^2."""
+        a, b, p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alphas, betas, ps)))
+        c = {
+            name: numeric_batch(name, a, b, p, ("C",))["C"]
+            for name in ("AB_I_C_I", "AB_II_C_II", "AB_I_B_II", "AC_I_C_II")
+        }
+        a2, q2 = a * a, (1.0 - p) ** 2
+        lhs = c["AB_I_C_I"] ** 2 + c["AB_II_C_II"] ** 2 + (1.0 - a2) * (
+            c["AB_I_B_II"] ** 2 + c["AC_I_C_II"] ** 2
+        )
+        rhs = 4.0 * q2 * a2 * (1.0 - a2) - 2.0 * np.sin(2.0 * b) ** 2 * q2 * a2 * (1.0 - a2) ** 2
+        return np.abs(lhs - rhs)
+
+    def test_reported_rule_has_an_exact_form_at_random_points(self):
+        rnd = random.Random(7)
+        alphas = [rnd.uniform(0.0, 1.0) for _ in range(2000)]
+        betas = [rnd.uniform(0.0, BETA_MAX) for _ in range(2000)]
+        ps = [rnd.uniform(0.0, 1.0) for _ in range(2000)]
+        assert self.exact_reported_residual(alphas, betas, ps).max() <= 1.5e-15
+
+    def test_reported_rule_has_an_exact_form_at_the_corners(self):
+        """alpha in {0, 1}, beta in {0, pi/4}, p in {0, 1}, and the points
+        between them where the correction term is largest."""
+        grid = np.meshgrid([0.0, ALPHA_GHZ, 1.0], [0.0, math.pi / 4], [0.0, 0.5, 1.0])
+        assert self.exact_reported_residual(*grid).max() <= 1.5e-15
 
     def test_reported_rule_vanishes_at_alpha_endpoints(self):
         for alpha in (0.0, 1.0):

@@ -8,6 +8,7 @@ that is not flushed before `os._exit` is lost, and these tests see that."""
 from __future__ import annotations
 
 import errno
+import io
 import os
 import subprocess
 import sys
@@ -18,18 +19,27 @@ import pytest
 import ghzsim
 import ghzsim.cli
 from ghzsim.cli import EXIT_AUDIT_FLAGGED, EXIT_CONFIG, EXIT_IO, EXIT_OK
-from ghzsim.sweep import SweepConfig, records_to_csv, run_sweep
+from ghzsim.sweep import BETA_MAX, SweepConfig, records_to_csv, run_sweep
 
 SRC = str(Path(ghzsim.__file__).resolve().parents[1])
 
 posix_only = pytest.mark.skipif(os.name != "posix", reason="uses POSIX descriptors and sh")
 
 
+def cli_env(unbuffered: bool = False) -> dict[str, str]:
+    """The environment of a CLI process: this one's, with PYTHONUNBUFFERED
+    set to 1 or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return env
+
+
 def cli_process(args, cwd, *, code=None, stdout=subprocess.PIPE, close_stdout=False):
     """Run `python -m ghzsim.cli ARGS` (or `python -c CODE ARGS`) in `cwd`
     with PYTHONUNBUFFERED unset; return the CompletedProcess with bytes."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = cli_env()
     argv = [sys.executable, *(["-m", "ghzsim.cli"] if code is None else ["-c", code]), *args]
     if close_stdout:
         argv = ["sh", "-c", 'exec "$0" "$@" >&-', *argv]
@@ -103,6 +113,69 @@ class TestOutputSurvivesTheExit:
         assert done.returncode == 120
         assert b"Exception ignored" in done.stderr
         assert done.stderr.rstrip().endswith(b"BrokenPipeError: [Errno 32] Broken pipe")
+
+
+class TestEarlyClosingReader:
+    """A reader that closes the pipe before the output ends, as `ghzsim
+    sweep | head -c 100` does: the writer's next write fails with EPIPE and
+    the process exits 3, whether stdout's binary layer is buffered or, under
+    PYTHONUNBUFFERED, the raw file, which takes a short write."""
+
+    @posix_only
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_exits_3(self, tmp_path, unbuffered):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ghzsim.cli", "sweep"], cwd=tmp_path,
+            env=cli_env(unbuffered), stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.read(100) == records_to_csv(run_sweep(SweepConfig()))[:100].encode()
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=120) == EXIT_IO
+        finally:
+            proc.kill()
+            proc.wait()
+        assert stderr == f"I/O error: [Errno {errno.EPIPE}] Broken pipe\n".encode()
+
+    class ShortWrites(io.RawIOBase):
+        """A raw stream that takes at most 4,096 bytes per write."""
+
+        def __init__(self):
+            self.received = bytearray()
+
+        def writable(self):
+            return True
+
+        def write(self, data):
+            taken = bytes(data[:4096])
+            self.received += taken
+            return len(taken)
+
+    def test_the_text_layer_drops_a_short_writes_remainder(self):
+        """The defect: what PYTHONUNBUFFERED's stdout does on its own."""
+        raw = self.ShortWrites()
+        io.TextIOWrapper(raw, write_through=True).write("x" * 5000)
+        assert len(raw.received) == 4096
+
+    @pytest.mark.parametrize("write_through", [True, False])
+    def test_short_writes_deliver_the_whole_text(self, monkeypatch, write_through):
+        """After text still held by the text layer, in order."""
+        raw = self.ShortWrites()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=write_through))
+        print("before", end="")
+        assert ghzsim.cli.main(["sweep", "--beta-steps", "11", "--p-steps", "7"]) == EXIT_OK
+        config = SweepConfig(beta_range=(0.0, BETA_MAX, 11), p_range=(0.0, 1.0, 7))
+        text = records_to_csv(run_sweep(config))
+        assert len(text) > 3 * 4096
+        assert bytes(raw.received) == b"before" + text.encode()
+
+    def test_a_stdout_with_no_binary_layer_gets_the_text(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        assert ghzsim.cli.main(["sweep", "--beta-steps", "2", "--p-steps", "2"]) == EXIT_OK
+        config = SweepConfig(beta_range=(0.0, BETA_MAX, 2), p_range=(0.0, 1.0, 2))
+        assert sys.stdout.getvalue() == records_to_csv(run_sweep(config))
 
 
 @posix_only

@@ -36,7 +36,9 @@ from ghzsim.sweep import (
     records_to_csv,
     records_to_json,
     write_text_atomic,
+    _csv_keys,
     _fmt,
+    _grid_csv,
 )
 from conftest import (
     figure_csv_oracle,
@@ -233,6 +235,17 @@ COLUMNAR_CONFIGS = [
 ]
 
 
+#: NaN, infinities, a signed zero, the least subnormal and a value that
+#: needs all 17 digits, on a 3x2 (beta, p) grid, and a grid of them with
+#: signed-zero and subnormal axis values.
+SPECIAL_VALUES = np.array([[math.nan, math.inf], [-math.inf, -0.0], [5e-324, 0.1 + 0.2]])
+SPECIAL_GRID = SweepGrid(
+    "AB_I_C_I", 0.3, (0.0, 1e-300, BETA_MAX), (-0.0, 1.0),
+    {("S", "numeric"): SPECIAL_VALUES, ("C", "closedform"): SPECIAL_VALUES[::-1].copy()},
+)
+EMPTY_GRID = SweepGrid("ABC_I", 0.5, (), (), {})
+
+
 class TestColumnarOutput:
     """The grid writer against the per-record writers it replaced."""
 
@@ -247,14 +260,34 @@ class TestColumnarOutput:
     def test_json_spells_every_float_as_the_encoder_does(self):
         """NaN, infinities, signed zeros, subnormals and 17-digit values, and
         a grid with no records."""
-        values = np.array([[math.nan, math.inf], [-math.inf, -0.0], [5e-324, 0.1 + 0.2]])
-        grid = SweepGrid(
-            "AB_I_C_I", 0.3, (0.0, 1e-300, BETA_MAX), (-0.0, 1.0),
-            {("S", "numeric"): values, ("C", "closedform"): values[::-1].copy()},
-        )
+        assert records_to_json(SPECIAL_GRID) == records_json_oracle(SPECIAL_GRID)
+        assert records_to_json(EMPTY_GRID) == records_json_oracle(EMPTY_GRID) == "[]\n"
+
+    def test_csv_spells_every_float_as_format_does(self):
+        """The same grids through the CSV writer, whose floats must read as
+        `format(x, ".17g")` spells them."""
+        assert records_to_csv(SPECIAL_GRID) == records_csv_oracle(SPECIAL_GRID)
+        header = "scenario,measure,engine,alpha,beta,p,value\n"
+        assert records_to_csv(EMPTY_GRID) == records_csv_oracle(EMPTY_GRID) == header
+
+    def test_figure_file_spells_every_float_as_format_does(self):
+        betas, ps = (0.0, 1e-300, BETA_MAX), (-0.0, 1.0)
+        figure = _grid_csv("beta,p,value", _csv_keys(betas, ps), [("", SPECIAL_VALUES)])
+        assert figure == figure_csv_oracle(betas, ps, SPECIAL_VALUES)
+        empty = np.empty((0, 0))
+        assert _grid_csv("beta,p,value", _csv_keys((), ()), [("", empty)]) == "beta,p,value\n"
+        assert figure_csv_oracle((), (), empty) == "beta,p,value\n"
+
+    @pytest.mark.parametrize("name", ["100%", "A%sB%%C%(x)s%.17g"])
+    def test_percent_in_a_scenario_name_is_text(self, name):
+        """Both writers fill one `%` template; a `%` in the name is not a
+        conversion of it."""
+        grid = SweepGrid(name, 0.3, (0.0, 0.5), (0.25,), {("C", "numeric"): SPECIAL_VALUES[:2, :1]})
+        text = records_to_csv(grid)
+        assert text == records_csv_oracle(grid)
+        assert text.split("\n")[1].startswith(name + ",C,numeric,")
         assert records_to_json(grid) == records_json_oracle(grid)
-        empty = SweepGrid("ABC_I", 0.5, (), (), {})
-        assert records_to_json(empty) == records_json_oracle(empty) == "[]\n"
+        assert [r["scenario"] for r in json.loads(records_to_json(grid))] == [name, name]
 
     @pytest.mark.parametrize("config", COLUMNAR_CONFIGS)
     def test_grid_reads_as_its_records(self, config):
