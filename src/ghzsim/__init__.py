@@ -7,7 +7,9 @@ and `scenario_reduced_state` and `damped_scenario_state` give one point's
 whole reduced matrix, before and after damping, as a plain real (8, 8)
 array. The kernels under them (`unruh.scenario_reduced_entries`,
 `channels.damp_entries`, `measures.support_measures`) work on batched rows
-of a scenario's support entries.
+of a scenario's support entries. Scenarios and sweep grids are plain data:
+a `Scenario` is a named tuple of mode-name strings, and a `SweepGrid` holds
+its axes and one (beta, p) array per (measure, engine).
 
 The public names below are imported from their submodules on first use
 (PEP 562), so `import ghzsim` alone loads no submodule and not numpy. This
@@ -24,10 +26,10 @@ _EXPORTS = {
     for module, names in {
         "closedform": "CATALOG CoverageError cf_eval",
         "engine": "damped_scenario_state is_x_structured numeric_batch numeric_measures",
-        "qcore": "ConfigError LabelError ModeLabel ParameterError",
-        "sweep": "BoundaryResult SweepConfig SweepGrid SweepRecord emit_figure_data "
+        "qcore": "ConfigError ParameterError",
+        "sweep": "BoundaryResult SweepConfig SweepGrid emit_figure_data "
         "find_boundary run_audit run_sweep sum_rule_samples",
-        "unruh": "BETA_MAX SCENARIOS Scenario ScenarioKind scenario scenario_reduced_state",
+        "unruh": "BETA_MAX SCENARIOS Scenario scenario scenario_reduced_state",
     }.items()
     for name in names.split()
 }

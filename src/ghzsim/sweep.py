@@ -10,17 +10,17 @@ bisection step over all betas; the sum rules are one kernel call and one
 catalog call per scenario. Evaluation runs in a single process; the
 `workers` setting is validated but changes nothing.
 
-`run_sweep` returns a `SweepGrid`, one (beta, p) array per (measure, engine)
-that reads as a sequence of `SweepRecord`s built on demand. The audit and
-the figures evaluate their grids through it. The writers return text; the
-CLI picks the output path and format. Sweep CSV, sweep JSON and figure CSV
-are written straight from the arrays, in the documented row order, each by
-one `%` operation over a template that repeats one per-point block: per
-column, the column's constant text, a slot for the point's preformatted
-(beta, p) text and a slot for its value. `json_text` writes every other
-JSON document (audit, sum rules, boundary). A config's
-alpha and range ends are checked by `unruh._check`, as the pipeline checks
-them, so a range error reads the same wherever it is raised.
+`run_sweep` returns a `SweepGrid`, plain data: the axes and one (beta, p)
+array per (measure, engine). The audit and the figures evaluate their grids
+through it. The writers return text; the CLI picks the output path and
+format. Sweep CSV, sweep JSON and figure CSV are written straight from the
+arrays, in the documented row order, each by one `%` operation over a
+template that repeats one per-point block: per column, the column's
+constant text, a slot for the point's preformatted (beta, p) text and a
+slot for its value. `json_text` writes every other JSON document (audit,
+sum rules, boundary). A config's alpha and range ends are checked by
+`unruh._check`, as the pipeline checks them, so a range error reads the
+same wherever it is raised.
 
 All outputs are deterministic for a fixed configuration: grid order defines
 row order, floats are serialized with 17 significant digits, random sampling
@@ -87,41 +87,21 @@ class SweepConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One (grid point, measure, engine) evaluation."""
-
-    scenario: str
-    measure: str
-    engine: str
-    alpha: float
-    beta: float
-    p: float
-    value: float
-
-
 @dataclass(frozen=True, eq=False)
-class SweepGrid(Sequence[SweepRecord]):
-    """A sweep's (beta, p) surfaces, read as the sequence of its records:
+class SweepGrid:
+    """A sweep's (beta, p) surfaces. The writers lay them out as rows
     ordered by (beta index, p index), then measure (config order), then
-    engine (numeric before closedform). A record is built when indexed."""
+    engine (numeric before closedform); its length is that row count."""
 
     scenario: str
     alpha: float
     betas: tuple[float, ...]
     ps: tuple[float, ...]
-    #: (measure, engine) -> (len(betas), len(ps)) array, in record order.
+    #: (measure, engine) -> (len(betas), len(ps)) array, in row order.
     surfaces: dict[tuple[str, str], np.ndarray]
 
     def __len__(self) -> int:
         return len(self.betas) * len(self.ps) * len(self.surfaces)
-
-    def __getitem__(self, index: int) -> SweepRecord:
-        point, column = divmod(range(len(self))[index], len(self.surfaces))
-        bi, pi = divmod(point, len(self.ps))
-        (measure, engine), surface = list(self.surfaces.items())[column]
-        beta, p, value = self.betas[bi], self.ps[pi], float(surface[bi, pi])
-        return SweepRecord(self.scenario, measure, engine, self.alpha, beta, p, value)
 
 
 def _axis(rng: tuple[float, float, int]) -> tuple[float, ...]:
@@ -459,7 +439,8 @@ def sum_rule_samples(alpha: float | None, samples: int, seed: int) -> dict:
     `alpha` is None; otherwise it is held fixed), then as many betas on
     [0, BETA_MAX], then as many p on [0, 1]. The relation marked `asserted=False`
     is reported with its alpha-dependence instead of being gated: its residual
-    scales as alpha^2 (1 - alpha^2)^2, vanishing only at alpha in {0, 1}.
+    lhs - rhs is exactly -2 sin^2(2 beta) (1-p)^2 alpha^2 (1-alpha^2)^2, which
+    vanishes only at alpha in {0, 1}, beta = 0 or p = 1.
     """
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")

@@ -11,23 +11,24 @@ For a fermionic field the vacuum and excited states map as
 with beta in [0, pi/4]; beta = 0 is the inertial limit and beta = pi/4 the
 infinite-acceleration limit.
 
-`scenario_reduced_entries`, the one builder, computes chosen entries of a
-scenario's reduced states for N points at once, in real arithmetic: it
-expands Bob's mode (when he accelerates) and then Charlie's in an
-(N, 2, 2, 2) amplitude tensor, multiplies the kept-mode amplitudes of each
-entry and sums out the traced modes in register order, for two traced modes
-as (t0 + t2) + (t1 + t3). `scenario_reduced_state` is it on all 64 entries
+A scenario is plain data, a `Scenario` of mode-name strings: the observers
+whose mode is expanded and the three modes kept. `SCENARIOS` holds the
+paper's eight. `scenario_reduced_entries`, the one builder, computes chosen
+entries of a scenario's reduced states for N points at once, in real
+arithmetic: it expands each of the scenario's `expanded` modes, Bob's
+before Charlie's, in an (N, 2, 2, 2) amplitude tensor, multiplies the
+kept-mode amplitudes of each entry and sums out the traced modes in register
+order, for two traced modes as (t0 + t2) + (t1 + t3). `scenario_reduced_state` is it on all 64 entries
 of one point, as a plain real (8, 8) array.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import LabelError, ModeLabel, ParameterError
+from .qcore import ParameterError
 
 BETA_MAX = math.pi / 4
 #: Slack on the upper beta limit, so that pi/4 computed another way passes.
@@ -50,53 +51,42 @@ def _check(name: str, values) -> None:
         raise ParameterError(f"{name}={values[bad][0]} outside [0, {shown}]")
 
 
-class ScenarioKind(Enum):
-    CHARLIE_ACCELERATED = "charlie_accelerated"
-    BOB_CHARLIE_ACCELERATED = "bob_charlie_accelerated"
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Which observers accelerate, and which three modes are kept."""
+class Scenario(NamedTuple):
+    """Which observers accelerate, and which three modes are kept, as plain
+    mode names. `expanded` lists the observers whose mode splits into its
+    wedge pair, Bob before Charlie. `regions` lists the kept modes in
+    register order, so they are the reduced register, and the reduced
+    matrices use the big-endian basis: the first kept mode is the most
+    significant bit."""
 
     name: str
-    kind: ScenarioKind
-    regions: tuple[ModeLabel, ...]
-
-    def __post_init__(self) -> None:
-        allowed = (
-            {ModeLabel.A, ModeLabel.B, ModeLabel.C_I, ModeLabel.C_II}
-            if self.kind is ScenarioKind.CHARLIE_ACCELERATED
-            else {ModeLabel.A, ModeLabel.B_I, ModeLabel.B_II, ModeLabel.C_I, ModeLabel.C_II}
-        )
-        if len(self.regions) != 3 or set(self.regions) - allowed:
-            raise LabelError(f"regions {self.regions} inconsistent with scenario kind {self.kind}")
+    expanded: tuple[str, ...]
+    regions: tuple[str, ...]
 
     @property
-    def damped_modes(self) -> tuple[ModeLabel, ...]:
+    def damped_modes(self) -> tuple[str, ...]:
         """Kept modes that belong to an accelerated observer; these are the
         ones coupled to the amplitude-damping environment."""
-        return tuple(m for m in self.regions if m.is_wedge_mode)
+        return tuple(m for m in self.regions if "_" in m)
 
 
-def _make_scenarios() -> dict[str, Scenario]:
-    L = ModeLabel
-    single = ScenarioKind.CHARLIE_ACCELERATED
-    double = ScenarioKind.BOB_CHARLIE_ACCELERATED
-    table = {
-        "ABC_I": (single, (L.A, L.B, L.C_I)),
-        "ABC_II": (single, (L.A, L.B, L.C_II)),
-        "AB_I_C_I": (double, (L.A, L.B_I, L.C_I)),
-        "AB_I_C_II": (double, (L.A, L.B_I, L.C_II)),
-        "AB_II_C_I": (double, (L.A, L.B_II, L.C_I)),
-        "AB_II_C_II": (double, (L.A, L.B_II, L.C_II)),
-        "AB_I_B_II": (double, (L.A, L.B_I, L.B_II)),
-        "AC_I_C_II": (double, (L.A, L.C_I, L.C_II)),
-    }
-    return {name: Scenario(name, kind, regions) for name, (kind, regions) in table.items()}
-
-
-SCENARIOS: dict[str, Scenario] = _make_scenarios()
+#: The paper's eight scenarios: name, observers expanded, kept modes.
+#: `expanded` is not read off the kept modes: AC_I_C_II keeps neither of
+#: Bob's modes, yet Bob accelerates, and that fixes the rounding of its
+#: traced sums.
+SCENARIOS: dict[str, Scenario] = {
+    name: Scenario(name, tuple(expanded), tuple(regions.split()))
+    for name, expanded, regions in (
+        ("ABC_I", "C", "A B C_I"),
+        ("ABC_II", "C", "A B C_II"),
+        ("AB_I_C_I", "BC", "A B_I C_I"),
+        ("AB_I_C_II", "BC", "A B_I C_II"),
+        ("AB_II_C_I", "BC", "A B_II C_I"),
+        ("AB_II_C_II", "BC", "A B_II C_II"),
+        ("AB_I_B_II", "BC", "A B_I B_II"),
+        ("AC_I_C_II", "BC", "A C_I C_II"),
+    )
+}
 
 
 def scenario(name: str) -> Scenario:
@@ -110,12 +100,6 @@ def scenario(name: str) -> Scenario:
 
 def _as_scenario(scen: "Scenario | str") -> Scenario:
     return scen if isinstance(scen, Scenario) else scenario(scen)
-
-
-_WEDGE_PAIRS = {
-    ModeLabel.B: (ModeLabel.B_I, ModeLabel.B_II),
-    ModeLabel.C: (ModeLabel.C_I, ModeLabel.C_II),
-}
 
 
 def _expand_stack(psi: np.ndarray, axis: int, cos_b: np.ndarray, sin_b: np.ndarray) -> np.ndarray:
@@ -143,16 +127,13 @@ def scenario_reduced_entries(alpha, beta, scen: Scenario, support) -> np.ndarray
     psi[:, 0, 0, 0] = a
     psi[:, 1, 1, 1] = np.sqrt(1.0 - a * a)
     cos_b, sin_b = np.cos(b), np.sin(b)
-    register: tuple[ModeLabel, ...] = (ModeLabel.A, ModeLabel.B, ModeLabel.C)
+    register = ("A", "B", "C")
     # Bob before Charlie: the order fixes the rounding of the amplitude
     # products.
-    expanded = (ModeLabel.B, ModeLabel.C)
-    if scen.kind is ScenarioKind.CHARLIE_ACCELERATED:
-        expanded = (ModeLabel.C,)
-    for target in expanded:
-        pos = register.index(target)
+    for t in scen.expanded:
+        pos = register.index(t)
         psi = _expand_stack(psi, 1 + pos, cos_b, sin_b)
-        register = register[:pos] + _WEDGE_PAIRS[target] + register[pos + 1 :]
+        register = register[:pos] + (t + "_I", t + "_II") + register[pos + 1 :]
     kept = [register.index(m) for m in scen.regions]
     traced = [i for i in range(len(register)) if i not in kept]
     # (N, traced..., kept...) -> (T, 8, N): psi[t] holds the kept amplitudes

@@ -16,9 +16,12 @@ positivity deviations of one matrix for the density-matrix checks.
 of whole matrices, so tests can hold it to these oracles.
 
 `register_reduced_oracle` builds a scenario's reduced state one point at a
-time on a labeled register: the GHZ vector, the wedge expansion of each
-accelerated mode by its bit strings, the full outer product and
-`trace_out_oracle`. The batched builder must equal it bit for bit.
+time on a register of mode-name strings: the GHZ vector, the wedge
+expansion of each accelerated mode by its bit strings, the full outer
+product and `trace_out_oracle`. The batched builder must equal it bit for
+bit. Which modes it expands and keeps, `expanded_from_name` and
+`modes_from_name` read off the scenario's name, not from the package's
+scenario table.
 `x_measures_oracle` evaluates S, E and C of one matrix in Python scalars,
 straight from the formulas in the `measures` module docstring, so the
 engine's differential test shares no code with the kernels it checks.
@@ -30,19 +33,22 @@ slots read off the stack's diagonals and C as `abs.sum - trace` over whole
 `sweep_records_oracle`, `records_csv_oracle`, `records_json_oracle` and
 `figure_csv_oracle` are the per-record and per-cell writers the package
 replaced with its columnar grid writer; the serialization tests require the
-package's output to equal theirs byte for byte.
+package's output to equal theirs byte for byte. `grid_records` lays a
+`SweepGrid`'s arrays out as those writers' `Record` rows.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+import re
+from collections import namedtuple
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from ghzsim import LabelError, ModeLabel, ScenarioKind, SweepRecord, cf_eval, numeric_batch
+from ghzsim import cf_eval, numeric_batch
 from ghzsim.channels import block_plan, damp_entries
 from ghzsim.measures import X_TOL, svetlichny, tripartite_entanglement
 
@@ -113,26 +119,41 @@ def density_deviations(mat: np.ndarray) -> tuple[float, float, float]:
     return herm_dev, trace_dev, min_eig
 
 
-_WEDGES = {
-    ModeLabel.B: (ModeLabel.B_I, ModeLabel.B_II),
-    ModeLabel.C: (ModeLabel.C_I, ModeLabel.C_II),
-}
+_WEDGES = {"B": ("B_I", "B_II"), "C": ("C_I", "C_II")}
 
 
-def ghz_oracle(alpha: float) -> tuple[tuple[ModeLabel, ...], np.ndarray]:
+def expanded_from_name(name: str) -> tuple[str, ...]:
+    """The observers whose mode a scenario expands, read off its name: only
+    Charlie's in the ABC_ scenarios, where Bob's mode is kept whole, and
+    Bob's then Charlie's in the rest."""
+    return ("C",) if name.startswith("ABC_") else ("B", "C")
+
+
+def modes_from_name(name: str) -> tuple[str, ...]:
+    """The modes a scenario keeps, read off its name: AB_I_C_II keeps A, B_I
+    and C_II. The name must be exactly its modes spelled in order, with `_`
+    after each wedge mode that another mode follows."""
+    modes = tuple(re.findall(r"[ABC](?:_II|_I)?", name))
+    spelled = "".join(m + "_" * ("_" in m) for m in modes[:-1]) + "".join(modes[-1:])
+    if spelled != name:
+        raise ValueError(f"{name!r} does not spell its modes")
+    return modes
+
+
+def ghz_oracle(alpha: float) -> tuple[tuple[str, ...], np.ndarray]:
     """alpha|000> + sqrt(1-alpha^2)|111> over the register (A, B, C)."""
     vec = np.zeros(8, dtype=complex)
     vec[0b000] = alpha
     vec[0b111] = math.sqrt(1.0 - alpha * alpha)
-    return (ModeLabel.A, ModeLabel.B, ModeLabel.C), vec
+    return ("A", "B", "C"), vec
 
 
-def wedge_expand_oracle(modes, vec: np.ndarray, target: ModeLabel, beta: float):
+def wedge_expand_oracle(modes, vec: np.ndarray, target: str, beta: float):
     """Replace `target` in place by its wedge pair (_I, then _II), mapping
     |0> -> cos(beta)|00> + sin(beta)|11> and |1> -> |10> bit string by bit
     string. Returns the new (modes, vector)."""
     if target not in modes or target not in _WEDGES:
-        raise LabelError(f"mode {target.value} cannot be expanded in {modes}")
+        raise ValueError(f"mode {target} cannot be expanded in {modes}")
     pos, n = modes.index(target), len(modes)
     cos_b, sin_b = math.cos(beta), math.sin(beta)
     out = np.zeros(2 ** (n + 1), dtype=complex)
@@ -150,12 +171,10 @@ def wedge_expand_oracle(modes, vec: np.ndarray, target: ModeLabel, beta: float):
 
 def expanded_ghz_oracle(alpha: float, beta: float, scen):
     """(modes, vector) of the GHZ state with Bob's mode (when he
-    accelerates) and then Charlie's expanded."""
+    accelerates, as the scenario's name tells) and then Charlie's
+    expanded."""
     modes, vec = ghz_oracle(alpha)
-    targets = [ModeLabel.C]
-    if scen.kind is ScenarioKind.BOB_CHARLIE_ACCELERATED:
-        targets.insert(0, ModeLabel.B)
-    for target in targets:
+    for target in expanded_from_name(scen.name):
         modes, vec = wedge_expand_oracle(modes, vec, target, beta)
     return modes, vec
 
@@ -164,7 +183,7 @@ def register_reduced_oracle(alpha: float, beta: float, scen) -> np.ndarray:
     """The scenario's reduced 8x8 matrix: the expanded GHZ vector's outer
     product with the unkept modes traced out by `trace_out_oracle`."""
     modes, vec = expanded_ghz_oracle(alpha, beta, scen)
-    keep = [modes.index(m) for m in scen.regions]
+    keep = [modes.index(m) for m in modes_from_name(scen.name)]
     return trace_out_oracle(np.outer(vec, vec.conj()), len(modes), keep)
 
 
@@ -223,7 +242,22 @@ def _fmt_oracle(x: float) -> str:
     return "nan" if math.isnan(x) else format(x, ".17g")
 
 
-def sweep_records_oracle(config) -> list[SweepRecord]:
+#: One row of a sweep's output, owned here so that the writer tests need no
+#: record type from the package.
+Record = namedtuple("Record", "scenario measure engine alpha beta p value")
+
+
+def grid_records(grid):
+    """The rows of a `SweepGrid` in their documented order: by (beta index,
+    p index), then by (measure, engine) in the order of its surfaces."""
+    surfaces = [(m, e, s.tolist()) for (m, e), s in grid.surfaces.items()]
+    for bi, beta in enumerate(grid.betas):
+        for pi, p in enumerate(grid.ps):
+            for m, e, s in surfaces:
+                yield Record(grid.scenario, m, e, grid.alpha, beta, p, s[bi][pi])
+
+
+def sweep_records_oracle(config) -> list[Record]:
     """The records of a sweep, built one by one from the two engines: rows
     ordered by (beta index, p index), then measure, then engine."""
     betas = np.linspace(*config.beta_range).tolist()
@@ -237,7 +271,7 @@ def sweep_records_oracle(config) -> list[SweepRecord]:
         if "closedform" in engines:
             values[m, "closedform"] = cf_eval(config.scenario, m, *grid).tolist()
     return [
-        SweepRecord(config.scenario, m, e, config.alpha, beta, p, values[m, e][bi][pi])
+        Record(config.scenario, m, e, config.alpha, beta, p, values[m, e][bi][pi])
         for bi, beta in enumerate(betas)
         for pi, p in enumerate(ps)
         for m in config.measures

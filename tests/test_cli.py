@@ -6,9 +6,7 @@ import json
 
 import pytest
 
-import ghzsim.cli
 import ghzsim.sweep
-from ghzsim import LabelError
 from ghzsim.cli import EXIT_AUDIT_FLAGGED, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 
@@ -218,18 +216,6 @@ class TestExitCodes:
 
         monkeypatch.setattr(ghzsim.sweep, "numeric_batch", broken)
         with pytest.raises(ValueError, match="broadcast"):
-            run(["sweep", "--beta-steps", "2", "--p-steps", "2"])
-
-
-    def test_internal_label_error_is_not_a_config_error(self, monkeypatch):
-        """Only the package's own scenario table raises LabelError, so one
-        inside a command is a bug and surfaces as itself."""
-
-        def broken(*args, **kwargs):
-            raise LabelError("regions inconsistent with scenario kind")
-
-        monkeypatch.setattr(ghzsim.cli, "run_sweep", broken)
-        with pytest.raises(LabelError, match="inconsistent"):
             run(["sweep", "--beta-steps", "2", "--p-steps", "2"])
 
 

@@ -21,9 +21,8 @@ SRC = str(Path(ghzsim.__file__).resolve().parents[1])
 #: The package's public names, pinned.
 EXPORTS = {
     "BETA_MAX", "BoundaryResult", "CATALOG", "ConfigError", "CoverageError",
-    "LabelError", "ModeLabel", "ParameterError", "SCENARIOS", "Scenario",
-    "ScenarioKind", "SweepConfig", "SweepGrid", "SweepRecord", "cf_eval",
-    "damped_scenario_state", "emit_figure_data", "find_boundary",
+    "ParameterError", "SCENARIOS", "Scenario", "SweepConfig", "SweepGrid",
+    "cf_eval", "damped_scenario_state", "emit_figure_data", "find_boundary",
     "is_x_structured", "numeric_batch", "numeric_measures", "run_audit",
     "run_sweep", "scenario", "scenario_reduced_state", "sum_rule_samples",
 }
@@ -72,7 +71,7 @@ class TestLazyPackage:
             "                  'engine': engine.__name__}))\n"
         )
         got = fresh_python(code)
-        assert len(got["all"]) == len(EXPORTS) == 26
+        assert len(got["all"]) == len(EXPORTS) == 22
         assert set(got["all"]) == EXPORTS
         assert set(got["same"]) == EXPORTS
         assert got["engine"] == "ghzsim.engine"

@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 
 from ghzsim import (
     BETA_MAX,
-    LabelError,
-    ModeLabel,
     ParameterError,
     SCENARIOS,
-    ScenarioKind,
     damped_scenario_state,
     scenario,
     scenario_reduced_state,
@@ -22,8 +19,10 @@ from ghzsim import (
 from ghzsim.unruh import scenario_reduced_entries
 from conftest import (
     density_deviations,
+    expanded_from_name,
     expanded_ghz_oracle,
     ghz_oracle,
+    modes_from_name,
     random_density_matrix,
     register_reduced_oracle,
     trace_out_oracle,
@@ -96,7 +95,7 @@ class TestBuildGhz:
 
     def test_register_order(self):
         modes, _ = ghz_oracle(0.5)
-        assert modes == (ModeLabel.A, ModeLabel.B, ModeLabel.C)
+        assert modes == ("A", "B", "C")
 
 
 class TestUnruhExpand:
@@ -104,41 +103,36 @@ class TestUnruhExpand:
 
     def test_vacuum_mode_splits(self):
         beta = 0.3
-        modes, vec = wedge_expand_oracle((ModeLabel.C,), np.array([1.0, 0.0]), ModeLabel.C, beta)
-        assert modes == (ModeLabel.C_I, ModeLabel.C_II)
+        modes, vec = wedge_expand_oracle(("C",), np.array([1.0, 0.0]), "C", beta)
+        assert modes == ("C_I", "C_II")
         assert vec[0b00] == pytest.approx(math.cos(beta))
         assert vec[0b11] == pytest.approx(math.sin(beta))
 
     def test_excited_mode_stays_in_accessible_wedge(self):
-        _, vec = wedge_expand_oracle((ModeLabel.C,), np.array([0.0, 1.0]), ModeLabel.C, 0.7)
+        _, vec = wedge_expand_oracle(("C",), np.array([0.0, 1.0]), "C", 0.7)
         assert vec[0b10] == pytest.approx(1.0)
 
     def test_wedge_pair_inserted_in_place(self):
-        modes, _ = wedge_expand_oracle(*ghz_oracle(ALPHA_GHZ), ModeLabel.B, 0.2)
-        assert modes == (
-            ModeLabel.A,
-            ModeLabel.B_I,
-            ModeLabel.B_II,
-            ModeLabel.C,
-        )
+        modes, _ = wedge_expand_oracle(*ghz_oracle(ALPHA_GHZ), "B", 0.2)
+        assert modes == ("A", "B_I", "B_II", "C")
 
     def test_preserves_norm(self):
-        _, vec = wedge_expand_oracle(*ghz_oracle(0.8), ModeLabel.C, 0.5)
+        _, vec = wedge_expand_oracle(*ghz_oracle(0.8), "C", 0.5)
         assert np.linalg.norm(vec) == pytest.approx(1.0)
 
     def test_inertial_limit_is_vacuum_padding(self):
-        _, vec = wedge_expand_oracle(*ghz_oracle(0.8), ModeLabel.C, 0.0)
+        _, vec = wedge_expand_oracle(*ghz_oracle(0.8), "C", 0.0)
         assert vec[0b0000] == pytest.approx(0.8)
         assert vec[0b1110] == pytest.approx(0.6)
 
     def test_mode_without_expansion(self):
-        with pytest.raises(LabelError):
-            wedge_expand_oracle(*ghz_oracle(0.5), ModeLabel.A, 0.1)
+        with pytest.raises(ValueError, match="mode A cannot be expanded"):
+            wedge_expand_oracle(*ghz_oracle(0.5), "A", 0.1)
 
     def test_double_expansion_rejected(self):
-        once = wedge_expand_oracle(*ghz_oracle(0.5), ModeLabel.C, 0.1)
-        with pytest.raises(LabelError):
-            wedge_expand_oracle(*once, ModeLabel.C, 0.1)
+        once = wedge_expand_oracle(*ghz_oracle(0.5), "C", 0.1)
+        with pytest.raises(ValueError, match="mode C cannot be expanded"):
+            wedge_expand_oracle(*once, "C", 0.1)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -146,7 +140,7 @@ class TestUnruhExpand:
         beta=st.floats(0.0, BETA_MAX),
     )
     def test_expansion_is_an_isometry(self, alpha, beta):
-        _, vec = wedge_expand_oracle(*ghz_oracle(alpha), ModeLabel.C, beta)
+        _, vec = wedge_expand_oracle(*ghz_oracle(alpha), "C", beta)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -168,13 +162,32 @@ class TestScenarios:
             scenario("ABC_III")
 
     def test_damped_modes_are_the_kept_wedge_modes(self):
-        assert scenario("ABC_I").damped_modes == (ModeLabel.C_I,)
-        assert scenario("AB_I_C_II").damped_modes == (ModeLabel.B_I, ModeLabel.C_II)
-        assert scenario("AC_I_C_II").damped_modes == (ModeLabel.C_I, ModeLabel.C_II)
+        assert scenario("ABC_I").damped_modes == ("C_I",)
+        assert scenario("AB_I_C_II").damped_modes == ("B_I", "C_II")
+        assert scenario("AC_I_C_II").damped_modes == ("C_I", "C_II")
 
-    def test_kinds(self):
-        assert scenario("ABC_II").kind is ScenarioKind.CHARLIE_ACCELERATED
-        assert scenario("AB_I_B_II").kind is ScenarioKind.BOB_CHARLIE_ACCELERATED
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+class TestScenarioTable:
+    """Each row of the scenario table is consistent, decided from its name
+    and the register its expansion leaves."""
+
+    def test_regions_are_three_distinct_modes_of_the_expanded_register(self, name):
+        scen = SCENARIOS[name]
+        register = ["A", "B", "C"]
+        for t in scen.expanded:
+            pos = register.index(t)
+            register[pos : pos + 1] = [t + "_I", t + "_II"]
+        assert len(scen.regions) == 3 and len(set(scen.regions)) == 3
+        assert set(scen.regions) <= set(register)
+        assert sorted(scen.regions, key=register.index) == list(scen.regions)
+
+    def test_name_spells_the_regions(self, name):
+        assert SCENARIOS[name].name == name
+        assert SCENARIOS[name].regions == modes_from_name(name)
+
+    def test_bob_is_expanded_unless_the_name_starts_with_abc(self, name):
+        assert SCENARIOS[name].expanded == expanded_from_name(name)
 
 
 class TestScenarioReducedState:
@@ -215,10 +228,10 @@ class TestScenarioReducedState:
         full = np.outer(vec, vec.conj())
         order = {m: i for i, m in enumerate(modes)}
         for name, scen in SCENARIOS.items():
-            if scen.kind is not ScenarioKind.BOB_CHARLIE_ACCELERATED:
+            if expanded_from_name(name) != ("B", "C"):
                 continue
             rho = scenario_reduced_state(scen, alpha, beta)
-            keep = [order[m] for m in scen.regions]
+            keep = [order[m] for m in modes_from_name(name)]
             np.testing.assert_allclose(
                 rho, trace_out_oracle(full, 5, keep), atol=1e-14, err_msg=name
             )
@@ -266,7 +279,7 @@ class TestFullSupportBuild:
                 assert np.array_equal(stack[k], register_reduced_oracle(alpha, beta, scen)), where
                 modes, vec = expanded_ghz_oracle(alpha, beta, scen)
                 full = np.outer(vec, vec.conj())
-                keep = [modes.index(m) for m in scen.regions]
+                keep = [modes.index(m) for m in modes_from_name(name)]
                 oracle = trace_out_oracle(full, len(modes), keep)
                 assert np.max(np.abs(stack[k] - oracle)) <= 1e-15, where
 
