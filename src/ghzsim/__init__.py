@@ -24,7 +24,7 @@ import importlib
 _EXPORTS = {
     name: module
     for module, names in {
-        "closedform": "CATALOG CoverageError cf_eval",
+        "closedform": "CATALOG cf_eval",
         "engine": "damped_scenario_state is_x_structured numeric_batch numeric_measures",
         "qcore": "ConfigError ParameterError",
         "sweep": "BoundaryResult SweepConfig SweepGrid emit_figure_data "

@@ -107,7 +107,6 @@ _FLAGS: dict[str, tuple] = {
     "tol": (_real, {}),
     "seed": (int, {}),
     "samples": (int, {"help": "random sum-rule points"}),
-    "workers": (int, {"help": "accepted for compatibility; evaluation is single-process"}),
     "out": (str, {"help": "output path (stdout when omitted)"}),
     "format": (str, {"choices": ("csv", "json")}),
     "config": (str, {"help": "flat key=value config file"}),
@@ -119,12 +118,12 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
     "sweep": (
         "evaluate measures over a (beta, p) grid",
         ("alpha", "beta_steps", "p_steps", "scenario", "measures", "engine", "out",
-         "format", "workers", "config"),
+         "format", "config"),
     ),
     "audit": (
         "compare closed forms against the numeric engine",
         ("alpha", "beta_steps", "p_steps", "scenario", "all_scenarios", "tol", "seed",
-         "samples", "workers", "out", "config"),
+         "samples", "out", "config"),
     ),
     "boundary": (
         "sudden-death boundary p*(beta)",
@@ -195,7 +194,6 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
         scenario=_given(args, "scenario", "ABC_I"),
         measures=tuple(_given(args, "measures", "S,E,C").split(",")),
         engine=_given(args, "engine", "both"),
-        workers=_given(args, "workers", 1),
         tol=_given(args, "tol", 1e-8),
         seed=_given(args, "seed", DEFAULT_SEED),
         samples=_given(args, "samples", 1000),

@@ -23,9 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-
-class CoverageError(KeyError):
-    """No catalog entry exists for the requested (scenario, measure)."""
+from .qcore import ParameterError
 
 
 def _ghz_weight(alpha: np.ndarray) -> np.ndarray:
@@ -193,7 +191,7 @@ def cf_eval(scenario_name: str, measure: str, alpha, beta, p) -> np.ndarray:
     try:
         fn = CATALOG[(scenario_name, measure)]
     except KeyError:
-        raise CoverageError(f"no closed form for ({scenario_name}, {measure})") from None
+        raise ParameterError(f"no closed form for ({scenario_name}, {measure})") from None
     args = [np.asarray(v, float) + 0.0 for v in (alpha, beta, p)]
     shape = np.broadcast_shapes(*(np.shape(v) for v in args))
     value = fn(*args)

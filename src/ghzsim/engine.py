@@ -40,6 +40,7 @@ import numpy as np
 
 from .channels import block_plan, damp_entries
 from .measures import off_pattern, support_measures
+from .qcore import ParameterError
 from .unruh import Scenario, _as_scenario, scenario_reduced_entries
 
 MEASURES = ("S", "E", "C")
@@ -88,9 +89,8 @@ def numeric_batch(
     where the damped state is not X-structured."""
     scen = _as_scenario(scen)
     wanted = tuple(measures)
-    unknown = set(wanted) - set(MEASURES)
-    if unknown:
-        raise ValueError(f"unknown measures {sorted(unknown)}; expected subset of {MEASURES}")
+    if unknown := set(wanted) - set(MEASURES):
+        raise ParameterError(f"unknown measures {sorted(unknown)}; expected subset of {MEASURES}")
     shape = np.broadcast_shapes(np.shape(alpha), np.shape(beta), np.shape(p))
     values = {m: np.empty(math.prod(shape)) for m in wanted}
     support, _ = _support(scen)

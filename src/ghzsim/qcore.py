@@ -8,4 +8,4 @@ class ConfigError(ValueError):
 
 
 class ParameterError(ConfigError):
-    """A physical parameter is outside its allowed range."""
+    """A parameter outside its range, or a scenario or measure no table holds."""

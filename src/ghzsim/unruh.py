@@ -99,7 +99,11 @@ def scenario(name: str) -> Scenario:
 
 
 def _as_scenario(scen: "Scenario | str") -> Scenario:
-    return scen if isinstance(scen, Scenario) else scenario(scen)
+    """The `SCENARIOS` row that `scen` names or equals, else ParameterError."""
+    row = scenario(scen.name if isinstance(scen, Scenario) else scen)
+    if isinstance(scen, Scenario) and scen != row:
+        raise ParameterError(f"{scen} is not the row {row} of SCENARIOS")
+    return row
 
 
 def _expand_stack(psi: np.ndarray, axis: int, cos_b: np.ndarray, sin_b: np.ndarray) -> np.ndarray:

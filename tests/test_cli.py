@@ -67,13 +67,6 @@ class TestSweepCommand:
         assert run(args + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
-    def test_workers_flag_keeps_bytes(self, tmp_path):
-        base = ["sweep", "--beta-steps", "4", "--p-steps", "4"]
-        a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
-        assert run(base + ["--workers", "1", "--out", str(a)]) == EXIT_OK
-        assert run(base + ["--workers", "2", "--out", str(b)]) == EXIT_OK
-        assert a.read_bytes() == b.read_bytes()
-
     def test_alpha_flag(self, tmp_path):
         out = tmp_path / "s.csv"
         run(["sweep", "--alpha", "0.25", "--beta-steps", "2", "--p-steps", "2",
@@ -253,7 +246,7 @@ class TestExplicitValues:
         "args",
         [
             ["sweep", "--beta-steps", "0"],
-            ["sweep", "--workers", "0", "--beta-steps", "2", "--p-steps", "2"],
+            ["sweep", "--beta-steps", "2", "--p-steps", "0"],
             ["sumrules", "--samples", "0"],
             ["figure", "--figure", "1", "--resolution", "0", "--out", "unused.csv"],
             ["boundary", "--measure", "S", "--beta-steps", "0"],
@@ -290,6 +283,8 @@ class TestFlagSets:
             ["audit", "--measures", "C"],
             ["boundary", "--p-steps", "9", "--measure", "S"],
             ["boundary", "--workers", "2", "--measure", "S"],
+            ["sweep", "--workers", "2"],
+            ["audit", "--workers", "1"],
             ["figure", "--seed", "3", "--figure", "1"],
             ["sweep", "--samples", "5"],
         ],
@@ -303,12 +298,20 @@ class TestFlagSets:
     @pytest.mark.parametrize(
         "command, key",
         [("sweep", "beta"), ("sweep", "p"), ("sweep", "tol"), ("sumrules", "scenario"),
-         ("sweep", "config")],
+         ("sweep", "config"), ("sweep", "workers"), ("audit", "workers")],
     )
     def test_config_key_outside_the_flag_set(self, tmp_path, command, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = 0.3\n")
         assert run([command, "--config", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["sweep", "audit"])
+    def test_help_lists_no_workers_flag(self, command, capsys):
+        """Evaluation is single-process, so no subcommand offers --workers."""
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == EXIT_OK
+        assert "workers" not in capsys.readouterr().out
 
     def test_config_value_outside_choices(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -12,7 +12,7 @@ import pytest
 from ghzsim import (
     BETA_MAX,
     CATALOG,
-    CoverageError,
+    ParameterError,
     SCENARIOS,
     cf_eval,
     numeric_batch,
@@ -51,9 +51,10 @@ class TestCatalog:
             for measure in ("S", "E", "C"):
                 assert (name, measure) in CATALOG
 
-    def test_unknown_pair(self):
-        with pytest.raises(CoverageError):
-            cf_eval("ABC_I", "Q", *POINT)
+    @pytest.mark.parametrize("name,measure", [("ABC_I", "Q"), ("ABC_III", "C")])
+    def test_unknown_pair(self, name, measure):
+        with pytest.raises(ParameterError, match="no closed form"):
+            cf_eval(name, measure, *POINT)
 
     @pytest.mark.parametrize("name,measure", AGREEING)
     def test_agreement_with_numeric_engine(self, name, measure):

@@ -14,6 +14,7 @@ from ghzsim import (
     BETA_MAX,
     ParameterError,
     SCENARIOS,
+    Scenario,
     damped_scenario_state,
     is_x_structured,
     numeric_batch,
@@ -44,6 +45,41 @@ X_SCENARIOS = (
     "AB_II_C_II",
 )
 NON_X_SCENARIOS = ("AB_I_B_II", "AC_I_C_II")
+
+#: Hand-built scenarios that are no row of SCENARIOS: four kept modes (under
+#: an unknown name and under a table name), ABC_I's name on AB_I_C_I's modes,
+#: and an unknown mode.
+NOT_IN_TABLE = (
+    Scenario("X", ("C",), ("A", "B", "C_I", "C_II")),
+    Scenario("ABC_I", ("C",), ("A", "B", "C_I", "C_II")),
+    Scenario("ABC_I", *SCENARIOS["AB_I_C_I"][1:]),
+    Scenario("ABC_I", ("C",), ("A", "B", "D")),
+)
+
+#: Every engine entry point that takes a scenario, called at one point.
+SCENARIO_CALLS = {
+    "numeric_batch": lambda s: numeric_batch(s, 0.6, 0.3, 0.2),
+    "numeric_measures": lambda s: numeric_measures(s, 0.6, 0.3, 0.2),
+    "damped_scenario_state": lambda s: damped_scenario_state(s, 0.6, 0.3, 0.2),
+    "scenario_reduced_state": lambda s: scenario_reduced_state(s, 0.6, 0.3),
+    "is_x_structured": is_x_structured,
+}
+
+
+class TestOnlyTableRows:
+    """SCENARIOS is the only source of scenarios: a hand-built one is
+    accepted only if it equals the table row of its name."""
+
+    @pytest.mark.parametrize("call", SCENARIO_CALLS)
+    @pytest.mark.parametrize("scen", NOT_IN_TABLE, ids=range(len(NOT_IN_TABLE)))
+    def test_row_outside_the_table_is_rejected(self, call, scen):
+        with pytest.raises(ParameterError):
+            SCENARIO_CALLS[call](scen)
+
+    @pytest.mark.parametrize("call", SCENARIO_CALLS)
+    def test_copy_of_a_row_is_the_row(self, call):
+        copy = Scenario("AB_I_C_I", ("B", "C"), ("A", "B_I", "C_I"))
+        np.testing.assert_equal(SCENARIO_CALLS[call](copy), SCENARIO_CALLS[call]("AB_I_C_I"))
 
 
 class TestDampedScenarioState:
@@ -107,7 +143,7 @@ class TestNumericMeasures:
         assert set(values) == {"C"}
 
     def test_unknown_measure_rejected(self):
-        with pytest.raises(ValueError, match="unknown measures"):
+        with pytest.raises(ParameterError, match="unknown measures"):
             numeric_measures("ABC_I", 0.7, 0.2, 0.1, ("S", "Q"))
 
     @pytest.mark.parametrize("name", NON_X_SCENARIOS)

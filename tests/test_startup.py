@@ -20,8 +20,8 @@ SRC = str(Path(ghzsim.__file__).resolve().parents[1])
 
 #: The package's public names, pinned.
 EXPORTS = {
-    "BETA_MAX", "BoundaryResult", "CATALOG", "ConfigError", "CoverageError",
-    "ParameterError", "SCENARIOS", "Scenario", "SweepConfig", "SweepGrid",
+    "BETA_MAX", "BoundaryResult", "CATALOG", "ConfigError", "ParameterError",
+    "SCENARIOS", "Scenario", "SweepConfig", "SweepGrid",
     "cf_eval", "damped_scenario_state", "emit_figure_data", "find_boundary",
     "is_x_structured", "numeric_batch", "numeric_measures", "run_audit",
     "run_sweep", "scenario", "scenario_reduced_state", "sum_rule_samples",
@@ -55,6 +55,12 @@ class TestLazyPackage:
         assert "numpy" not in loaded
         assert "dataclasses" not in loaded
 
+    def test_catalog_imports_only_qcore(self):
+        """The closed forms depend on no numeric ghzsim module."""
+        code = "import json, sys, ghzsim.closedform; print(json.dumps(sorted(sys.modules)))"
+        loaded = [m for m in fresh_python(code) if m.startswith("ghzsim.")]
+        assert loaded == ["ghzsim.closedform", "ghzsim.qcore"]
+
     def test_exports_resolve_on_first_use(self):
         code = (
             "import importlib, json, ghzsim\n"
@@ -71,7 +77,7 @@ class TestLazyPackage:
             "                  'engine': engine.__name__}))\n"
         )
         got = fresh_python(code)
-        assert len(got["all"]) == len(EXPORTS) == 22
+        assert len(got["all"]) == len(EXPORTS) == 21
         assert set(got["all"]) == EXPORTS
         assert set(got["same"]) == EXPORTS
         assert got["engine"] == "ghzsim.engine"

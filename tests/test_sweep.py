@@ -5,9 +5,12 @@ from __future__ import annotations
 import json
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ghzsim.engine
 import ghzsim.sweep
@@ -452,6 +455,44 @@ class TestFindBoundary:
     def test_scan_step_is_not_a_parameter(self):
         with pytest.raises(TypeError, match="scan_step"):
             find_boundary("ABC_I", "S", ALPHA_GHZ, beta_samples=2, scan_step=0.0)
+
+
+def fine_scan_p_star(name: str, measure: str, beta: float) -> float | None:
+    """p* at one beta from a brute-force p scan at step 1e-5, under the
+    boundary's rules: the curve crosses where it first comes within 1e-12
+    of the threshold; one that starts on the threshold crosses at p = 0 and
+    one that starts below it never does; for E a zero only at p = 1 is no
+    crossing. None means no crossing."""
+    threshold = 4.0 if measure == "S" else 0.0
+    ps = np.arange(100_001) / 100_000
+    values = numeric_batch(name, ALPHA_GHZ, beta, ps, (measure,))[measure]
+    reached = np.flatnonzero(values <= threshold + 1e-12)
+    if len(reached) == 0 or (measure == "E" and reached[0] == len(ps) - 1):
+        return None
+    if reached[0] == 0:
+        return 0.0 if abs(values[0] - threshold) <= 1e-9 else None
+    return float(ps[reached[0]])
+
+
+class TestBoundaryScanMissesNoCrossing:
+    """The 1e-3 coarse scan of `find_boundary` finds the same first crossing
+    as a scan 100 times finer, at any beta."""
+
+    @settings(max_examples=4, deadline=None)
+    @given(beta=st.floats(0.0, BETA_MAX))
+    @pytest.mark.parametrize("measure", ["S", "E"])
+    @pytest.mark.parametrize(
+        "name", ["ABC_I", "ABC_II", "AB_I_C_I", "AB_I_C_II", "AB_II_C_I", "AB_II_C_II"]
+    )
+    def test_agrees_with_a_fine_scan(self, name, measure, beta):
+        # find_boundary samples beta on an even grid; give it the drawn beta.
+        with mock.patch.object(ghzsim.sweep, "_axis", lambda rng: (beta,)):
+            (point,) = find_boundary(name, measure, ALPHA_GHZ, beta_samples=1).curve
+        want = fine_scan_p_star(name, measure, beta)
+        assert point.beta == beta
+        assert point.status == ("no_crossing" if want is None else "crossing")
+        if want is not None:
+            assert abs(point.p_star - want) <= 2e-5
 
 
 class TestEmitFigureData:
