@@ -9,7 +9,9 @@ array. The kernels under them (`unruh.scenario_reduced_entries`,
 `channels.damp_entries`, `measures.support_measures`) work on batched rows
 of a scenario's support entries. Scenarios and sweep grids are plain data:
 a `Scenario` is a named tuple of mode-name strings, and a `SweepGrid` holds
-its axes and one (beta, p) array per (measure, engine).
+its axes and one (beta, p) array per (measure, engine). The numpy-free
+`qcore` owns the scenario, figure and engine tables that the CLI's parser
+reads; `unruh` and `sweep` import them from there.
 
 The public names below are imported from their submodules on first use
 (PEP 562), so `import ghzsim` alone loads no submodule and not numpy. This
@@ -26,10 +28,10 @@ _EXPORTS = {
     for module, names in {
         "closedform": "CATALOG cf_eval",
         "engine": "damped_scenario_state is_x_structured numeric_batch numeric_measures",
-        "qcore": "ConfigError ParameterError",
+        "qcore": "ConfigError ParameterError SCENARIOS Scenario scenario",
         "sweep": "BoundaryResult SweepConfig SweepGrid emit_figure_data "
         "find_boundary run_audit run_sweep sum_rule_samples",
-        "unruh": "BETA_MAX SCENARIOS Scenario scenario scenario_reduced_state",
+        "unruh": "BETA_MAX scenario_reduced_state",
     }.items()
     for name in names.split()
 }

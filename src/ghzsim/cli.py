@@ -14,6 +14,11 @@ tolerance.
 
 `main(argv)` is the in-process API: it returns the exit code. `run()` is the
 process entry, used by the `ghzsim` console script and `python -m ghzsim.cli`.
+
+The parser is built from tables that the numpy-free `qcore` owns: the
+scenario names, the figure ids and the engine names. Each subcommand
+imports `sweep`, and with it numpy, only when it runs, so `--help`, a usage
+error or a configuration error ends before numpy loads.
 """
 from __future__ import annotations
 
@@ -27,27 +32,7 @@ from typing import NoReturn
 # 0.1 s of CPU per process; this must run before the first numpy import.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .qcore import ConfigError
-from .sweep import (
-    DEFAULT_ALPHA,
-    DEFAULT_SEED,
-    BETA_MAX,
-    ENGINES,
-    FIGURES,
-    SweepConfig,
-    boundary_to_csv,
-    boundary_to_json,
-    emit_figure_data,
-    find_boundary,
-    json_text,
-    records_to_csv,
-    records_to_json,
-    run_audit,
-    run_sweep,
-    sum_rule_samples,
-    write_text_atomic,
-)
-from .unruh import SCENARIOS
+from .qcore import ENGINES, FIGURES, SCENARIOS, ConfigError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -186,7 +171,8 @@ def _given(args: argparse.Namespace, flag: str, default):
     return default if value is None else value
 
 
-def _sweep_config(args: argparse.Namespace) -> SweepConfig:
+def _sweep_config(args: argparse.Namespace):
+    from .sweep import BETA_MAX, DEFAULT_ALPHA, DEFAULT_SEED, SweepConfig
     return SweepConfig(
         alpha=_given(args, "alpha", DEFAULT_ALPHA),
         beta_range=(0.0, BETA_MAX, _given(args, "beta_steps", 101)),
@@ -219,6 +205,7 @@ def _write_all(stream, text: str) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
+        from .sweep import write_text_atomic
         write_text_atomic(out, text)
     elif sys.stdout is None:  # the process started with descriptor 1 closed
         raise OSError(errno.EBADF, "standard output is closed")
@@ -227,6 +214,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .sweep import records_to_csv, records_to_json, run_sweep
     rows = run_sweep(_sweep_config(args))
     fmt = _given(args, "format", "csv")
     _emit(records_to_csv(rows) if fmt == "csv" else records_to_json(rows), args.out)
@@ -234,6 +222,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    from .sweep import json_text, run_audit
     config = _sweep_config(args)
     # Audit the whole catalog unless one scenario was requested explicitly.
     names = None if (args.all_scenarios or args.scenario is None) else [args.scenario]
@@ -248,6 +237,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _cmd_boundary(args: argparse.Namespace) -> int:
     if args.measure is None:
         raise ConfigError("boundary requires --measure S|E")
+    from .sweep import DEFAULT_ALPHA, boundary_to_csv, boundary_to_json, find_boundary
     result = find_boundary(
         scenario_name=_given(args, "scenario", "ABC_I"),
         measure=args.measure,
@@ -261,6 +251,7 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
 
 
 def _cmd_sumrules(args: argparse.Namespace) -> int:
+    from .sweep import DEFAULT_SEED, json_text, sum_rule_samples
     report = sum_rule_samples(
         alpha=args.alpha,
         samples=_given(args, "samples", 1000),
@@ -275,6 +266,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         raise ConfigError("figure requires --figure 1..7")
     if args.out is None:
         raise ConfigError("figure requires --out")
+    from .sweep import DEFAULT_ALPHA, emit_figure_data
     written = emit_figure_data(
         figure_id=args.figure,
         alpha=_given(args, "alpha", DEFAULT_ALPHA),

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .qcore import ParameterError
+from .qcore import ParameterError, Scenario, _as_scenario
 
 
 def _ghz_weight(alpha: np.ndarray) -> np.ndarray:
@@ -181,13 +181,16 @@ CATALOG: dict[tuple[str, str], CatalogFn] = {
 }
 
 
-def cf_eval(scenario_name: str, measure: str, alpha, beta, p) -> np.ndarray:
+def cf_eval(scenario_name: "Scenario | str", measure: str, alpha, beta, p) -> np.ndarray:
     """Evaluate one catalog expression at every point of the broadcast of
     (alpha, beta, p); the result has the broadcast shape. An input of -0.0
-    is read as +0.0 (adding 0.0 changes no other value's bits).
+    is read as +0.0 (adding 0.0 changes no other value's bits). The scenario
+    is a name or a `SCENARIOS` row; any other `Scenario` is a ParameterError.
 
     The expression sees the inputs as given, not broadcast, so on a
     (B, 1) x (P,) grid each function of beta alone runs over B values."""
+    if isinstance(scenario_name, Scenario):
+        scenario_name = _as_scenario(scenario_name).name
     try:
         fn = CATALOG[(scenario_name, measure)]
     except KeyError:

@@ -40,8 +40,8 @@ import numpy as np
 
 from .channels import block_plan, damp_entries
 from .measures import off_pattern, support_measures
-from .qcore import ParameterError
-from .unruh import Scenario, _as_scenario, scenario_reduced_entries
+from .qcore import ParameterError, Scenario, _as_scenario
+from .unruh import scenario_reduced_entries
 
 MEASURES = ("S", "E", "C")
 

@@ -41,10 +41,9 @@ import numpy as np
 
 from .closedform import SUM_RULES, cf_eval
 from .engine import MEASURES, is_x_structured, numeric_batch
-from .qcore import ConfigError
-from .unruh import BETA_MAX, SCENARIOS, _check, scenario
+from .qcore import ENGINES, FIGURES, SCENARIOS, ConfigError, scenario
+from .unruh import BETA_MAX, _check
 
-ENGINES = ("numeric", "closedform", "both")
 DEFAULT_ALPHA = 1.0 / math.sqrt(2.0)
 DEFAULT_SEED = 20260823
 
@@ -370,18 +369,6 @@ def boundary_to_json(result: BoundaryResult) -> str:
 
 
 # --- figure data ---------------------------------------------------------------
-
-#: figure id -> (scenario, measures). All panels are drawn at alpha = 1/sqrt(2).
-FIGURES: dict[int, tuple[str, tuple[str, ...]]] = {
-    1: ("ABC_I", ("S",)),
-    2: ("ABC_I", ("E", "C")),
-    3: ("ABC_II", ("S", "E")),
-    4: ("AB_I_C_I", ("S", "E")),
-    5: ("AB_I_C_II", ("S", "E")),
-    6: ("AB_II_C_II", ("S", "E")),
-    7: ("AB_I_B_II", ("S", "E")),
-}
-
 
 def emit_figure_data(figure_id: int, alpha: float, resolution: int, out_path: str) -> list[str]:
     """Write beta/p/value surfaces for one figure, one file per measure.

@@ -13,22 +13,23 @@ infinite-acceleration limit.
 
 A scenario is plain data, a `Scenario` of mode-name strings: the observers
 whose mode is expanded and the three modes kept. `SCENARIOS` holds the
-paper's eight. `scenario_reduced_entries`, the one builder, computes chosen
-entries of a scenario's reduced states for N points at once, in real
-arithmetic: it expands each of the scenario's `expanded` modes, Bob's
-before Charlie's, in an (N, 2, 2, 2) amplitude tensor, multiplies the
-kept-mode amplitudes of each entry and sums out the traced modes in register
-order, for two traced modes as (t0 + t2) + (t1 + t3). `scenario_reduced_state` is it on all 64 entries
-of one point, as a plain real (8, 8) array.
+paper's eight. `qcore` owns that table (`Scenario`, `SCENARIOS`, `scenario`),
+so the CLI reads it without numpy; this module imports it from there.
+`scenario_reduced_entries`, the one builder, computes chosen entries of a
+scenario's reduced states for N points at once, in real arithmetic: it
+expands each of the scenario's `expanded` modes, Bob's before Charlie's, in
+an (N, 2, 2, 2) amplitude tensor, multiplies the kept-mode amplitudes of
+each entry and sums out the traced modes in register order, for two traced
+modes as (t0 + t2) + (t1 + t3). `scenario_reduced_state` is it on all 64
+entries of one point, as a plain real (8, 8) array.
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import ParameterError
+from .qcore import SCENARIOS, ParameterError, Scenario, _as_scenario, scenario
 
 BETA_MAX = math.pi / 4
 #: Slack on the upper beta limit, so that pi/4 computed another way passes.
@@ -49,61 +50,6 @@ def _check(name: str, values) -> None:
     bad = ~((values >= 0.0) & (values <= upper))
     if bad.any():
         raise ParameterError(f"{name}={values[bad][0]} outside [0, {shown}]")
-
-
-class Scenario(NamedTuple):
-    """Which observers accelerate, and which three modes are kept, as plain
-    mode names. `expanded` lists the observers whose mode splits into its
-    wedge pair, Bob before Charlie. `regions` lists the kept modes in
-    register order, so they are the reduced register, and the reduced
-    matrices use the big-endian basis: the first kept mode is the most
-    significant bit."""
-
-    name: str
-    expanded: tuple[str, ...]
-    regions: tuple[str, ...]
-
-    @property
-    def damped_modes(self) -> tuple[str, ...]:
-        """Kept modes that belong to an accelerated observer; these are the
-        ones coupled to the amplitude-damping environment."""
-        return tuple(m for m in self.regions if "_" in m)
-
-
-#: The paper's eight scenarios: name, observers expanded, kept modes.
-#: `expanded` is not read off the kept modes: AC_I_C_II keeps neither of
-#: Bob's modes, yet Bob accelerates, and that fixes the rounding of its
-#: traced sums.
-SCENARIOS: dict[str, Scenario] = {
-    name: Scenario(name, tuple(expanded), tuple(regions.split()))
-    for name, expanded, regions in (
-        ("ABC_I", "C", "A B C_I"),
-        ("ABC_II", "C", "A B C_II"),
-        ("AB_I_C_I", "BC", "A B_I C_I"),
-        ("AB_I_C_II", "BC", "A B_I C_II"),
-        ("AB_II_C_I", "BC", "A B_II C_I"),
-        ("AB_II_C_II", "BC", "A B_II C_II"),
-        ("AB_I_B_II", "BC", "A B_I B_II"),
-        ("AC_I_C_II", "BC", "A C_I C_II"),
-    )
-}
-
-
-def scenario(name: str) -> Scenario:
-    try:
-        return SCENARIOS[name]
-    except KeyError:
-        raise ParameterError(
-            f"unknown scenario {name!r}; expected one of {sorted(SCENARIOS)}"
-        ) from None
-
-
-def _as_scenario(scen: "Scenario | str") -> Scenario:
-    """The `SCENARIOS` row that `scen` names or equals, else ParameterError."""
-    row = scenario(scen.name if isinstance(scen, Scenario) else scen)
-    if isinstance(scen, Scenario) and scen != row:
-        raise ParameterError(f"{scen} is not the row {row} of SCENARIOS")
-    return row
 
 
 def _expand_stack(psi: np.ndarray, axis: int, cos_b: np.ndarray, sin_b: np.ndarray) -> np.ndarray:

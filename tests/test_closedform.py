@@ -14,6 +14,7 @@ from ghzsim import (
     CATALOG,
     ParameterError,
     SCENARIOS,
+    Scenario,
     cf_eval,
     numeric_batch,
     numeric_measures,
@@ -55,6 +56,25 @@ class TestCatalog:
     def test_unknown_pair(self, name, measure):
         with pytest.raises(ParameterError, match="no closed form"):
             cf_eval(name, measure, *POINT)
+
+    @pytest.mark.parametrize("name,measure", sorted(CATALOG))
+    def test_a_table_row_gives_the_bits_of_its_name(self, name, measure):
+        grid = (np.array([[0.0], [ALPHA_GHZ], [1.0]]), np.linspace(0.0, BETA_MAX, 7), 0.3)
+        by_row = cf_eval(SCENARIOS[name], measure, *grid)
+        assert by_row.tobytes() == cf_eval(name, measure, *grid).tobytes()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (Scenario("ABC_I", ("C",), ("A", "B", "C_II")), "is not the row"),
+            (SCENARIOS["ABC_I"]._replace(expanded=("B", "C")), "is not the row"),
+            (Scenario("ABC_III", ("C",), ("A", "B", "C_I")), "unknown scenario 'ABC_III'"),
+        ],
+        ids=["wrong-regions", "wrong-expansion", "unknown-name"],
+    )
+    def test_a_hand_built_row_is_rejected(self, row, message):
+        with pytest.raises(ParameterError, match=message):
+            cf_eval(row, "S", *POINT)
 
     @pytest.mark.parametrize("name,measure", AGREEING)
     def test_agreement_with_numeric_engine(self, name, measure):

@@ -1,6 +1,8 @@
 """What a fresh process pays to start: `import ghzsim` loads no submodule,
-`import ghzsim.qcore` loads neither numpy nor dataclasses, the CLI runs numpy's OpenBLAS with one thread unless the user chose a
-number, and no CLI run imports `numpy.random`.
+`import ghzsim.qcore` loads neither numpy nor dataclasses, `import
+ghzsim.cli` and every CLI run that computes nothing load no numpy, the CLI
+runs numpy's OpenBLAS with one thread unless the user chose a number, and no
+CLI run imports `numpy.random`.
 
 Each check runs in a new interpreter, because this test process has
 already imported numpy and every ghzsim module."""
@@ -84,19 +86,71 @@ class TestLazyPackage:
         assert got["unknown"] == "module 'ghzsim' has no attribute 'nope'"
 
 
+class TestNumpyFreeFrontEnd:
+    """`import ghzsim.cli` loads only the package, the CLI and `qcore`, and a
+    run that computes nothing (help, a usage error, a configuration error)
+    ends before numpy loads."""
+
+    def test_import_loads_only_cli_and_qcore(self):
+        code = "import json, sys, ghzsim.cli; print(json.dumps(sorted(sys.modules)))"
+        loaded = fresh_python(code)
+        assert "numpy" not in loaded
+        ours = [m for m in loaded if m.partition(".")[0] == "ghzsim"]
+        assert ours == ["ghzsim", "ghzsim.cli", "ghzsim.qcore"]
+
+    @pytest.mark.parametrize(
+        "args, outcome",
+        [
+            (["--help"], "SystemExit 0"),
+            (["sweep", "--bogus"], "SystemExit 2"),
+            (["sweep", "--config", "CONFIG"], 2),
+            (["figure", "--figure", "2", "--out", "."], 2),
+        ],
+        ids=["help", "usage-error", "config-key", "out-dot"],
+    )
+    def test_run_that_computes_nothing_loads_no_numpy(self, tmp_path, args, outcome):
+        config = tmp_path / "bad.cfg"
+        config.write_text("bogus = 1\n")
+        argv = [str(config) if a == "CONFIG" else a for a in args]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from ghzsim.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            f"        outcome = main({argv!r})\n"
+            "    except SystemExit as exc:\n"
+            "        outcome = f'SystemExit {exc.code}'\n"
+            "print(json.dumps([outcome, 'numpy' in sys.modules]))\n"
+        )
+        assert fresh_python(code) == [outcome, False]
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/task")
 class TestBlasThreads:
-    CODE = (
-        "import json, os, ghzsim.cli\n"
-        "print(json.dumps([len(os.listdir('/proc/self/task')),\n"
-        "                  os.environ['OPENBLAS_NUM_THREADS']]))\n"
-    )
+    """The thread count is read after `main` has run a computing subcommand,
+    because the CLI loads numpy, and OpenBLAS starts its threads, only then."""
 
-    def test_cli_process_has_one_thread(self):
-        assert fresh_python(self.CODE) == [1, "1"]
+    @staticmethod
+    def threads(tmp_path, **env: str) -> list:
+        argv = ["sumrules", "--samples", "3", "--out", str(tmp_path / "rules.json")]
+        code = (
+            "import json, os, sys\n"
+            "from ghzsim.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(json.dumps([code, 'numpy' in sys.modules,\n"
+            "                  len(os.listdir('/proc/self/task')),\n"
+            "                  os.environ['OPENBLAS_NUM_THREADS']]))\n"
+        )
+        return fresh_python(code, **env)
 
-    def test_user_setting_wins(self):
-        assert fresh_python(self.CODE, OPENBLAS_NUM_THREADS="2")[1] == "2"
+    def test_cli_process_has_one_thread(self, tmp_path):
+        assert self.threads(tmp_path) == [0, True, 1, "1"]
+
+    def test_user_setting_wins(self, tmp_path):
+        # OpenBLAS runs at most one thread per CPU the process may use.
+        threads = min(2, len(os.sched_getaffinity(0)))
+        assert self.threads(tmp_path, OPENBLAS_NUM_THREADS="2") == [0, True, threads, "2"]
 
 
 @pytest.mark.parametrize(
