@@ -181,7 +181,7 @@ CATALOG: dict[tuple[str, str], CatalogFn] = {
 }
 
 
-def cf_eval(scenario_name: "Scenario | str", measure: str, alpha, beta, p) -> np.ndarray:
+def cf_eval(scenario: "Scenario | str", measure: str, alpha, beta, p) -> np.ndarray:
     """Evaluate one catalog expression at every point of the broadcast of
     (alpha, beta, p); the result has the broadcast shape. An input of -0.0
     is read as +0.0 (adding 0.0 changes no other value's bits). The scenario
@@ -189,12 +189,11 @@ def cf_eval(scenario_name: "Scenario | str", measure: str, alpha, beta, p) -> np
 
     The expression sees the inputs as given, not broadcast, so on a
     (B, 1) x (P,) grid each function of beta alone runs over B values."""
-    if isinstance(scenario_name, Scenario):
-        scenario_name = _as_scenario(scenario_name).name
+    name = _as_scenario(scenario).name if isinstance(scenario, Scenario) else scenario
     try:
-        fn = CATALOG[(scenario_name, measure)]
+        fn = CATALOG[(name, measure)]
     except KeyError:
-        raise ParameterError(f"no closed form for ({scenario_name}, {measure})") from None
+        raise ParameterError(f"no closed form for ({name}, {measure})") from None
     args = [np.asarray(v, float) + 0.0 for v in (alpha, beta, p)]
     shape = np.broadcast_shapes(*(np.shape(v) for v in args))
     value = fn(*args)
