@@ -66,24 +66,13 @@ def _real(raw: str) -> float:
 _real.__name__ = "float"  # argparse names the type in its error message
 
 
-def _switch(raw: str) -> bool:
-    """Config-file value of an on/off flag."""
-    if raw.lower() not in ("true", "false"):
-        raise ValueError(raw)
-    return raw.lower() == "true"
-
-
-#: flag -> (type, further argparse settings). The type also casts the flag's
-#: config-file value; `_switch` marks an on/off flag.
+#: flag -> (type, further argparse settings). The type casts the flag's one
+#: value, from the command line or from a config file.
 _FLAGS: dict[str, tuple] = {
     "alpha": (_real, {"help": "GHZ amplitude (default 1/sqrt(2))"}),
     "beta_steps": (int, {}),
     "p_steps": (int, {}),
     "scenario": (str, {"choices": sorted(SCENARIOS)}),
-    "all_scenarios": (
-        _switch,
-        {"help": "audit every scenario (default unless --scenario is given)"},
-    ),
     "measures": (str, {"help": "comma list from S,E,C"}),
     "measure": (str, {"choices": ("S", "E")}),
     "engine": (str, {"choices": ENGINES}),
@@ -107,8 +96,8 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
     ),
     "audit": (
         "compare closed forms against the numeric engine",
-        ("alpha", "beta_steps", "p_steps", "scenario", "all_scenarios", "tol", "seed",
-         "samples", "out", "config"),
+        ("alpha", "beta_steps", "p_steps", "scenario", "tol", "seed", "samples", "out",
+         "config"),
     ),
     "boundary": (
         "sudden-death boundary p*(beta)",
@@ -157,9 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
         p_command = sub.add_parser(command, help=help_text)
         for flag in flags:
             cast, settings = _FLAGS[flag]
-            kind = {"action": "store_true"} if cast is _switch else {"type": cast}
             p_command.add_argument(
-                "--" + flag.replace("_", "-"), dest=flag, default=None, **kind, **settings
+                "--" + flag.replace("_", "-"), dest=flag, default=None, type=cast, **settings
             )
     return parser
 
@@ -224,8 +212,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     from .sweep import json_text, run_audit
     config = _sweep_config(args)
-    # Audit the whole catalog unless one scenario was requested explicitly.
-    names = None if (args.all_scenarios or args.scenario is None) else [args.scenario]
+    # Audit the whole catalog unless one scenario was requested.
+    names = None if args.scenario is None else [args.scenario]
     report = run_audit(config, scenarios=names)
     _emit(json_text(report), args.out)
     if report["flags"]:

@@ -5,9 +5,10 @@ Both engines map broadcastable (alpha, beta, p) arrays to arrays, the
 numeric kernel `engine.numeric_batch` and the catalog `closedform.cf_eval`,
 and each is called once per natural batch, never once per point: a grid is
 one kernel call and one catalog call per measure on the (beta, 1) x (p,)
-broadcast; a boundary is one kernel call for its coarse p scan, then one per
-bisection step over all betas; the sum rules are one kernel call and one
-catalog call per scenario. Evaluation runs in a single process; the
+broadcast; a boundary is one kernel call for its coarse p scan, for E one
+probe at p = 1 - tol of the betas whose first zero is the p = 1 scan point,
+then one per bisection step over all betas; the sum rules are one kernel
+call and one catalog call per scenario. Evaluation runs in a single process; the
 `workers` setting is validated but changes nothing.
 
 `run_sweep` returns a `SweepGrid`, plain data: the axes and one (beta, p)
@@ -134,23 +135,26 @@ def _fmt(x: float) -> str:
 
 def write_text_atomic(path: str, text: str) -> None:
     """Write `text` to a temporary file beside `path`, then rename it over
-    `path`, so no reader sees a partial file. The file keeps the mode a
-    plain open() would leave, not mkstemp's 0o600: an existing file's own
-    mode, else 0o666 less the umask. An OSError names `path`, not the temporary file."""
+    `path`, so no reader sees a partial file. As with a plain open(), a
+    symlink at `path` is written through: the file it points to is replaced
+    and the link stays. The file keeps the mode a plain open() would leave,
+    not mkstemp's 0o600: an existing file's own mode, else 0o666 less the
+    umask. An OSError names `path`, not the temporary file or the link's
+    target."""
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
+        mode = stat.S_IMODE(os.stat(path).st_mode)  # a link's target's mode
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    directory = os.path.dirname(os.path.abspath(path))
+    target = os.path.realpath(path)
     tmp = ""
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "w") as handle:
             os.fchmod(handle.fileno(), mode)
             handle.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     finally:
@@ -255,7 +259,6 @@ def json_text(obj) -> str:
 # --- sudden-death boundary ----------------------------------------------------
 
 S_THRESHOLD = 4.0
-ZERO_TOL = 1e-12
 #: Spacing of the coarse p scan that brackets a boundary crossing.
 SCAN_STEP = 1e-3
 
@@ -278,10 +281,10 @@ class BoundaryResult:
     curve: tuple[BoundaryPoint, ...]
 
 
-#: measure -> (threshold, bisection level, whether a first crossing at the
-#: p = 1 scan point counts). The scan finds the first value <= threshold +
-#: 1e-12; bisection keeps its lower end while the value exceeds its level.
-_BOUNDARY_RULES = {"S": (S_THRESHOLD, S_THRESHOLD, True), "E": (0.0, ZERO_TOL, False)}
+#: measure -> (threshold, slack). The scan finds the first value <= threshold
+#: + slack; bisection keeps its lower end while the value exceeds the
+#: threshold. E reaches 0 only where it is exactly 0.
+_BOUNDARY_RULES = {"S": (S_THRESHOLD, 1e-12), "E": (0.0, 0.0)}
 
 
 def _bisect(scen, measure, alpha, betas, lo, hi, level, tol) -> np.ndarray:
@@ -310,8 +313,9 @@ def find_boundary(
     the first crossing bracket (the surfaces are not globally monotonic in p),
     then bisection refines it. A curve that starts on the threshold crosses
     at p = 0, one that starts below it never crosses. Absence of a crossing
-    is data, not an error; for E a zero reached only at the p = 1 endpoint
-    counts as no crossing in [0, 1).
+    is data, not an error. E is dead only where it is exactly 0, and it never
+    rises with p; a zero that starts after 1 - bisect_tol counts as no
+    crossing in [0, 1).
     """
     if measure not in _BOUNDARY_RULES:
         raise ConfigError(f"boundary measure must be S or E, got {measure!r}")
@@ -326,25 +330,34 @@ def find_boundary(
             f"numeric {measure} undefined for scenario {scenario_name}: "
             "its reduced state is not X-structured"
         )
-    threshold, level, endpoint_counts = _BOUNDARY_RULES[measure]
+    threshold, slack = _BOUNDARY_RULES[measure]
 
     betas = _axis((0.0, BETA_MAX, beta_samples))
+    beta_arr = np.asarray(betas)
     n_scan = int(round(1.0 / SCAN_STEP))
     scan_ps = np.arange(n_scan + 1) / n_scan
-    values = numeric_batch(scen, alpha, np.asarray(betas)[:, None], scan_ps, (measure,))[measure]
+    values = numeric_batch(scen, alpha, beta_arr[:, None], scan_ps, (measure,))[measure]
 
-    reached = values <= threshold + 1e-12
+    reached = values <= threshold + slack
     first = np.argmax(reached, axis=1)
     crosses = reached.any(axis=1)
-    if not endpoint_counts:
-        crosses &= scan_ps[first] < 1.0 - 1e-12
+    lo, hi = scan_ps[first - 1], scan_ps[first]
+    if measure == "E":
+        # An E first met at 0 on the p = 1 scan point dies inside (0.999, 1]:
+        # a crossing only if E is already 0 at p = 1 - bisect_tol, or at the
+        # last float below 1 when the tolerance is below its spacing.
+        late = np.flatnonzero(first == n_scan)
+        crosses[late] = False
+        probe = min(1.0 - bisect_tol, np.nextafter(1.0, 0.0))
+        if late.size and probe > scan_ps[-2]:
+            at_probe = numeric_batch(scen, alpha, beta_arr[late], probe, (measure,))[measure]
+            crosses[late] = at_probe <= 0.0
+            hi[late] = probe
     p_star = np.full(len(betas), math.nan)
     p_star[(first == 0) & crosses & (np.abs(values[:, 0] - threshold) <= 1e-9)] = 0.0
     bracket = (first > 0) & crosses
-    k = first[bracket]
     p_star[bracket] = _bisect(
-        scen, measure, alpha, np.asarray(betas)[bracket], scan_ps[k - 1], scan_ps[k],
-        level, bisect_tol,
+        scen, measure, alpha, beta_arr[bracket], lo[bracket], hi[bracket], threshold, bisect_tol
     )
 
     curve = tuple(

@@ -285,6 +285,8 @@ class TestFlagSets:
             ["boundary", "--workers", "2", "--measure", "S"],
             ["sweep", "--workers", "2"],
             ["audit", "--workers", "1"],
+            ["audit", "--all-scenarios"],
+            ["audit", "--scenario", "ABC_I", "--all-scenarios"],
             ["figure", "--seed", "3", "--figure", "1"],
             ["sweep", "--samples", "5"],
         ],
@@ -298,7 +300,8 @@ class TestFlagSets:
     @pytest.mark.parametrize(
         "command, key",
         [("sweep", "beta"), ("sweep", "p"), ("sweep", "tol"), ("sumrules", "scenario"),
-         ("sweep", "config"), ("sweep", "workers"), ("audit", "workers")],
+         ("sweep", "config"), ("sweep", "workers"), ("audit", "workers"),
+         ("audit", "all-scenarios")],
     )
     def test_config_key_outside_the_flag_set(self, tmp_path, command, key):
         cfg = tmp_path / "run.cfg"
@@ -318,15 +321,6 @@ class TestFlagSets:
         cfg.write_text("format = xml\n")
         assert run(["boundary", "--measure", "S", "--config", str(cfg)]) == EXIT_CONFIG
         assert run(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
-
-    def test_switch_from_config(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("all-scenarios = true\nscenario = ABC_I\n")
-        out = tmp_path / "audit.json"
-        code = run(["audit", "--config", str(cfg), "--beta-steps", "3", "--p-steps", "3",
-                    "--samples", "5", "--out", str(out)])
-        assert code == EXIT_AUDIT_FLAGGED
-        assert len(json.loads(out.read_text())["config"]["scenarios"]) == 8
 
 
 class TestAuditCommand:
