@@ -5,11 +5,10 @@ Both engines map broadcastable (alpha, beta, p) arrays to arrays, the
 numeric kernel `engine.numeric_batch` and the catalog `closedform.cf_eval`,
 and each is called once per natural batch, never once per point: a grid is
 one kernel call and one catalog call per measure on the (beta, 1) x (p,)
-broadcast; a boundary is one kernel call for its coarse p scan, for E one
-probe at p = 1 - tol of the betas whose first zero is the p = 1 scan point,
-then one per bisection step over all betas; the sum rules are one kernel
-call and one catalog call per scenario. Evaluation runs in a single process; the
-`workers` setting is validated but changes nothing.
+broadcast; a boundary is one kernel call for its coarse p scan over
+[0, 1 - tol], then one per bisection step over all betas; the sum rules are
+one kernel call and one catalog call per scenario. Evaluation runs in a
+single process; the `workers` setting is validated but changes nothing.
 
 `run_sweep` returns a `SweepGrid`, plain data: the axes and one (beta, p)
 array per (measure, engine). The audit and the figures evaluate their grids
@@ -309,13 +308,15 @@ def find_boundary(
     """Sudden-death curve p*(beta) from the numeric engine.
 
     For S the crossing is where the Svetlichny value falls to 4 from above;
-    for E it is where the entanglement first reaches 0. A coarse scan locates
-    the first crossing bracket (the surfaces are not globally monotonic in p),
-    then bisection refines it. A curve that starts on the threshold crosses
-    at p = 0, one that starts below it never crosses. Absence of a crossing
-    is data, not an error. E is dead only where it is exactly 0, and it never
-    rises with p; a zero that starts after 1 - bisect_tol counts as no
-    crossing in [0, 1).
+    for E it is where the entanglement first reaches 0, exactly. A coarse
+    scan over [0, 1 - bisect_tol] in SCAN_STEP steps locates the first
+    crossing bracket (the surfaces are not globally monotonic in p), then
+    bisection refines it; a crossing is reported only in that range. The
+    scan's last point is 1 - bisect_tol, or the float below 1 for a tolerance
+    under its spacing, or 0.999 for one of at least a step. A curve that
+    starts on the threshold has the empty bracket [0, 0] and crosses at
+    p = 0; one that starts below it never crosses. Absence of a crossing is
+    data, not an error.
     """
     if measure not in _BOUNDARY_RULES:
         raise ConfigError(f"boundary measure must be S or E, got {measure!r}")
@@ -336,28 +337,16 @@ def find_boundary(
     beta_arr = np.asarray(betas)
     n_scan = int(round(1.0 / SCAN_STEP))
     scan_ps = np.arange(n_scan + 1) / n_scan
+    scan_ps[-1] = max(min(1.0 - bisect_tol, np.nextafter(1.0, 0.0)), scan_ps[-2])
     values = numeric_batch(scen, alpha, beta_arr[:, None], scan_ps, (measure,))[measure]
 
     reached = values <= threshold + slack
     first = np.argmax(reached, axis=1)
-    crosses = reached.any(axis=1)
-    lo, hi = scan_ps[first - 1], scan_ps[first]
-    if measure == "E":
-        # An E first met at 0 on the p = 1 scan point dies inside (0.999, 1]:
-        # a crossing only if E is already 0 at p = 1 - bisect_tol, or at the
-        # last float below 1 when the tolerance is below its spacing.
-        late = np.flatnonzero(first == n_scan)
-        crosses[late] = False
-        probe = min(1.0 - bisect_tol, np.nextafter(1.0, 0.0))
-        if late.size and probe > scan_ps[-2]:
-            at_probe = numeric_batch(scen, alpha, beta_arr[late], probe, (measure,))[measure]
-            crosses[late] = at_probe <= 0.0
-            hi[late] = probe
+    crosses = reached.any(axis=1) & ~((first == 0) & (values[:, 0] < threshold - 1e-9))
+    lo, hi = scan_ps[np.maximum(first - 1, 0)], scan_ps[first]
     p_star = np.full(len(betas), math.nan)
-    p_star[(first == 0) & crosses & (np.abs(values[:, 0] - threshold) <= 1e-9)] = 0.0
-    bracket = (first > 0) & crosses
-    p_star[bracket] = _bisect(
-        scen, measure, alpha, beta_arr[bracket], lo[bracket], hi[bracket], threshold, bisect_tol
+    p_star[crosses] = _bisect(
+        scen, measure, alpha, beta_arr[crosses], lo[crosses], hi[crosses], threshold, bisect_tol
     )
 
     curve = tuple(

@@ -369,6 +369,23 @@ class TestMonotonicityInP:
             assert rise.max() <= 1e-12, (measure, float(self.PS[1 + rise.argmax()]))
 
 
+class TestNoNonlocalityNearFullDamping:
+    """From p = 0.999 on, S <= 4 in every X scenario: 4|N| is at most 4
+    times the trace, and each f_i, at most 1/2 undamped, is scaled by
+    sqrt(1 - p) at least once, so 8 sqrt(2) |f_i| <= 0.18. The boundary
+    scan therefore reaches every S curve by its 0.999 point, wherever the
+    scan ends after it."""
+
+    ALPHAS = np.linspace(0.0, 1.0, 101)[:, None, None]
+    BETAS = np.linspace(0.0, BETA_MAX, 101)[:, None]
+    PS = np.array([0.999, 1.0 - 1e-6])
+
+    @pytest.mark.parametrize("name", X_SCENARIOS)
+    def test_svetlichny_is_at_most_4(self, name):
+        s = numeric_batch(name, self.ALPHAS, self.BETAS, self.PS, ("S",))["S"]
+        assert s.max() <= 4.0 + 1e-12
+
+
 #: The law grid: 9 alphas x 101 betas x 201 ps, in every scenario.
 LAW_ALPHAS = np.array([0.0, 0.1, 0.3, 0.5, 0.6, ALPHA_GHZ, 0.8, 0.9, 1.0])[:, None, None]
 LAW_BETAS = np.linspace(0.0, BETA_MAX, 101)[:, None]

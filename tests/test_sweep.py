@@ -540,6 +540,49 @@ class TestBoundaryScanMissesNoCrossing:
             assert abs(point.p_star - want) <= 2e-5
 
 
+class TestLateDeath:
+    """At alpha = 1/sqrt 2, AB_I_C_I's E at beta = 0.3748 is positive at
+    p = 0.999 and exactly 0 from about p = 0.99962: it dies inside the last
+    step of the coarse scan, which ends at 1 - tol."""
+
+    BETA = 0.3748
+
+    def boundary(self, monkeypatch, tol):
+        """The row's point and the p axis of each kernel call."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(np.atleast_1d(args[3]))
+            return numeric_batch(*args, **kwargs)
+
+        monkeypatch.setattr(ghzsim.sweep, "numeric_batch", counted)
+        monkeypatch.setattr(ghzsim.sweep, "_axis", lambda rng: (self.BETA,))
+        (point,) = find_boundary("AB_I_C_I", "E", ALPHA_GHZ, 1, bisect_tol=tol).curve
+        return point, calls
+
+    def test_costs_no_extra_kernel_call(self, monkeypatch):
+        """The scan, then the 10 halvings of (0.999, 1 - 1e-6] down to 1e-6."""
+        point, calls = self.boundary(monkeypatch, 1e-6)
+        assert len(calls) == 1 + 10
+        assert calls[0][-1] == 1 - 1e-6
+        assert point.status == "crossing"
+        assert 0.999 < point.p_star <= 1 - 1e-6
+
+    @pytest.mark.parametrize("tol", [2e-3, 0.5, 1e-300])
+    def test_scan_ends_at_1_minus_tol(self, monkeypatch, tol):
+        """A tolerance of at least a step ends the scan at its 0.999 point,
+        where E is still positive: no crossing. One below the float spacing
+        at 1 ends it at the float below 1, where E is 0."""
+        point, calls = self.boundary(monkeypatch, tol)
+        if tol >= SCAN_STEP:
+            assert calls[0][-1] == calls[0][-2] == 0.999
+            assert (point.status, point.p_star) == ("no_crossing", None)
+        else:
+            assert calls[0][-1] == np.nextafter(1.0, 0.0)
+            assert point.status == "crossing"
+            assert 0.999 < point.p_star < 1.0
+
+
 class TestEmitFigureData:
     def test_single_measure_writes_exact_path(self, tmp_path):
         out = tmp_path / "surface.csv"
