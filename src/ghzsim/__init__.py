@@ -1,17 +1,17 @@
 """Tripartite nonlocality, entanglement and l1-coherence of GHZ-like states
 seen by uniformly accelerated observers under amplitude damping.
 
-The numeric engine has one public face: `numeric_batch` and
-`numeric_measures` evaluate S, E and C over broadcastable (alpha, beta, p),
-and `scenario_reduced_state` and `damped_scenario_state` give one point's
-whole reduced matrix, before and after damping, as a plain real (8, 8)
-array. The kernels under them (`unruh.scenario_reduced_entries`,
+The numeric engine has one public face, and every public function takes a
+scenario by name: `numeric_batch` evaluates S, E and C over broadcastable
+(alpha, beta, p), scalars included, and `damped_scenario_state` gives one
+point's whole reduced matrix as a plain real (8, 8) array, before damping
+at p = 0. The kernels under them (`unruh.scenario_reduced_entries`,
 `channels.damp_entries`, `measures.support_measures`) work on batched rows
 of a scenario's support entries. Scenarios and sweep grids are plain data:
 a `Scenario` is a named tuple of mode-name strings, and a `SweepGrid` holds
 its axes and one (beta, p) array per (measure, engine). The numpy-free
 `qcore` owns the scenario, figure and engine tables that the CLI's parser
-reads; `unruh` and `sweep` import them from there.
+reads; `sweep` imports them from there.
 
 The public names below are imported from their submodules on first use
 (PEP 562), so `import ghzsim` alone loads no submodule and not numpy. This
@@ -27,11 +27,11 @@ _EXPORTS = {
     name: module
     for module, names in {
         "closedform": "CATALOG cf_eval",
-        "engine": "damped_scenario_state is_x_structured numeric_batch numeric_measures",
+        "engine": "damped_scenario_state is_x_structured numeric_batch",
         "qcore": "ConfigError ParameterError SCENARIOS Scenario scenario",
         "sweep": "BoundaryResult SweepConfig SweepGrid emit_figure_data "
         "find_boundary run_audit run_sweep sum_rule_samples",
-        "unruh": "BETA_MAX scenario_reduced_state",
+        "unruh": "BETA_MAX",
     }.items()
     for name in names.split()
 }

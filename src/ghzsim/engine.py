@@ -14,7 +14,8 @@ S/E finite (201 values of a 101 x 101 sweep at alpha = 1/sqrt(2)).
 `is_x_structured` decides for a whole scenario from its support, with no
 kernel call; the audit, the figures and the boundary use it.
 
-`numeric_batch` takes broadcastable (alpha, beta, p) arrays and wires the
+Each public function takes a scenario by name, the kernels its `SCENARIOS`
+row. `numeric_batch` takes broadcastable (alpha, beta, p) and wires the
 steps together on a scenario's support: the 5 to 10 real entries its
 reduced states (near-X matrices; Hashemi Rafsanjani et al., PRA 86, 062303
 (2012)) can carry, closed under the damping block map and found once per
@@ -34,13 +35,13 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .channels import block_plan, damp_entries
 from .measures import off_pattern, support_measures
-from .qcore import ParameterError, Scenario, _as_scenario
+from .qcore import ParameterError, Scenario, scenario
 from .unruh import scenario_reduced_entries
 
 MEASURES = ("S", "E", "C")
@@ -82,12 +83,12 @@ def _damped_blocks(scen: Scenario, alpha, beta, p) -> Iterator[tuple[slice, np.n
 
 
 def numeric_batch(
-    scen: "Scenario | str", alpha, beta, p, measures: Iterable[str] = MEASURES
+    name: str, alpha, beta, p, measures: Iterable[str] = MEASURES
 ) -> dict[str, np.ndarray]:
-    """Evaluate the requested measures at every point of the broadcast of
-    (alpha, beta, p); each array has the broadcast shape. S and E are NaN
-    where the damped state is not X-structured."""
-    scen = _as_scenario(scen)
+    """Evaluate the requested measures of scenario `name` at every point of
+    the broadcast of (alpha, beta, p); each array has the broadcast shape. S
+    and E are NaN where the damped state is not X-structured."""
+    scen = scenario(name)
     wanted = tuple(measures)
     if unknown := set(wanted) - set(MEASURES):
         raise ParameterError(f"unknown measures {sorted(unknown)}; expected subset of {MEASURES}")
@@ -100,32 +101,19 @@ def numeric_batch(
     return {m: v.reshape(shape) for m, v in values.items()}
 
 
-def damped_scenario_state(
-    scen: "Scenario | str", alpha: float, beta: float, p: float
-) -> np.ndarray:
-    """The real (8, 8) reduced scenario matrix after amplitude damping of its
-    kept accelerated modes (reduction first; the two orders commute)."""
-    scen = _as_scenario(scen)
+def damped_scenario_state(name: str, alpha: float, beta: float, p: float) -> np.ndarray:
+    """The real (8, 8) reduced matrix of scenario `name` after amplitude
+    damping of its kept accelerated modes (reduction first; the two orders
+    commute); at p = 0, the undamped reduced matrix."""
+    scen = scenario(name)
     _, rows = next(_damped_blocks(scen, float(alpha), float(beta), float(p)))
     matrix = np.zeros(64)
     matrix[_support(scen)[0]] = rows[:, 0]
     return matrix.reshape(8, 8)
 
 
-def numeric_measures(
-    scen: "Scenario | str",
-    alpha: float,
-    beta: float,
-    p: float,
-    measures: Iterable[str] = MEASURES,
-) -> Mapping[str, float]:
-    """Evaluate the requested measures at one point."""
-    values = numeric_batch(scen, float(alpha), float(beta), float(p), measures)
-    return {m: float(v) for m, v in values.items()}
-
-
-def is_x_structured(scen: "Scenario | str") -> bool:
-    """Whether the scenario's damped states carry the X pattern (and hence
-    numeric S/E are defined): whether its support, found from the states
-    themselves, holds no off-pattern entry."""
-    return not off_pattern(_support(_as_scenario(scen))[0]).any()
+def is_x_structured(name: str) -> bool:
+    """Whether the damped states of scenario `name` carry the X pattern (and
+    hence numeric S/E are defined): whether its support, found from the
+    states themselves, holds no off-pattern entry."""
+    return not off_pattern(_support(scenario(name))[0]).any()

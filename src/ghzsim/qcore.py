@@ -1,9 +1,9 @@
 """The package's error classes and the tables the CLI parser is built from:
 the scenario table (`Scenario`, `SCENARIOS`, `scenario`), the figure table
-`FIGURES` and the engine names `ENGINES`. This module owns them, and
-`unruh` and `sweep` import them from here, so `ghzsim.cli` builds its parser
-without numpy. The CLI sorts its exit codes by the error classes: it exits 2
-for a `ConfigError` and lets every other exception propagate."""
+`FIGURES` and the engine names `ENGINES`. `sweep` imports them from here, so
+`ghzsim.cli` builds its parser without numpy. Public functions take a
+scenario by name and look its row up with `scenario`. The CLI exits 2 for a
+`ConfigError` and lets every other exception propagate."""
 from __future__ import annotations
 
 from typing import NamedTuple
@@ -56,20 +56,13 @@ SCENARIOS: dict[str, Scenario] = {
 
 
 def scenario(name: str) -> Scenario:
+    """The `SCENARIOS` row of `name`; anything else is a ParameterError."""
     try:
         return SCENARIOS[name]
     except KeyError:
         raise ParameterError(
             f"unknown scenario {name!r}; expected one of {sorted(SCENARIOS)}"
         ) from None
-
-
-def _as_scenario(scen: "Scenario | str") -> Scenario:
-    """The `SCENARIOS` row that `scen` names or equals, else ParameterError."""
-    row = scenario(scen.name if isinstance(scen, Scenario) else scen)
-    if isinstance(scen, Scenario) and scen != row:
-        raise ParameterError(f"{scen} is not the row {row} of SCENARIOS")
-    return row
 
 
 #: figure id -> (scenario, measures). All panels are drawn at alpha = 1/sqrt(2).

@@ -286,7 +286,7 @@ class BoundaryResult:
 _BOUNDARY_RULES = {"S": (S_THRESHOLD, 1e-12), "E": (0.0, 0.0)}
 
 
-def _bisect(scen, measure, alpha, betas, lo, hi, level, tol) -> np.ndarray:
+def _bisect(name, measure, alpha, betas, lo, hi, level, tol) -> np.ndarray:
     """Per beta, the p in (lo, hi] where the measure stops exceeding `level`
     (it does at lo and does not at hi), to within `tol`. Every bracket is
     halved in the same kernel call; a bracket stops once it is no wider than
@@ -297,7 +297,7 @@ def _bisect(scen, measure, alpha, betas, lo, hi, level, tol) -> np.ndarray:
         if not active.size:
             return hi
         mid = mid[active]
-        above = numeric_batch(scen, alpha, betas[active], mid, (measure,))[measure] > level
+        above = numeric_batch(name, alpha, betas[active], mid, (measure,))[measure] > level
         lo[active[above]] = mid[above]
         hi[active[~above]] = mid[~above]
 
@@ -324,9 +324,9 @@ def find_boundary(
         raise ConfigError(f"bisection tolerance must be > 0, got {bisect_tol}")
     if beta_samples < 1:
         raise ConfigError(f"beta samples must be >= 1, got {beta_samples}")
-    scen = scenario(scenario_name)
+    scenario(scenario_name)  # an unknown name is reported before a bad alpha
     _check("alpha", alpha)
-    if not is_x_structured(scen):
+    if not is_x_structured(scenario_name):
         raise ConfigError(
             f"numeric {measure} undefined for scenario {scenario_name}: "
             "its reduced state is not X-structured"
@@ -338,16 +338,15 @@ def find_boundary(
     n_scan = int(round(1.0 / SCAN_STEP))
     scan_ps = np.arange(n_scan + 1) / n_scan
     scan_ps[-1] = max(min(1.0 - bisect_tol, np.nextafter(1.0, 0.0)), scan_ps[-2])
-    values = numeric_batch(scen, alpha, beta_arr[:, None], scan_ps, (measure,))[measure]
+    values = numeric_batch(scenario_name, alpha, beta_arr[:, None], scan_ps, (measure,))[measure]
 
     reached = values <= threshold + slack
     first = np.argmax(reached, axis=1)
     crosses = reached.any(axis=1) & ~((first == 0) & (values[:, 0] < threshold - 1e-9))
     lo, hi = scan_ps[np.maximum(first - 1, 0)], scan_ps[first]
     p_star = np.full(len(betas), math.nan)
-    p_star[crosses] = _bisect(
-        scen, measure, alpha, beta_arr[crosses], lo[crosses], hi[crosses], threshold, bisect_tol
-    )
+    p_star[crosses] = _bisect(scenario_name, measure, alpha, beta_arr[crosses], lo[crosses],
+                              hi[crosses], threshold, bisect_tol)
 
     curve = tuple(
         BoundaryPoint(beta, None, "no_crossing")

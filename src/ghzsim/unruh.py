@@ -14,14 +14,13 @@ infinite-acceleration limit.
 A scenario is plain data, a `Scenario` of mode-name strings: the observers
 whose mode is expanded and the three modes kept. `SCENARIOS` holds the
 paper's eight. `qcore` owns that table (`Scenario`, `SCENARIOS`, `scenario`),
-so the CLI reads it without numpy; this module imports it from there.
-`scenario_reduced_entries`, the one builder, computes chosen entries of a
-scenario's reduced states for N points at once, in real arithmetic: it
-expands each of the scenario's `expanded` modes, Bob's before Charlie's, in
-an (N, 2, 2, 2) amplitude tensor, multiplies the kept-mode amplitudes of
-each entry and sums out the traced modes in register order, for two traced
-modes as (t0 + t2) + (t1 + t3). `scenario_reduced_state` is it on all 64
-entries of one point, as a plain real (8, 8) array.
+so the CLI reads it without numpy. `scenario_reduced_entries`, the one
+builder, computes chosen entries of a scenario's reduced states for N points
+at once from its table row, in real arithmetic: it expands each `expanded`
+mode, Bob's before Charlie's, in an (N, 2, 2, 2) amplitude tensor,
+multiplies the kept-mode amplitudes of each entry and sums out the traced
+modes in register order, for two traced modes as (t0 + t2) + (t1 + t3).
+`engine.damped_scenario_state` at p = 0 is it on one point's 64 entries.
 """
 from __future__ import annotations
 
@@ -29,7 +28,7 @@ import math
 
 import numpy as np
 
-from .qcore import SCENARIOS, ParameterError, Scenario, _as_scenario, scenario
+from .qcore import ParameterError, Scenario
 
 BETA_MAX = math.pi / 4
 #: Slack on the upper beta limit, so that pi/4 computed another way passes.
@@ -96,12 +95,3 @@ def scenario_reduced_entries(alpha, beta, scen: Scenario, support) -> np.ndarray
         terms = terms[: len(terms) // 2] + terms[len(terms) // 2 :]
     return terms[0]
 
-
-def scenario_reduced_state(scen: "Scenario | str", alpha: float, beta: float) -> np.ndarray:
-    """The real (8, 8) reduced matrix of one scenario (or scenario name) at
-    one point: Charlie's mode expanded, and Bob's too when both observers
-    accelerate (same beta), with the inaccessible complement of the kept
-    regions traced out."""
-    return scenario_reduced_entries(
-        float(alpha), float(beta), _as_scenario(scen), np.arange(64)
-    ).reshape(8, 8)

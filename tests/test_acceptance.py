@@ -16,10 +16,8 @@ from ghzsim import (
     SweepConfig,
     damped_scenario_state,
     find_boundary,
-    numeric_measures,
+    numeric_batch,
     run_sweep,
-    scenario,
-    scenario_reduced_state,
     sum_rule_samples,
 )
 from ghzsim.cli import EXIT_AUDIT_FLAGGED, main
@@ -38,7 +36,7 @@ BETA_MAX = math.pi / 4
 
 def test_criterion_1_pure_state_baseline():
     """Inertial, undamped GHZ state: S = 4*sqrt(2), E = 1, C = 1."""
-    values = numeric_measures("ABC_I", ALPHA_GHZ, 0.0, 0.0)
+    values = numeric_batch("ABC_I", ALPHA_GHZ, 0.0, 0.0)
     assert values["S"] == pytest.approx(4.0 * math.sqrt(2.0), abs=1e-12)
     assert values["E"] == pytest.approx(1.0, abs=1e-12)
     assert values["C"] == pytest.approx(1.0, abs=1e-12)
@@ -100,7 +98,7 @@ def test_criterion_3_sudden_death_boundary():
     # Brute-force confirmation: damp the undamped beta=0 state across the
     # whole p grid in one batched Kraus application and locate the first p
     # where the Svetlichny value drops to the classical threshold.
-    rho = scenario_reduced_state(scenario("ABC_I"), ALPHA_GHZ, 0.0)
+    rho = damped_scenario_state("ABC_I", ALPHA_GHZ, 0.0, 0.0)
     ps = np.arange(0.0, 1.0 + 5e-6, 1e-5)
     m0 = np.zeros((ps.size, 8, 8))
     m1 = np.zeros((ps.size, 8, 8))
@@ -121,7 +119,7 @@ def test_criterion_3_sudden_death_boundary():
     assert np.all(s_values[:first] > 4.0)
     assert ps[first] == pytest.approx(0.5, abs=1e-5)
 
-    s_at_max_acceleration = numeric_measures("ABC_I", ALPHA_GHZ, BETA_MAX, 0.0, ("S",))["S"]
+    s_at_max_acceleration = numeric_batch("ABC_I", ALPHA_GHZ, BETA_MAX, 0.0, ("S",))["S"]
     assert s_at_max_acceleration == pytest.approx(4.0, abs=1e-9)
 
 
@@ -130,11 +128,8 @@ def test_criterion_4_entanglement_coherence_identity():
     state has a single coherence and no cross populations to subtract."""
     betas = np.linspace(0.0, BETA_MAX, 101)
     ps = np.linspace(0.0, 1.0, 101)
-    worst = 0.0
-    for beta in betas:
-        for p in ps:
-            values = numeric_measures("ABC_II", ALPHA_GHZ, beta, p, ("E", "C"))
-            worst = max(worst, abs(values["E"] - values["C"]))
+    values = numeric_batch("ABC_II", ALPHA_GHZ, betas[:, None], ps, ("E", "C"))
+    worst = np.abs(values["E"] - values["C"]).max()
     assert worst < 1e-10
 
 
@@ -164,10 +159,7 @@ def test_criterion_6_no_nonlocality_in_inaccessible_wedge():
     classical with respect to this test."""
     betas = np.linspace(0.0, BETA_MAX, 101)
     ps = np.linspace(0.0, 1.0, 101)
-    values = np.empty((101, 101))
-    for i, beta in enumerate(betas):
-        for j, p in enumerate(ps):
-            values[i, j] = numeric_measures("ABC_II", ALPHA_GHZ, beta, p, ("S",))["S"]
+    values = numeric_batch("ABC_II", ALPHA_GHZ, betas[:, None], ps, ("S",))["S"]
     assert values.max() <= 4.0 + 1e-12
     assert np.all(values[1:-1, 1:-1] < 4.0)
 

@@ -17,7 +17,6 @@ from ghzsim import (
     Scenario,
     cf_eval,
     numeric_batch,
-    numeric_measures,
 )
 from ghzsim.closedform import SUM_RULES
 from ghzsim.sweep import _sum_rule_terms
@@ -57,30 +56,27 @@ class TestCatalog:
         with pytest.raises(ParameterError, match="no closed form"):
             cf_eval(name, measure, *POINT)
 
-    @pytest.mark.parametrize("name,measure", sorted(CATALOG))
-    def test_a_table_row_gives_the_bits_of_its_name(self, name, measure):
-        grid = (np.array([[0.0], [ALPHA_GHZ], [1.0]]), np.linspace(0.0, BETA_MAX, 7), 0.3)
-        by_row = cf_eval(SCENARIOS[name], measure, *grid)
-        assert by_row.tobytes() == cf_eval(name, measure, *grid).tobytes()
-
     @pytest.mark.parametrize(
-        "row, message",
+        "row",
         [
-            (Scenario("ABC_I", ("C",), ("A", "B", "C_II")), "is not the row"),
-            (SCENARIOS["ABC_I"]._replace(expanded=("B", "C")), "is not the row"),
-            (Scenario("ABC_III", ("C",), ("A", "B", "C_I")), "unknown scenario 'ABC_III'"),
+            Scenario("ABC_I", ("C",), ("A", "B", "C_II")),
+            SCENARIOS["ABC_I"]._replace(expanded=("B", "C")),
+            Scenario("ABC_III", ("C",), ("A", "B", "C_I")),
+            *SCENARIOS.values(),
         ],
-        ids=["wrong-regions", "wrong-expansion", "unknown-name"],
+        ids=["wrong-regions", "wrong-expansion", "unknown-name", *SCENARIOS],
     )
-    def test_a_hand_built_row_is_rejected(self, row, message):
-        with pytest.raises(ParameterError, match=message):
+    def test_a_hand_built_row_is_rejected(self, row):
+        """The catalog takes a scenario by name: a `Scenario` object, a table
+        row included, has no closed form."""
+        with pytest.raises(ParameterError, match="no closed form"):
             cf_eval(row, "S", *POINT)
 
     @pytest.mark.parametrize("name,measure", AGREEING)
     def test_agreement_with_numeric_engine(self, name, measure):
         grid = [(b, p) for b in (0.0, 0.3, math.pi / 4) for p in (0.0, 0.25, 0.8)]
         for beta, p in grid:
-            numeric = numeric_measures(name, 0.75, beta, p, (measure,))[measure]
+            numeric = numeric_batch(name, 0.75, beta, p, (measure,))[measure]
             analytic = cf_eval(name, measure, 0.75, beta, p)
             assert analytic == pytest.approx(numeric, abs=1e-12), (beta, p)
 
@@ -89,7 +85,7 @@ class TestCatalog:
         branch like the single-acceleration case; the actual channel output
         damps it by an extra sqrt(1-p)*cos(beta). The expression is kept
         verbatim so the audit can flag it against the engine."""
-        numeric = numeric_measures("AB_I_C_I", *POINT, ("S",))["S"]
+        numeric = numeric_batch("AB_I_C_I", *POINT, ("S",))["S"]
         analytic = cf_eval("AB_I_C_I", "S", *POINT)
         assert numeric == pytest.approx(2.9698484809835, abs=1e-12)
         assert analytic == pytest.approx(4.0987803063838406, abs=1e-12)
@@ -99,8 +95,8 @@ class TestCatalog:
         """Swapping which observer's wedge is kept leaves all measures
         invariant, so the symmetric partners share expressions."""
         for measure in ("S", "E", "C"):
-            a = numeric_measures("AB_I_C_II", 0.6, 0.5, 0.2, (measure,))[measure]
-            b = numeric_measures("AB_II_C_I", 0.6, 0.5, 0.2, (measure,))[measure]
+            a = numeric_batch("AB_I_C_II", 0.6, 0.5, 0.2, (measure,))[measure]
+            b = numeric_batch("AB_II_C_I", 0.6, 0.5, 0.2, (measure,))[measure]
             assert a == pytest.approx(b, abs=1e-13)
 
 

@@ -18,9 +18,6 @@ from ghzsim import (
     damped_scenario_state,
     is_x_structured,
     numeric_batch,
-    numeric_measures,
-    scenario,
-    scenario_reduced_state,
 )
 from ghzsim import engine
 from ghzsim.engine import MEASURES
@@ -46,29 +43,28 @@ X_SCENARIOS = (
 )
 NON_X_SCENARIOS = ("AB_I_B_II", "AC_I_C_II")
 
-#: Hand-built scenarios that are no row of SCENARIOS: four kept modes (under
-#: an unknown name and under a table name), ABC_I's name on AB_I_C_I's modes,
-#: and an unknown mode.
+#: `Scenario` objects in place of a name: hand-built ones that are no row of
+#: SCENARIOS (four kept modes under an unknown name and under a table name,
+#: ABC_I's name on AB_I_C_I's modes, and an unknown mode), then every row.
 NOT_IN_TABLE = (
     Scenario("X", ("C",), ("A", "B", "C_I", "C_II")),
     Scenario("ABC_I", ("C",), ("A", "B", "C_I", "C_II")),
     Scenario("ABC_I", *SCENARIOS["AB_I_C_I"][1:]),
     Scenario("ABC_I", ("C",), ("A", "B", "D")),
+    *SCENARIOS.values(),
 )
 
 #: Every engine entry point that takes a scenario, called at one point.
 SCENARIO_CALLS = {
     "numeric_batch": lambda s: numeric_batch(s, 0.6, 0.3, 0.2),
-    "numeric_measures": lambda s: numeric_measures(s, 0.6, 0.3, 0.2),
     "damped_scenario_state": lambda s: damped_scenario_state(s, 0.6, 0.3, 0.2),
-    "scenario_reduced_state": lambda s: scenario_reduced_state(s, 0.6, 0.3),
     "is_x_structured": is_x_structured,
 }
 
 
 class TestOnlyTableRows:
-    """SCENARIOS is the only source of scenarios: a hand-built one is
-    accepted only if it equals the table row of its name."""
+    """SCENARIOS is the only source of scenarios, and a public function takes
+    one by name: any `Scenario` object, a table row included, is rejected."""
 
     @pytest.mark.parametrize("call", SCENARIO_CALLS)
     @pytest.mark.parametrize("scen", NOT_IN_TABLE, ids=range(len(NOT_IN_TABLE)))
@@ -76,22 +72,18 @@ class TestOnlyTableRows:
         with pytest.raises(ParameterError):
             SCENARIO_CALLS[call](scen)
 
-    @pytest.mark.parametrize("call", SCENARIO_CALLS)
-    def test_copy_of_a_row_is_the_row(self, call):
-        copy = Scenario("AB_I_C_I", ("B", "C"), ("A", "B_I", "C_I"))
-        np.testing.assert_equal(SCENARIO_CALLS[call](copy), SCENARIO_CALLS[call]("AB_I_C_I"))
-
 
 class TestDampedScenarioState:
     def test_matches_stepwise_construction(self):
         """The fast path must agree with reduce-then-damp done by hand: the
         whole reduced matrix, then the damping kernel on all 64 entries, for
-        every scenario."""
+        every scenario. The undamped input is the register-level reference, not
+        the engine's own p = 0 state."""
         alpha, beta, p = 0.65, 0.45, 0.37
         for name, scen in SCENARIOS.items():
             fast = damped_scenario_state(name, alpha, beta, p)
             positions = [scen.regions.index(m) for m in scen.damped_modes]
-            slow = damp_one(scenario_reduced_state(scen, alpha, beta), positions, p)
+            slow = damp_one(register_reduced_oracle(alpha, beta, scen), positions, p)
             np.testing.assert_allclose(fast, slow, atol=1e-14, err_msg=name)
 
     def test_is_a_plain_real_matrix(self):
@@ -111,15 +103,10 @@ class TestDampedScenarioState:
         assert trace_dev < 1e-12
         assert min_eig >= -1e-12
 
-    def test_accepts_scenario_objects(self):
-        by_name = damped_scenario_state("ABC_I", 0.7, 0.2, 0.1)
-        by_obj = damped_scenario_state(scenario("ABC_I"), 0.7, 0.2, 0.1)
-        np.testing.assert_array_equal(by_name, by_obj)
-
 
 class TestNumericMeasures:
     def test_pure_state_baseline(self):
-        values = numeric_measures("ABC_I", ALPHA_GHZ, 0.0, 0.0)
+        values = numeric_batch("ABC_I", ALPHA_GHZ, 0.0, 0.0)
         assert values["S"] == pytest.approx(4.0 * math.sqrt(2.0), abs=1e-12)
         assert values["E"] == pytest.approx(1.0, abs=1e-12)
         assert values["C"] == pytest.approx(1.0, abs=1e-12)
@@ -127,30 +114,30 @@ class TestNumericMeasures:
     def test_frozen_interior_point(self):
         """Values at (alpha, beta, p) = (1/sqrt 2, pi/6, 0.3), frozen from an
         independent run of the reduce-then-damp construction."""
-        values = numeric_measures("ABC_I", ALPHA_GHZ, math.pi / 6, 0.3)
+        values = numeric_batch("ABC_I", ALPHA_GHZ, math.pi / 6, 0.3)
         assert values["S"] == pytest.approx(4.0987803063838388, abs=1e-13)
         assert values["E"] == pytest.approx(0.49544005256167989, abs=1e-13)
         assert values["C"] == pytest.approx(0.72456883730947186, abs=1e-13)
 
     def test_agrees_with_measure_functions(self):
         rho = damped_scenario_state("AB_II_C_II", 0.6, 0.5, 0.4)
-        values = numeric_measures("AB_II_C_II", 0.6, 0.5, 0.4)
+        values = numeric_batch("AB_II_C_II", 0.6, 0.5, 0.4)
         for measure, want in x_measures_oracle(rho).items():
             assert values[measure] == pytest.approx(want, abs=1e-14), measure
 
     def test_measure_subset_selection(self):
-        values = numeric_measures("ABC_I", 0.7, 0.2, 0.1, ("C",))
+        values = numeric_batch("ABC_I", 0.7, 0.2, 0.1, ("C",))
         assert set(values) == {"C"}
 
     def test_unknown_measure_rejected(self):
         with pytest.raises(ParameterError, match="unknown measures"):
-            numeric_measures("ABC_I", 0.7, 0.2, 0.1, ("S", "Q"))
+            numeric_batch("ABC_I", 0.7, 0.2, 0.1, ("S", "Q"))
 
     @pytest.mark.parametrize("name", NON_X_SCENARIOS)
     def test_non_x_scenarios_leave_s_and_e_undefined(self, name):
         """Keeping both wedge modes of one observer couples basis states two
         bit flips apart, which breaks the X pattern; S and E rely on it."""
-        values = numeric_measures(name, ALPHA_GHZ, math.pi / 6, 0.3)
+        values = numeric_batch(name, ALPHA_GHZ, math.pi / 6, 0.3)
         assert math.isnan(values["S"])
         assert math.isnan(values["E"])
         assert values["C"] == pytest.approx(0.30310889132455343, abs=1e-13)
@@ -168,7 +155,7 @@ class TestNumericMeasures:
         assert np.isfinite(values["C"]).all()
 
     def test_full_damping_leaves_ground_state_statistics(self):
-        values = numeric_measures("AB_I_C_I", 0.8, 0.5, 1.0)
+        values = numeric_batch("AB_I_C_I", 0.8, 0.5, 1.0)
         assert values["C"] == pytest.approx(0.0, abs=1e-14)
         assert values["E"] == pytest.approx(0.0, abs=1e-14)
 
@@ -189,7 +176,6 @@ class TestIsXStructured:
         probe = not math.isnan(numeric_batch(name, 0.6, 0.5, 0.3, ("S",))["S"])
         monkeypatch.setattr(engine, "_damped_blocks", None)  # a kernel call now fails
         assert is_x_structured(name) == probe
-        assert is_x_structured(scenario(name)) == probe
 
 
 def _unit_interval_with_ends(hi: float = 1.0):
@@ -219,7 +205,7 @@ class TestNumericBatch:
         for name, scen in SCENARIOS.items():
             batch = numeric_batch(name, alphas, betas, ps)
             for n, (alpha, beta, p) in enumerate(points):
-                mat = scenario_reduced_state(scen, alpha, beta)
+                mat = damped_scenario_state(name, alpha, beta, 0.0)
                 for mode in scen.damped_modes:
                     mat = damp_qubit_oracle(mat, 3, scen.regions.index(mode), p)
                 for measure, want in x_measures_oracle(mat).items():
@@ -410,6 +396,22 @@ class TestResourceHierarchy:
         assert x.any()
         assert not (x & (s > 4.0 + 1e-12) & ~(e > 0.0)).any()
         assert not (x & (e > 0.0) & ~(c > 0.0)).any()
+
+
+class TestGhzWeightFactorization:
+    """Qubit A is never expanded or damped, so every d_i is proportional to
+    alpha^2, every e_i to 1 - alpha^2 and every f_i to alpha sqrt(1 - alpha^2):
+    on the X scenarios, E and C divided by that weight depend on (beta, p)
+    alone. S does not factor. The spread over alpha is at most 4.9e-15 on
+    the law grid's interior alphas."""
+
+    @pytest.mark.parametrize("name", X_SCENARIOS)
+    def test_e_and_c_over_the_weight_do_not_depend_on_alpha(self, law_grid, name):
+        alphas = LAW_ALPHAS[1:-1]
+        weight = alphas * np.sqrt(1.0 - alphas * alphas)
+        for measure in ("E", "C"):
+            scaled = law_grid[name][measure][1:-1] / weight
+            assert np.ptp(scaled, axis=0).max() <= 1e-13, measure
 
 
 class TestBobCharlieSymmetry:

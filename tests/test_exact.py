@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from ghzsim import SCENARIOS, damped_scenario_state, numeric_measures, scenario_reduced_state
+from ghzsim import SCENARIOS, damped_scenario_state, numeric_batch
 from conftest import expanded_from_name, modes_from_name
 
 ALPHA, COS, SIN, P = Fraction(3, 5), Fraction(4, 5), Fraction(3, 5), Fraction(16, 25)
@@ -118,7 +118,7 @@ def test_the_point_is_pythagorean_in_binary64():
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 class TestExactSpotValues:
     def test_reduced_entries_within_4_ulp(self, name):
-        got = scenario_reduced_state(name, *POINT[:2]).tolist()
+        got = damped_scenario_state(name, *POINT[:2], 0.0).tolist()
         exact = exact_reduced(name)
         for i in range(8):
             for j in range(8):
@@ -132,12 +132,12 @@ class TestExactSpotValues:
                 assert ulps(got[i][j], exact[i][j]) <= 4, (name, i, j)
 
     def test_coherence_within_16_ulp(self, name):
-        assert ulps(numeric_measures(name, *POINT)["C"], exact_coherence(name)) <= 16
+        assert ulps(float(numeric_batch(name, *POINT)["C"]), exact_coherence(name)) <= 16
 
     def test_s_and_e_are_nan_exactly_where_off_pattern_entries_are_nonzero(self, name):
         exact = exact_damped(name)
         off = [exact[i][j] for i in range(8) for j in range(8) if i != j and i + j != 7]
-        got = numeric_measures(name, *POINT)
+        got = numeric_batch(name, *POINT)
         assert any(off) == (name in NON_X)
         assert math.isnan(got["S"]) == math.isnan(got["E"]) == (name in NON_X)
 
@@ -152,7 +152,7 @@ class TestExactXMeasures:
         d, e, f = slots(exact_damped(name))
         n = svetlichny_n(d, e)
         assert 8 * max(f) ** 2 < 1 and abs(n) < 1
-        s = numeric_measures(name, *POINT)["S"]
+        s = float(numeric_batch(name, *POINT)["S"])
         assert s < 4.0
         # S^2 = max(128 f^2, 16 N^2) is rational, so S is bracketed exactly.
         assert_within_ulps(s, *sqrt_bounds(max(128 * max(f) ** 2, 16 * n * n)), 8, name)
@@ -165,7 +165,7 @@ class TestExactXMeasures:
         lo = 2 * max(0, max(f[i] - sum(r[1] for j, r in enumerate(roots) if j != i) for i in range(4)))
         hi = 2 * max(0, max(f[i] - sum(r[0] for j, r in enumerate(roots) if j != i) for i in range(4)))
         assert (lo > 0) == (hi > 0)
-        assert_within_ulps(numeric_measures(name, *POINT)["E"], lo, hi, 8, name)
+        assert_within_ulps(float(numeric_batch(name, *POINT)["E"]), lo, hi, 8, name)
 
 
 def test_fourth_coherence_relation_holds_exactly():

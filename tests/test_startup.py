@@ -25,8 +25,8 @@ EXPORTS = {
     "BETA_MAX", "BoundaryResult", "CATALOG", "ConfigError", "ParameterError",
     "SCENARIOS", "Scenario", "SweepConfig", "SweepGrid",
     "cf_eval", "damped_scenario_state", "emit_figure_data", "find_boundary",
-    "is_x_structured", "numeric_batch", "numeric_measures", "run_audit",
-    "run_sweep", "scenario", "scenario_reduced_state", "sum_rule_samples",
+    "is_x_structured", "numeric_batch", "run_audit", "run_sweep", "scenario",
+    "sum_rule_samples",
 }
 
 
@@ -79,7 +79,7 @@ class TestLazyPackage:
             "                  'engine': engine.__name__}))\n"
         )
         got = fresh_python(code)
-        assert len(got["all"]) == len(EXPORTS) == 21
+        assert len(got["all"]) == len(EXPORTS) == 19
         assert set(got["all"]) == EXPORTS
         assert set(got["same"]) == EXPORTS
         assert got["engine"] == "ghzsim.engine"

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ghzsim.engine
@@ -22,7 +22,6 @@ from ghzsim import (
     cf_eval,
     find_boundary,
     numeric_batch,
-    numeric_measures,
     run_audit,
     run_sweep,
     sum_rule_samples,
@@ -166,7 +165,7 @@ class TestRunSweep:
             bi, rest = divmod(k, 7 * 3)
             assert row.beta == pytest.approx(axis[bi] * math.pi / 4, abs=1e-15)
             assert row.p == pytest.approx(axis[rest // 3], abs=1e-15)
-            want = numeric_measures(name, 0.6, row.beta, row.p)[row.measure]
+            want = numeric_batch(name, 0.6, row.beta, row.p)[row.measure]
             assert row.value == want or (math.isnan(row.value) and math.isnan(want)), row
 
     def test_worker_count_does_not_change_rows(self):
@@ -404,7 +403,7 @@ class TestFindBoundary:
         scan = [k / 1000 for k in range(1001)]
 
         def value(beta, p):
-            return numeric_measures(name, ALPHA_GHZ, beta, p, (measure,))[measure]
+            return numeric_batch(name, ALPHA_GHZ, beta, p, (measure,))[measure]
 
         expected = []
         for beta in np.linspace(0.0, math.pi / 4, 9).tolist():
@@ -511,6 +510,15 @@ def fine_scan_p_star(name: str, measure: str, beta: float) -> float | None:
     return float(ps[reached[0]])
 
 
+def one_row(name, measure, alpha, beta, tol):
+    """`find_boundary`'s point at one given beta: it samples beta on an even
+    grid, so the grid is replaced by that beta."""
+    with mock.patch.object(ghzsim.sweep, "_axis", lambda rng: (beta,)):
+        (point,) = find_boundary(name, measure, alpha, 1, bisect_tol=tol).curve
+    assert point.beta == beta
+    return point
+
+
 class TestBoundaryScanMissesNoCrossing:
     """The 1e-3 coarse scan of `find_boundary` finds the same first crossing
     as a scan 100 times finer, at any beta."""
@@ -530,14 +538,71 @@ class TestBoundaryScanMissesNoCrossing:
         "name", ["ABC_I", "ABC_II", "AB_I_C_I", "AB_I_C_II", "AB_II_C_I", "AB_II_C_II"]
     )
     def test_agrees_with_a_fine_scan(self, name, measure, beta):
-        # find_boundary samples beta on an even grid; give it the drawn beta.
-        with mock.patch.object(ghzsim.sweep, "_axis", lambda rng: (beta,)):
-            (point,) = find_boundary(name, measure, ALPHA_GHZ, beta_samples=1).curve
+        point = one_row(name, measure, ALPHA_GHZ, beta, 1e-6)
         want = fine_scan_p_star(name, measure, beta)
-        assert point.beta == beta
         assert point.status == ("no_crossing" if want is None else "crossing")
         if want is not None:
             assert abs(point.p_star - want) <= 2e-5
+
+
+#: On AB_I_C_I, E = 2 alpha sqrt(1-alpha^2) (1-p) max(0, cos^2 b - p sin^2 b
+#: - 2 sin b sqrt(p (cos^2 b + p sin^2 b))), so E dies where u = p tan^2 b is
+#: the root of 3u^2 + 6u - 1: p*_E = (2/sqrt 3 - 1) cot^2 b, for every alpha.
+E_DEATH_FACTOR = 2.0 / math.sqrt(3.0) - 1.0
+#: p*_E = 1 here: a crossing exists only above it.
+BETA_C = math.atan(math.sqrt(E_DEATH_FACTOR))
+
+
+def assert_matches(point, p_star, crosses, tol):
+    assert point.status == ("crossing" if crosses else "no_crossing")
+    if crosses:
+        assert abs(point.p_star - p_star) <= tol
+
+
+class TestClosedFormBoundaries:
+    """`find_boundary` against curves derived by hand from the damped X
+    entries, an oracle outside the engine: the same status, and p* to within
+    the bisection tolerance. Draws within 1e-6 of a status switch are
+    skipped, where the scan's last point or the threshold's slack decides."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(1e-3, 0.999),
+        beta=st.floats(0.0, BETA_MAX),
+        tol=st.floats(1e-12, 1e-4),
+    )
+    # Rows just below and just above beta_c, and the far end.
+    @example(alpha=ALPHA_GHZ, beta=BETA_C - 1e-5, tol=1e-12)
+    @example(alpha=ALPHA_GHZ, beta=BETA_C + 1e-5, tol=1e-12)
+    @example(alpha=0.05, beta=BETA_C + 1e-4, tol=1e-9)
+    @example(alpha=0.999, beta=BETA_MAX, tol=1e-12)
+    def test_entanglement_death_on_ab_i_c_i(self, alpha, beta, tol):
+        """p*_E(beta) = (2/sqrt 3 - 1) cot^2 beta whatever alpha, so E dies
+        before full damping only for beta > beta_c = 0.374734..."""
+        tan2 = math.tan(beta) ** 2
+        p_star = E_DEATH_FACTOR / tan2 if tan2 else math.inf
+        assume(abs(p_star - (1.0 - tol)) >= 1e-6)
+        point = one_row("AB_I_C_I", "E", alpha, beta, tol)
+        crosses = p_star < 1.0 - tol
+        assert crosses <= (beta > BETA_C)
+        assert_matches(point, p_star, crosses, tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(1e-3, 0.999),
+        beta=st.floats(0.0, BETA_MAX),
+        tol=st.floats(1e-12, 1e-4),
+    )
+    @example(alpha=ALPHA_GHZ, beta=0.0, tol=1e-12)
+    @example(alpha=0.3, beta=0.0, tol=1e-9)
+    def test_nonlocality_death_on_abc_i(self, alpha, beta, tol):
+        """Only the coherence branch of S decides: S = 4 sqrt(x (1 - p)) with
+        x = 8 alpha^2 (1 - alpha^2) cos^2 beta, so p*_S = 1 - 1/x, and a
+        crossing exists only where x > 1."""
+        x = 8.0 * alpha * alpha * (1.0 - alpha * alpha) * math.cos(beta) ** 2
+        assume(abs(x - 1.0) >= 1e-6)
+        point = one_row("ABC_I", "S", alpha, beta, tol)
+        assert_matches(point, 1.0 - 1.0 / x, x > 1.0, tol)
 
 
 class TestLateDeath:

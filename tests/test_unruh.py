@@ -13,8 +13,9 @@ from ghzsim import (
     ParameterError,
     SCENARIOS,
     damped_scenario_state,
+    is_x_structured,
+    numeric_batch,
     scenario,
-    scenario_reduced_state,
 )
 from ghzsim.unruh import scenario_reduced_entries
 from conftest import (
@@ -33,33 +34,30 @@ ALPHA_GHZ = 1.0 / math.sqrt(2.0)
 
 
 class TestParams:
-    """The whole-matrix builder checks alpha and beta like the kernel."""
+    """The whole-matrix function checks alpha and beta like the kernel."""
 
     @pytest.mark.parametrize("alpha", [-0.1, 1.1])
     def test_alpha_range(self, alpha):
         with pytest.raises(ParameterError):
-            scenario_reduced_state(scenario("ABC_I"), alpha, 0.3)
+            damped_scenario_state("ABC_I", alpha, 0.3, 0.0)
 
     @pytest.mark.parametrize("beta", [-0.01, math.pi / 4 + 0.01])
     def test_beta_range(self, beta):
         with pytest.raises(ParameterError):
-            scenario_reduced_state(scenario("ABC_I"), 0.6, beta)
+            damped_scenario_state("ABC_I", 0.6, beta, 0.0)
 
     def test_beta_endpoints_allowed(self):
-        scenario_reduced_state(scenario("ABC_I"), 0.6, 0.0)
-        scenario_reduced_state(scenario("ABC_I"), 0.6, BETA_MAX)
-
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_scenario_by_name(self, name):
-        by_name = scenario_reduced_state(name, 0.7, 0.3)
-        assert by_name.tobytes() == scenario_reduced_state(scenario(name), 0.7, 0.3).tobytes()
+        damped_scenario_state("ABC_I", 0.6, 0.0, 0.0)
+        damped_scenario_state("ABC_I", 0.6, BETA_MAX, 0.0)
 
     def test_unknown_scenario_name(self):
-        """Both whole-matrix functions resolve a name the same way."""
+        """Every public function resolves a name the same way."""
         with pytest.raises(ParameterError, match="unknown scenario 'ABC_III'"):
-            scenario_reduced_state("ABC_III", 0.7, 0.3)
+            numeric_batch("ABC_III", 0.7, 0.3, 0.0)
         with pytest.raises(ParameterError, match="unknown scenario 'ABC_III'"):
             damped_scenario_state("ABC_III", 0.7, 0.3, 0.1)
+        with pytest.raises(ParameterError, match="unknown scenario 'ABC_III'"):
+            is_x_structured("ABC_III")
 
 
 class TestTraceOutOracle:
@@ -195,7 +193,7 @@ class TestScenarioReducedState:
         """Charlie accelerated, keeping (A, B, C_I): an X-matrix with the
         populations split by cos^2/sin^2 and coherence damped by cos(beta)."""
         alpha, beta = ALPHA_GHZ, math.pi / 6
-        rho = scenario_reduced_state(scenario("ABC_I"), alpha, beta)
+        rho = damped_scenario_state("ABC_I", alpha, beta, 0.0)
         expected = np.zeros((8, 8), dtype=complex)
         expected[0, 0] = alpha**2 * math.cos(beta) ** 2
         expected[1, 1] = alpha**2 * math.sin(beta) ** 2
@@ -209,7 +207,7 @@ class TestScenarioReducedState:
         cos/sin powers of beta and the |000><111| coherence survives."""
         alpha, beta = 0.6, 0.4
         c2, s2 = math.cos(beta) ** 2, math.sin(beta) ** 2
-        rho = scenario_reduced_state(scenario("AB_I_C_I"), alpha, beta)
+        rho = damped_scenario_state("AB_I_C_I", alpha, beta, 0.0)
         diag = np.real(np.diag(rho))
         a2 = alpha * alpha
         np.testing.assert_allclose(
@@ -227,24 +225,24 @@ class TestScenarioReducedState:
         modes, vec = expanded_ghz_oracle(alpha, beta, scenario("AB_I_C_I"))
         full = np.outer(vec, vec.conj())
         order = {m: i for i, m in enumerate(modes)}
-        for name, scen in SCENARIOS.items():
+        for name in SCENARIOS:
             if expanded_from_name(name) != ("B", "C"):
                 continue
-            rho = scenario_reduced_state(scen, alpha, beta)
+            rho = damped_scenario_state(name, alpha, beta, 0.0)
             keep = [order[m] for m in modes_from_name(name)]
             np.testing.assert_allclose(
                 rho, trace_out_oracle(full, 5, keep), atol=1e-14, err_msg=name
             )
 
     def test_reduced_states_are_valid(self):
-        for scen in SCENARIOS.values():
+        for name in SCENARIOS:
             herm_dev, trace_dev, min_eig = density_deviations(
-                scenario_reduced_state(scen, 0.8, 0.6)
+                damped_scenario_state(name, 0.8, 0.6, 0.0)
             )
-            assert herm_dev < 1e-10 and trace_dev < 1e-10 and min_eig >= -1e-10, scen.name
+            assert herm_dev < 1e-10 and trace_dev < 1e-10 and min_eig >= -1e-10, name
 
     def test_is_a_plain_real_matrix(self):
-        rho = scenario_reduced_state(scenario("AB_I_C_II"), 0.7, 0.3)
+        rho = damped_scenario_state("AB_I_C_II", 0.7, 0.3, 0.0)
         assert type(rho) is np.ndarray
         assert rho.shape == (8, 8) and rho.dtype == float
 
@@ -307,6 +305,6 @@ class TestFullSupportBuild:
 
     def test_whole_matrix_builder_rejects_nan(self):
         with pytest.raises(ParameterError):
-            scenario_reduced_state(scenario("ABC_I"), math.nan, 0.3)
+            damped_scenario_state("ABC_I", math.nan, 0.3, 0.0)
         with pytest.raises(ParameterError):
-            scenario_reduced_state(scenario("ABC_I"), 0.6, math.nan)
+            damped_scenario_state("ABC_I", 0.6, math.nan, 0.0)
