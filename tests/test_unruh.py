@@ -50,6 +50,13 @@ class TestParams:
         damped_scenario_state("ABC_I", 0.6, 0.0, 0.0)
         damped_scenario_state("ABC_I", 0.6, BETA_MAX, 0.0)
 
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_scenario_by_name(self, name):
+        """A name resolves to its own table row: at p = 0 the whole-matrix
+        function gives the bits of the kernel on that row."""
+        by_name = damped_scenario_state(name, 0.7, 0.3, 0.0)
+        assert by_name.tobytes() == reduced_matrices(0.7, 0.3, scenario(name))[0].tobytes()
+
     def test_unknown_scenario_name(self):
         """Every public function resolves a name the same way."""
         with pytest.raises(ParameterError, match="unknown scenario 'ABC_III'"):
