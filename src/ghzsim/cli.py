@@ -7,6 +7,10 @@ the flags it reads, so an unknown or ignored flag is an error. Every flag but
 not a flag of the subcommand is a configuration error. Only the CLI picks
 where output goes (--out, else stdout) and its format (--format).
 
+A subcommand passes the library only the flags that were set, so the
+library's defaults apply; the CLI fills in only values the library requires
+(boundary scenario, alpha and beta steps; figure alpha and resolution).
+
 Exit codes: 0 success, 2 configuration error (a ConfigError, such as a
 ParameterError), 3 I/O error (a closed standard output, or a reader that
 closes the pipe early, included), 4 the audit found discrepancies above
@@ -152,26 +156,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _given(args: argparse.Namespace, flag: str, default):
-    """The flag's value, or `default` when neither the command line nor the
-    config file set it (or the subcommand has no such flag)."""
-    value = getattr(args, flag, None)
-    return default if value is None else value
+def _given(args: argparse.Namespace, *flags: str, **renamed: str) -> dict:
+    """Keyword arguments for a library call from the flags the command line
+    or the config file set: each of `flags` under its own name, and each
+    parameter=flag of `renamed` under the parameter's name. An unset flag is
+    left out, so the library's default stands."""
+    pairs = [(flag, flag) for flag in flags] + list(renamed.items())
+    return {name: getattr(args, flag) for name, flag in pairs if getattr(args, flag) is not None}
 
 
-def _sweep_config(args: argparse.Namespace):
-    from .sweep import BETA_MAX, DEFAULT_ALPHA, DEFAULT_SEED, SweepConfig
-    return SweepConfig(
-        alpha=_given(args, "alpha", DEFAULT_ALPHA),
-        beta_range=(0.0, BETA_MAX, _given(args, "beta_steps", 101)),
-        p_range=(0.0, 1.0, _given(args, "p_steps", 101)),
-        scenario=_given(args, "scenario", "ABC_I"),
-        measures=tuple(_given(args, "measures", "S,E,C").split(",")),
-        engine=_given(args, "engine", "both"),
-        tol=_given(args, "tol", 1e-8),
-        seed=_given(args, "seed", DEFAULT_SEED),
-        samples=_given(args, "samples", 1000),
-    )
+def _grid(args: argparse.Namespace) -> dict:
+    """The given alpha and grid axes of a sweep or an audit: an axis whose
+    step count is given keeps the library's default ends."""
+    from .sweep import BETA_RANGE, P_RANGE
+    given = _given(args, "alpha")
+    for axis, (lo, hi, _) in (("beta", BETA_RANGE), ("p", P_RANGE)):
+        steps = getattr(args, f"{axis}_steps")
+        if steps is not None:
+            given[f"{axis}_range"] = (lo, hi, steps)
+    return given
 
 
 def _write_all(stream, text: str) -> None:
@@ -202,19 +205,20 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .sweep import records_to_csv, records_to_json, run_sweep
-    rows = run_sweep(_sweep_config(args))
-    fmt = _given(args, "format", "csv")
-    _emit(records_to_csv(rows) if fmt == "csv" else records_to_json(rows), args.out)
+    from .sweep import SweepConfig, records_to_csv, records_to_json, run_sweep
+    given = _given(args, "scenario", "engine")
+    if args.measures is not None:
+        given["measures"] = tuple(args.measures.split(","))
+    rows = run_sweep(SweepConfig(**_grid(args), **given))
+    _emit(records_to_json(rows) if args.format == "json" else records_to_csv(rows), args.out)
     return EXIT_OK
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     from .sweep import json_text, run_audit
-    config = _sweep_config(args)
     # Audit the whole catalog unless one scenario was requested.
-    names = None if args.scenario is None else [args.scenario]
-    report = run_audit(config, scenarios=names)
+    scenarios = None if args.scenario is None else [args.scenario]
+    report = run_audit(**_grid(args), **_given(args, "tol", "seed", "samples"), scenarios=scenarios)
     _emit(json_text(report), args.out)
     if report["flags"]:
         print(f"audit: {len(report['flags'])} discrepancy flag(s) raised", file=sys.stderr)
@@ -226,26 +230,17 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
     if args.measure is None:
         raise ConfigError("boundary requires --measure S|E")
     from .sweep import DEFAULT_ALPHA, boundary_to_csv, boundary_to_json, find_boundary
-    result = find_boundary(
-        scenario_name=_given(args, "scenario", "ABC_I"),
-        measure=args.measure,
-        alpha=_given(args, "alpha", DEFAULT_ALPHA),
-        beta_samples=_given(args, "beta_steps", 33),
-        bisect_tol=_given(args, "tol", 1e-6),
+    options = {"scenario_name": "ABC_I", "alpha": DEFAULT_ALPHA, "beta_samples": 33} | _given(
+        args, "alpha", scenario_name="scenario", beta_samples="beta_steps", bisect_tol="tol"
     )
-    fmt = _given(args, "format", "csv")
-    _emit(boundary_to_csv(result) if fmt == "csv" else boundary_to_json(result), args.out)
+    result = find_boundary(measure=args.measure, **options)
+    _emit(boundary_to_json(result) if args.format == "json" else boundary_to_csv(result), args.out)
     return EXIT_OK
 
 
 def _cmd_sumrules(args: argparse.Namespace) -> int:
-    from .sweep import DEFAULT_SEED, json_text, sum_rule_samples
-    report = sum_rule_samples(
-        alpha=args.alpha,
-        samples=_given(args, "samples", 1000),
-        seed=_given(args, "seed", DEFAULT_SEED),
-    )
-    _emit(json_text(report), args.out)
+    from .sweep import json_text, sum_rule_samples
+    _emit(json_text(sum_rule_samples(**_given(args, "alpha", "samples", "seed"))), args.out)
     return EXIT_OK
 
 
@@ -255,12 +250,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if args.out is None:
         raise ConfigError("figure requires --out")
     from .sweep import DEFAULT_ALPHA, emit_figure_data
-    written = emit_figure_data(
-        figure_id=args.figure,
-        alpha=_given(args, "alpha", DEFAULT_ALPHA),
-        resolution=_given(args, "resolution", 101),
-        out_path=args.out,
-    )
+    options = {"alpha": DEFAULT_ALPHA, "resolution": 101} | _given(args, "alpha", "resolution")
+    written = emit_figure_data(figure_id=args.figure, out_path=args.out, **options)
     for path in written:
         print(path)
     return EXIT_OK

@@ -9,6 +9,9 @@ broadcast; a boundary is one kernel call for its coarse p scan over
 [0, 1 - tol], then one per bisection step over all betas; the sum rules are
 one kernel call and one catalog call per scenario. Evaluation runs in a
 single process; the `workers` setting is validated but changes nothing.
+Each workflow takes only the parameters it reads, each default written once
+here: `SweepConfig` holds a sweep's settings, the other workflows take
+theirs as arguments.
 
 `run_sweep` returns a `SweepGrid`, plain data: the axes and one (beta, p)
 array per (measure, engine). The audit and the figures evaluate their grids
@@ -18,7 +21,7 @@ arrays, in the documented row order, each by one `%` operation over a
 template that repeats one per-point block: per column, the column's
 constant text, a slot for the point's preformatted (beta, p) text and a
 slot for its value. `json_text` writes every other JSON document (audit,
-sum rules, boundary). A config's alpha and range ends are checked by
+sum rules, boundary). A grid's alpha and range ends are checked by
 `unruh._check`, as the pipeline checks them, so a range error reads the
 same wherever it is raised.
 
@@ -35,7 +38,7 @@ import random
 import stat
 import tempfile
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,21 +49,23 @@ from .unruh import BETA_MAX, _check
 
 DEFAULT_ALPHA = 1.0 / math.sqrt(2.0)
 DEFAULT_SEED = 20260823
+DEFAULT_SAMPLES = 1000
+BETA_RANGE = (0.0, BETA_MAX, 101)
+P_RANGE = (0.0, 1.0, 101)
 
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A sweep's settings: one scenario's measures by one engine or both."""
+
     alpha: float = DEFAULT_ALPHA
-    beta_range: tuple[float, float, int] = (0.0, BETA_MAX, 101)
-    p_range: tuple[float, float, int] = (0.0, 1.0, 101)
+    beta_range: tuple[float, float, int] = BETA_RANGE
+    p_range: tuple[float, float, int] = P_RANGE
     scenario: str = "ABC_I"
     measures: tuple[str, ...] = MEASURES
     engine: str = "both"
     #: Accepted and validated for compatibility; evaluation is single-process.
     workers: int = 1
-    tol: float = 1e-8
-    seed: int = DEFAULT_SEED
-    samples: int = 1000
 
     def validate(self) -> None:
         _check("alpha", self.alpha)
@@ -78,12 +83,6 @@ class SweepConfig:
             raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.samples < 1:
-            raise ConfigError(f"samples must be >= 1, got {self.samples}")
-        if not self.tol >= 0.0:
-            raise ConfigError(f"tol must be >= 0, got {self.tol}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,7 +418,8 @@ def _sum_rule_terms(alphas, betas, ps) -> list[tuple[np.ndarray, np.ndarray, np.
     ]
 
 
-def sum_rule_samples(alpha: float | None, samples: int, seed: int) -> dict:
+def sum_rule_samples(alpha: float | None = None, samples: int = DEFAULT_SAMPLES,
+                     seed: int = DEFAULT_SEED) -> dict:
     """Max residual of each coherence relation over random parameter points.
 
     The points come from `random.Random(seed).uniform`, whose stream Python
@@ -428,7 +428,8 @@ def sum_rule_samples(alpha: float | None, samples: int, seed: int) -> dict:
     [0, BETA_MAX], then as many p on [0, 1]. The relation marked `asserted=False`
     is reported with its alpha-dependence instead of being gated: its residual
     lhs - rhs is exactly -2 sin^2(2 beta) (1-p)^2 alpha^2 (1-alpha^2)^2, which
-    vanishes only at alpha in {0, 1}, beta = 0 or p = 1.
+    vanishes only at alpha in {0, 1}, beta = 0 or p = 1. Nine fixed points,
+    alpha = 0.1 ... 0.9 at one (beta, p), follow the random ones to show it.
     """
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
@@ -438,23 +439,23 @@ def sum_rule_samples(alpha: float | None, samples: int, seed: int) -> dict:
     alphas = [rnd.uniform(0.0, 1.0) for _ in range(samples)] if alpha is None else [alpha] * samples
     betas = [rnd.uniform(0.0, BETA_MAX) for _ in range(samples)]
     ps = [rnd.uniform(0.0, 1.0) for _ in range(samples)]
-    terms = _sum_rule_terms(alphas, betas, ps)
-
-    # alpha-dependence of the reported-only relation at a fixed (beta, p).
     beta0, p0 = math.pi / 6.0, 0.3
     alphas0 = [0.1 * k for k in range(1, 10)]
+    n0 = len(alphas0)
+    terms = _sum_rule_terms(alphas + alphas0, betas + [beta0] * n0, ps + [p0] * n0)
+    # Per rule, each engine's |lhs - rhs|: the random points, then the fixed ones.
+    residuals = [(np.abs(num - rhs), np.abs(cat - rhs)) for num, cat, rhs in terms]
+
+    # alpha-dependence of the reported-only relation at a fixed (beta, p).
     reported = next(k for k, rule in enumerate(SUM_RULES) if not rule.asserted)
-    num0, _, rhs0 = _sum_rule_terms(alphas0, beta0, p0)[reported]
-    alpha_dependence = []
-    for a, residual in zip(alphas0, np.abs(num0 - rhs0).tolist()):
-        scale = a * a * (1.0 - a * a) ** 2
-        alpha_dependence.append(
-            {
-                "alpha": a,
-                "numeric_residual": residual,
-                "residual_over_alpha2_times_1_minus_alpha2_sq": residual / scale,
-            }
-        )
+    alpha_dependence = [
+        {
+            "alpha": a,
+            "numeric_residual": residual,
+            "residual_over_alpha2_times_1_minus_alpha2_sq": residual / (a * a * (1.0 - a * a) ** 2),
+        }
+        for a, residual in zip(alphas0, residuals[reported][0][samples:].tolist())
+    ]
 
     return {
         "samples": samples,
@@ -464,10 +465,10 @@ def sum_rule_samples(alpha: float | None, samples: int, seed: int) -> dict:
             {
                 "name": rule.name,
                 "asserted": rule.asserted,
-                "max_numeric_residual": float(np.max(np.abs(num - rhs), initial=0.0)),
-                "max_closedform_residual": float(np.max(np.abs(cat - rhs), initial=0.0)),
+                "max_numeric_residual": float(num[:samples].max()),
+                "max_closedform_residual": float(cat[:samples].max()),
             }
-            for rule, (num, cat, rhs) in zip(SUM_RULES, terms)
+            for rule, (num, cat) in zip(SUM_RULES, residuals)
         ],
         "reported_rule_alpha_dependence": {
             "beta": beta0,
@@ -484,25 +485,32 @@ def sum_rule_samples(alpha: float | None, samples: int, seed: int) -> dict:
 
 # --- audit ---------------------------------------------------------------------
 
-def run_audit(config: SweepConfig, scenarios: Sequence[str] | None = None) -> dict:
-    """Compare the closed-form catalog against the numeric engine; return
-    the report, whose "flags" list holds one line per flag.
+def run_audit(
+    alpha: float = DEFAULT_ALPHA, beta_range: tuple = BETA_RANGE, p_range: tuple = P_RANGE,
+    tol: float = 1e-8, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
+    scenarios: Sequence[str] | None = None,
+) -> dict:
+    """Compare the closed-form catalog against the numeric engine over the
+    (beta, p) grid of each scenario (default: all); return the report, whose
+    "flags" list holds one line per flag.
 
     The numeric engine is authoritative. Every (scenario, measure) with a
-    maximum grid deviation above `config.tol` is flagged with both engine
-    values at the worst point; scenarios whose reduced state is not
-    X-structured are flagged as such for S/E (no numeric value exists to
-    compare). The asserted sum rules are gated at 1e-10 over random points.
+    maximum grid deviation above `tol` is flagged with both engine values at
+    the worst point; scenarios whose reduced state is not X-structured are
+    flagged as such for S/E (no numeric value exists to compare). The
+    asserted sum rules are gated at 1e-10 over random points, evaluated
+    first, so a bad `samples` or `seed` fails before any grid is evaluated.
     """
-    config.validate()
-    if config.engine != "both":
-        raise ConfigError("audit requires engine=both")
+    SweepConfig(alpha, beta_range, p_range).validate()
+    if not tol >= 0.0:
+        raise ConfigError(f"tol must be >= 0, got {tol}")
+    rules = sum_rule_samples(None, samples, seed)
     names = list(scenarios) if scenarios is not None else sorted(SCENARIOS)
     entries = []
     flags: list[str] = []
     for name in names:
         compared = MEASURES if is_x_structured(name) else ("C",)
-        sweep = run_sweep(replace(config, scenario=name, measures=compared))
+        sweep = run_sweep(SweepConfig(alpha, beta_range, p_range, name, compared))
         for measure in MEASURES:
             if measure not in compared:
                 entries.append(
@@ -528,7 +536,7 @@ def run_audit(config: SweepConfig, scenarios: Sequence[str] | None = None) -> di
             worst_dev = float(devs[bi, pi])
             beta_at, p_at = sweep.betas[bi], sweep.ps[pi]
             numeric_at, cf_at = float(values[bi, pi]), float(catalog[bi, pi])
-            ok = worst_dev <= config.tol
+            ok = worst_dev <= tol
             entries.append(
                 {
                     "scenario": name,
@@ -549,7 +557,6 @@ def run_audit(config: SweepConfig, scenarios: Sequence[str] | None = None) -> di
                     f"(numeric={_fmt(numeric_at)}, closedform={_fmt(cf_at)})"
                 )
 
-    rules = sum_rule_samples(None, config.samples, config.seed)
     for rule in rules["rules"]:
         if rule["asserted"] and rule["max_numeric_residual"] > 1e-10:
             flags.append(
@@ -559,12 +566,12 @@ def run_audit(config: SweepConfig, scenarios: Sequence[str] | None = None) -> di
 
     return {
         "config": {
-            "alpha": config.alpha,
-            "beta_range": list(config.beta_range),
-            "p_range": list(config.p_range),
-            "tolerance": config.tol,
-            "samples": config.samples,
-            "seed": config.seed,
+            "alpha": alpha,
+            "beta_range": list(beta_range),
+            "p_range": list(p_range),
+            "tolerance": tol,
+            "samples": samples,
+            "seed": seed,
             "scenarios": names,
         },
         "entries": entries,

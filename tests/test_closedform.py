@@ -266,3 +266,56 @@ class TestSumRules:
         for alpha in (0.0, 1.0):
             num, _, rhs = _sum_rule_terms(alpha, 0.5, 0.3)[REPORTED]
             assert abs(num[0] - rhs[0]) < 1e-13
+
+
+#: The default sweep's 101 x 101 (beta, p) grid.
+GRID_BETAS = np.linspace(0.0, BETA_MAX, 101)[:, None]
+GRID_PS = np.linspace(0.0, 1.0, 101)
+
+
+def hierarchy_breaks(name: str, alpha: float) -> np.ndarray:
+    """Grid points where the catalog breaks S > 4 => E > 0 => C > 0, with
+    the numeric law's 1e-12 slack on S (test_engine.TestResourceHierarchy)."""
+    s, e, c = (cf_eval(name, m, alpha, GRID_BETAS, GRID_PS) for m in "SEC")
+    return ((s > 4.0 + 1e-12) & ~(e > 0.0)) | ((e > 0.0) & ~(c > 0.0))
+
+
+class TestCatalogHierarchyBreaks:
+    """The numeric engine keeps the resource hierarchy at every X point; the
+    catalog breaks it in three scenarios, as a known property of its
+    expressions that the audit does not flag. Every break on the grid is
+    S > 4 where E = 0. Where a break is pinned absent, each E = 0 point has
+    S within 1e-13 of 4 or at least 4.9e-6 below it, and C >= 6e-8 wherever
+    E > 0, so a libm's rounding cannot add one. Break counts (656 on
+    AB_I_C_I at the default alpha) are not pinned: they are measured on one
+    Python only."""
+
+    @pytest.mark.parametrize(
+        "name, intact, broken",
+        [
+            ("AB_I_C_I", [0.3, 0.5, 0.95, 1.0], [0.55, ALPHA_GHZ, 0.8]),
+            ("AB_I_B_II", [0.3, 0.5, 0.7, ALPHA_GHZ], [0.75, 0.8, 1.0]),
+            ("AC_I_C_II", [0.3, 0.5, 0.7, ALPHA_GHZ], [0.75, 0.8, 1.0]),
+        ],
+    )
+    def test_breaks_start_past_an_alpha(self, name, intact, broken):
+        for alpha in intact:
+            assert not hierarchy_breaks(name, alpha).any(), alpha
+        for alpha in broken:
+            assert hierarchy_breaks(name, alpha).any(), alpha
+
+    @pytest.mark.parametrize("name", ["ABC_I", "ABC_II", "AB_I_C_II", "AB_II_C_I", "AB_II_C_II"])
+    def test_other_scenarios_never_break(self, name):
+        for alpha in [0.05 * k for k in range(21)] + [ALPHA_GHZ]:
+            assert not hierarchy_breaks(name, alpha).any(), alpha
+
+    @pytest.mark.parametrize("name", ["AB_I_B_II", "AC_I_C_II"])
+    def test_product_state_is_nonlocal_only_in_the_catalog(self, name):
+        """At alpha = 1 the state is the product |000>. Wherever the numeric
+        S is defined it stays at 4 (to rounding), yet the catalog's S exceeds
+        4 at some of those points."""
+        catalog = cf_eval(name, "S", 1.0, GRID_BETAS, GRID_PS)
+        numeric = numeric_batch(name, 1.0, GRID_BETAS, GRID_PS, ("S",))["S"]
+        defined = np.isfinite(numeric)
+        assert (numeric[defined] <= 4.0 + 1e-12).all()
+        assert (catalog[defined] > 4.0 + 1e-12).any()

@@ -2,6 +2,8 @@
 sampling and the engine audit."""
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 import math
 import random
@@ -16,6 +18,7 @@ import ghzsim.engine
 import ghzsim.sweep
 from ghzsim import (
     BETA_MAX,
+    SCENARIOS,
     ConfigError,
     SweepConfig,
     SweepGrid,
@@ -69,9 +72,6 @@ class TestSweepConfig:
             {"engine": "exact"},
             {"beta_range": (0.5, 0.2, 11)},
             {"workers": 0},
-            {"samples": 0},
-            {"tol": -1.0},
-            {"tol": math.nan},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -80,9 +80,6 @@ class TestSweepConfig:
 
     def test_default_config_is_valid(self):
         SweepConfig().validate()
-
-    def test_zero_tolerance_is_valid(self):
-        SweepConfig(tol=0.0).validate()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -708,7 +705,8 @@ class TestSumRuleSamples:
     @pytest.mark.parametrize("alpha", [None, 0.8])
     def test_points_are_the_stdlib_stream_in_alpha_beta_p_order(self, monkeypatch, alpha):
         """All alphas (when sampled), then all betas, then all p, drawn from
-        random.Random(seed), whose stream Python keeps across versions."""
+        random.Random(seed), whose stream Python keeps across versions; the
+        reported rule's nine fixed points follow them in the same call."""
         calls = []
         terms = ghzsim.sweep._sum_rule_terms
 
@@ -722,13 +720,28 @@ class TestSumRuleSamples:
         alphas = [alpha] * 7 if alpha is not None else [rnd.uniform(0.0, 1.0) for _ in range(7)]
         betas = [rnd.uniform(0.0, BETA_MAX) for _ in range(7)]
         ps = [rnd.uniform(0.0, 1.0) for _ in range(7)]
-        assert [np.asarray(v, dtype=float).tolist() for v in calls[0]] == [alphas, betas, ps]
+        fixed = [[0.1 * k for k in range(1, 10)], [math.pi / 6.0] * 9, [0.3] * 9]
+        assert len(calls) == 1
+        assert [np.asarray(v, dtype=float).tolist() for v in calls[0]] == [
+            alphas + fixed[0], betas + fixed[1], ps + fixed[2]
+        ]
+
+
+class TestAuditParameters:
+    @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"tol": -1.0}, {"tol": math.nan}])
+    def test_invalid_parameters_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            run_audit(**kwargs)
+
+    def test_zero_tolerance_is_valid(self):
+        run_audit(beta_range=(0.0, 0.5, 2), p_range=(0.0, 1.0, 2), tol=0.0, samples=2,
+                  scenarios=["ABC_I"])
 
 
 class TestNegativeSeed:
     def test_fails_validation(self):
         with pytest.raises(ConfigError, match="seed"):
-            SweepConfig(seed=-1).validate()
+            run_audit(seed=-1)
 
     def test_audit_fails_before_evaluating_the_grid(self, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -736,20 +749,80 @@ class TestNegativeSeed:
 
         monkeypatch.setattr(ghzsim.sweep, "numeric_batch", unreachable)
         with pytest.raises(ConfigError, match="seed"):
-            run_audit(SweepConfig(seed=-1))
+            run_audit(seed=-1)
+
+
+#: A changed value of each SweepConfig field but `workers`, which criterion 9
+#: pins and which changes nothing, and of each run_audit parameter.
+SWEEP_CHANGES = {
+    "alpha": 0.6,
+    "beta_range": (0.0, math.pi / 8, 3),
+    "p_range": (0.0, 0.5, 3),
+    "scenario": "AB_I_C_I",
+    "measures": ("S",),
+    "engine": "numeric",
+}
+AUDIT_BASE = {"beta_range": (0.0, math.pi / 4, 3), "p_range": (0.0, 1.0, 3), "samples": 5,
+              "scenarios": ("AB_I_C_I",)}
+AUDIT_CHANGES = {
+    "alpha": 0.6,
+    "beta_range": (0.0, math.pi / 8, 3),
+    "p_range": (0.0, 0.5, 3),
+    "tol": 10.0,
+    "samples": 6,
+    "seed": 1,
+    "scenarios": ("ABC_I",),
+}
+
+
+def _surfaces(grid: SweepGrid):
+    return grid.betas, grid.ps, {k: np.nan_to_num(v, nan=-1.0).tolist()
+                                 for k, v in grid.surfaces.items()}
+
+
+def _findings(report: dict):
+    """The audit report without its echo of the parameters."""
+    return report["entries"], report["flags"], report["sum_rules"]["rules"]
+
+
+class TestEveryParameterIsRead:
+    """No workflow accepts a parameter it ignores: a changed value of each
+    changes the computed result, not only its echo in the output, or is
+    rejected with ConfigError."""
+
+    def test_the_tables_name_every_parameter(self):
+        fields = {field.name for field in dataclasses.fields(SweepConfig)}
+        assert set(SWEEP_CHANGES) == fields - {"workers"}
+        assert set(AUDIT_CHANGES) == set(inspect.signature(run_audit).parameters)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_CHANGES))
+    def test_sweep_config_field(self, name):
+        changed = dataclasses.replace(SMALL, **{name: SWEEP_CHANGES[name]})
+        try:
+            grid = run_sweep(changed)
+        except ConfigError:
+            return
+        assert _surfaces(grid) != _surfaces(run_sweep(SMALL))
+
+    @pytest.mark.parametrize("name", sorted(AUDIT_CHANGES))
+    def test_audit_parameter(self, name):
+        try:
+            changed = run_audit(**{**AUDIT_BASE, name: AUDIT_CHANGES[name]})
+        except ConfigError:
+            return
+        assert _findings(changed) != _findings(run_audit(**AUDIT_BASE))
 
 
 @pytest.fixture(scope="module")
 def report():
-    config = SweepConfig(beta_range=(0.0, math.pi / 4, 9), p_range=(0.0, 1.0, 9), samples=50)
-    return run_audit(config)
+    return run_audit(beta_range=(0.0, math.pi / 4, 9), p_range=(0.0, 1.0, 9), samples=50)
 
 
 class TestRunAudit:
     def test_evaluates_whole_grids_not_points(self, monkeypatch):
         """Each engine is called once per grid or sample set: per scenario,
-        one kernel call for the grid and two for the sum rules, one catalog
-        call per compared measure and two for the sum rules."""
+        one kernel call for the grid and one for the sum rules, one catalog
+        call per compared measure and one for the sum rules."""
         calls = {"cf_eval": 0, "numeric_batch": 0}
 
         def counting(name):
@@ -763,13 +836,9 @@ class TestRunAudit:
 
         counting("cf_eval")
         counting("numeric_batch")
-        run_audit(SweepConfig())
-        assert calls["cf_eval"] <= 36
-        assert calls["numeric_batch"] <= 24
-
-    def test_requires_both_engines(self):
-        with pytest.raises(ConfigError):
-            run_audit(SweepConfig(engine="numeric"))
+        run_audit()
+        assert calls["cf_eval"] <= 28
+        assert calls["numeric_batch"] <= 16
 
 
 class TestKernelCalls:
@@ -789,9 +858,15 @@ class TestKernelCalls:
         return calls
 
     def test_default_audit(self, kernel_calls):
-        """One grid and two sum-rule sets per scenario."""
-        run_audit(SweepConfig())
-        assert len(kernel_calls) == 24
+        """One grid and one sum-rule set per scenario."""
+        run_audit()
+        assert len(kernel_calls) == 16
+
+    def test_sum_rules(self, kernel_calls):
+        """The random points and the reported rule's alpha scan share one
+        call per scenario."""
+        sum_rule_samples(samples=10)
+        assert sorted(kernel_calls) == sorted(SCENARIOS)
 
     def test_figure(self, kernel_calls, tmp_path):
         emit_figure_data(4, ALPHA_GHZ, 16, str(tmp_path / "f4.csv"))
