@@ -1,29 +1,49 @@
-"""Byte-identity check of the ghzsim command line against another revision.
+"""Byte identity and alternating timing pairs of the ghzsim command line
+against another revision.
 
 Usage (from anywhere inside a ghzsim checkout):
 
     python3 bench/ab.py --against REV [--expect-diff NAME ...]
+    python3 bench/ab.py --against REV --pairs N [--workload grid|audit|scan]
 
-REV is checked out with `git worktree add` under `.bench_build/ab/`, so no
-network is needed, and the worktree is removed again at the end. Each
-command of COMMANDS then runs as a fresh `python3 -m ghzsim.cli` process on
-REV and on this checkout's working tree, uncommitted edits included. Every
-run gets an empty working directory of its own, the umask 022, and each
-command runs twice per tree: with PYTHONUNBUFFERED=1 and without it.
+REV's `src/` is extracted with `git archive` into a temporary directory, so
+no network is needed and the repository itself is left as it was. Every
+command runs as a fresh `python3 -m ghzsim.cli` process of REV or of this
+checkout's working tree, uncommitted edits included, in an empty working
+directory of its own and under the umask 022.
 
-The two trees' runs are compared on the exit code, stdout, stderr and every
-file left in the working directory, with its mode. One line per command
-says `same` or `DIFF` and what differs; the exit status is 1 if a command
-differs that no `--expect-diff NAME` names, else 0.
+Identity (the default): each command of COMMANDS runs twice per tree, with
+PYTHONUNBUFFERED=1 and without it. The two trees' runs are compared on the
+exit code, stdout, stderr and every file left in the working directory, with
+its mode. One line per command says `same` or `DIFF` and what differs; the
+exit status is 1 if a command differs that no `--expect-diff NAME` names,
+else 0.
+
+Timing (`--pairs N`): each pair is one cold pass of a workload's commands
+(WORKLOADS, at the CLI's default sizes) on each tree, REV first on even
+pairs and this checkout first on odd ones, because the machine drifts over
+minutes and only alternating pairs compare. A pass sums over its commands
+the wall time, the user+sys CPU time and the minor page faults, the last
+two read from `os.wait4` of each process. Per metric it prints each side's
+min, q1, median, q3 and max, then the median of the paired differences
+(this checkout minus REV), the pairs this checkout won (lower), and whether
+a gain claim holds: at least 9 in 10 pairs won and the medians apart by
+more than REV's interquartile range. Without `--workload` every workload
+runs. The exit status is 1 if a command exits with another code than its
+expected one, else 0.
 """
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import stat
+import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,12 +97,38 @@ COMMANDS: dict[str, tuple[list[str], dict[str, str]]] = {
 #: Each command runs once per setting of PYTHONUNBUFFERED (None: unset).
 UNBUFFERED = ("1", None)
 
+#: workload -> its commands at the CLI's default sizes, each with the exit
+#: code it must return; the same work as the benchmark's workloads.
+WORKLOADS: dict[str, list[tuple[list[str], int]]] = {
+    "grid": [
+        (["sweep", "--scenario", "ABC_I", "--engine", "both", "--out", "sweep.csv"], 0),
+        (["figure", "--figure", "4", "--out", "figure.csv"], 0),
+    ],
+    "audit": [(["audit", "--out", "audit.json"], 4)],
+    "scan": [
+        (["boundary", "--measure", "S", "--scenario", "ABC_I", "--out", "boundary_S.csv"], 0),
+        (["boundary", "--measure", "E", "--scenario", "AB_I_C_I", "--out", "boundary_E.csv"], 0),
+        (["sumrules", "--out", "sumrules.json"], 0),
+    ],
+}
 
-def _git(*args: str) -> str:
-    done = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
+#: metric -> its print format.
+METRICS = {"wall_s": ".4f", "cpu_s": ".4f", "minflt": ".0f"}
+
+
+def _git(*args: str) -> bytes:
+    done = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True)
     if done.returncode:
-        sys.exit(f"git {' '.join(args)} failed:\n{done.stderr}")
-    return done.stdout.strip()
+        sys.exit(f"git {' '.join(args)} failed:\n{done.stderr.decode()}")
+    return done.stdout
+
+
+def _env(tree: Path, unbuffered: str | None = None) -> dict[str, str]:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return env
 
 
 def _files(directory: str) -> dict[str, tuple[int, bytes]]:
@@ -99,15 +145,12 @@ def _files(directory: str) -> dict[str, tuple[int, bytes]]:
 
 def run(tree: Path, args: list[str], setup: dict[str, str], unbuffered: str | None) -> dict:
     """One CLI process of `tree` in a fresh working directory."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered is not None:
-        env["PYTHONUNBUFFERED"] = unbuffered
     with tempfile.TemporaryDirectory(prefix="ab-") as cwd:
         for name, text in setup.items():
             Path(cwd, name).write_text(text)
         done = subprocess.run(
-            [sys.executable, "-m", "ghzsim.cli", *args], cwd=cwd, env=env, capture_output=True
+            [sys.executable, "-m", "ghzsim.cli", *args], cwd=cwd, env=_env(tree, unbuffered),
+            capture_output=True,
         )
         return {
             "exit": done.returncode,
@@ -132,43 +175,111 @@ def differences(a: dict, b: dict) -> list[str]:
     return found
 
 
+def identity(base: Path, label: str, expect_diff: list[str]) -> int:
+    unexpected = 0
+    for name, (cli_args, setup) in COMMANDS.items():
+        found = []
+        for unbuffered in UNBUFFERED:
+            theirs = run(base, cli_args, setup, unbuffered)
+            ours = run(ROOT, cli_args, setup, unbuffered)
+            setting = "unset" if unbuffered is None else unbuffered
+            found += [f"{d} [PYTHONUNBUFFERED={setting}]" for d in differences(theirs, ours)]
+        if not found:
+            print(f"same  {name}", flush=True)
+            continue
+        expected = name in expect_diff
+        unexpected += not expected
+        print(f"DIFF  {name}{' (expected)' if expected else ''}: {'; '.join(found)}", flush=True)
+    runs = len(COMMANDS) * len(UNBUFFERED)
+    print(f"{len(COMMANDS)} commands, {runs} runs per tree against {label}: "
+          f"{unexpected} unexpected difference(s)")
+    return 1 if unexpected else 0
+
+
+def cold_pass(tree: Path, commands: list[tuple[list[str], int]]) -> tuple[float, float, int]:
+    """(wall s, user+sys CPU s, minor faults) summed over one cold run of
+    each command; exits if a command returns an unexpected code."""
+    wall = cpu = 0.0
+    faults = 0
+    with tempfile.TemporaryDirectory(prefix="ab-") as cwd:
+        for args, want in commands:
+            start = time.perf_counter()
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "ghzsim.cli", *args], cwd=cwd, env=_env(tree),
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            )
+            _, status, usage = os.wait4(proc.pid, 0)
+            wall += time.perf_counter() - start
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            if proc.returncode != want:
+                sys.exit(f"{' '.join(args)} on {tree} exited {proc.returncode}, not {want}")
+            cpu += usage.ru_utime + usage.ru_stime
+            faults += usage.ru_minflt
+    return wall, cpu, faults
+
+
+def _summary(values: list[float], spec: str) -> str:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return "  ".join(format(v, spec) for v in (min(values), q1, median, q3, max(values)))
+
+
+def pairs(base: Path, label: str, workloads: list[str], n: int) -> int:
+    for workload in workloads:
+        commands = WORKLOADS[workload]
+        theirs, ours = [], []
+        for k in range(n):
+            if k % 2 == 0:
+                theirs.append(cold_pass(base, commands))
+                ours.append(cold_pass(ROOT, commands))
+            else:
+                ours.append(cold_pass(ROOT, commands))
+                theirs.append(cold_pass(base, commands))
+        print(f"{workload}: {n} pairs against {label}, per pass: min  q1  median  q3  max")
+        for j, (metric, spec) in enumerate(METRICS.items()):
+            rev = [p[j] for p in theirs]
+            this = [p[j] for p in ours]
+            diffs = [b - a for a, b in zip(rev, this)]
+            wins = sum(d < 0 for d in diffs)
+            q1, rev_median, q3 = statistics.quantiles(rev, n=4, method="inclusive")
+            gap = rev_median - statistics.median(this)
+            holds = wins >= 0.9 * n and gap > q3 - q1
+            diff = statistics.median(diffs)
+            print(f"  {metric:7} rev   {_summary(rev, spec)}")
+            print(f"  {metric:7} this  {_summary(this, spec)}")
+            print(f"  {metric:7} diff  median {diff:+{spec}} ({diff / rev_median:+.1%}), "
+                  f"won {wins}/{n}, gain claim {'holds' if holds else 'does not hold'}",
+                  flush=True)
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, metavar="REV", help="revision to compare with")
     parser.add_argument(
         "--expect-diff", action="append", default=[], choices=sorted(COMMANDS), metavar="NAME",
-        help="a command whose output may differ (repeatable)",
+        help="a command whose output may differ (repeatable; identity only)",
+    )
+    parser.add_argument("--pairs", type=int, metavar="N", help="time N alternating pairs")
+    parser.add_argument(
+        "--workload", choices=sorted(WORKLOADS), help="the one workload to time (with --pairs)"
     )
     args = parser.parse_args(argv)
+    if args.pairs is None and args.workload is not None:
+        parser.error("--workload needs --pairs")
+    if args.pairs is not None and args.expect_diff:
+        parser.error("--expect-diff applies to the identity check, not to --pairs")
+    if args.pairs is not None and args.pairs < 2:
+        parser.error("--pairs must be >= 2")
 
-    sha = _git("rev-parse", "--verify", f"{args.against}^{{commit}}")
-    base = ROOT / ".bench_build" / "ab" / sha
-    if base.exists():
-        _git("worktree", "remove", "--force", str(base))
-    base.parent.mkdir(parents=True, exist_ok=True)
-    _git("worktree", "add", "--detach", "--quiet", str(base), sha)
+    sha = _git("rev-parse", "--verify", f"{args.against}^{{commit}}").decode().strip()
     os.umask(0o022)
-    unexpected = 0
-    try:
-        for name, (cli_args, setup) in COMMANDS.items():
-            found = []
-            for unbuffered in UNBUFFERED:
-                theirs = run(base, cli_args, setup, unbuffered)
-                ours = run(ROOT, cli_args, setup, unbuffered)
-                setting = "unset" if unbuffered is None else unbuffered
-                found += [f"{d} [PYTHONUNBUFFERED={setting}]" for d in differences(theirs, ours)]
-            if not found:
-                print(f"same  {name}", flush=True)
-                continue
-            expected = name in args.expect_diff
-            unexpected += not expected
-            print(f"DIFF  {name}{' (expected)' if expected else ''}: {'; '.join(found)}", flush=True)
-    finally:
-        _git("worktree", "remove", "--force", str(base))
-    runs = len(COMMANDS) * len(UNBUFFERED)
-    print(f"{len(COMMANDS)} commands, {runs} runs per tree against {sha[:12]}: "
-          f"{unexpected} unexpected difference(s)")
-    return 1 if unexpected else 0
+    with tempfile.TemporaryDirectory(prefix="ab-rev-") as base:
+        with tarfile.open(fileobj=io.BytesIO(_git("archive", sha, "src"))) as tar:
+            tar.extractall(base, filter="data")
+        if args.pairs is None:
+            return identity(Path(base), sha[:12], args.expect_diff)
+        workloads = [args.workload] if args.workload else list(WORKLOADS)
+        return pairs(Path(base), sha[:12], workloads, args.pairs)
 
 
 if __name__ == "__main__":

@@ -4,12 +4,14 @@ Subcommands: sweep, audit, boundary, sumrules, figure. Each registers only
 the flags it reads, so an unknown or ignored flag is an error. Every flag but
 --config can also be supplied through a flat key=value config file
 (--config); explicit flags win over config-file values, and a key that is
-not a flag of the subcommand is a configuration error. Only the CLI picks
-where output goes (--out, else stdout) and its format (--format).
+not a flag of the subcommand is a configuration error.
 
-A subcommand passes the library only the flags that were set, so the
-library's defaults apply; the CLI fills in only values the library requires
-(boundary scenario, alpha and beta steps; figure alpha and resolution).
+The library returns plain data and text and writes no file; only the CLI
+picks where output goes (--out, else stdout), its format (--format) and a
+multi-measure figure's file names, and writes. A file is written whole or
+not at all (`write_text_atomic`). A subcommand passes the library only the
+flags that were set, so the library's defaults, each written once in
+`sweep`, are the CLI's too.
 
 Exit codes: 0 success, 2 configuration error (a ConfigError, such as a
 ParameterError), 3 I/O error (a closed standard output, or a reader that
@@ -194,9 +196,40 @@ def _write_all(stream, text: str) -> None:
         data = data[buffer.write(data) :]  # None, from a full non-blocking file, retries
 
 
+def write_text_atomic(path: str, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it over
+    `path`, so no reader sees a partial file. As with a plain open(), a
+    symlink at `path` is written through: the file it points to is replaced
+    and the link stays. The file keeps the mode a plain open() would leave,
+    not mkstemp's 0o600: an existing file's own mode, else 0o666 less the
+    umask. An OSError names `path`, not the temporary file or the link's
+    target."""
+    import stat
+    import tempfile
+
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)  # a link's target's mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    target = os.path.realpath(path)
+    tmp = ""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-", suffix=".part")
+        with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), mode)
+            handle.write(text)
+        os.replace(tmp, target)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if os.path.exists(tmp):  # only a failed write leaves it
+            os.unlink(tmp)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        from .sweep import write_text_atomic
         write_text_atomic(out, text)
     elif sys.stdout is None:  # the process started with descriptor 1 closed
         raise OSError(errno.EBADF, "standard output is closed")
@@ -229,12 +262,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _cmd_boundary(args: argparse.Namespace) -> int:
     if args.measure is None:
         raise ConfigError("boundary requires --measure S|E")
-    from .sweep import DEFAULT_ALPHA, boundary_to_csv, boundary_to_json, find_boundary
-    options = {"scenario_name": "ABC_I", "alpha": DEFAULT_ALPHA, "beta_samples": 33} | _given(
+    from .sweep import boundary_to_csv, find_boundary, json_text
+    result = find_boundary(measure=args.measure, **_given(
         args, "alpha", scenario_name="scenario", beta_samples="beta_steps", bisect_tol="tol"
-    )
-    result = find_boundary(measure=args.measure, **options)
-    _emit(boundary_to_json(result) if args.format == "json" else boundary_to_csv(result), args.out)
+    ))
+    _emit(json_text(result) if args.format == "json" else boundary_to_csv(result), args.out)
     return EXIT_OK
 
 
@@ -249,10 +281,14 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         raise ConfigError("figure requires --figure 1..7")
     if args.out is None:
         raise ConfigError("figure requires --out")
-    from .sweep import DEFAULT_ALPHA, emit_figure_data
-    options = {"alpha": DEFAULT_ALPHA, "resolution": 101} | _given(args, "alpha", "resolution")
-    written = emit_figure_data(figure_id=args.figure, out_path=args.out, **options)
-    for path in written:
+    from .sweep import figure_csv
+    texts = figure_csv(args.figure, **_given(args, "alpha", "resolution"))
+    # One measure writes exactly --out; several suffix the measure's name.
+    stem, ext = os.path.splitext(args.out)
+    paths = [args.out] if len(texts) == 1 else [f"{stem}_{m}{ext or '.csv'}" for m in texts]
+    for path, text in zip(paths, texts.values()):
+        _emit(text, path)
+    for path in paths:
         print(path)
     return EXIT_OK
 

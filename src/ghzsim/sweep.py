@@ -1,5 +1,5 @@
-"""Parameter sweeps, engine audits, sum-rule checks, figure-data emission
-and sudden-death boundary finding.
+"""Parameter sweeps, engine audits, sum-rule checks, figure data and
+sudden-death boundary finding.
 
 Both engines map broadcastable (alpha, beta, p) arrays to arrays, the
 numeric kernel `engine.numeric_batch` and the catalog `closedform.cf_eval`,
@@ -10,20 +10,20 @@ broadcast; a boundary is one kernel call for its coarse p scan over
 one kernel call and one catalog call per scenario. Evaluation runs in a
 single process; the `workers` setting is validated but changes nothing.
 Each workflow takes only the parameters it reads, each default written once
-here: `SweepConfig` holds a sweep's settings, the other workflows take
-theirs as arguments.
+here.
 
-`run_sweep` returns a `SweepGrid`, plain data: the axes and one (beta, p)
-array per (measure, engine). The audit and the figures evaluate their grids
-through it. The writers return text; the CLI picks the output path and
-format. Sweep CSV, sweep JSON and figure CSV are written straight from the
-arrays, in the documented row order, each by one `%` operation over a
-template that repeats one per-point block: per column, the column's
-constant text, a slot for the point's preformatted (beta, p) text and a
-slot for its value. `json_text` writes every other JSON document (audit,
-sum rules, boundary). A grid's alpha and range ends are checked by
-`unruh._check`, as the pipeline checks them, so a range error reads the
-same wherever it is raised.
+Every workflow returns plain data and writes no file: `run_sweep` a
+`SweepGrid` (the axes and one (beta, p) array per (measure, engine)),
+`run_audit`, `sum_rule_samples` and `find_boundary` their JSON documents as
+dicts, `figure_csv` each measure's CSV text. Only the CLI picks output
+paths and formats, and writes. Sweep CSV, sweep JSON and figure CSV are made
+straight from the arrays, in the documented row order, each by one `%`
+operation over a template that repeats one per-point block: per column,
+the column's constant text, a slot for the point's preformatted (beta, p)
+text and a slot for its value. `json_text` spells every other JSON
+document. A grid's alpha and range ends are checked by `unruh._check`, as
+the pipeline checks them, so a range error reads the same wherever it is
+raised.
 
 All outputs are deterministic for a fixed configuration: grid order defines
 row order, floats are serialized with 17 significant digits, random sampling
@@ -33,21 +33,19 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
-import stat
-import tempfile
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .closedform import SUM_RULES, cf_eval
 from .engine import MEASURES, is_x_structured, numeric_batch
-from .qcore import ENGINES, FIGURES, SCENARIOS, ConfigError, scenario
+from .qcore import ENGINES, FIGURES, SCENARIOS, ConfigError, ParameterError, scenario
 from .unruh import BETA_MAX, _check
 
 DEFAULT_ALPHA = 1.0 / math.sqrt(2.0)
+DEFAULT_SCENARIO = "ABC_I"
 DEFAULT_SEED = 20260823
 DEFAULT_SAMPLES = 1000
 BETA_RANGE = (0.0, BETA_MAX, 101)
@@ -61,7 +59,7 @@ class SweepConfig:
     alpha: float = DEFAULT_ALPHA
     beta_range: tuple[float, float, int] = BETA_RANGE
     p_range: tuple[float, float, int] = P_RANGE
-    scenario: str = "ABC_I"
+    scenario: str = DEFAULT_SCENARIO
     measures: tuple[str, ...] = MEASURES
     engine: str = "both"
     #: Accepted and validated for compatibility; evaluation is single-process.
@@ -129,35 +127,6 @@ def run_sweep(config: SweepConfig) -> SweepGrid:
 
 def _fmt(x: float) -> str:
     return format(x, ".17g")
-
-
-def write_text_atomic(path: str, text: str) -> None:
-    """Write `text` to a temporary file beside `path`, then rename it over
-    `path`, so no reader sees a partial file. As with a plain open(), a
-    symlink at `path` is written through: the file it points to is replaced
-    and the link stays. The file keeps the mode a plain open() would leave,
-    not mkstemp's 0o600: an existing file's own mode, else 0o666 less the
-    umask. An OSError names `path`, not the temporary file or the link's
-    target."""
-    try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)  # a link's target's mode
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    target = os.path.realpath(path)
-    tmp = ""
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-", suffix=".part")
-        with os.fdopen(fd, "w") as handle:
-            os.fchmod(handle.fileno(), mode)
-            handle.write(text)
-        os.replace(tmp, target)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
-    finally:
-        if os.path.exists(tmp):  # only a failed write leaves it
-            os.unlink(tmp)
 
 
 def _fill(head: str, prefixes: list[str], slots: str, keys: list[str], columns: list[list],
@@ -260,25 +229,6 @@ S_THRESHOLD = 4.0
 #: Spacing of the coarse p scan that brackets a boundary crossing.
 SCAN_STEP = 1e-3
 
-
-@dataclass(frozen=True)
-class BoundaryPoint:
-    beta: float
-    p_star: float | None
-    status: str  # "crossing" or "no_crossing"
-
-
-@dataclass(frozen=True)
-class BoundaryResult:
-    scenario: str
-    measure: str
-    alpha: float
-    threshold: float
-    bisect_tol: float
-    scan_step: float
-    curve: tuple[BoundaryPoint, ...]
-
-
 #: measure -> (threshold, slack). The scan finds the first value <= threshold
 #: + slack; bisection keeps its lower end while the value exceeds the
 #: threshold. E reaches 0 only where it is exactly 0.
@@ -302,9 +252,13 @@ def _bisect(name, measure, alpha, betas, lo, hi, level, tol) -> np.ndarray:
 
 
 def find_boundary(
-    scenario_name: str, measure: str, alpha: float, beta_samples: int, bisect_tol: float = 1e-6
-) -> BoundaryResult:
-    """Sudden-death curve p*(beta) from the numeric engine.
+    scenario_name: str = DEFAULT_SCENARIO, *, measure: str, alpha: float = DEFAULT_ALPHA,
+    beta_samples: int = 33, bisect_tol: float = 1e-6,
+) -> dict:
+    """Sudden-death curve p*(beta) from the numeric engine, as the boundary's
+    JSON document: the run's `scenario`, `measure`, `alpha`, `threshold`,
+    `bisect_tol` and `scan_step`, then `curve`, one {beta, p_star, status}
+    dict per beta, p_star None where the status is "no_crossing".
 
     For S the crossing is where the Svetlichny value falls to 4 from above;
     for E it is where the entanglement first reaches 0, exactly. A coarse
@@ -343,40 +297,37 @@ def find_boundary(
     first = np.argmax(reached, axis=1)
     crosses = reached.any(axis=1) & ~((first == 0) & (values[:, 0] < threshold - 1e-9))
     lo, hi = scan_ps[np.maximum(first - 1, 0)], scan_ps[first]
-    p_star = np.full(len(betas), math.nan)
+    p_star = np.zeros(len(betas))
     p_star[crosses] = _bisect(scenario_name, measure, alpha, beta_arr[crosses], lo[crosses],
                               hi[crosses], threshold, bisect_tol)
 
-    curve = tuple(
-        BoundaryPoint(beta, None, "no_crossing")
-        if math.isnan(ps)
-        else BoundaryPoint(beta, ps, "crossing")
-        for beta, ps in zip(betas, p_star.tolist())
-    )
-    return BoundaryResult(scenario_name, measure, alpha, threshold, bisect_tol, SCAN_STEP, curve)
+    curve = [
+        {"beta": b, "p_star": p if c else None, "status": "crossing" if c else "no_crossing"}
+        for b, p, c in zip(betas, p_star.tolist(), crosses.tolist())
+    ]
+    return dict(scenario=scenario_name, measure=measure, alpha=alpha, threshold=threshold,
+                bisect_tol=bisect_tol, scan_step=SCAN_STEP, curve=curve)
 
 
-def boundary_to_csv(result: BoundaryResult) -> str:
+def boundary_to_csv(result: dict) -> str:
     lines = ["beta,p_star,status"]
-    for pt in result.curve:
-        p_star = "" if pt.p_star is None else _fmt(pt.p_star)
-        lines.append(f"{_fmt(pt.beta)},{p_star},{pt.status}")
+    for pt in result["curve"]:
+        p_star = "" if pt["p_star"] is None else _fmt(pt["p_star"])
+        lines.append(f"{_fmt(pt['beta'])},{p_star},{pt['status']}")
     return "\n".join(lines) + "\n"
-
-
-def boundary_to_json(result: BoundaryResult) -> str:
-    return json_text(asdict(result))
 
 
 # --- figure data ---------------------------------------------------------------
 
-def emit_figure_data(figure_id: int, alpha: float, resolution: int, out_path: str) -> list[str]:
-    """Write beta/p/value surfaces for one figure, one file per measure.
+def figure_csv(
+    figure_id: int, alpha: float = DEFAULT_ALPHA, resolution: int = 101
+) -> dict[str, str]:
+    """The beta/p/value CSV text of each of one figure's measures, by
+    measure, in the figure's order, on a resolution x resolution grid.
 
-    Single-measure figures write exactly `out_path`; multi-measure figures
-    suffix the measure before the extension. A figure whose scenario is not
-    X-structured (Figure 7) takes its surfaces from the closed-form catalog,
-    because the numeric pipeline leaves S and E undefined there.
+    A figure whose scenario is not X-structured (Figure 7) takes its
+    surfaces from the closed-form catalog, because the numeric pipeline
+    leaves S and E undefined there.
     """
     if figure_id not in FIGURES:
         raise ConfigError(f"figure id must be in {sorted(FIGURES)}, got {figure_id}")
@@ -388,13 +339,11 @@ def emit_figure_data(figure_id: int, alpha: float, resolution: int, out_path: st
         SweepConfig(alpha, (0.0, BETA_MAX, resolution), (0.0, 1.0, resolution),
                     scenario=scenario_name, measures=measures, engine=engine)
     )
-
-    stem, ext = os.path.splitext(out_path)
-    paths = [out_path] if len(measures) == 1 else [f"{stem}_{m}{ext or '.csv'}" for m in measures]
     keys = _csv_keys(grid.betas, grid.ps)
-    for path, surface in zip(paths, grid.surfaces.values()):
-        write_text_atomic(path, _grid_csv("beta,p,value", keys, [("", surface)]))
-    return paths
+    return {
+        m: _grid_csv("beta,p,value", keys, [("", surface)])
+        for (m, _), surface in grid.surfaces.items()
+    }
 
 
 # --- sum rules -----------------------------------------------------------------
@@ -499,13 +448,17 @@ def run_audit(
     the worst point; scenarios whose reduced state is not X-structured are
     flagged as such for S/E (no numeric value exists to compare). The
     asserted sum rules are gated at 1e-10 over random points, evaluated
-    first, so a bad `samples` or `seed` fails before any grid is evaluated.
+    first, so a bad `samples` or `seed` fails before any grid is evaluated;
+    every scenario name is looked up before that, and a bare string in
+    place of a list of names is a ParameterError.
     """
     SweepConfig(alpha, beta_range, p_range).validate()
     if not tol >= 0.0:
         raise ConfigError(f"tol must be >= 0, got {tol}")
+    if isinstance(scenarios, str):
+        raise ParameterError(f"scenarios must be a list of names, got the string {scenarios!r}")
+    names = sorted(SCENARIOS) if scenarios is None else [scenario(n).name for n in scenarios]
     rules = sum_rule_samples(None, samples, seed)
-    names = list(scenarios) if scenarios is not None else sorted(SCENARIOS)
     entries = []
     flags: list[str] = []
     for name in names:

@@ -90,10 +90,10 @@ def test_criterion_3_sudden_death_boundary():
     """Nonlocality sudden death for the inertial-limit slice at p* = 0.5
     (bisection to 1e-6, brute-force scan at step 1e-5) and threshold
     saturation S(p=0) = 4 at maximal acceleration."""
-    result = find_boundary("ABC_I", "S", ALPHA_GHZ, beta_samples=2, bisect_tol=1e-6)
-    origin = result.curve[0]
-    assert origin.status == "crossing"
-    assert origin.p_star == pytest.approx(0.5, abs=1e-6)
+    result = find_boundary("ABC_I", measure="S", alpha=ALPHA_GHZ, beta_samples=2, bisect_tol=1e-6)
+    origin = result["curve"][0]
+    assert origin["status"] == "crossing"
+    assert origin["p_star"] == pytest.approx(0.5, abs=1e-6)
 
     # Brute-force confirmation: damp the undamped beta=0 state across the
     # whole p grid in one batched Kraus application and locate the first p

@@ -7,7 +7,14 @@ import json
 import pytest
 
 import ghzsim.sweep
-from ghzsim.cli import EXIT_AUDIT_FLAGGED, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from ghzsim.cli import (
+    EXIT_AUDIT_FLAGGED,
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_OK,
+    main,
+    write_text_atomic,
+)
 
 
 def run(args):
@@ -392,6 +399,27 @@ class TestFigureCommand:
         assert code == EXIT_CONFIG
         assert not out.exists()
 
+    def test_single_measure_writes_exact_path(self, tmp_path, capsys):
+        out = tmp_path / "surface.csv"
+        assert run(["figure", "--figure", "1", "--resolution", "16", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == f"{out}\n"
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == "beta,p,value"
+        assert len(lines) == 1 + 16 * 16
+
+    def test_multi_measure_suffixes_files(self, tmp_path, capsys):
+        out = tmp_path / "surface.csv"
+        assert run(["figure", "--figure", "3", "--resolution", "16", "--out", str(out)]) == EXIT_OK
+        written = capsys.readouterr().out.split()
+        assert written == [str(tmp_path / "surface_S.csv"), str(tmp_path / "surface_E.csv")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["surface_E.csv", "surface_S.csv"]
+
+    def test_figure_files_get_the_mode_of_a_plain_open(self, tmp_path, umask_022):
+        out = tmp_path / "fig2.csv"
+        assert run(["figure", "--figure", "2", "--resolution", "16", "--out", str(out)]) == EXIT_OK
+        for name in ("fig2_E.csv", "fig2_C.csv"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o644
+
     def test_emits_surfaces(self, tmp_path, capsys):
         out = tmp_path / "fig2.csv"
         code = run(["figure", "--figure", "2", "--resolution", "16", "--out", str(out)])
@@ -400,3 +428,47 @@ class TestFigureCommand:
         assert printed == [str(tmp_path / "fig2_E.csv"), str(tmp_path / "fig2_C.csv")]
         header = (tmp_path / "fig2_E.csv").read_text().split("\n")[0]
         assert header == "beta,p,value"
+
+
+class TestWriteTextAtomic:
+    """The CLI's one file writer, used for every --out."""
+
+    def test_atomic_write(self, tmp_path, umask_022):
+        target = tmp_path / "out.csv"
+        write_text_atomic(str(target), "hello\n")
+        assert target.read_text() == "hello\n"
+        assert list(tmp_path.iterdir()) == [target]
+        # The mode a plain open() gives under umask 022, not mkstemp's 0o600,
+        # and an existing file keeps its own mode.
+        assert target.stat().st_mode & 0o777 == 0o644
+        target.chmod(0o600)
+        write_text_atomic(str(target), "again\n")
+        assert target.read_text() == "again\n"
+        assert target.stat().st_mode & 0o777 == 0o600
+
+    def test_atomic_write_through_a_symlink(self, tmp_path, umask_022):
+        """As with a plain open(), the link stays and its target is written,
+        keeping the target's mode; a dangling link creates its target."""
+        (tmp_path / "data").mkdir()
+        real = tmp_path / "data" / "real.csv"
+        real.write_text("old\n")
+        real.chmod(0o640)
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        write_text_atomic(str(link), "new\n")
+        assert link.is_symlink() and link.resolve() == real
+        assert real.read_text() == "new\n"
+        assert real.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in real.parent.iterdir()) == ["real.csv"]
+
+        dangling = tmp_path / "dangling.csv"
+        dangling.symlink_to(tmp_path / "data" / "made.csv")
+        write_text_atomic(str(dangling), "made\n")
+        assert dangling.is_symlink()
+        assert (tmp_path / "data" / "made.csv").read_text() == "made\n"
+        assert (tmp_path / "data" / "made.csv").stat().st_mode & 0o777 == 0o644
+
+    def test_other_errors_propagate_and_leave_no_temporary_file(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            write_text_atomic(str(tmp_path / "x.csv"), "\ud800")
+        assert list(tmp_path.iterdir()) == []

@@ -20,9 +20,11 @@ from ghzsim import (
     BETA_MAX,
     SCENARIOS,
     ConfigError,
+    ParameterError,
     SweepConfig,
     SweepGrid,
     cf_eval,
+    figure_csv,
     find_boundary,
     numeric_batch,
     run_audit,
@@ -34,12 +36,9 @@ from ghzsim.sweep import (
     DEFAULT_SEED,
     SCAN_STEP,
     boundary_to_csv,
-    boundary_to_json,
-    emit_figure_data,
     json_text,
     records_to_csv,
     records_to_json,
-    write_text_atomic,
     _csv_keys,
     _fmt,
     _grid_csv,
@@ -206,46 +205,6 @@ class TestSerialization:
         """The one float format of every text output, grid writer included."""
         assert _fmt(x) == text
 
-    def test_atomic_write(self, tmp_path, umask_022):
-        target = tmp_path / "out.csv"
-        write_text_atomic(str(target), "hello\n")
-        assert target.read_text() == "hello\n"
-        assert list(tmp_path.iterdir()) == [target]
-        # The mode a plain open() gives under umask 022, not mkstemp's 0o600,
-        # and an existing file keeps its own mode.
-        assert target.stat().st_mode & 0o777 == 0o644
-        target.chmod(0o600)
-        write_text_atomic(str(target), "again\n")
-        assert target.read_text() == "again\n"
-        assert target.stat().st_mode & 0o777 == 0o600
-
-    def test_atomic_write_through_a_symlink(self, tmp_path, umask_022):
-        """As with a plain open(), the link stays and its target is written,
-        keeping the target's mode; a dangling link creates its target."""
-        (tmp_path / "data").mkdir()
-        real = tmp_path / "data" / "real.csv"
-        real.write_text("old\n")
-        real.chmod(0o640)
-        link = tmp_path / "link.csv"
-        link.symlink_to(real)
-        write_text_atomic(str(link), "new\n")
-        assert link.is_symlink() and link.resolve() == real
-        assert real.read_text() == "new\n"
-        assert real.stat().st_mode & 0o777 == 0o640
-        assert sorted(p.name for p in real.parent.iterdir()) == ["real.csv"]
-
-        dangling = tmp_path / "dangling.csv"
-        dangling.symlink_to(tmp_path / "data" / "made.csv")
-        write_text_atomic(str(dangling), "made\n")
-        assert dangling.is_symlink()
-        assert (tmp_path / "data" / "made.csv").read_text() == "made\n"
-        assert (tmp_path / "data" / "made.csv").stat().st_mode & 0o777 == 0o644
-
-    def test_other_errors_propagate_and_leave_no_temporary_file(self, tmp_path):
-        with pytest.raises(UnicodeEncodeError):
-            write_text_atomic(str(tmp_path / "x.csv"), "\ud800")
-        assert list(tmp_path.iterdir()) == []
-
 
 #: A 7x5 grid of the non-X scenario, whose numeric S and E are NaN off the
 #: beta = 0 row and the p = 1 column, and a one-engine, one-measure sweep.
@@ -322,45 +281,48 @@ class TestColumnarOutput:
         assert len(grid) == len(records)
 
     @pytest.mark.parametrize("figure_id", [1, 2, 7])
-    def test_figure_files_equal_the_per_cell_writer(self, tmp_path, figure_id):
+    def test_figure_files_equal_the_per_cell_writer(self, figure_id):
         """Figure 1 has one measure, figure 2 two; figure 7 takes the
         catalog path."""
         name, measures = ghzsim.sweep.FIGURES[figure_id]
         betas = np.linspace(0.0, BETA_MAX, 17).tolist()
         ps = np.linspace(0.0, 1.0, 17).tolist()
         grid = (ALPHA_GHZ, np.asarray(betas)[:, None], np.asarray(ps))
-        written = emit_figure_data(figure_id, ALPHA_GHZ, 17, str(tmp_path / "f.csv"))
-        assert len(written) == len(measures)
-        for path, measure in zip(written, measures):
+        texts = figure_csv(figure_id, ALPHA_GHZ, 17)
+        assert len(texts) == len(measures)
+        for (measure, text), want in zip(texts.items(), measures):
+            assert measure == want
             if figure_id == 7:
                 surface = cf_eval(name, measure, *grid)
             else:
                 surface = numeric_batch(name, *grid, (measure,))[measure]
-            assert open(path).read() == figure_csv_oracle(betas, ps, surface)
+            assert text == figure_csv_oracle(betas, ps, surface)
 
 
 class TestFindBoundary:
     def test_inertial_nonlocality_sudden_death(self):
-        result = find_boundary("ABC_I", "S", ALPHA_GHZ, beta_samples=2)
-        origin, extreme = result.curve
-        assert origin.status == "crossing"
-        assert origin.p_star == pytest.approx(0.5, abs=1e-6)
+        result = find_boundary("ABC_I", measure="S", alpha=ALPHA_GHZ, beta_samples=2)
+        origin, extreme = result["curve"]
+        assert origin["status"] == "crossing"
+        assert origin["p_star"] == pytest.approx(0.5, abs=1e-6)
         # at maximal acceleration the state starts exactly on the threshold
-        assert extreme.status == "crossing"
-        assert extreme.p_star == 0.0
+        assert extreme["status"] == "crossing"
+        assert extreme["p_star"] == 0.0
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-17, 1e-300])
     def test_entanglement_survives_until_full_damping(self, tol):
         """The catalog puts the ABC_I entanglement zero at p* = cot^2 beta,
         which is >= 1 on [0, pi/4]: no beta of the default curve crosses,
         whatever the tolerance, one below the float spacing at 1 included."""
-        result = find_boundary("ABC_I", "E", ALPHA_GHZ, beta_samples=33, bisect_tol=tol)
-        assert len(result.curve) == 33
-        assert all(pt.status == "no_crossing" and pt.p_star is None for pt in result.curve)
+        result = find_boundary(
+            "ABC_I", measure="E", alpha=ALPHA_GHZ, beta_samples=33, bisect_tol=tol
+        )
+        assert len(result["curve"]) == 33
+        assert all(pt["status"] == "no_crossing" and pt["p_star"] is None for pt in result["curve"])
 
     def test_rejects_unknown_measure(self):
         with pytest.raises(ConfigError):
-            find_boundary("ABC_I", "C", ALPHA_GHZ, beta_samples=2)
+            find_boundary("ABC_I", measure="C", alpha=ALPHA_GHZ, beta_samples=2)
 
     @pytest.mark.parametrize("alpha", [0.0, ALPHA_GHZ])
     @pytest.mark.parametrize("beta_samples", [1, 2, 33])
@@ -370,7 +332,7 @@ class TestFindBoundary:
         """The scenario's structure decides, not whether one scan happens to
         meet a non-X point: a single beta = 0 row, or alpha = 0, meets none."""
         with pytest.raises(ConfigError) as err:
-            find_boundary(name, measure, alpha, beta_samples=beta_samples)
+            find_boundary(name, measure=measure, alpha=alpha, beta_samples=beta_samples)
         assert str(err.value) == (
             f"numeric {measure} undefined for scenario {name}: "
             "its reduced state is not X-structured"
@@ -378,18 +340,20 @@ class TestFindBoundary:
 
     def test_range_error_comes_before_the_structure_error(self):
         with pytest.raises(ConfigError, match=r"alpha=2\.0 outside \[0, 1\]"):
-            find_boundary("AB_I_B_II", "S", 2.0, beta_samples=2)
+            find_boundary("AB_I_B_II", measure="S", alpha=2.0, beta_samples=2)
 
     def test_matches_closed_form_curve(self):
         """At alpha = 1/sqrt 2 the ABC_I Svetlichny value falls to 4 at
         p* = 1 - 1/(2 cos^2 beta), for every beta of the default curve."""
         tol = 1e-6
-        result = find_boundary("ABC_I", "S", ALPHA_GHZ, beta_samples=33, bisect_tol=tol)
-        assert len(result.curve) == 33
-        for pt in result.curve:
-            assert pt.status == "crossing"
-            expected = 1.0 - 1.0 / (2.0 * math.cos(pt.beta) ** 2)
-            assert abs(pt.p_star - expected) <= 2.0 * tol, pt.beta
+        result = find_boundary(
+            "ABC_I", measure="S", alpha=ALPHA_GHZ, beta_samples=33, bisect_tol=tol
+        )
+        assert len(result["curve"]) == 33
+        for pt in result["curve"]:
+            assert pt["status"] == "crossing"
+            expected = 1.0 - 1.0 / (2.0 * math.cos(pt["beta"]) ** 2)
+            assert abs(pt["p_star"] - expected) <= 2.0 * tol, pt["beta"]
 
     @pytest.mark.parametrize("measure", ["S", "E"])
     def test_matches_scalar_bisection_exactly(self, measure):
@@ -426,8 +390,8 @@ class TestFindBoundary:
                         hi = mid
                 p_star = hi
             expected.append(p_star)
-        result = find_boundary(name, measure, ALPHA_GHZ, beta_samples=9)
-        assert [pt.p_star for pt in result.curve] == expected
+        result = find_boundary(name, measure=measure, alpha=ALPHA_GHZ, beta_samples=9)
+        assert [pt["p_star"] for pt in result["curve"]] == expected
         assert None in expected and any(p not in (None, 0.0) for p in expected)
 
     @pytest.mark.parametrize(
@@ -437,20 +401,20 @@ class TestFindBoundary:
     def test_nonlocality_dies_no_later_than_entanglement(self, name, alpha):
         """Svetlichny nonlocality needs entanglement, so wherever both curves
         cross at a beta, p*_S <= p*_E."""
-        s_curve = find_boundary(name, "S", alpha, 33).curve
-        e_curve = find_boundary(name, "E", alpha, 33).curve
+        s_curve = find_boundary(name, measure="S", alpha=alpha)["curve"]
+        e_curve = find_boundary(name, measure="E", alpha=alpha)["curve"]
         for s_pt, e_pt in zip(s_curve, e_curve, strict=True):
-            if s_pt.p_star is not None and e_pt.p_star is not None:
-                assert s_pt.p_star <= e_pt.p_star, (name, s_pt.beta)
+            if s_pt["p_star"] is not None and e_pt["p_star"] is not None:
+                assert s_pt["p_star"] <= e_pt["p_star"], (name, s_pt["beta"])
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive_tolerance(self, tol):
         with pytest.raises(ConfigError, match="tolerance"):
-            find_boundary("ABC_I", "S", ALPHA_GHZ, beta_samples=2, bisect_tol=tol)
+            find_boundary("ABC_I", measure="S", alpha=ALPHA_GHZ, beta_samples=2, bisect_tol=tol)
 
     def test_rejects_empty_curve(self):
         with pytest.raises(ConfigError, match="beta samples"):
-            find_boundary("ABC_I", "S", ALPHA_GHZ, beta_samples=0)
+            find_boundary("ABC_I", measure="S", alpha=ALPHA_GHZ, beta_samples=0)
 
     def test_tolerance_below_float_spacing_terminates(self, monkeypatch):
         """Bisection stops once no float lies strictly inside a bracket: a
@@ -463,17 +427,19 @@ class TestFindBoundary:
             return numeric_batch(*args, **kwargs)
 
         monkeypatch.setattr(ghzsim.sweep, "numeric_batch", counted)
-        result = find_boundary("ABC_I", "S", ALPHA_GHZ, beta_samples=5, bisect_tol=1e-300)
-        for pt in result.curve:
-            expected = 1.0 - 1.0 / (2.0 * math.cos(pt.beta) ** 2)
-            assert pt.p_star == pytest.approx(expected, abs=1e-14)
+        result = find_boundary(
+            "ABC_I", measure="S", alpha=ALPHA_GHZ, beta_samples=5, bisect_tol=1e-300
+        )
+        for pt in result["curve"]:
+            expected = 1.0 - 1.0 / (2.0 * math.cos(pt["beta"]) ** 2)
+            assert pt["p_star"] == pytest.approx(expected, abs=1e-14)
 
     def test_serialization(self):
-        result = find_boundary("ABC_I", "S", ALPHA_GHZ, beta_samples=2)
+        result = find_boundary("ABC_I", measure="S", alpha=ALPHA_GHZ, beta_samples=2)
         csv_lines = boundary_to_csv(result).strip().split("\n")
         assert csv_lines[0] == "beta,p_star,status"
         assert len(csv_lines) == 3
-        payload = json.loads(boundary_to_json(result))
+        payload = json.loads(json_text(result))
         assert list(payload) == [
             "scenario", "measure", "alpha", "threshold", "bisect_tol", "scan_step", "curve"
         ]
@@ -484,7 +450,7 @@ class TestFindBoundary:
 
     def test_scan_step_is_not_a_parameter(self):
         with pytest.raises(TypeError, match="scan_step"):
-            find_boundary("ABC_I", "S", ALPHA_GHZ, beta_samples=2, scan_step=0.0)
+            find_boundary("ABC_I", measure="S", alpha=ALPHA_GHZ, beta_samples=2, scan_step=0.0)
 
 
 def fine_scan_p_star(name: str, measure: str, beta: float) -> float | None:
@@ -511,8 +477,9 @@ def one_row(name, measure, alpha, beta, tol):
     """`find_boundary`'s point at one given beta: it samples beta on an even
     grid, so the grid is replaced by that beta."""
     with mock.patch.object(ghzsim.sweep, "_axis", lambda rng: (beta,)):
-        (point,) = find_boundary(name, measure, alpha, 1, bisect_tol=tol).curve
-    assert point.beta == beta
+        result = find_boundary(name, measure=measure, alpha=alpha, beta_samples=1, bisect_tol=tol)
+    (point,) = result["curve"]
+    assert point["beta"] == beta
     return point
 
 
@@ -537,9 +504,9 @@ class TestBoundaryScanMissesNoCrossing:
     def test_agrees_with_a_fine_scan(self, name, measure, beta):
         point = one_row(name, measure, ALPHA_GHZ, beta, 1e-6)
         want = fine_scan_p_star(name, measure, beta)
-        assert point.status == ("no_crossing" if want is None else "crossing")
+        assert point["status"] == ("no_crossing" if want is None else "crossing")
         if want is not None:
-            assert abs(point.p_star - want) <= 2e-5
+            assert abs(point["p_star"] - want) <= 2e-5
 
 
 #: On AB_I_C_I, E = 2 alpha sqrt(1-alpha^2) (1-p) max(0, cos^2 b - p sin^2 b
@@ -551,9 +518,9 @@ BETA_C = math.atan(math.sqrt(E_DEATH_FACTOR))
 
 
 def assert_matches(point, p_star, crosses, tol):
-    assert point.status == ("crossing" if crosses else "no_crossing")
+    assert point["status"] == ("crossing" if crosses else "no_crossing")
     if crosses:
-        assert abs(point.p_star - p_star) <= tol
+        assert abs(point["p_star"] - p_star) <= tol
 
 
 class TestClosedFormBoundaries:
@@ -619,7 +586,10 @@ class TestLateDeath:
 
         monkeypatch.setattr(ghzsim.sweep, "numeric_batch", counted)
         monkeypatch.setattr(ghzsim.sweep, "_axis", lambda rng: (self.BETA,))
-        (point,) = find_boundary("AB_I_C_I", "E", ALPHA_GHZ, 1, bisect_tol=tol).curve
+        result = find_boundary(
+            "AB_I_C_I", measure="E", alpha=ALPHA_GHZ, beta_samples=1, bisect_tol=tol
+        )
+        (point,) = result["curve"]
         return point, calls
 
     def test_costs_no_extra_kernel_call(self, monkeypatch):
@@ -627,8 +597,8 @@ class TestLateDeath:
         point, calls = self.boundary(monkeypatch, 1e-6)
         assert len(calls) == 1 + 10
         assert calls[0][-1] == 1 - 1e-6
-        assert point.status == "crossing"
-        assert 0.999 < point.p_star <= 1 - 1e-6
+        assert point["status"] == "crossing"
+        assert 0.999 < point["p_star"] <= 1 - 1e-6
 
     @pytest.mark.parametrize("tol", [2e-3, 0.5, 1e-300])
     def test_scan_ends_at_1_minus_tol(self, monkeypatch, tol):
@@ -638,42 +608,40 @@ class TestLateDeath:
         point, calls = self.boundary(monkeypatch, tol)
         if tol >= SCAN_STEP:
             assert calls[0][-1] == calls[0][-2] == 0.999
-            assert (point.status, point.p_star) == ("no_crossing", None)
+            assert (point["status"], point["p_star"]) == ("no_crossing", None)
         else:
             assert calls[0][-1] == np.nextafter(1.0, 0.0)
-            assert point.status == "crossing"
-            assert 0.999 < point.p_star < 1.0
+            assert point["status"] == "crossing"
+            assert 0.999 < point["p_star"] < 1.0
 
 
-class TestEmitFigureData:
-    def test_single_measure_writes_exact_path(self, tmp_path):
-        out = tmp_path / "surface.csv"
-        written = emit_figure_data(1, ALPHA_GHZ, 16, str(out))
-        assert written == [str(out)]
-        lines = out.read_text().strip().split("\n")
+class TestFigureCsv:
+    def test_single_measure_gives_one_text(self):
+        texts = figure_csv(1, ALPHA_GHZ, 16)
+        assert list(texts) == ["S"]
+        lines = texts["S"].strip().split("\n")
         assert lines[0] == "beta,p,value"
         assert len(lines) == 1 + 16 * 16
 
-    def test_multi_measure_suffixes_files(self, tmp_path):
-        out = tmp_path / "surface.csv"
-        written = emit_figure_data(3, ALPHA_GHZ, 16, str(out))
-        assert written == [str(tmp_path / "surface_S.csv"), str(tmp_path / "surface_E.csv")]
+    def test_multi_measure_gives_one_text_per_measure(self):
+        assert list(figure_csv(3, ALPHA_GHZ, 16)) == ["S", "E"]
 
-    def test_resolution_guard(self, tmp_path):
+    def test_defaults(self):
+        """The paper's alpha and a 101 x 101 grid, written once in `sweep`."""
+        assert figure_csv(1) == figure_csv(1, ALPHA_GHZ, 101)
+
+    def test_resolution_guard(self):
         with pytest.raises(ConfigError):
-            emit_figure_data(1, ALPHA_GHZ, 4, str(tmp_path / "x.csv"))
+            figure_csv(1, ALPHA_GHZ, 4)
 
-    def test_unknown_figure(self, tmp_path):
+    def test_unknown_figure(self):
         with pytest.raises(ConfigError):
-            emit_figure_data(8, ALPHA_GHZ, 16, str(tmp_path / "x.csv"))
+            figure_csv(8, ALPHA_GHZ, 16)
 
-    def test_undefined_numeric_measures_fall_back_to_catalog(self, tmp_path):
+    def test_undefined_numeric_measures_fall_back_to_catalog(self):
         """The surface of the non-X-structured combination has no numeric S,
         so its data comes from the analytic catalog and contains no NaN."""
-        out = tmp_path / "f7.csv"
-        written = emit_figure_data(7, ALPHA_GHZ, 16, str(out))
-        for path in written:
-            body = open(path).read()
+        for body in figure_csv(7, ALPHA_GHZ, 16).values():
             assert "nan" not in body
 
 
@@ -868,14 +836,27 @@ class TestKernelCalls:
         sum_rule_samples(samples=10)
         assert sorted(kernel_calls) == sorted(SCENARIOS)
 
-    def test_figure(self, kernel_calls, tmp_path):
-        emit_figure_data(4, ALPHA_GHZ, 16, str(tmp_path / "f4.csv"))
+    def test_figure(self, kernel_calls):
+        figure_csv(4, ALPHA_GHZ, 16)
         assert kernel_calls == ["AB_I_C_I"]
+
+    @pytest.mark.parametrize(
+        "scenarios, named",
+        [("ABC_I", "the string 'ABC_I'"), (["ABC_I", "NOPE"], "unknown scenario 'NOPE'")],
+    )
+    def test_audit_checks_scenario_names_first(self, kernel_calls, monkeypatch, scenarios, named):
+        """A bare string is not split into letters, and a bad name is
+        reported before the sum rules run: no `numeric_batch` call."""
+        batches = []
+        monkeypatch.setattr(ghzsim.sweep, "numeric_batch", lambda *a, **k: batches.append(a))
+        with pytest.raises(ParameterError, match=named):
+            run_audit(scenarios=scenarios)
+        assert batches == [] and kernel_calls == []
 
     @pytest.mark.parametrize("name", ["AB_I_B_II", "AC_I_C_II"])
     def test_non_x_boundary(self, kernel_calls, name):
         with pytest.raises(ConfigError, match="not X-structured"):
-            find_boundary(name, "S", ALPHA_GHZ, beta_samples=33)
+            find_boundary(name, measure="S", alpha=ALPHA_GHZ, beta_samples=33)
         assert kernel_calls == []
 
     def test_flags_transcription_slip(self, report):
