@@ -66,8 +66,16 @@ COMMANDS: dict[str, tuple[list[str], dict[str, str]]] = {
         ["sweep", "--config", "run.cfg", "--beta-steps", "3", "--out", "cfg.csv"],
         {"run.cfg": "alpha = 0.5\np-steps = 4\nengine = closedform\n"},
     ),
+    "sweep-config-measures": (
+        ["sweep", "--config", "run.cfg", "--beta-steps", "5", "--p-steps", "4"],
+        {"run.cfg": "measures = S,E\n"},
+    ),
     "audit": (["audit"], {}),
     **{f"audit-{name}": (["audit", "--scenario", name], {}) for name in SCENARIOS},
+    "audit-config-file": (
+        ["audit", "--config", "run.cfg", "--beta-steps", "5", "--p-steps", "5", "--samples", "10"],
+        {"run.cfg": "scenario = AB_I_C_I\n"},
+    ),
     "audit-options": (
         ["audit", "--alpha", "0.6", "--beta-steps", "11", "--p-steps", "9", "--tol", "1e-3",
          "--seed", "7", "--samples", "20", "--out", "audit.json"],
@@ -78,6 +86,10 @@ COMMANDS: dict[str, tuple[list[str], dict[str, str]]] = {
         for measure in ("S", "E")
         for name in X_SCENARIOS
     },
+    "boundary-config-file": (
+        ["boundary", "--config", "run.cfg"],
+        {"run.cfg": "measure = E\nscenario = AB_I_C_I\nbeta-steps = 5\ntol = 1e-9\n"},
+    ),
     "boundary-options": (
         ["boundary", "--measure", "E", "--scenario", "AB_I_C_I", "--alpha", "0.6",
          "--beta-steps", "9", "--tol", "1e-9", "--format", "json", "--out", "boundary.json"],
@@ -85,8 +97,15 @@ COMMANDS: dict[str, tuple[list[str], dict[str, str]]] = {
     ),
     "sumrules": (["sumrules"], {}),
     "sumrules-options": (["sumrules", "--alpha", "0.8", "--samples", "50", "--seed", "3"], {}),
+    "sumrules-config-file": (
+        ["sumrules", "--config", "run.cfg"], {"run.cfg": "samples = 20\nseed = 5\n"}
+    ),
     **{f"figure-{k}": (["figure", "--figure", str(k), "--out", f"f{k}.csv"], {})
        for k in range(1, 8)},
+    "figure-config-file": (
+        ["figure", "--config", "run.cfg", "--resolution", "16", "--out", "f.csv"],
+        {"run.cfg": "figure = 2\n"},
+    ),
     "help": (["--help"], {}),
     **{f"help-{command}": ([command, "--help"], {})
        for command in ("sweep", "audit", "boundary", "sumrules", "figure")},

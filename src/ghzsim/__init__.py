@@ -10,7 +10,8 @@ at p = 0. The kernels under them (`unruh.scenario_reduced_entries`,
 of a scenario's support entries. Scenarios and sweep grids are plain data:
 a `Scenario` is a named tuple of mode-name strings, and a `SweepGrid` holds
 its axes and one (beta, p) array per (measure, engine). The other workflows
-return dicts or text, and no library function writes a file. The numpy-free
+return dicts or text, and no library function writes a file. Each workflow
+takes keyword parameters named after its CLI subcommand's flags. The numpy-free
 `qcore` owns the scenario, figure and engine tables that the CLI's parser
 reads; `sweep` imports them from there.
 
@@ -30,8 +31,7 @@ _EXPORTS = {
         "closedform": "CATALOG cf_eval",
         "engine": "damped_scenario_state is_x_structured numeric_batch",
         "qcore": "ConfigError ParameterError SCENARIOS Scenario scenario",
-        "sweep": "SweepConfig SweepGrid figure_csv find_boundary run_audit run_sweep "
-        "sum_rule_samples",
+        "sweep": "SweepGrid figure_csv find_boundary run_audit run_sweep sum_rule_samples",
         "unruh": "BETA_MAX",
     }.items()
     for name in names.split()

@@ -4,14 +4,18 @@ Subcommands: sweep, audit, boundary, sumrules, figure. Each registers only
 the flags it reads, so an unknown or ignored flag is an error. Every flag but
 --config can also be supplied through a flat key=value config file
 (--config); explicit flags win over config-file values, and a key that is
-not a flag of the subcommand is a configuration error.
+not a flag of the subcommand is a configuration error. In a config file a
+`#` at the start of a line or after whitespace starts a comment; one inside
+a value is part of it.
 
 The library returns plain data and text and writes no file; only the CLI
 picks where output goes (--out, else stdout), its format (--format) and a
 multi-measure figure's file names, and writes. A file is written whole or
-not at all (`write_text_atomic`). A subcommand passes the library only the
-flags that were set, so the library's defaults, each written once in
-`sweep`, are the CLI's too.
+not at all (`write_text_atomic`). Each subcommand calls its workflow with
+every flag that was set but --out, --format and --config, under the flag's
+own name, which is the parameter's (`sweep` and `audit` turn --beta-steps
+and --p-steps into axes); an unset flag is left out, so the library's
+defaults, each written once in `sweep`, are the CLI's too.
 
 Exit codes: 0 success, 2 configuration error (a ConfigError, such as a
 ParameterError), 3 I/O error (a closed standard output, or a reader that
@@ -31,6 +35,7 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import re
 import sys
 from typing import NoReturn
 
@@ -54,7 +59,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: config file is not UTF-8 text") from None
     for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.sub(r"(^|\s)#.*", "", raw).strip()  # a `#` inside a value is text
         if not line:
             continue
         if "=" not in line:
@@ -72,6 +77,10 @@ def _real(raw: str) -> float:
 _real.__name__ = "float"  # argparse names the type in its error message
 
 
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(raw.split(","))
+
+
 #: flag -> (type, further argparse settings). The type casts the flag's one
 #: value, from the command line or from a config file.
 _FLAGS: dict[str, tuple] = {
@@ -79,7 +88,7 @@ _FLAGS: dict[str, tuple] = {
     "beta_steps": (int, {}),
     "p_steps": (int, {}),
     "scenario": (str, {"choices": sorted(SCENARIOS)}),
-    "measures": (str, {"help": "comma list from S,E,C"}),
+    "measures": (_names, {"help": "comma list from S,E,C"}),
     "measure": (str, {"choices": ("S", "E")}),
     "engine": (str, {"choices": ENGINES}),
     "figure": (int, {"choices": sorted(FIGURES)}),
@@ -93,7 +102,8 @@ _FLAGS: dict[str, tuple] = {
 }
 
 #: subcommand -> (help, the flags it reads). No subcommand takes a flag it
-#: would ignore.
+#: would ignore, and each flag but out, format and config is a parameter of
+#: the subcommand's workflow under its own name.
 _SUBCOMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
     "sweep": (
         "evaluate measures over a (beta, p) grid",
@@ -158,22 +168,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _given(args: argparse.Namespace, *flags: str, **renamed: str) -> dict:
-    """Keyword arguments for a library call from the flags the command line
-    or the config file set: each of `flags` under its own name, and each
-    parameter=flag of `renamed` under the parameter's name. An unset flag is
-    left out, so the library's default stands."""
-    pairs = [(flag, flag) for flag in flags] + list(renamed.items())
-    return {name: getattr(args, flag) for name, flag in pairs if getattr(args, flag) is not None}
+def _given(args: argparse.Namespace) -> dict:
+    """Keyword arguments for the subcommand's workflow: each flag of the
+    subcommand but the ones the CLI reads itself (out, format, config) that
+    the command line or the config file set, under its own name. An unset
+    flag is left out, so the library's default stands."""
+    return {f: getattr(args, f) for f in _SUBCOMMANDS[args.command][1]
+            if f not in ("out", "format", "config") and getattr(args, f) is not None}
 
 
 def _grid(args: argparse.Namespace) -> dict:
-    """The given alpha and grid axes of a sweep or an audit: an axis whose
-    step count is given keeps the library's default ends."""
+    """`_given` for a sweep or an audit, whose workflow takes axes: an
+    axis whose step count is given keeps the library's default ends."""
     from .sweep import BETA_RANGE, P_RANGE
-    given = _given(args, "alpha")
+    given = _given(args)
     for axis, (lo, hi, _) in (("beta", BETA_RANGE), ("p", P_RANGE)):
-        steps = getattr(args, f"{axis}_steps")
+        steps = given.pop(f"{axis}_steps", None)
         if steps is not None:
             given[f"{axis}_range"] = (lo, hi, steps)
     return given
@@ -238,20 +248,15 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .sweep import SweepConfig, records_to_csv, records_to_json, run_sweep
-    given = _given(args, "scenario", "engine")
-    if args.measures is not None:
-        given["measures"] = tuple(args.measures.split(","))
-    rows = run_sweep(SweepConfig(**_grid(args), **given))
+    from .sweep import records_to_csv, records_to_json, run_sweep
+    rows = run_sweep(**_grid(args))
     _emit(records_to_json(rows) if args.format == "json" else records_to_csv(rows), args.out)
     return EXIT_OK
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     from .sweep import json_text, run_audit
-    # Audit the whole catalog unless one scenario was requested.
-    scenarios = None if args.scenario is None else [args.scenario]
-    report = run_audit(**_grid(args), **_given(args, "tol", "seed", "samples"), scenarios=scenarios)
+    report = run_audit(**_grid(args))
     _emit(json_text(report), args.out)
     if report["flags"]:
         print(f"audit: {len(report['flags'])} discrepancy flag(s) raised", file=sys.stderr)
@@ -263,16 +268,14 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
     if args.measure is None:
         raise ConfigError("boundary requires --measure S|E")
     from .sweep import boundary_to_csv, find_boundary, json_text
-    result = find_boundary(measure=args.measure, **_given(
-        args, "alpha", scenario_name="scenario", beta_samples="beta_steps", bisect_tol="tol"
-    ))
+    result = find_boundary(**_given(args))
     _emit(json_text(result) if args.format == "json" else boundary_to_csv(result), args.out)
     return EXIT_OK
 
 
 def _cmd_sumrules(args: argparse.Namespace) -> int:
     from .sweep import json_text, sum_rule_samples
-    _emit(json_text(sum_rule_samples(**_given(args, "alpha", "samples", "seed"))), args.out)
+    _emit(json_text(sum_rule_samples(**_given(args))), args.out)
     return EXIT_OK
 
 
@@ -282,7 +285,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if args.out is None:
         raise ConfigError("figure requires --out")
     from .sweep import figure_csv
-    texts = figure_csv(args.figure, **_given(args, "alpha", "resolution"))
+    texts = figure_csv(**_given(args))
     # One measure writes exactly --out; several suffix the measure's name.
     stem, ext = os.path.splitext(args.out)
     paths = [args.out] if len(texts) == 1 else [f"{stem}_{m}{ext or '.csv'}" for m in texts]

@@ -8,9 +8,10 @@ one kernel call and one catalog call per measure on the (beta, 1) x (p,)
 broadcast; a boundary is one kernel call for its coarse p scan over
 [0, 1 - tol], then one per bisection step over all betas; the sum rules are
 one kernel call and one catalog call per scenario. Evaluation runs in a
-single process; the `workers` setting is validated but changes nothing.
-Each workflow takes only the parameters it reads, each default written once
-here.
+single process; `run_sweep`'s `workers` is validated but changes nothing.
+Each workflow takes only the parameters it reads, each named after the flag
+of its CLI subcommand that sets it (a `beta_range` or `p_range` axis for a
+sweep's or an audit's step count) and each default written once here.
 
 Every workflow returns plain data and writes no file: `run_sweep` a
 `SweepGrid` (the axes and one (beta, p) array per (measure, engine)),
@@ -34,14 +35,14 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .closedform import SUM_RULES, cf_eval
 from .engine import MEASURES, is_x_structured, numeric_batch
-from .qcore import ENGINES, FIGURES, SCENARIOS, ConfigError, ParameterError, scenario
+from .qcore import ENGINES, FIGURES, SCENARIOS, ConfigError
+from .qcore import scenario as scenario_row
 from .unruh import BETA_MAX, _check
 
 DEFAULT_ALPHA = 1.0 / math.sqrt(2.0)
@@ -52,35 +53,14 @@ BETA_RANGE = (0.0, BETA_MAX, 101)
 P_RANGE = (0.0, 1.0, 101)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """A sweep's settings: one scenario's measures by one engine or both."""
-
-    alpha: float = DEFAULT_ALPHA
-    beta_range: tuple[float, float, int] = BETA_RANGE
-    p_range: tuple[float, float, int] = P_RANGE
-    scenario: str = DEFAULT_SCENARIO
-    measures: tuple[str, ...] = MEASURES
-    engine: str = "both"
-    #: Accepted and validated for compatibility; evaluation is single-process.
-    workers: int = 1
-
-    def validate(self) -> None:
-        _check("alpha", self.alpha)
-        for name, (lo, hi, steps) in (("beta", self.beta_range), ("p", self.p_range)):
-            if steps < 2:
-                raise ConfigError(f"{name} steps must be >= 2, got {steps}")
-            _check(name, (lo, hi))
-            if lo > hi:
-                raise ConfigError(f"{name} range ({lo}, {hi}) runs backwards")
-        scenario(self.scenario)
-        bad = set(self.measures) - set(MEASURES)
-        if bad or not self.measures or len(set(self.measures)) < len(self.measures):
-            raise ConfigError(f"measures must be a nonempty subset of {MEASURES}")
-        if self.engine not in ENGINES:
-            raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+def _check_grid(alpha: float, beta_range: tuple, p_range: tuple) -> None:
+    _check("alpha", alpha)
+    for name, (lo, hi, steps) in (("beta", beta_range), ("p", p_range)):
+        if steps < 2:
+            raise ConfigError(f"{name} steps must be >= 2, got {steps}")
+        _check(name, (lo, hi))
+        if lo > hi:
+            raise ConfigError(f"{name} range ({lo}, {hi}) runs backwards")
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,22 +85,35 @@ def _axis(rng: tuple[float, float, int]) -> tuple[float, ...]:
     return tuple(np.linspace(lo, hi, steps).tolist())
 
 
-def run_sweep(config: SweepConfig) -> SweepGrid:
-    """Evaluate the configured grid: one kernel call and one catalog call
-    per measure over the (beta, 1) x (p,) broadcast."""
-    config.validate()
-    betas, ps = _axis(config.beta_range), _axis(config.p_range)
-    engines = ("numeric", "closedform") if config.engine == "both" else (config.engine,)
-    scen, alpha, measures = config.scenario, config.alpha, config.measures
+def run_sweep(
+    scenario: str = DEFAULT_SCENARIO, *, alpha: float = DEFAULT_ALPHA,
+    beta_range: tuple[float, float, int] = BETA_RANGE,
+    p_range: tuple[float, float, int] = P_RANGE, measures: tuple[str, ...] = MEASURES,
+    engine: str = "both", workers: int = 1,
+) -> SweepGrid:
+    """One scenario's measures by one engine or both over the grid: one
+    kernel call and one catalog call per measure over the (beta, 1) x (p,)
+    broadcast. `workers` is validated, but evaluation is single-process."""
+    _check_grid(alpha, beta_range, p_range)
+    scenario_row(scenario)
+    bad = set(measures) - set(MEASURES)
+    if bad or not measures or len(set(measures)) < len(measures):
+        raise ConfigError(f"measures must be a nonempty subset of {MEASURES}")
+    if engine not in ENGINES:
+        raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    betas, ps = _axis(beta_range), _axis(p_range)
+    engines = ("numeric", "closedform") if engine == "both" else (engine,)
     grid = (alpha, np.asarray(betas)[:, None], np.asarray(ps))
 
-    numeric = numeric_batch(scen, *grid, measures) if "numeric" in engines else {}
+    numeric = numeric_batch(scenario, *grid, measures) if "numeric" in engines else {}
     surfaces = {
-        (m, e): numeric[m] if e == "numeric" else cf_eval(scen, m, *grid)
+        (m, e): numeric[m] if e == "numeric" else cf_eval(scenario, m, *grid)
         for m in measures
         for e in engines
     }
-    return SweepGrid(scen, alpha, betas, ps, surfaces)
+    return SweepGrid(scenario, alpha, betas, ps, surfaces)
 
 
 # --- serialization -----------------------------------------------------------
@@ -252,20 +245,21 @@ def _bisect(name, measure, alpha, betas, lo, hi, level, tol) -> np.ndarray:
 
 
 def find_boundary(
-    scenario_name: str = DEFAULT_SCENARIO, *, measure: str, alpha: float = DEFAULT_ALPHA,
-    beta_samples: int = 33, bisect_tol: float = 1e-6,
+    scenario: str = DEFAULT_SCENARIO, *, measure: str, alpha: float = DEFAULT_ALPHA,
+    beta_steps: int = 33, tol: float = 1e-6,
 ) -> dict:
     """Sudden-death curve p*(beta) from the numeric engine, as the boundary's
     JSON document: the run's `scenario`, `measure`, `alpha`, `threshold`,
-    `bisect_tol` and `scan_step`, then `curve`, one {beta, p_star, status}
-    dict per beta, p_star None where the status is "no_crossing".
+    `bisect_tol` (the `tol` passed) and `scan_step`, then `curve`, one
+    {beta, p_star, status} dict per beta (`beta_steps` of them), p_star None
+    where the status is "no_crossing".
 
     For S the crossing is where the Svetlichny value falls to 4 from above;
     for E it is where the entanglement first reaches 0, exactly. A coarse
-    scan over [0, 1 - bisect_tol] in SCAN_STEP steps locates the first
-    crossing bracket (the surfaces are not globally monotonic in p), then
-    bisection refines it; a crossing is reported only in that range. The
-    scan's last point is 1 - bisect_tol, or the float below 1 for a tolerance
+    scan over [0, 1 - tol] in SCAN_STEP steps locates the first crossing
+    bracket (the surfaces are not globally monotonic in p), then bisection
+    refines it to within `tol`; a crossing is reported only in that range.
+    The scan's last point is 1 - tol, or the float below 1 for a tolerance
     under its spacing, or 0.999 for one of at least a step. A curve that
     starts on the threshold has the empty bracket [0, 0] and crosses at
     p = 0; one that starts below it never crosses. Absence of a crossing is
@@ -273,40 +267,40 @@ def find_boundary(
     """
     if measure not in _BOUNDARY_RULES:
         raise ConfigError(f"boundary measure must be S or E, got {measure!r}")
-    if not bisect_tol > 0.0:
-        raise ConfigError(f"bisection tolerance must be > 0, got {bisect_tol}")
-    if beta_samples < 1:
-        raise ConfigError(f"beta samples must be >= 1, got {beta_samples}")
-    scenario(scenario_name)  # an unknown name is reported before a bad alpha
+    if not tol > 0.0:
+        raise ConfigError(f"bisection tolerance must be > 0, got {tol}")
+    if beta_steps < 1:
+        raise ConfigError(f"beta samples must be >= 1, got {beta_steps}")
+    scenario_row(scenario)  # an unknown name is reported before a bad alpha
     _check("alpha", alpha)
-    if not is_x_structured(scenario_name):
+    if not is_x_structured(scenario):
         raise ConfigError(
-            f"numeric {measure} undefined for scenario {scenario_name}: "
+            f"numeric {measure} undefined for scenario {scenario}: "
             "its reduced state is not X-structured"
         )
     threshold, slack = _BOUNDARY_RULES[measure]
 
-    betas = _axis((0.0, BETA_MAX, beta_samples))
+    betas = _axis((0.0, BETA_MAX, beta_steps))
     beta_arr = np.asarray(betas)
     n_scan = int(round(1.0 / SCAN_STEP))
     scan_ps = np.arange(n_scan + 1) / n_scan
-    scan_ps[-1] = max(min(1.0 - bisect_tol, np.nextafter(1.0, 0.0)), scan_ps[-2])
-    values = numeric_batch(scenario_name, alpha, beta_arr[:, None], scan_ps, (measure,))[measure]
+    scan_ps[-1] = max(min(1.0 - tol, np.nextafter(1.0, 0.0)), scan_ps[-2])
+    values = numeric_batch(scenario, alpha, beta_arr[:, None], scan_ps, (measure,))[measure]
 
     reached = values <= threshold + slack
     first = np.argmax(reached, axis=1)
     crosses = reached.any(axis=1) & ~((first == 0) & (values[:, 0] < threshold - 1e-9))
     lo, hi = scan_ps[np.maximum(first - 1, 0)], scan_ps[first]
     p_star = np.zeros(len(betas))
-    p_star[crosses] = _bisect(scenario_name, measure, alpha, beta_arr[crosses], lo[crosses],
-                              hi[crosses], threshold, bisect_tol)
+    p_star[crosses] = _bisect(scenario, measure, alpha, beta_arr[crosses], lo[crosses],
+                              hi[crosses], threshold, tol)
 
     curve = [
         {"beta": b, "p_star": p if c else None, "status": "crossing" if c else "no_crossing"}
         for b, p, c in zip(betas, p_star.tolist(), crosses.tolist())
     ]
-    return dict(scenario=scenario_name, measure=measure, alpha=alpha, threshold=threshold,
-                bisect_tol=bisect_tol, scan_step=SCAN_STEP, curve=curve)
+    return dict(scenario=scenario, measure=measure, alpha=alpha, threshold=threshold,
+                bisect_tol=tol, scan_step=SCAN_STEP, curve=curve)
 
 
 def boundary_to_csv(result: dict) -> str:
@@ -320,7 +314,7 @@ def boundary_to_csv(result: dict) -> str:
 # --- figure data ---------------------------------------------------------------
 
 def figure_csv(
-    figure_id: int, alpha: float = DEFAULT_ALPHA, resolution: int = 101
+    figure: int, alpha: float = DEFAULT_ALPHA, resolution: int = 101
 ) -> dict[str, str]:
     """The beta/p/value CSV text of each of one figure's measures, by
     measure, in the figure's order, on a resolution x resolution grid.
@@ -329,16 +323,14 @@ def figure_csv(
     surfaces from the closed-form catalog, because the numeric pipeline
     leaves S and E undefined there.
     """
-    if figure_id not in FIGURES:
-        raise ConfigError(f"figure id must be in {sorted(FIGURES)}, got {figure_id}")
+    if figure not in FIGURES:
+        raise ConfigError(f"figure id must be in {sorted(FIGURES)}, got {figure}")
     if resolution < 16:
         raise ConfigError(f"resolution must be >= 16, got {resolution}")
-    scenario_name, measures = FIGURES[figure_id]
-    engine = "numeric" if is_x_structured(scenario_name) else "closedform"
-    grid = run_sweep(
-        SweepConfig(alpha, (0.0, BETA_MAX, resolution), (0.0, 1.0, resolution),
-                    scenario=scenario_name, measures=measures, engine=engine)
-    )
+    scenario, measures = FIGURES[figure]
+    engine = "numeric" if is_x_structured(scenario) else "closedform"
+    grid = run_sweep(scenario, alpha=alpha, beta_range=(0.0, BETA_MAX, resolution),
+                     p_range=(0.0, 1.0, resolution), measures=measures, engine=engine)
     keys = _csv_keys(grid.betas, grid.ps)
     return {
         m: _grid_csv("beta,p,value", keys, [("", surface)])
@@ -437,11 +429,11 @@ def sum_rule_samples(alpha: float | None = None, samples: int = DEFAULT_SAMPLES,
 def run_audit(
     alpha: float = DEFAULT_ALPHA, beta_range: tuple = BETA_RANGE, p_range: tuple = P_RANGE,
     tol: float = 1e-8, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
-    scenarios: Sequence[str] | None = None,
+    scenario: str | None = None,
 ) -> dict:
     """Compare the closed-form catalog against the numeric engine over the
-    (beta, p) grid of each scenario (default: all); return the report, whose
-    "flags" list holds one line per flag.
+    (beta, p) grid of one scenario, or of each when `scenario` is None;
+    return the report, whose "flags" list holds one line per flag.
 
     The numeric engine is authoritative. Every (scenario, measure) with a
     maximum grid deviation above `tol` is flagged with both engine values at
@@ -449,21 +441,19 @@ def run_audit(
     flagged as such for S/E (no numeric value exists to compare). The
     asserted sum rules are gated at 1e-10 over random points, evaluated
     first, so a bad `samples` or `seed` fails before any grid is evaluated;
-    every scenario name is looked up before that, and a bare string in
-    place of a list of names is a ParameterError.
+    the scenario name is looked up before that.
     """
-    SweepConfig(alpha, beta_range, p_range).validate()
+    _check_grid(alpha, beta_range, p_range)
     if not tol >= 0.0:
         raise ConfigError(f"tol must be >= 0, got {tol}")
-    if isinstance(scenarios, str):
-        raise ParameterError(f"scenarios must be a list of names, got the string {scenarios!r}")
-    names = sorted(SCENARIOS) if scenarios is None else [scenario(n).name for n in scenarios]
+    names = sorted(SCENARIOS) if scenario is None else [scenario_row(scenario).name]
     rules = sum_rule_samples(None, samples, seed)
     entries = []
     flags: list[str] = []
     for name in names:
         compared = MEASURES if is_x_structured(name) else ("C",)
-        sweep = run_sweep(SweepConfig(alpha, beta_range, p_range, name, compared))
+        sweep = run_sweep(name, alpha=alpha, beta_range=beta_range, p_range=p_range,
+                          measures=compared)
         for measure in MEASURES:
             if measure not in compared:
                 entries.append(

@@ -257,24 +257,26 @@ def grid_records(grid):
                 yield Record(grid.scenario, m, e, grid.alpha, beta, p, s[bi][pi])
 
 
-def sweep_records_oracle(config) -> list[Record]:
+def sweep_records_oracle(
+    scenario, alpha, beta_range, p_range, measures, engine
+) -> list[Record]:
     """The records of a sweep, built one by one from the two engines: rows
     ordered by (beta index, p index), then measure, then engine."""
-    betas = np.linspace(*config.beta_range).tolist()
-    ps = np.linspace(*config.p_range).tolist()
-    engines = ("numeric", "closedform") if config.engine == "both" else (config.engine,)
-    grid = (config.alpha, np.asarray(betas)[:, None], np.asarray(ps))
+    betas = np.linspace(*beta_range).tolist()
+    ps = np.linspace(*p_range).tolist()
+    engines = ("numeric", "closedform") if engine == "both" else (engine,)
+    grid = (alpha, np.asarray(betas)[:, None], np.asarray(ps))
     values = {}
-    for m in config.measures:
+    for m in measures:
         if "numeric" in engines:
-            values[m, "numeric"] = numeric_batch(config.scenario, *grid, (m,))[m].tolist()
+            values[m, "numeric"] = numeric_batch(scenario, *grid, (m,))[m].tolist()
         if "closedform" in engines:
-            values[m, "closedform"] = cf_eval(config.scenario, m, *grid).tolist()
+            values[m, "closedform"] = cf_eval(scenario, m, *grid).tolist()
     return [
-        Record(config.scenario, m, e, config.alpha, beta, p, values[m, e][bi][pi])
+        Record(scenario, m, e, alpha, beta, p, values[m, e][bi][pi])
         for bi, beta in enumerate(betas)
         for pi, p in enumerate(ps)
-        for m in config.measures
+        for m in measures
         for e in engines
     ]
 

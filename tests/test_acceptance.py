@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from ghzsim import (
-    SweepConfig,
     damped_scenario_state,
     find_boundary,
     numeric_batch,
@@ -90,7 +89,7 @@ def test_criterion_3_sudden_death_boundary():
     """Nonlocality sudden death for the inertial-limit slice at p* = 0.5
     (bisection to 1e-6, brute-force scan at step 1e-5) and threshold
     saturation S(p=0) = 4 at maximal acceleration."""
-    result = find_boundary("ABC_I", measure="S", alpha=ALPHA_GHZ, beta_samples=2, bisect_tol=1e-6)
+    result = find_boundary("ABC_I", measure="S", alpha=ALPHA_GHZ, beta_steps=2, tol=1e-6)
     origin = result["curve"][0]
     assert origin["status"] == "crossing"
     assert origin["p_star"] == pytest.approx(0.5, abs=1e-6)
@@ -221,26 +220,23 @@ def test_criterion_9_performance_envelope(tmp_path):
     """A full 101x101 grid, three measures, both engines, single worker,
     finishes in under five seconds from cold caches; using more workers
     changes the wall time but not one byte of the output."""
-    config = SweepConfig(
+    start = time.perf_counter()
+    rows = run_sweep(
         scenario="ABC_I",
         beta_range=(0.0, BETA_MAX, 101),
         p_range=(0.0, 1.0, 101),
         engine="both",
         workers=1,
     )
-    start = time.perf_counter()
-    rows = run_sweep(config)
     elapsed = time.perf_counter() - start
     assert len(rows) == 101 * 101 * 3 * 2
     assert elapsed < 5.0, f"sweep took {elapsed:.2f}s"
 
     parallel = run_sweep(
-        SweepConfig(
-            scenario="ABC_I",
-            beta_range=(0.0, BETA_MAX, 101),
-            p_range=(0.0, 1.0, 101),
-            engine="both",
-            workers=2,
-        )
+        scenario="ABC_I",
+        beta_range=(0.0, BETA_MAX, 101),
+        p_range=(0.0, 1.0, 101),
+        engine="both",
+        workers=2,
     )
     assert records_to_csv(rows) == records_to_csv(parallel)

@@ -2,12 +2,14 @@
 precedence, output determinism and exit codes."""
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
 
 import ghzsim.sweep
 from ghzsim.cli import (
+    _SUBCOMMANDS,
     EXIT_AUDIT_FLAGGED,
     EXIT_CONFIG,
     EXIT_IO,
@@ -121,6 +123,21 @@ class TestConfigFile:
         cfg.write_bytes(b"alpha = 0.5\xff\n")
         assert run(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {cfg}: config file is not UTF-8 text\n"
+
+    def test_hash_inside_a_value_is_part_of_it(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "o.cfg").write_text("out = res#1.csv\n")
+        assert run(["sumrules", "--samples", "2", "--config", "o.cfg"]) == EXIT_OK
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["o.cfg", "res#1.csv"]
+
+    def test_hash_after_whitespace_starts_a_comment(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 0.5  # note\nmeasures = C\t# one\nengine = closedform\n")
+        out = tmp_path / "o.csv"
+        code = run(["sweep", "--config", str(cfg), "--beta-steps", "2", "--p-steps", "2",
+                    "--out", str(out)])
+        assert code == EXIT_OK
+        assert out.read_text().split("\n")[1].startswith("ABC_I,C,closedform,0.5,")
 
     def test_file_with_byte_order_mark(self, tmp_path):
         """Editors that save UTF-8 with a byte-order mark put it before the
@@ -322,6 +339,22 @@ class TestFlagSets:
             run([command, "--help"])
         assert exc.value.code == EXIT_OK
         assert "workers" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, workflow",
+        [("sweep", "run_sweep"), ("audit", "run_audit"), ("boundary", "find_boundary"),
+         ("sumrules", "sum_rule_samples"), ("figure", "figure_csv")],
+    )
+    def test_flags_are_the_workflow_parameters(self, command, workflow):
+        """Every flag but the output ones is a parameter of the subcommand's
+        workflow under its own name, a sweep's or an audit's step count as
+        the axis it sets; `run_sweep`'s `workers` is the one parameter that
+        no flag sets."""
+        flags = set(_SUBCOMMANDS[command][1]) - {"out", "format", "config"}
+        if command in ("sweep", "audit"):
+            flags = {flag.replace("_steps", "_range") for flag in flags}
+        parameters = set(inspect.signature(getattr(ghzsim.sweep, workflow)).parameters)
+        assert parameters == flags | ({"workers"} if command == "sweep" else set())
 
     def test_config_value_outside_choices(self, tmp_path):
         cfg = tmp_path / "run.cfg"

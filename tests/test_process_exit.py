@@ -19,7 +19,7 @@ import pytest
 import ghzsim
 import ghzsim.cli
 from ghzsim.cli import EXIT_AUDIT_FLAGGED, EXIT_CONFIG, EXIT_IO, EXIT_OK
-from ghzsim.sweep import BETA_MAX, SweepConfig, records_to_csv, run_sweep
+from ghzsim.sweep import BETA_MAX, records_to_csv, run_sweep
 
 SRC = str(Path(ghzsim.__file__).resolve().parents[1])
 
@@ -91,7 +91,7 @@ class TestOutputSurvivesTheExit:
     def test_piped_sweep_gives_the_bytes_of_records_to_csv(self, tmp_path):
         done = cli_process(["sweep"], tmp_path)
         assert done.returncode == EXIT_OK
-        assert done.stdout == records_to_csv(run_sweep(SweepConfig())).encode()
+        assert done.stdout == records_to_csv(run_sweep()).encode()
 
     def test_figure_prints_its_paths(self, tmp_path):
         done = cli_process(["figure", "--figure", "2", "--resolution", "16", "--out",
@@ -130,7 +130,7 @@ class TestEarlyClosingReader:
             stderr=subprocess.PIPE,
         )
         try:
-            assert proc.stdout.read(100) == records_to_csv(run_sweep(SweepConfig()))[:100].encode()
+            assert proc.stdout.read(100) == records_to_csv(run_sweep())[:100].encode()
             proc.stdout.close()
             stderr = proc.stderr.read()
             assert proc.wait(timeout=120) == EXIT_IO
@@ -166,16 +166,15 @@ class TestEarlyClosingReader:
         monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=write_through))
         print("before", end="")
         assert ghzsim.cli.main(["sweep", "--beta-steps", "11", "--p-steps", "7"]) == EXIT_OK
-        config = SweepConfig(beta_range=(0.0, BETA_MAX, 11), p_range=(0.0, 1.0, 7))
-        text = records_to_csv(run_sweep(config))
+        text = records_to_csv(run_sweep(beta_range=(0.0, BETA_MAX, 11), p_range=(0.0, 1.0, 7)))
         assert len(text) > 3 * 4096
         assert bytes(raw.received) == b"before" + text.encode()
 
     def test_a_stdout_with_no_binary_layer_gets_the_text(self, monkeypatch):
         monkeypatch.setattr(sys, "stdout", io.StringIO())
         assert ghzsim.cli.main(["sweep", "--beta-steps", "2", "--p-steps", "2"]) == EXIT_OK
-        config = SweepConfig(beta_range=(0.0, BETA_MAX, 2), p_range=(0.0, 1.0, 2))
-        assert sys.stdout.getvalue() == records_to_csv(run_sweep(config))
+        grid = run_sweep(beta_range=(0.0, BETA_MAX, 2), p_range=(0.0, 1.0, 2))
+        assert sys.stdout.getvalue() == records_to_csv(grid)
 
 
 @posix_only

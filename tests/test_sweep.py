@@ -2,7 +2,6 @@
 sampling and the engine audit."""
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import json
 import math
@@ -21,7 +20,6 @@ from ghzsim import (
     SCENARIOS,
     ConfigError,
     ParameterError,
-    SweepConfig,
     SweepGrid,
     cf_eval,
     figure_csv,
@@ -53,10 +51,10 @@ from conftest import (
 
 ALPHA_GHZ = 1.0 / math.sqrt(2.0)
 
-SMALL = SweepConfig(beta_range=(0.0, math.pi / 4, 3), p_range=(0.0, 1.0, 3))
+SMALL = {"beta_range": (0.0, math.pi / 4, 3), "p_range": (0.0, 1.0, 3)}
 
 
-class TestSweepConfig:
+class TestSweepChecks:
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -75,10 +73,10 @@ class TestSweepConfig:
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
-            SweepConfig(**kwargs).validate()
+            run_sweep(**kwargs)
 
     def test_default_config_is_valid(self):
-        SweepConfig().validate()
+        assert len(run_sweep()) == 101 * 101 * 3 * 2
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -90,7 +88,7 @@ class TestSweepConfig:
     def test_ranges_past_the_pipeline_limits_fail_validation(self, kwargs):
         """A range the pipeline would reject mid-run is rejected up front."""
         with pytest.raises(ConfigError):
-            SweepConfig(**kwargs).validate()
+            run_sweep(**kwargs)
 
     @pytest.mark.parametrize(
         "name, bad, shown",
@@ -99,12 +97,12 @@ class TestSweepConfig:
          ("p", 1.5, "1"), ("p", -0.25, "1"), ("p", math.nan, "1")],
     )
     def test_range_errors_read_the_same_everywhere(self, name, bad, shown):
-        """The config check, the damping kernel and the engine reject a bad
+        """The sweep's check, the damping kernel and the engine reject a bad
         alpha, beta or p with one ConfigError text."""
         good = {"alpha": 0.6, "beta": 0.3, "p": 0.5}
         config = {"alpha": bad} if name == "alpha" else {f"{name}_range": (bad, bad, 3)}
         rejecters = {
-            "validate": SweepConfig(**config).validate,
+            "run_sweep": lambda: run_sweep(**config),
             "numeric_batch": lambda: numeric_batch("AB_I_C_I", **{**good, name: bad}),
         }
         if name == "p":
@@ -118,7 +116,7 @@ class TestSweepConfig:
 
 class TestRunSweep:
     def test_row_count_and_order(self):
-        grid = run_sweep(SMALL)
+        grid = run_sweep(**SMALL)
         rows = list(grid_records(grid))
         # 3 beta x 3 p x 3 measures x 2 engines
         assert len(grid) == len(rows) == 54
@@ -131,12 +129,12 @@ class TestRunSweep:
         assert rows[18].beta == pytest.approx(math.pi / 8)
 
     def test_single_engine(self):
-        grid = run_sweep(SweepConfig(beta_range=(0, 0.5, 2), p_range=(0, 1, 2), engine="numeric"))
+        grid = run_sweep(beta_range=(0, 0.5, 2), p_range=(0, 1, 2), engine="numeric")
         assert {r.engine for r in grid_records(grid)} == {"numeric"}
 
     def test_engines_agree_on_sound_scenario(self):
         values = {}
-        for row in grid_records(run_sweep(SMALL)):
+        for row in grid_records(run_sweep(**SMALL)):
             values.setdefault((row.beta, row.p, row.measure), {})[row.engine] = row.value
         for point, pair in values.items():
             assert pair["numeric"] == pytest.approx(pair["closedform"], abs=1e-12), point
@@ -146,13 +144,11 @@ class TestRunSweep:
         """Every cell of a 7x7 row-batched grid equals the per-point engine
         at that cell's (beta, p), NaN included, in row-major order."""
         grid = run_sweep(
-            SweepConfig(
-                alpha=0.6,
-                scenario=name,
-                beta_range=(0.0, math.pi / 4, 7),
-                p_range=(0.0, 1.0, 7),
-                engine="numeric",
-            )
+            name,
+            alpha=0.6,
+            beta_range=(0.0, math.pi / 4, 7),
+            p_range=(0.0, 1.0, 7),
+            engine="numeric",
         )
         rows = list(grid_records(grid))
         assert len(grid) == len(rows) == 7 * 7 * 3
@@ -165,16 +161,14 @@ class TestRunSweep:
             assert row.value == want or (math.isnan(row.value) and math.isnan(want)), row
 
     def test_worker_count_does_not_change_rows(self):
-        base = run_sweep(SMALL)
-        parallel = run_sweep(
-            SweepConfig(beta_range=(0.0, math.pi / 4, 3), p_range=(0.0, 1.0, 3), workers=2)
-        )
+        base = run_sweep(**SMALL)
+        parallel = run_sweep(beta_range=(0.0, math.pi / 4, 3), p_range=(0.0, 1.0, 3), workers=2)
         assert records_to_csv(base) == records_to_csv(parallel)
 
 
 class TestSerialization:
     def test_csv_header_and_precision(self):
-        text = records_to_csv(run_sweep(SMALL))
+        text = records_to_csv(run_sweep(**SMALL))
         lines = text.strip().split("\n")
         assert lines[0] == "scenario,measure,engine,alpha,beta,p,value"
         assert lines[1].startswith("ABC_I,S,numeric,0.70710678118654746,0,0,")
@@ -185,16 +179,16 @@ class TestSerialization:
     def test_nan_serialization(self):
         # interior beta with p < 1: the reduced state is not X-structured
         # there, so the numeric Svetlichny value is undefined
-        config = SweepConfig(
-            scenario="AB_I_B_II",
+        grid = run_sweep(
+            "AB_I_B_II",
             beta_range=(0.4, 0.5, 2),
             p_range=(0.0, 0.5, 2),
             engine="numeric",
             measures=("S",),
         )
-        csv_text = records_to_csv(run_sweep(config))
+        csv_text = records_to_csv(grid)
         assert csv_text.strip().split("\n")[1].endswith(",nan")
-        payload = json.loads(records_to_json(run_sweep(config)))
+        payload = json.loads(records_to_json(grid))
         assert payload[0]["value"] is None
 
     @pytest.mark.parametrize(
@@ -209,11 +203,10 @@ class TestSerialization:
 #: A 7x5 grid of the non-X scenario, whose numeric S and E are NaN off the
 #: beta = 0 row and the p = 1 column, and a one-engine, one-measure sweep.
 COLUMNAR_CONFIGS = [
-    SweepConfig(scenario="AB_I_B_II", beta_range=(0.0, BETA_MAX, 7), p_range=(0.0, 1.0, 5)),
-    SweepConfig(
-        alpha=0.3, scenario="AB_I_C_II", beta_range=(0.1, 0.7, 6), p_range=(0.2, 0.9, 4),
-        measures=("E",), engine="closedform",
-    ),
+    dict(scenario="AB_I_B_II", alpha=ALPHA_GHZ, beta_range=(0.0, BETA_MAX, 7),
+         p_range=(0.0, 1.0, 5), measures=("S", "E", "C"), engine="both"),
+    dict(scenario="AB_I_C_II", alpha=0.3, beta_range=(0.1, 0.7, 6), p_range=(0.2, 0.9, 4),
+         measures=("E",), engine="closedform"),
 ]
 
 
@@ -233,9 +226,9 @@ class TestColumnarOutput:
 
     @pytest.mark.parametrize("config", COLUMNAR_CONFIGS)
     def test_csv_and_json_equal_the_per_record_writers(self, config):
-        grid = run_sweep(config)
-        records = sweep_records_oracle(config)
-        assert records_csv_oracle(records).count("nan") == (48 if config.engine == "both" else 0)
+        grid = run_sweep(**config)
+        records = sweep_records_oracle(**config)
+        assert records_csv_oracle(records).count("nan") == (48 if config["engine"] == "both" else 0)
         assert records_to_csv(grid) == records_csv_oracle(records)
         assert records_to_json(grid) == records_json_oracle(records)
 
@@ -275,8 +268,8 @@ class TestColumnarOutput:
     def test_grid_reads_as_its_records(self, config):
         """The grid's arrays, laid out in the documented row order, are the
         records built one by one, and its length is their count."""
-        grid = run_sweep(config)
-        records = sweep_records_oracle(config)
+        grid = run_sweep(**config)
+        records = sweep_records_oracle(**config)
         assert records_csv_oracle(grid_records(grid)) == records_csv_oracle(records)
         assert len(grid) == len(records)
 
@@ -301,7 +294,7 @@ class TestColumnarOutput:
 
 class TestFindBoundary:
     def test_inertial_nonlocality_sudden_death(self):
-        result = find_boundary("ABC_I", measure="S", alpha=ALPHA_GHZ, beta_samples=2)
+        result = find_boundary("ABC_I", measure="S", alpha=ALPHA_GHZ, beta_steps=2)
         origin, extreme = result["curve"]
         assert origin["status"] == "crossing"
         assert origin["p_star"] == pytest.approx(0.5, abs=1e-6)
@@ -315,24 +308,24 @@ class TestFindBoundary:
         which is >= 1 on [0, pi/4]: no beta of the default curve crosses,
         whatever the tolerance, one below the float spacing at 1 included."""
         result = find_boundary(
-            "ABC_I", measure="E", alpha=ALPHA_GHZ, beta_samples=33, bisect_tol=tol
+            "ABC_I", measure="E", alpha=ALPHA_GHZ, beta_steps=33, tol=tol
         )
         assert len(result["curve"]) == 33
         assert all(pt["status"] == "no_crossing" and pt["p_star"] is None for pt in result["curve"])
 
     def test_rejects_unknown_measure(self):
         with pytest.raises(ConfigError):
-            find_boundary("ABC_I", measure="C", alpha=ALPHA_GHZ, beta_samples=2)
+            find_boundary("ABC_I", measure="C", alpha=ALPHA_GHZ, beta_steps=2)
 
     @pytest.mark.parametrize("alpha", [0.0, ALPHA_GHZ])
-    @pytest.mark.parametrize("beta_samples", [1, 2, 33])
+    @pytest.mark.parametrize("beta_steps", [1, 2, 33])
     @pytest.mark.parametrize("measure", ["S", "E"])
     @pytest.mark.parametrize("name", ["AB_I_B_II", "AC_I_C_II"])
-    def test_rejects_non_x_scenario(self, name, measure, beta_samples, alpha):
+    def test_rejects_non_x_scenario(self, name, measure, beta_steps, alpha):
         """The scenario's structure decides, not whether one scan happens to
         meet a non-X point: a single beta = 0 row, or alpha = 0, meets none."""
         with pytest.raises(ConfigError) as err:
-            find_boundary(name, measure=measure, alpha=alpha, beta_samples=beta_samples)
+            find_boundary(name, measure=measure, alpha=alpha, beta_steps=beta_steps)
         assert str(err.value) == (
             f"numeric {measure} undefined for scenario {name}: "
             "its reduced state is not X-structured"
@@ -340,14 +333,14 @@ class TestFindBoundary:
 
     def test_range_error_comes_before_the_structure_error(self):
         with pytest.raises(ConfigError, match=r"alpha=2\.0 outside \[0, 1\]"):
-            find_boundary("AB_I_B_II", measure="S", alpha=2.0, beta_samples=2)
+            find_boundary("AB_I_B_II", measure="S", alpha=2.0, beta_steps=2)
 
     def test_matches_closed_form_curve(self):
         """At alpha = 1/sqrt 2 the ABC_I Svetlichny value falls to 4 at
         p* = 1 - 1/(2 cos^2 beta), for every beta of the default curve."""
         tol = 1e-6
         result = find_boundary(
-            "ABC_I", measure="S", alpha=ALPHA_GHZ, beta_samples=33, bisect_tol=tol
+            "ABC_I", measure="S", alpha=ALPHA_GHZ, beta_steps=33, tol=tol
         )
         assert len(result["curve"]) == 33
         for pt in result["curve"]:
@@ -390,7 +383,7 @@ class TestFindBoundary:
                         hi = mid
                 p_star = hi
             expected.append(p_star)
-        result = find_boundary(name, measure=measure, alpha=ALPHA_GHZ, beta_samples=9)
+        result = find_boundary(name, measure=measure, alpha=ALPHA_GHZ, beta_steps=9)
         assert [pt["p_star"] for pt in result["curve"]] == expected
         assert None in expected and any(p not in (None, 0.0) for p in expected)
 
@@ -410,11 +403,11 @@ class TestFindBoundary:
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive_tolerance(self, tol):
         with pytest.raises(ConfigError, match="tolerance"):
-            find_boundary("ABC_I", measure="S", alpha=ALPHA_GHZ, beta_samples=2, bisect_tol=tol)
+            find_boundary("ABC_I", measure="S", alpha=ALPHA_GHZ, beta_steps=2, tol=tol)
 
     def test_rejects_empty_curve(self):
         with pytest.raises(ConfigError, match="beta samples"):
-            find_boundary("ABC_I", measure="S", alpha=ALPHA_GHZ, beta_samples=0)
+            find_boundary("ABC_I", measure="S", alpha=ALPHA_GHZ, beta_steps=0)
 
     def test_tolerance_below_float_spacing_terminates(self, monkeypatch):
         """Bisection stops once no float lies strictly inside a bracket: a
@@ -428,14 +421,14 @@ class TestFindBoundary:
 
         monkeypatch.setattr(ghzsim.sweep, "numeric_batch", counted)
         result = find_boundary(
-            "ABC_I", measure="S", alpha=ALPHA_GHZ, beta_samples=5, bisect_tol=1e-300
+            "ABC_I", measure="S", alpha=ALPHA_GHZ, beta_steps=5, tol=1e-300
         )
         for pt in result["curve"]:
             expected = 1.0 - 1.0 / (2.0 * math.cos(pt["beta"]) ** 2)
             assert pt["p_star"] == pytest.approx(expected, abs=1e-14)
 
     def test_serialization(self):
-        result = find_boundary("ABC_I", measure="S", alpha=ALPHA_GHZ, beta_samples=2)
+        result = find_boundary("ABC_I", measure="S", alpha=ALPHA_GHZ, beta_steps=2)
         csv_lines = boundary_to_csv(result).strip().split("\n")
         assert csv_lines[0] == "beta,p_star,status"
         assert len(csv_lines) == 3
@@ -450,7 +443,7 @@ class TestFindBoundary:
 
     def test_scan_step_is_not_a_parameter(self):
         with pytest.raises(TypeError, match="scan_step"):
-            find_boundary("ABC_I", measure="S", alpha=ALPHA_GHZ, beta_samples=2, scan_step=0.0)
+            find_boundary("ABC_I", measure="S", alpha=ALPHA_GHZ, beta_steps=2, scan_step=0.0)
 
 
 def fine_scan_p_star(name: str, measure: str, beta: float) -> float | None:
@@ -477,7 +470,7 @@ def one_row(name, measure, alpha, beta, tol):
     """`find_boundary`'s point at one given beta: it samples beta on an even
     grid, so the grid is replaced by that beta."""
     with mock.patch.object(ghzsim.sweep, "_axis", lambda rng: (beta,)):
-        result = find_boundary(name, measure=measure, alpha=alpha, beta_samples=1, bisect_tol=tol)
+        result = find_boundary(name, measure=measure, alpha=alpha, beta_steps=1, tol=tol)
     (point,) = result["curve"]
     assert point["beta"] == beta
     return point
@@ -587,7 +580,7 @@ class TestLateDeath:
         monkeypatch.setattr(ghzsim.sweep, "numeric_batch", counted)
         monkeypatch.setattr(ghzsim.sweep, "_axis", lambda rng: (self.BETA,))
         result = find_boundary(
-            "AB_I_C_I", measure="E", alpha=ALPHA_GHZ, beta_samples=1, bisect_tol=tol
+            "AB_I_C_I", measure="E", alpha=ALPHA_GHZ, beta_steps=1, tol=tol
         )
         (point,) = result["curve"]
         return point, calls
@@ -703,7 +696,20 @@ class TestAuditParameters:
 
     def test_zero_tolerance_is_valid(self):
         run_audit(beta_range=(0.0, 0.5, 2), p_range=(0.0, 1.0, 2), tol=0.0, samples=2,
-                  scenarios=["ABC_I"])
+                  scenario="ABC_I")
+
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [({"alpha": 1.5}, "alpha=1.5 outside"), ({"beta_range": (0.0, 0.5, 1)}, "beta steps"),
+         ({"p_range": (0.5, 0.2, 3)}, "runs backwards")],
+    )
+    def test_bad_grid_fails_before_the_sum_rules(self, monkeypatch, kwargs, error):
+        def unreachable(*a, **k):
+            raise AssertionError("the sum rules ran")
+
+        monkeypatch.setattr(ghzsim.sweep, "sum_rule_samples", unreachable)
+        with pytest.raises(ConfigError, match=error):
+            run_audit(**kwargs)
 
 
 class TestNegativeSeed:
@@ -720,29 +726,6 @@ class TestNegativeSeed:
             run_audit(seed=-1)
 
 
-#: A changed value of each SweepConfig field but `workers`, which criterion 9
-#: pins and which changes nothing, and of each run_audit parameter.
-SWEEP_CHANGES = {
-    "alpha": 0.6,
-    "beta_range": (0.0, math.pi / 8, 3),
-    "p_range": (0.0, 0.5, 3),
-    "scenario": "AB_I_C_I",
-    "measures": ("S",),
-    "engine": "numeric",
-}
-AUDIT_BASE = {"beta_range": (0.0, math.pi / 4, 3), "p_range": (0.0, 1.0, 3), "samples": 5,
-              "scenarios": ("AB_I_C_I",)}
-AUDIT_CHANGES = {
-    "alpha": 0.6,
-    "beta_range": (0.0, math.pi / 8, 3),
-    "p_range": (0.0, 0.5, 3),
-    "tol": 10.0,
-    "samples": 6,
-    "seed": 1,
-    "scenarios": ("ABC_I",),
-}
-
-
 def _surfaces(grid: SweepGrid):
     return grid.betas, grid.ps, {k: np.nan_to_num(v, nan=-1.0).tolist()
                                  for k, v in grid.surfaces.items()}
@@ -753,32 +736,70 @@ def _findings(report: dict):
     return report["entries"], report["flags"], report["sum_rules"]["rules"]
 
 
+#: workflow -> (base keyword arguments, a changed value of each parameter,
+#: what a call computed: its result without the echo of its parameters).
+#: `run_sweep`'s `workers`, which criterion 9 pins and which changes
+#: nothing, is the one parameter left out.
+WORKFLOW_CHANGES = {
+    run_sweep: (
+        SMALL,
+        {"alpha": 0.6, "beta_range": (0.0, math.pi / 8, 3), "p_range": (0.0, 0.5, 3),
+         "scenario": "AB_I_C_I", "measures": ("S",), "engine": "numeric"},
+        _surfaces,
+    ),
+    run_audit: (
+        {"beta_range": (0.0, math.pi / 4, 3), "p_range": (0.0, 1.0, 3), "samples": 5,
+         "scenario": "AB_I_C_I"},
+        {"alpha": 0.6, "beta_range": (0.0, math.pi / 8, 3), "p_range": (0.0, 0.5, 3),
+         "tol": 10.0, "samples": 6, "seed": 1, "scenario": "ABC_I"},
+        _findings,
+    ),
+    find_boundary: (
+        {"measure": "S", "alpha": 0.6, "beta_steps": 2},
+        {"scenario": "AB_I_C_I", "measure": "E", "alpha": 0.5, "beta_steps": 3, "tol": 1e-3},
+        lambda result: result["curve"],
+    ),
+    sum_rule_samples: (
+        {"samples": 5},
+        {"alpha": 0.6, "samples": 6, "seed": 1},
+        lambda result: (result["rules"], result["reported_rule_alpha_dependence"]),
+    ),
+    figure_csv: (
+        {"figure": 4, "resolution": 16},
+        {"figure": 2, "alpha": 0.6, "resolution": 17},
+        lambda texts: texts,
+    ),
+}
+
+
+def _name(value):
+    return getattr(value, "__name__", value)
+
+
 class TestEveryParameterIsRead:
     """No workflow accepts a parameter it ignores: a changed value of each
     changes the computed result, not only its echo in the output, or is
     rejected with ConfigError."""
 
-    def test_the_tables_name_every_parameter(self):
-        fields = {field.name for field in dataclasses.fields(SweepConfig)}
-        assert set(SWEEP_CHANGES) == fields - {"workers"}
-        assert set(AUDIT_CHANGES) == set(inspect.signature(run_audit).parameters)
+    @pytest.mark.parametrize("workflow", WORKFLOW_CHANGES, ids=_name)
+    def test_the_tables_name_every_parameter(self, workflow):
+        exempt = {"workers"} if workflow is run_sweep else set()
+        changes = WORKFLOW_CHANGES[workflow][1]
+        assert set(changes) == set(inspect.signature(workflow).parameters) - exempt
 
-    @pytest.mark.parametrize("name", sorted(SWEEP_CHANGES))
-    def test_sweep_config_field(self, name):
-        changed = dataclasses.replace(SMALL, **{name: SWEEP_CHANGES[name]})
+    @pytest.mark.parametrize(
+        "workflow, name",
+        [(workflow, name) for workflow, (_, changes, _) in WORKFLOW_CHANGES.items()
+         for name in changes],
+        ids=_name,
+    )
+    def test_parameter(self, workflow, name):
+        base, changes, computed = WORKFLOW_CHANGES[workflow]
         try:
-            grid = run_sweep(changed)
+            changed = workflow(**{**base, name: changes[name]})
         except ConfigError:
             return
-        assert _surfaces(grid) != _surfaces(run_sweep(SMALL))
-
-    @pytest.mark.parametrize("name", sorted(AUDIT_CHANGES))
-    def test_audit_parameter(self, name):
-        try:
-            changed = run_audit(**{**AUDIT_BASE, name: AUDIT_CHANGES[name]})
-        except ConfigError:
-            return
-        assert _findings(changed) != _findings(run_audit(**AUDIT_BASE))
+        assert computed(changed) != computed(workflow(**base))
 
 
 @pytest.fixture(scope="module")
@@ -840,23 +861,19 @@ class TestKernelCalls:
         figure_csv(4, ALPHA_GHZ, 16)
         assert kernel_calls == ["AB_I_C_I"]
 
-    @pytest.mark.parametrize(
-        "scenarios, named",
-        [("ABC_I", "the string 'ABC_I'"), (["ABC_I", "NOPE"], "unknown scenario 'NOPE'")],
-    )
-    def test_audit_checks_scenario_names_first(self, kernel_calls, monkeypatch, scenarios, named):
-        """A bare string is not split into letters, and a bad name is
-        reported before the sum rules run: no `numeric_batch` call."""
+    def test_audit_checks_scenario_names_first(self, kernel_calls, monkeypatch):
+        """A bad name is reported before the sum rules run: no
+        `numeric_batch` call."""
         batches = []
         monkeypatch.setattr(ghzsim.sweep, "numeric_batch", lambda *a, **k: batches.append(a))
-        with pytest.raises(ParameterError, match=named):
-            run_audit(scenarios=scenarios)
+        with pytest.raises(ParameterError, match="unknown scenario 'nope'"):
+            run_audit(scenario="nope")
         assert batches == [] and kernel_calls == []
 
     @pytest.mark.parametrize("name", ["AB_I_B_II", "AC_I_C_II"])
     def test_non_x_boundary(self, kernel_calls, name):
         with pytest.raises(ConfigError, match="not X-structured"):
-            find_boundary(name, measure="S", alpha=ALPHA_GHZ, beta_samples=33)
+            find_boundary(name, measure="S", alpha=ALPHA_GHZ, beta_steps=33)
         assert kernel_calls == []
 
     def test_flags_transcription_slip(self, report):
