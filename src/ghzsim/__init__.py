@@ -11,9 +11,10 @@ of a scenario's support entries. Scenarios and sweep grids are plain data:
 a `Scenario` is a named tuple of mode-name strings, and a `SweepGrid` holds
 its axes and one (beta, p) array per (measure, engine). The other workflows
 return dicts or text, and no library function writes a file. Each workflow
-takes keyword parameters named after its CLI subcommand's flags. The numpy-free
-`qcore` owns the scenario, figure and engine tables that the CLI's parser
-reads; `sweep` imports them from there.
+takes keyword parameters named after its CLI subcommand's flags, a grid by
+its step counts over the whole (beta, p) domain. The numpy-free `qcore`
+owns the scenario, figure and engine tables that the CLI's parser reads;
+`sweep` imports them from there.
 
 The public names below are imported from their submodules on first use
 (PEP 562), so `import ghzsim` alone loads no submodule and not numpy. This

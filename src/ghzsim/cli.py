@@ -4,18 +4,18 @@ Subcommands: sweep, audit, boundary, sumrules, figure. Each registers only
 the flags it reads, so an unknown or ignored flag is an error. Every flag but
 --config can also be supplied through a flat key=value config file
 (--config); explicit flags win over config-file values, and a key that is
-not a flag of the subcommand is a configuration error. In a config file a
-`#` at the start of a line or after whitespace starts a comment; one inside
-a value is part of it.
+not a flag of the subcommand is a configuration error, as is a key given
+twice (`beta-steps` and `beta_steps` are one key). In a config file a `#` at
+the start of a line or after whitespace starts a comment; one inside a value
+is part of it.
 
 The library returns plain data and text and writes no file; only the CLI
 picks where output goes (--out, else stdout), its format (--format) and a
 multi-measure figure's file names, and writes. A file is written whole or
 not at all (`write_text_atomic`). Each subcommand calls its workflow with
 every flag that was set but --out, --format and --config, under the flag's
-own name, which is the parameter's (`sweep` and `audit` turn --beta-steps
-and --p-steps into axes); an unset flag is left out, so the library's
-defaults, each written once in `sweep`, are the CLI's too.
+own name, which is the parameter's; an unset flag is left out, so the
+library's defaults, each written once in `sweep`, are the CLI's too.
 
 Exit codes: 0 success, 2 configuration error (a ConfigError, such as a
 ParameterError), 3 I/O error (a closed standard output, or a reader that
@@ -53,6 +53,7 @@ EXIT_AUDIT_FLAGGED = 4
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
+    linenos: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8-sig") as handle:
             lines = list(handle)
@@ -65,7 +66,10 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in linenos:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {linenos[key]}")
+        values[key], linenos[key] = value.strip(), lineno
     return values
 
 
@@ -177,18 +181,6 @@ def _given(args: argparse.Namespace) -> dict:
             if f not in ("out", "format", "config") and getattr(args, f) is not None}
 
 
-def _grid(args: argparse.Namespace) -> dict:
-    """`_given` for a sweep or an audit, whose workflow takes axes: an
-    axis whose step count is given keeps the library's default ends."""
-    from .sweep import BETA_RANGE, P_RANGE
-    given = _given(args)
-    for axis, (lo, hi, _) in (("beta", BETA_RANGE), ("p", P_RANGE)):
-        steps = given.pop(f"{axis}_steps", None)
-        if steps is not None:
-            given[f"{axis}_range"] = (lo, hi, steps)
-    return given
-
-
 def _write_all(stream, text: str) -> None:
     """Write `text` to a text stream through its binary layer, until every
     byte is out. Under PYTHONUNBUFFERED that layer is the raw file, which
@@ -249,14 +241,14 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .sweep import records_to_csv, records_to_json, run_sweep
-    rows = run_sweep(**_grid(args))
+    rows = run_sweep(**_given(args))
     _emit(records_to_json(rows) if args.format == "json" else records_to_csv(rows), args.out)
     return EXIT_OK
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     from .sweep import json_text, run_audit
-    report = run_audit(**_grid(args))
+    report = run_audit(**_given(args))
     _emit(json_text(report), args.out)
     if report["flags"]:
         print(f"audit: {len(report['flags'])} discrepancy flag(s) raised", file=sys.stderr)

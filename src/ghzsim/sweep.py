@@ -8,10 +8,10 @@ one kernel call and one catalog call per measure on the (beta, 1) x (p,)
 broadcast; a boundary is one kernel call for its coarse p scan over
 [0, 1 - tol], then one per bisection step over all betas; the sum rules are
 one kernel call and one catalog call per scenario. Evaluation runs in a
-single process; `run_sweep`'s `workers` is validated but changes nothing.
-Each workflow takes only the parameters it reads, each named after the flag
-of its CLI subcommand that sets it (a `beta_range` or `p_range` axis for a
-sweep's or an audit's step count) and each default written once here.
+single process. Each workflow takes only the parameters it reads, each named
+after the flag of its CLI subcommand that sets it and each default written
+once here. A grid is given by its step counts: beta runs over [0, BETA_MAX]
+and p over [0, 1], the whole domain of the paper's figures.
 
 Every workflow returns plain data and writes no file: `run_sweep` a
 `SweepGrid` (the axes and one (beta, p) array per (measure, engine)),
@@ -22,9 +22,8 @@ straight from the arrays, in the documented row order, each by one `%`
 operation over a template that repeats one per-point block: per column,
 the column's constant text, a slot for the point's preformatted (beta, p)
 text and a slot for its value. `json_text` spells every other JSON
-document. A grid's alpha and range ends are checked by `unruh._check`, as
-the pipeline checks them, so a range error reads the same wherever it is
-raised.
+document. A grid's alpha is checked by `unruh._check`, as the pipeline
+checks it, so a range error reads the same wherever it is raised.
 
 All outputs are deterministic for a fixed configuration: grid order defines
 row order, floats are serialized with 17 significant digits, random sampling
@@ -49,18 +48,15 @@ DEFAULT_ALPHA = 1.0 / math.sqrt(2.0)
 DEFAULT_SCENARIO = "ABC_I"
 DEFAULT_SEED = 20260823
 DEFAULT_SAMPLES = 1000
-BETA_RANGE = (0.0, BETA_MAX, 101)
-P_RANGE = (0.0, 1.0, 101)
+#: Points on each axis of a grid, and on a figure's.
+DEFAULT_STEPS = 101
 
 
-def _check_grid(alpha: float, beta_range: tuple, p_range: tuple) -> None:
+def _check_grid(alpha: float, beta_steps: int, p_steps: int) -> None:
     _check("alpha", alpha)
-    for name, (lo, hi, steps) in (("beta", beta_range), ("p", p_range)):
+    for name, steps in (("beta", beta_steps), ("p", p_steps)):
         if steps < 2:
             raise ConfigError(f"{name} steps must be >= 2, got {steps}")
-        _check(name, (lo, hi))
-        if lo > hi:
-            raise ConfigError(f"{name} range ({lo}, {hi}) runs backwards")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,30 +76,27 @@ class SweepGrid:
         return len(self.betas) * len(self.ps) * len(self.surfaces)
 
 
-def _axis(rng: tuple[float, float, int]) -> tuple[float, ...]:
-    lo, hi, steps = rng
-    return tuple(np.linspace(lo, hi, steps).tolist())
+def _axis(hi: float, steps: int) -> tuple[float, ...]:
+    """`steps` evenly spaced values from 0 to `hi`, both ends included."""
+    return tuple(np.linspace(0.0, hi, steps).tolist())
 
 
 def run_sweep(
     scenario: str = DEFAULT_SCENARIO, *, alpha: float = DEFAULT_ALPHA,
-    beta_range: tuple[float, float, int] = BETA_RANGE,
-    p_range: tuple[float, float, int] = P_RANGE, measures: tuple[str, ...] = MEASURES,
-    engine: str = "both", workers: int = 1,
+    beta_steps: int = DEFAULT_STEPS, p_steps: int = DEFAULT_STEPS,
+    measures: tuple[str, ...] = MEASURES, engine: str = "both",
 ) -> SweepGrid:
     """One scenario's measures by one engine or both over the grid: one
     kernel call and one catalog call per measure over the (beta, 1) x (p,)
-    broadcast. `workers` is validated, but evaluation is single-process."""
-    _check_grid(alpha, beta_range, p_range)
+    broadcast."""
+    _check_grid(alpha, beta_steps, p_steps)
     scenario_row(scenario)
     bad = set(measures) - set(MEASURES)
     if bad or not measures or len(set(measures)) < len(measures):
         raise ConfigError(f"measures must be a nonempty subset of {MEASURES}")
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    betas, ps = _axis(beta_range), _axis(p_range)
+    betas, ps = _axis(BETA_MAX, beta_steps), _axis(1.0, p_steps)
     engines = ("numeric", "closedform") if engine == "both" else (engine,)
     grid = (alpha, np.asarray(betas)[:, None], np.asarray(ps))
 
@@ -280,7 +273,7 @@ def find_boundary(
         )
     threshold, slack = _BOUNDARY_RULES[measure]
 
-    betas = _axis((0.0, BETA_MAX, beta_steps))
+    betas = _axis(BETA_MAX, beta_steps)
     beta_arr = np.asarray(betas)
     n_scan = int(round(1.0 / SCAN_STEP))
     scan_ps = np.arange(n_scan + 1) / n_scan
@@ -314,7 +307,7 @@ def boundary_to_csv(result: dict) -> str:
 # --- figure data ---------------------------------------------------------------
 
 def figure_csv(
-    figure: int, alpha: float = DEFAULT_ALPHA, resolution: int = 101
+    figure: int, alpha: float = DEFAULT_ALPHA, resolution: int = DEFAULT_STEPS
 ) -> dict[str, str]:
     """The beta/p/value CSV text of each of one figure's measures, by
     measure, in the figure's order, on a resolution x resolution grid.
@@ -329,8 +322,8 @@ def figure_csv(
         raise ConfigError(f"resolution must be >= 16, got {resolution}")
     scenario, measures = FIGURES[figure]
     engine = "numeric" if is_x_structured(scenario) else "closedform"
-    grid = run_sweep(scenario, alpha=alpha, beta_range=(0.0, BETA_MAX, resolution),
-                     p_range=(0.0, 1.0, resolution), measures=measures, engine=engine)
+    grid = run_sweep(scenario, alpha=alpha, beta_steps=resolution, p_steps=resolution,
+                     measures=measures, engine=engine)
     keys = _csv_keys(grid.betas, grid.ps)
     return {
         m: _grid_csv("beta,p,value", keys, [("", surface)])
@@ -427,7 +420,7 @@ def sum_rule_samples(alpha: float | None = None, samples: int = DEFAULT_SAMPLES,
 # --- audit ---------------------------------------------------------------------
 
 def run_audit(
-    alpha: float = DEFAULT_ALPHA, beta_range: tuple = BETA_RANGE, p_range: tuple = P_RANGE,
+    alpha: float = DEFAULT_ALPHA, beta_steps: int = DEFAULT_STEPS, p_steps: int = DEFAULT_STEPS,
     tol: float = 1e-8, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
     scenario: str | None = None,
 ) -> dict:
@@ -443,7 +436,7 @@ def run_audit(
     first, so a bad `samples` or `seed` fails before any grid is evaluated;
     the scenario name is looked up before that.
     """
-    _check_grid(alpha, beta_range, p_range)
+    _check_grid(alpha, beta_steps, p_steps)
     if not tol >= 0.0:
         raise ConfigError(f"tol must be >= 0, got {tol}")
     names = sorted(SCENARIOS) if scenario is None else [scenario_row(scenario).name]
@@ -452,7 +445,7 @@ def run_audit(
     flags: list[str] = []
     for name in names:
         compared = MEASURES if is_x_structured(name) else ("C",)
-        sweep = run_sweep(name, alpha=alpha, beta_range=beta_range, p_range=p_range,
+        sweep = run_sweep(name, alpha=alpha, beta_steps=beta_steps, p_steps=p_steps,
                           measures=compared)
         for measure in MEASURES:
             if measure not in compared:
@@ -510,8 +503,8 @@ def run_audit(
     return {
         "config": {
             "alpha": alpha,
-            "beta_range": list(beta_range),
-            "p_range": list(p_range),
+            "beta_range": [0.0, BETA_MAX, beta_steps],
+            "p_range": [0.0, 1.0, p_steps],
             "tolerance": tol,
             "samples": samples,
             "seed": seed,

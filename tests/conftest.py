@@ -258,12 +258,13 @@ def grid_records(grid):
 
 
 def sweep_records_oracle(
-    scenario, alpha, beta_range, p_range, measures, engine
+    scenario, alpha, beta_steps, p_steps, measures, engine
 ) -> list[Record]:
-    """The records of a sweep, built one by one from the two engines: rows
-    ordered by (beta index, p index), then measure, then engine."""
-    betas = np.linspace(*beta_range).tolist()
-    ps = np.linspace(*p_range).tolist()
+    """The records of a sweep over beta in [0, pi/4] and p in [0, 1], built
+    one by one from the two engines: rows ordered by (beta index, p index),
+    then measure, then engine."""
+    betas = np.linspace(0.0, math.pi / 4, beta_steps).tolist()
+    ps = np.linspace(0.0, 1.0, p_steps).tolist()
     engines = ("numeric", "closedform") if engine == "both" else (engine,)
     grid = (alpha, np.asarray(betas)[:, None], np.asarray(ps))
     values = {}

@@ -139,6 +139,24 @@ class TestConfigFile:
         assert code == EXIT_OK
         assert out.read_text().split("\n")[1].startswith("ABC_I,C,closedform,0.5,")
 
+    @pytest.mark.parametrize(
+        "command, text, key, first, second",
+        [
+            ("sumrules", "alpha = 0.5\nalpha = 0.6\n", "alpha", 1, 2),
+            ("sweep", "beta-steps = 3\nbeta_steps = 4\n", "beta_steps", 1, 2),
+            ("sweep", "p_steps = 3\n# grid\n\nmeasures = C\np-steps = 3\n", "p_steps", 1, 5),
+        ],
+        ids=["same-spelling", "dash-and-underscore", "lines-apart"],
+    )
+    def test_repeated_key(self, tmp_path, capsys, command, text, key, first, second):
+        """A key given twice, in either spelling and even with the same
+        value, is an error that names it and both its lines."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert run([command, "--config", str(cfg)]) == EXIT_CONFIG
+        message = f"error: {cfg}:{second}: key {key!r} repeats line {first}\n"
+        assert capsys.readouterr().err == message
+
     def test_file_with_byte_order_mark(self, tmp_path):
         """Editors that save UTF-8 with a byte-order mark put it before the
         first key; it is not part of that key."""
@@ -346,15 +364,10 @@ class TestFlagSets:
          ("sumrules", "sum_rule_samples"), ("figure", "figure_csv")],
     )
     def test_flags_are_the_workflow_parameters(self, command, workflow):
-        """Every flag but the output ones is a parameter of the subcommand's
-        workflow under its own name, a sweep's or an audit's step count as
-        the axis it sets; `run_sweep`'s `workers` is the one parameter that
-        no flag sets."""
+        """The flags but the output ones are the parameters of the
+        subcommand's workflow, each under its own name."""
         flags = set(_SUBCOMMANDS[command][1]) - {"out", "format", "config"}
-        if command in ("sweep", "audit"):
-            flags = {flag.replace("_steps", "_range") for flag in flags}
-        parameters = set(inspect.signature(getattr(ghzsim.sweep, workflow)).parameters)
-        assert parameters == flags | ({"workers"} if command == "sweep" else set())
+        assert set(inspect.signature(getattr(ghzsim.sweep, workflow)).parameters) == flags
 
     def test_config_value_outside_choices(self, tmp_path):
         cfg = tmp_path / "run.cfg"

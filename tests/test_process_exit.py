@@ -19,7 +19,7 @@ import pytest
 import ghzsim
 import ghzsim.cli
 from ghzsim.cli import EXIT_AUDIT_FLAGGED, EXIT_CONFIG, EXIT_IO, EXIT_OK
-from ghzsim.sweep import BETA_MAX, records_to_csv, run_sweep
+from ghzsim.sweep import records_to_csv, run_sweep
 
 SRC = str(Path(ghzsim.__file__).resolve().parents[1])
 
@@ -166,14 +166,14 @@ class TestEarlyClosingReader:
         monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=write_through))
         print("before", end="")
         assert ghzsim.cli.main(["sweep", "--beta-steps", "11", "--p-steps", "7"]) == EXIT_OK
-        text = records_to_csv(run_sweep(beta_range=(0.0, BETA_MAX, 11), p_range=(0.0, 1.0, 7)))
+        text = records_to_csv(run_sweep(beta_steps=11, p_steps=7))
         assert len(text) > 3 * 4096
         assert bytes(raw.received) == b"before" + text.encode()
 
     def test_a_stdout_with_no_binary_layer_gets_the_text(self, monkeypatch):
         monkeypatch.setattr(sys, "stdout", io.StringIO())
         assert ghzsim.cli.main(["sweep", "--beta-steps", "2", "--p-steps", "2"]) == EXIT_OK
-        grid = run_sweep(beta_range=(0.0, BETA_MAX, 2), p_range=(0.0, 1.0, 2))
+        grid = run_sweep(beta_steps=2, p_steps=2)
         assert sys.stdout.getvalue() == records_to_csv(grid)
 
 

@@ -51,7 +51,7 @@ from conftest import (
 
 ALPHA_GHZ = 1.0 / math.sqrt(2.0)
 
-SMALL = {"beta_range": (0.0, math.pi / 4, 3), "p_range": (0.0, 1.0, 3)}
+SMALL = {"beta_steps": 3, "p_steps": 3}
 
 
 class TestSweepChecks:
@@ -59,16 +59,13 @@ class TestSweepChecks:
         "kwargs",
         [
             {"alpha": 1.5},
-            {"beta_range": (0.0, 2.0, 11)},
-            {"beta_range": (0.0, 0.5, 1)},
-            {"p_range": (0.5, 0.2, 11)},
+            {"beta_steps": 1},
+            {"p_steps": 1},
             {"scenario": "nope"},
             {"measures": ("S", "Q")},
             {"measures": ()},
             {"measures": ("S", "S", "E")},
             {"engine": "exact"},
-            {"beta_range": (0.5, 0.2, 11)},
-            {"workers": 0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -79,32 +76,19 @@ class TestSweepChecks:
         assert len(run_sweep()) == 101 * 101 * 3 * 2
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"beta_range": (0.0, math.pi / 4 + 1e-13, 3)},
-            {"p_range": (0.0, 1.0 + 1e-13, 3)},
-        ],
-    )
-    def test_ranges_past_the_pipeline_limits_fail_validation(self, kwargs):
-        """A range the pipeline would reject mid-run is rejected up front."""
-        with pytest.raises(ConfigError):
-            run_sweep(**kwargs)
-
-    @pytest.mark.parametrize(
         "name, bad, shown",
         [("alpha", 2.0, "1"), ("alpha", -0.5, "1"), ("alpha", math.nan, "1"),
          ("beta", 1.0, "pi/4"), ("beta", -0.1, "pi/4"), ("beta", math.nan, "pi/4"),
          ("p", 1.5, "1"), ("p", -0.25, "1"), ("p", math.nan, "1")],
     )
     def test_range_errors_read_the_same_everywhere(self, name, bad, shown):
-        """The sweep's check, the damping kernel and the engine reject a bad
-        alpha, beta or p with one ConfigError text."""
+        """The sweep's check (of alpha; its axes lie in range), the damping
+        kernel and the engine reject a bad alpha, beta or p with one
+        ConfigError text."""
         good = {"alpha": 0.6, "beta": 0.3, "p": 0.5}
-        config = {"alpha": bad} if name == "alpha" else {f"{name}_range": (bad, bad, 3)}
-        rejecters = {
-            "run_sweep": lambda: run_sweep(**config),
-            "numeric_batch": lambda: numeric_batch("AB_I_C_I", **{**good, name: bad}),
-        }
+        rejecters = {"numeric_batch": lambda: numeric_batch("AB_I_C_I", **{**good, name: bad})}
+        if name == "alpha":
+            rejecters["run_sweep"] = lambda: run_sweep(alpha=bad)
         if name == "p":
             plan = block_plan(np.arange(4), 2, [0])
             rejecters["damp_entries"] = lambda: damp_entries(np.zeros((4, 1)), plan, bad)
@@ -129,7 +113,7 @@ class TestRunSweep:
         assert rows[18].beta == pytest.approx(math.pi / 8)
 
     def test_single_engine(self):
-        grid = run_sweep(beta_range=(0, 0.5, 2), p_range=(0, 1, 2), engine="numeric")
+        grid = run_sweep(beta_steps=2, p_steps=2, engine="numeric")
         assert {r.engine for r in grid_records(grid)} == {"numeric"}
 
     def test_engines_agree_on_sound_scenario(self):
@@ -146,8 +130,8 @@ class TestRunSweep:
         grid = run_sweep(
             name,
             alpha=0.6,
-            beta_range=(0.0, math.pi / 4, 7),
-            p_range=(0.0, 1.0, 7),
+            beta_steps=7,
+            p_steps=7,
             engine="numeric",
         )
         rows = list(grid_records(grid))
@@ -159,11 +143,6 @@ class TestRunSweep:
             assert row.p == pytest.approx(axis[rest // 3], abs=1e-15)
             want = numeric_batch(name, 0.6, row.beta, row.p)[row.measure]
             assert row.value == want or (math.isnan(row.value) and math.isnan(want)), row
-
-    def test_worker_count_does_not_change_rows(self):
-        base = run_sweep(**SMALL)
-        parallel = run_sweep(beta_range=(0.0, math.pi / 4, 3), p_range=(0.0, 1.0, 3), workers=2)
-        assert records_to_csv(base) == records_to_csv(parallel)
 
 
 class TestSerialization:
@@ -177,19 +156,15 @@ class TestSerialization:
         assert value == pytest.approx(4.0 * math.sqrt(2.0), abs=1e-15)
 
     def test_nan_serialization(self):
-        # interior beta with p < 1: the reduced state is not X-structured
-        # there, so the numeric Svetlichny value is undefined
-        grid = run_sweep(
-            "AB_I_B_II",
-            beta_range=(0.4, 0.5, 2),
-            p_range=(0.0, 0.5, 2),
-            engine="numeric",
-            measures=("S",),
-        )
+        # interior beta with p < 1 (the fourth point, beta = pi/8 and p = 0):
+        # the reduced state is not X-structured there, so the numeric
+        # Svetlichny value is undefined
+        grid = run_sweep("AB_I_B_II", beta_steps=3, p_steps=3, engine="numeric", measures=("S",))
+        assert (grid.betas[1], grid.ps[0]) == (math.pi / 8, 0.0)
         csv_text = records_to_csv(grid)
-        assert csv_text.strip().split("\n")[1].endswith(",nan")
+        assert csv_text.strip().split("\n")[4].endswith(",nan")
         payload = json.loads(records_to_json(grid))
-        assert payload[0]["value"] is None
+        assert payload[3]["value"] is None
 
     @pytest.mark.parametrize(
         "x, text",
@@ -203,10 +178,10 @@ class TestSerialization:
 #: A 7x5 grid of the non-X scenario, whose numeric S and E are NaN off the
 #: beta = 0 row and the p = 1 column, and a one-engine, one-measure sweep.
 COLUMNAR_CONFIGS = [
-    dict(scenario="AB_I_B_II", alpha=ALPHA_GHZ, beta_range=(0.0, BETA_MAX, 7),
-         p_range=(0.0, 1.0, 5), measures=("S", "E", "C"), engine="both"),
-    dict(scenario="AB_I_C_II", alpha=0.3, beta_range=(0.1, 0.7, 6), p_range=(0.2, 0.9, 4),
-         measures=("E",), engine="closedform"),
+    dict(scenario="AB_I_B_II", alpha=ALPHA_GHZ, beta_steps=7, p_steps=5,
+         measures=("S", "E", "C"), engine="both"),
+    dict(scenario="AB_I_C_II", alpha=0.3, beta_steps=6, p_steps=4, measures=("E",),
+         engine="closedform"),
 ]
 
 
@@ -469,7 +444,7 @@ def fine_scan_p_star(name: str, measure: str, beta: float) -> float | None:
 def one_row(name, measure, alpha, beta, tol):
     """`find_boundary`'s point at one given beta: it samples beta on an even
     grid, so the grid is replaced by that beta."""
-    with mock.patch.object(ghzsim.sweep, "_axis", lambda rng: (beta,)):
+    with mock.patch.object(ghzsim.sweep, "_axis", lambda hi, steps: (beta,)):
         result = find_boundary(name, measure=measure, alpha=alpha, beta_steps=1, tol=tol)
     (point,) = result["curve"]
     assert point["beta"] == beta
@@ -578,7 +553,7 @@ class TestLateDeath:
             return numeric_batch(*args, **kwargs)
 
         monkeypatch.setattr(ghzsim.sweep, "numeric_batch", counted)
-        monkeypatch.setattr(ghzsim.sweep, "_axis", lambda rng: (self.BETA,))
+        monkeypatch.setattr(ghzsim.sweep, "_axis", lambda hi, steps: (self.BETA,))
         result = find_boundary(
             "AB_I_C_I", measure="E", alpha=ALPHA_GHZ, beta_steps=1, tol=tol
         )
@@ -695,13 +670,12 @@ class TestAuditParameters:
             run_audit(**kwargs)
 
     def test_zero_tolerance_is_valid(self):
-        run_audit(beta_range=(0.0, 0.5, 2), p_range=(0.0, 1.0, 2), tol=0.0, samples=2,
-                  scenario="ABC_I")
+        run_audit(beta_steps=2, p_steps=2, tol=0.0, samples=2, scenario="ABC_I")
 
     @pytest.mark.parametrize(
         "kwargs, error",
-        [({"alpha": 1.5}, "alpha=1.5 outside"), ({"beta_range": (0.0, 0.5, 1)}, "beta steps"),
-         ({"p_range": (0.5, 0.2, 3)}, "runs backwards")],
+        [({"alpha": 1.5}, "alpha=1.5 outside"), ({"beta_steps": 1}, "beta steps"),
+         ({"p_steps": 1}, "p steps")],
     )
     def test_bad_grid_fails_before_the_sum_rules(self, monkeypatch, kwargs, error):
         def unreachable(*a, **k):
@@ -710,6 +684,14 @@ class TestAuditParameters:
         monkeypatch.setattr(ghzsim.sweep, "sum_rule_samples", unreachable)
         with pytest.raises(ConfigError, match=error):
             run_audit(**kwargs)
+
+    def test_config_echoes_the_grid_over_the_whole_domain(self):
+        """The report's `beta_range` and `p_range` are (0, upper end, steps)."""
+        config = run_audit(beta_steps=3, p_steps=5, samples=5, scenario="ABC_I")["config"]
+        assert config["beta_range"] == [0.0, BETA_MAX, 3]
+        assert config["p_range"] == [0.0, 1.0, 5]
+        config = run_audit()["config"]
+        assert (config["beta_range"], config["p_range"]) == ([0.0, BETA_MAX, 101], [0.0, 1.0, 101])
 
 
 class TestNegativeSeed:
@@ -738,20 +720,17 @@ def _findings(report: dict):
 
 #: workflow -> (base keyword arguments, a changed value of each parameter,
 #: what a call computed: its result without the echo of its parameters).
-#: `run_sweep`'s `workers`, which criterion 9 pins and which changes
-#: nothing, is the one parameter left out.
 WORKFLOW_CHANGES = {
     run_sweep: (
         SMALL,
-        {"alpha": 0.6, "beta_range": (0.0, math.pi / 8, 3), "p_range": (0.0, 0.5, 3),
-         "scenario": "AB_I_C_I", "measures": ("S",), "engine": "numeric"},
+        {"alpha": 0.6, "beta_steps": 4, "p_steps": 4, "scenario": "AB_I_C_I",
+         "measures": ("S",), "engine": "numeric"},
         _surfaces,
     ),
     run_audit: (
-        {"beta_range": (0.0, math.pi / 4, 3), "p_range": (0.0, 1.0, 3), "samples": 5,
-         "scenario": "AB_I_C_I"},
-        {"alpha": 0.6, "beta_range": (0.0, math.pi / 8, 3), "p_range": (0.0, 0.5, 3),
-         "tol": 10.0, "samples": 6, "seed": 1, "scenario": "ABC_I"},
+        {"beta_steps": 3, "p_steps": 3, "samples": 5, "scenario": "AB_I_C_I"},
+        {"alpha": 0.6, "beta_steps": 4, "p_steps": 4, "tol": 10.0, "samples": 6, "seed": 1,
+         "scenario": "ABC_I"},
         _findings,
     ),
     find_boundary: (
@@ -783,9 +762,8 @@ class TestEveryParameterIsRead:
 
     @pytest.mark.parametrize("workflow", WORKFLOW_CHANGES, ids=_name)
     def test_the_tables_name_every_parameter(self, workflow):
-        exempt = {"workers"} if workflow is run_sweep else set()
         changes = WORKFLOW_CHANGES[workflow][1]
-        assert set(changes) == set(inspect.signature(workflow).parameters) - exempt
+        assert set(changes) == set(inspect.signature(workflow).parameters)
 
     @pytest.mark.parametrize(
         "workflow, name",
@@ -804,7 +782,7 @@ class TestEveryParameterIsRead:
 
 @pytest.fixture(scope="module")
 def report():
-    return run_audit(beta_range=(0.0, math.pi / 4, 9), p_range=(0.0, 1.0, 9), samples=50)
+    return run_audit(beta_steps=9, p_steps=9, samples=50)
 
 
 class TestRunAudit:
