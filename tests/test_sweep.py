@@ -75,6 +75,15 @@ class TestSweepChecks:
     def test_default_config_is_valid(self):
         assert len(run_sweep()) == 101 * 101 * 3 * 2
 
+    @pytest.mark.parametrize("name, hi", [("beta", BETA_MAX), ("p", 1.0)])
+    def test_axes_end_at_the_pipeline_limits(self, name, hi):
+        """Each axis runs evenly from 0 to its domain's upper end, both ends
+        included, so no grid point lies past what the pipeline accepts."""
+        grid = run_sweep(**{**SMALL, f"{name}_steps": 5}, engine="numeric")
+        values = grid.betas if name == "beta" else grid.ps
+        assert (len(values), values[0], values[-1]) == (5, 0.0, hi)
+        np.testing.assert_allclose(np.diff(values), hi / 4, rtol=1e-12)
+
     @pytest.mark.parametrize(
         "name, bad, shown",
         [("alpha", 2.0, "1"), ("alpha", -0.5, "1"), ("alpha", math.nan, "1"),
