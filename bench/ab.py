@@ -74,6 +74,7 @@ COMMANDS: dict[str, tuple[list[str], dict[str, str]]] = {
         ["sweep", "--config", "run.cfg", "--beta-steps", "5", "--p-steps", "4"],
         {"run.cfg": "measures = S,E\n"},
     ),
+    "sweep-negative-zero": (["sweep", "--alpha", "-0.0", "--engine", "closedform"], {}),
     "audit": (["audit"], {}),
     **{f"audit-{name}": (["audit", "--scenario", name], {}) for name in SCENARIOS},
     "audit-config-file": (
@@ -85,6 +86,7 @@ COMMANDS: dict[str, tuple[list[str], dict[str, str]]] = {
          "--seed", "7", "--samples", "20", "--out", "audit.json"],
         {},
     ),
+    "audit-tol-inf": (["audit", "--tol", "inf", "--out", "audit.json"], {}),
     **{
         f"boundary-{measure}-{name}": (["boundary", "--measure", measure, "--scenario", name], {})
         for measure in ("S", "E")
@@ -99,6 +101,7 @@ COMMANDS: dict[str, tuple[list[str], dict[str, str]]] = {
          "--beta-steps", "9", "--tol", "1e-9", "--format", "json", "--out", "boundary.json"],
         {},
     ),
+    "boundary-tol-0": (["boundary", "--measure", "S", "--tol", "0"], {}),
     "sumrules": (["sumrules"], {}),
     "sumrules-options": (["sumrules", "--alpha", "0.8", "--samples", "50", "--seed", "3"], {}),
     "sumrules-config-file": (

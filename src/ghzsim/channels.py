@@ -21,8 +21,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .unruh import _check
-
 
 def block_plan(support: np.ndarray, dim: int, positions: Iterable[int]) -> list:
     """Per target position, the (r00, matching r11, r01 and r10) rows of
@@ -44,9 +42,9 @@ def block_plan(support: np.ndarray, dim: int, positions: Iterable[int]) -> list:
 
 def damp_entries(values: np.ndarray, plan: list, p) -> np.ndarray:
     """Damp in place, and return, the (K, N) rows of N matrices' entries laid
-    out by `plan`, matrix j at probability p[j] (a scalar p applies to all)."""
+    out by `plan`, matrix j at probability p[j] (a scalar p applies to all).
+    It checks no range: p must lie in [0, 1], as the engine entry checks."""
     p = np.broadcast_to(np.asarray(p, dtype=float), values.shape[-1:])
-    _check("p", p)
     sq = np.sqrt(1.0 - p)
     for k00, k11, off in plan:
         values[k00] += p * values[k11]  # before r11 is scaled

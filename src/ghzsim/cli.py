@@ -17,10 +17,10 @@ every flag that was set but --out, --format and --config, under the flag's
 own name, which is the parameter's; an unset flag is left out, so the
 library's defaults, each written once in `sweep`, are the CLI's too.
 
-Exit codes: 0 success, 2 configuration error (a ConfigError, such as a
-ParameterError), 3 I/O error (a closed standard output, or a reader that
-closes the pipe early, included), 4 the audit found discrepancies above
-tolerance.
+Exit codes: 0 success, 2 configuration error (a ConfigError), 3 I/O error
+(a closed standard output, or a reader that closes the pipe early,
+included), 4 the audit found discrepancies above tolerance. Float flags are
+plain `float`s: the library checks them and reads -0.0 as 0.0.
 
 `main(argv)` is the in-process API: it returns the exit code. `run()` is the
 process entry, used by the `ghzsim` console script and `python -m ghzsim.cli`.
@@ -73,14 +73,6 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _real(raw: str) -> float:
-    """Value of a float flag; -0.0 is read as 0.0, so no output shows -0."""
-    return float(raw) + 0.0
-
-
-_real.__name__ = "float"  # argparse names the type in its error message
-
-
 def _names(raw: str) -> tuple[str, ...]:
     return tuple(raw.split(","))
 
@@ -88,7 +80,7 @@ def _names(raw: str) -> tuple[str, ...]:
 #: flag -> (type, further argparse settings). The type casts the flag's one
 #: value, from the command line or from a config file.
 _FLAGS: dict[str, tuple] = {
-    "alpha": (_real, {"help": "GHZ amplitude (default 1/sqrt(2))"}),
+    "alpha": (float, {"help": "GHZ amplitude (default 1/sqrt(2))"}),
     "beta_steps": (int, {}),
     "p_steps": (int, {}),
     "scenario": (str, {"choices": sorted(SCENARIOS)}),
@@ -97,7 +89,7 @@ _FLAGS: dict[str, tuple] = {
     "engine": (str, {"choices": ENGINES}),
     "figure": (int, {"choices": sorted(FIGURES)}),
     "resolution": (int, {}),
-    "tol": (_real, {}),
+    "tol": (float, {}),
     "seed": (int, {}),
     "samples": (int, {"help": "random sum-rule points"}),
     "out": (str, {"help": "output path (stdout when omitted)"}),

@@ -13,8 +13,9 @@ Bob<->Charlie symmetric partner's expressions.
 
 Every expression is a numpy array expression, so `cf_eval` maps
 broadcastable (alpha, beta, p) to an array of the broadcast shape, like the
-numeric engine. Powers use `np.float_power` (libm `pow`, as float `**` does):
-array `**` multiplies instead and would move some values in the last digit.
+numeric engine, after the engine's own check (`qcore.checked`). Powers use
+`np.float_power` (libm `pow`, as float `**` does): array `**` multiplies
+instead and would move some values in the last digit.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .qcore import ParameterError
+from .qcore import ConfigError, checked
 
 
 def _ghz_weight(alpha: np.ndarray) -> np.ndarray:
@@ -184,16 +185,16 @@ CATALOG: dict[tuple[str, str], CatalogFn] = {
 def cf_eval(name: str, measure: str, alpha, beta, p) -> np.ndarray:
     """Evaluate the catalog expression of (scenario `name`, measure) at every
     point of the broadcast of (alpha, beta, p); the result has the broadcast
-    shape. An input of -0.0 is read as +0.0 (adding 0.0 changes no other
-    value's bits). A pair not in the catalog is a ParameterError.
+    shape. The inputs are checked and -0.0 read as 0.0 as the engine's are;
+    a bad value, or a pair not in the catalog, is a ConfigError.
 
     The expression sees the inputs as given, not broadcast, so on a
     (B, 1) x (P,) grid each function of beta alone runs over B values."""
     try:
         fn = CATALOG[(name, measure)]
     except KeyError:
-        raise ParameterError(f"no closed form for ({name}, {measure})") from None
-    args = [np.asarray(v, float) + 0.0 for v in (alpha, beta, p)]
+        raise ConfigError(f"no closed form for ({name}, {measure})") from None
+    args = [checked(n, v) for n, v in (("alpha", alpha), ("beta", beta), ("p", p))]
     shape = np.broadcast_shapes(*(np.shape(v) for v in args))
     value = fn(*args)
     if np.shape(value) != shape:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .channels import block_plan, damp_entries
 from .measures import off_pattern, support_measures
-from .qcore import ParameterError, Scenario, scenario
+from .qcore import ConfigError, Scenario, checked, scenario
 from .unruh import scenario_reduced_entries
 
 MEASURES = ("S", "E", "C")
@@ -66,12 +66,14 @@ def _support(scen: Scenario) -> tuple[np.ndarray, list]:
 
 def _damped_blocks(scen: Scenario, alpha, beta, p) -> Iterator[tuple[slice, np.ndarray]]:
     """(slice, damped (K, n) support rows) over the flattened broadcast of
-    (alpha, beta, p) in row-major order, BLOCK_POINTS points at a time."""
-    a, b = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
+    (alpha, beta, p) in row-major order, BLOCK_POINTS points at a time; the
+    engine's one range check, under both public functions."""
+    a, b = np.broadcast_arrays(checked("alpha", alpha), checked("beta", beta))
+    p = checked("p", p)
     shape = np.broadcast_shapes(a.shape, np.shape(p))
     # The (alpha, beta) element and the p of every point.
     ab = np.broadcast_to(np.arange(a.size).reshape(a.shape), shape).ravel()
-    pp = np.broadcast_to(np.asarray(p, dtype=float), shape).ravel()
+    pp = np.broadcast_to(p, shape).ravel()
     a, b = a.ravel(), b.ravel()
     support, plan = _support(scen)
     for start in range(0, len(pp), BLOCK_POINTS):
@@ -91,7 +93,7 @@ def numeric_batch(
     scen = scenario(name)
     wanted = tuple(measures)
     if unknown := set(wanted) - set(MEASURES):
-        raise ParameterError(f"unknown measures {sorted(unknown)}; expected subset of {MEASURES}")
+        raise ConfigError(f"unknown measures {sorted(unknown)}; expected subset of {MEASURES}")
     shape = np.broadcast_shapes(np.shape(alpha), np.shape(beta), np.shape(p))
     values = {m: np.empty(math.prod(shape)) for m in wanted}
     support, _ = _support(scen)

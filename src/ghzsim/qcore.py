@@ -1,20 +1,44 @@
-"""The package's error classes and the tables the CLI parser is built from:
-the scenario table (`Scenario`, `SCENARIOS`, `scenario`), the figure table
-`FIGURES` and the engine names `ENGINES`. `sweep` imports them from here, so
-`ghzsim.cli` builds its parser without numpy. Public functions take a
-scenario by name and look its row up with `scenario`. The CLI exits 2 for a
-`ConfigError` and lets every other exception propagate."""
+"""The package's error class, the domain of its float parameters and the
+tables the CLI parser is built from: the scenario table (`Scenario`,
+`SCENARIOS`, `scenario`), the figure table `FIGURES` and the engine names
+`ENGINES`. `sweep` imports them from here, so `ghzsim.cli` builds its
+parser without numpy. Public functions take a scenario by name and look its
+row up with `scenario`. The CLI exits 2 for a `ConfigError` and lets every
+other exception propagate. `checked` is the one range check of alpha, beta,
+p and tol, and the one rule that reads -0.0 as 0.0."""
 from __future__ import annotations
 
+import math
+import sys
 from typing import NamedTuple
 
 
 class ConfigError(ValueError):
-    """A configuration value is invalid: the CLI exits 2 for it."""
+    """An invalid parameter, scenario or measure: the CLI exits 2 for it."""
 
 
-class ParameterError(ConfigError):
-    """A parameter outside its range, or a scenario or measure no table holds."""
+BETA_MAX = math.pi / 4
+
+#: name -> (upper limit, as shown in messages) of each float parameter, all
+#: from 0. Beta's has a slack of 1e-15, so pi/4 computed another way passes;
+#: a tolerance may be 0 (bisection stops at float spacing) but not infinite.
+_DOMAIN = {"alpha": (1.0, "1"), "beta": (BETA_MAX + 1e-15, "pi/4"), "p": (1.0, "1"),
+           "tol": (sys.float_info.max, repr(sys.float_info.max))}
+
+
+def checked(name: str, values):
+    """`values` of float parameter `name` (a float for a scalar, else a new
+    array) with -0.0 read as 0.0, which changes no other value's bits; a
+    ConfigError names the first value outside its domain, NaN included."""
+    import numpy as np
+
+    upper, shown = _DOMAIN[name]
+    values = np.asarray(values, dtype=float)
+    bad = ~((values >= 0.0) & (values <= upper))
+    if bad.any():
+        raise ConfigError(f"{name}={values[bad][0]} outside [0, {shown}]")
+    values = values + 0.0
+    return values if values.ndim else float(values)
 
 
 class Scenario(NamedTuple):
@@ -56,11 +80,11 @@ SCENARIOS: dict[str, Scenario] = {
 
 
 def scenario(name: str) -> Scenario:
-    """The `SCENARIOS` row of `name`; anything else is a ParameterError."""
+    """The `SCENARIOS` row of `name`; anything else is a ConfigError."""
     try:
         return SCENARIOS[name]
     except KeyError:
-        raise ParameterError(
+        raise ConfigError(
             f"unknown scenario {name!r}; expected one of {sorted(SCENARIOS)}"
         ) from None
 

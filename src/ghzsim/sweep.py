@@ -22,8 +22,8 @@ straight from the arrays, in the documented row order, each by one `%`
 operation over a template that repeats one per-point block: per column,
 the column's constant text, a slot for the point's preformatted (beta, p)
 text and a slot for its value. `json_text` spells every other JSON
-document. A grid's alpha is checked by `unruh._check`, as the pipeline
-checks it, so a range error reads the same wherever it is raised.
+document. Each workflow keeps what the engines' range check
+`qcore.checked` returns for its float parameters: no echo shows -0.
 
 All outputs are deterministic for a fixed configuration: grid order defines
 row order, floats are serialized with 17 significant digits, random sampling
@@ -40,9 +40,8 @@ import numpy as np
 
 from .closedform import SUM_RULES, cf_eval
 from .engine import MEASURES, is_x_structured, numeric_batch
-from .qcore import ENGINES, FIGURES, SCENARIOS, ConfigError
+from .qcore import BETA_MAX, ENGINES, FIGURES, SCENARIOS, ConfigError, checked
 from .qcore import scenario as scenario_row
-from .unruh import BETA_MAX, _check
 
 DEFAULT_ALPHA = 1.0 / math.sqrt(2.0)
 DEFAULT_SCENARIO = "ABC_I"
@@ -52,8 +51,7 @@ DEFAULT_SAMPLES = 1000
 DEFAULT_STEPS = 101
 
 
-def _check_grid(alpha: float, beta_steps: int, p_steps: int) -> None:
-    _check("alpha", alpha)
+def _check_grid(beta_steps: int, p_steps: int) -> None:
     for name, steps in (("beta", beta_steps), ("p", p_steps)):
         if steps < 2:
             raise ConfigError(f"{name} steps must be >= 2, got {steps}")
@@ -89,7 +87,8 @@ def run_sweep(
     """One scenario's measures by one engine or both over the grid: one
     kernel call and one catalog call per measure over the (beta, 1) x (p,)
     broadcast."""
-    _check_grid(alpha, beta_steps, p_steps)
+    alpha = checked("alpha", alpha)
+    _check_grid(beta_steps, p_steps)
     scenario_row(scenario)
     bad = set(measures) - set(MEASURES)
     if bad or not measures or len(set(measures)) < len(measures):
@@ -256,16 +255,15 @@ def find_boundary(
     under its spacing, or 0.999 for one of at least a step. A curve that
     starts on the threshold has the empty bracket [0, 0] and crosses at
     p = 0; one that starts below it never crosses. Absence of a crossing is
-    data, not an error.
+    data, not an error. A tolerance of 0 bisects to float spacing.
     """
     if measure not in _BOUNDARY_RULES:
         raise ConfigError(f"boundary measure must be S or E, got {measure!r}")
-    if not tol > 0.0:
-        raise ConfigError(f"bisection tolerance must be > 0, got {tol}")
+    tol = checked("tol", tol)
     if beta_steps < 1:
-        raise ConfigError(f"beta samples must be >= 1, got {beta_steps}")
+        raise ConfigError(f"beta steps must be >= 1, got {beta_steps}")
     scenario_row(scenario)  # an unknown name is reported before a bad alpha
-    _check("alpha", alpha)
+    alpha = checked("alpha", alpha)
     if not is_x_structured(scenario):
         raise ConfigError(
             f"numeric {measure} undefined for scenario {scenario}: "
@@ -369,6 +367,7 @@ def sum_rule_samples(alpha: float | None = None, samples: int = DEFAULT_SAMPLES,
         raise ConfigError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    alpha = None if alpha is None else checked("alpha", alpha)
     rnd = random.Random(seed)
     alphas = [rnd.uniform(0.0, 1.0) for _ in range(samples)] if alpha is None else [alpha] * samples
     betas = [rnd.uniform(0.0, BETA_MAX) for _ in range(samples)]
@@ -436,9 +435,9 @@ def run_audit(
     first, so a bad `samples` or `seed` fails before any grid is evaluated;
     the scenario name is looked up before that.
     """
-    _check_grid(alpha, beta_steps, p_steps)
-    if not tol >= 0.0:
-        raise ConfigError(f"tol must be >= 0, got {tol}")
+    alpha = checked("alpha", alpha)
+    _check_grid(beta_steps, p_steps)
+    tol = checked("tol", tol)
     names = sorted(SCENARIOS) if scenario is None else [scenario_row(scenario).name]
     rules = sum_rule_samples(None, samples, seed)
     entries = []

@@ -8,8 +8,8 @@ For a fermionic field the vacuum and excited states map as
     |0>  ->  cos(beta)|0>_I|0>_II + sin(beta)|1>_I|1>_II
     |1>  ->  |1>_I|0>_II
 
-with beta in [0, pi/4]; beta = 0 is the inertial limit and beta = pi/4 the
-infinite-acceleration limit.
+with beta in [0, pi/4] (`qcore.BETA_MAX`); beta = 0 is the inertial limit and
+beta = pi/4 the infinite-acceleration limit.
 
 A scenario is plain data, a `Scenario` of mode-name strings: the observers
 whose mode is expanded and the three modes kept. `SCENARIOS` holds the
@@ -21,34 +21,14 @@ mode, Bob's before Charlie's, in an (N, 2, 2, 2) amplitude tensor,
 multiplies the kept-mode amplitudes of each entry and sums out the traced
 modes in register order, for two traced modes as (t0 + t2) + (t1 + t3).
 `engine.damped_scenario_state` at p = 0 is it on one point's 64 entries.
+Like every kernel under the engine it checks no range: the engine entry
+does, through `qcore.checked`.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .qcore import ParameterError, Scenario
-
-BETA_MAX = math.pi / 4
-#: Slack on the upper beta limit, so that pi/4 computed another way passes.
-#: Every beta range check uses it: a beta accepted anywhere is accepted by
-#: the pipeline.
-BETA_TOL = 1e-15
-
-
-#: name -> (upper limit, as shown in messages) of each state and damping
-#: parameter. Every range check of alpha, beta and p goes through `_check`.
-_RANGES = {"alpha": (1.0, "1"), "beta": (BETA_MAX + BETA_TOL, "pi/4"), "p": (1.0, "1")}
-
-
-def _check(name: str, values) -> None:
-    """Reject any value of parameter `name` outside [0, limit], NaN included."""
-    upper, shown = _RANGES[name]
-    values = np.asarray(values, dtype=float)
-    bad = ~((values >= 0.0) & (values <= upper))
-    if bad.any():
-        raise ParameterError(f"{name}={values[bad][0]} outside [0, {shown}]")
+from .qcore import Scenario
 
 
 def _expand_stack(psi: np.ndarray, axis: int, cos_b: np.ndarray, sin_b: np.ndarray) -> np.ndarray:
@@ -69,8 +49,6 @@ def scenario_reduced_entries(alpha, beta, scen: Scenario, support) -> np.ndarray
     reduced matrices, one column per element of the broadcast of
     (alpha, beta) in row-major order."""
     a, b = (np.asarray(v, dtype=float).ravel() for v in np.broadcast_arrays(alpha, beta))
-    _check("alpha", a)
-    _check("beta", b)
     n = len(a)
     psi = np.zeros((n, 2, 2, 2))  # axes (N, A, B, C)
     psi[:, 0, 0, 0] = a

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import sys
 
 import pytest
 
@@ -307,9 +308,41 @@ class TestExplicitValues:
     def test_negative_seed_is_a_config_error(self, args):
         assert run(args) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("tol", ["0", "-1"])
-    def test_boundary_rejects_nonpositive_tolerance(self, tol):
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_boundary_rejects_nonpositive_tolerance(self, tol, capsys):
         assert run(["boundary", "--measure", "S", "--beta-steps", "2", "--tol", tol]) == EXIT_CONFIG
+        assert "tol=" in capsys.readouterr().err
+
+    def test_boundary_zero_tolerance_gives_the_curve_of_the_smallest(self, tmp_path):
+        """`--tol 0` is valid: bisection already stops at float spacing, so
+        the curve is that of a tolerance far below it."""
+        texts = []
+        for tol in ("0", "1e-300"):
+            out = tmp_path / f"tol{tol}.csv"
+            assert run(["boundary", "--measure", "S", "--beta-steps", "5", "--tol", tol,
+                        "--out", str(out)]) == EXIT_OK
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        assert "crossing" in texts[0]
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "args",
+        [["audit", "--beta-steps", "2", "--p-steps", "2", "--samples", "2"],
+         ["boundary", "--measure", "S", "--beta-steps", "2", "--format", "json"]],
+        ids=["audit", "boundary"],
+    )
+    def test_non_finite_tolerance_is_a_config_error(self, tmp_path, capsys, args, tol):
+        """A tolerance must be finite: the run writes one error line, no
+        output and no file."""
+        out = tmp_path / "out.json"
+        assert run(args + ["--tol", tol, "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: tol={tol} outside [0, {sys.float_info.max!r}]"
+        ]
+        assert not out.exists()
 
 
 class TestFlagSets:

@@ -12,8 +12,8 @@ import pytest
 from ghzsim import (
     BETA_MAX,
     CATALOG,
-    ParameterError,
     SCENARIOS,
+    ConfigError,
     Scenario,
     cf_eval,
     numeric_batch,
@@ -53,7 +53,7 @@ class TestCatalog:
 
     @pytest.mark.parametrize("name,measure", [("ABC_I", "Q"), ("ABC_III", "C")])
     def test_unknown_pair(self, name, measure):
-        with pytest.raises(ParameterError, match="no closed form"):
+        with pytest.raises(ConfigError, match="no closed form"):
             cf_eval(name, measure, *POINT)
 
     @pytest.mark.parametrize(
@@ -69,7 +69,7 @@ class TestCatalog:
     def test_a_hand_built_row_is_rejected(self, row):
         """The catalog takes a scenario by name: a `Scenario` object, a table
         row included, has no closed form."""
-        with pytest.raises(ParameterError, match="no closed form"):
+        with pytest.raises(ConfigError, match="no closed form"):
             cf_eval(row, "S", *POINT)
 
     @pytest.mark.parametrize("name,measure", AGREEING)

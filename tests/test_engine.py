@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from ghzsim import (
     BETA_MAX,
-    ParameterError,
     SCENARIOS,
+    ConfigError,
     Scenario,
     damped_scenario_state,
     is_x_structured,
@@ -69,7 +69,7 @@ class TestOnlyTableRows:
     @pytest.mark.parametrize("call", SCENARIO_CALLS)
     @pytest.mark.parametrize("scen", NOT_IN_TABLE, ids=range(len(NOT_IN_TABLE)))
     def test_row_outside_the_table_is_rejected(self, call, scen):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             SCENARIO_CALLS[call](scen)
 
 
@@ -130,7 +130,7 @@ class TestNumericMeasures:
         assert set(values) == {"C"}
 
     def test_unknown_measure_rejected(self):
-        with pytest.raises(ParameterError, match="unknown measures"):
+        with pytest.raises(ConfigError, match="unknown measures"):
             numeric_batch("ABC_I", 0.7, 0.2, 0.1, ("S", "Q"))
 
     @pytest.mark.parametrize("name", NON_X_SCENARIOS)
@@ -216,7 +216,7 @@ class TestNumericBatch:
                         assert abs(got - want) <= 1e-13, where
 
     def test_rejects_p_outside_unit_interval(self):
-        with pytest.raises(ParameterError, match="outside"):
+        with pytest.raises(ConfigError, match="outside"):
             numeric_batch("ABC_I", 0.7, 0.2, np.array([0.5, 1.0 + 1e-13]))
 
 

@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import random
+import sys
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,6 @@ from ghzsim import (
     BETA_MAX,
     SCENARIOS,
     ConfigError,
-    ParameterError,
     SweepGrid,
     cf_eval,
     figure_csv,
@@ -29,7 +29,6 @@ from ghzsim import (
     run_sweep,
     sum_rule_samples,
 )
-from ghzsim.channels import block_plan, damp_entries
 from ghzsim.sweep import (
     DEFAULT_SEED,
     SCAN_STEP,
@@ -52,6 +51,9 @@ from conftest import (
 ALPHA_GHZ = 1.0 / math.sqrt(2.0)
 
 SMALL = {"beta_steps": 3, "p_steps": 3}
+
+#: The upper end of a tolerance's domain, as range errors show it.
+MAX_FLOAT = repr(sys.float_info.max)
 
 
 class TestSweepChecks:
@@ -88,19 +90,24 @@ class TestSweepChecks:
         "name, bad, shown",
         [("alpha", 2.0, "1"), ("alpha", -0.5, "1"), ("alpha", math.nan, "1"),
          ("beta", 1.0, "pi/4"), ("beta", -0.1, "pi/4"), ("beta", math.nan, "pi/4"),
-         ("p", 1.5, "1"), ("p", -0.25, "1"), ("p", math.nan, "1")],
+         ("p", 1.5, "1"), ("p", -0.25, "1"), ("p", math.nan, "1"),
+         ("tol", math.nan, MAX_FLOAT), ("tol", -1.0, MAX_FLOAT), ("tol", math.inf, MAX_FLOAT)],
     )
     def test_range_errors_read_the_same_everywhere(self, name, bad, shown):
-        """The sweep's check (of alpha; its axes lie in range), the damping
-        kernel and the engine reject a bad alpha, beta or p with one
-        ConfigError text."""
+        """Both engines and the workflows reject a bad alpha, beta, p or tol
+        with one ConfigError text: the sweep (alpha; its axes lie in range),
+        the audit and the boundary (alpha and tol)."""
         good = {"alpha": 0.6, "beta": 0.3, "p": 0.5}
-        rejecters = {"numeric_batch": lambda: numeric_batch("AB_I_C_I", **{**good, name: bad})}
+        rejecters = {}
+        if name != "tol":
+            point = {**good, name: bad}
+            rejecters["numeric_batch"] = lambda: numeric_batch("AB_I_C_I", **point)
+            rejecters["cf_eval"] = lambda: cf_eval("AB_I_C_I", "C", **point)
         if name == "alpha":
             rejecters["run_sweep"] = lambda: run_sweep(alpha=bad)
-        if name == "p":
-            plan = block_plan(np.arange(4), 2, [0])
-            rejecters["damp_entries"] = lambda: damp_entries(np.zeros((4, 1)), plan, bad)
+        if name in ("alpha", "tol"):
+            rejecters["run_audit"] = lambda: run_audit(**{name: bad})
+            rejecters["find_boundary"] = lambda: find_boundary(measure="S", **{name: bad})
         for where, reject in rejecters.items():
             with pytest.raises(ConfigError) as err:
                 reject()
@@ -163,6 +170,24 @@ class TestSerialization:
         # 17 significant digits survive a round trip
         value = float(lines[1].split(",")[-1])
         assert value == pytest.approx(4.0 * math.sqrt(2.0), abs=1e-15)
+
+    def test_negative_zero_input_gives_the_bytes_of_zero(self):
+        """Each workflow reads alpha = -0.0 (and the audit tol = -0.0) as 0,
+        so neither its echo of the input nor a value computed from it is
+        written as -0."""
+        def texts(alpha, tol):
+            grid = run_sweep(alpha=alpha, **SMALL)
+            return [
+                records_to_csv(grid),
+                records_to_json(grid),
+                json_text(find_boundary(measure="S", alpha=alpha, beta_steps=2)),
+                json_text(sum_rule_samples(alpha, samples=2)),
+                json_text(run_audit(alpha, **SMALL, tol=tol, samples=2, scenario="ABC_I")),
+            ]
+
+        zero = texts(0.0, 0.0)
+        assert texts(-0.0, 0.0) == zero
+        assert texts(0.0, -0.0) == zero
 
     def test_nan_serialization(self):
         # interior beta with p < 1 (the fourth point, beta = pi/8 and p = 0):
@@ -384,13 +409,22 @@ class TestFindBoundary:
             if s_pt["p_star"] is not None and e_pt["p_star"] is not None:
                 assert s_pt["p_star"] <= e_pt["p_star"], (name, s_pt["beta"])
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
     def test_rejects_nonpositive_tolerance(self, tol):
-        with pytest.raises(ConfigError, match="tolerance"):
+        with pytest.raises(ConfigError, match="tol="):
             find_boundary("ABC_I", measure="S", alpha=ALPHA_GHZ, beta_steps=2, tol=tol)
 
+    @pytest.mark.parametrize("measure, name", [("S", "ABC_I"), ("E", "AB_I_C_I")])
+    def test_zero_tolerance_bisects_to_float_spacing(self, measure, name):
+        """A tolerance of 0 is valid: bisection stops where no float lies
+        inside a bracket, as it does for any tolerance below the spacing."""
+        curves = [find_boundary(name, measure=measure, beta_steps=9, tol=tol)["curve"]
+                  for tol in (0.0, 1e-300)]
+        assert curves[0] == curves[1]
+        assert any(pt["status"] == "crossing" for pt in curves[0])
+
     def test_rejects_empty_curve(self):
-        with pytest.raises(ConfigError, match="beta samples"):
+        with pytest.raises(ConfigError, match="beta steps must be >= 1, got 0"):
             find_boundary("ABC_I", measure="S", alpha=ALPHA_GHZ, beta_steps=0)
 
     def test_tolerance_below_float_spacing_terminates(self, monkeypatch):
@@ -853,7 +887,7 @@ class TestKernelCalls:
         `numeric_batch` call."""
         batches = []
         monkeypatch.setattr(ghzsim.sweep, "numeric_batch", lambda *a, **k: batches.append(a))
-        with pytest.raises(ParameterError, match="unknown scenario 'nope'"):
+        with pytest.raises(ConfigError, match="unknown scenario 'nope'"):
             run_audit(scenario="nope")
         assert batches == [] and kernel_calls == []
 
