@@ -410,7 +410,7 @@ def sum_rule_samples(alpha: float | None = None, samples: int = DEFAULT_SAMPLES,
             "note": (
                 "residual of same_observer_weighted_sq scales as "
                 "alpha^2*(1-alpha^2)^2 at fixed (beta, p); it vanishes only "
-                "at alpha in {0, 1}"
+                "at alpha in {0, 1}, beta = 0 or p = 1"
             ),
         },
     }

@@ -666,6 +666,9 @@ class TestSumRuleSamples:
     def test_reported_rule_alpha_dependence(self):
         report = sum_rule_samples(None, samples=10, seed=DEFAULT_SEED)
         section = report["reported_rule_alpha_dependence"]
+        # The residual's exact form, -2 sin^2(2 beta) (1-p)^2 a^2 (1-a^2)^2,
+        # also vanishes on the beta = 0 row and the p = 1 column.
+        assert section["note"].endswith("vanishes only at alpha in {0, 1}, beta = 0 or p = 1")
         points = section["points"]
         assert [round(pt["alpha"], 10) for pt in points] == [round(0.1 * k, 10) for k in range(1, 10)]
         # residual / (alpha^2 (1-alpha^2)^2) is constant in alpha
