@@ -66,6 +66,11 @@ COMMANDS: dict[str, tuple[list[str], dict[str, str]]] = {
          "--alpha", "0.6", "--beta-steps", "7", "--p-steps", "5"],
         {},
     ),
+    "sweep-small-c": (
+        ["sweep", "--scenario", "AB_I_B_II", "--alpha", "1e-8", "--measures", "C",
+         "--beta-steps", "3", "--p-steps", "3"],
+        {},
+    ),
     "sweep-config-file": (
         ["sweep", "--config", "run.cfg", "--beta-steps", "3", "--out", "cfg.csv"],
         {"run.cfg": "alpha = 0.5\np-steps = 4\nengine = closedform\n"},

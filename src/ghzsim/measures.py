@@ -18,8 +18,9 @@ Each measure is written once, as an array expression over N matrices held
 as the (K, N) rows of their entries at a support (sorted flat 8x8 indices;
 every other entry is 0; a whole matrix is the support np.arange(64)).
 `support_measures` evaluates them and leaves S and E NaN on a matrix with an
-`off_pattern` entry above X_TOL. C adds in numpy's order for a whole 8x8
-matrix, so every support of a matrix gives the same bits.
+`off_pattern` entry above X_TOL. C adds the off-diagonal magnitudes one row
+at a time in row-major order; an entry outside the support adds 0, so every
+support of a matrix gives the same bits, and so does every batch width.
 """
 from __future__ import annotations
 
@@ -64,23 +65,11 @@ def tripartite_entanglement(d: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.n
     return 2.0 * np.maximum(0.0, best)
 
 
-def _pairwise(terms: list) -> np.ndarray | None:
-    """numpy's pairwise tree over 2^k partial sums, None standing for 0."""
-    if len(terms) > 1:
-        terms = [_pairwise(terms[: len(terms) // 2]), _pairwise(terms[len(terms) // 2 :])]
-    terms = [t for t in terms if t is not None]
-    return functools.reduce(np.add, terms) if terms else None
-
-
-def l1_coherence(absr: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """C from the (K, N) magnitudes at a support holding a diagonal entry:
-    the total minus the trace, each added as numpy adds 64 and 8 contiguous
-    values (one accumulator per column, rows in order, then the tree)."""
-    columns, diagonal = [None] * 8, [None] * 8
-    for k, (i, j) in enumerate(zip(*np.divmod(support, 8))):
-        columns[j] = absr[k] if columns[j] is None else columns[j] + absr[k]
-        diagonal[j] = absr[k] if i == j else diagonal[j]
-    return _pairwise(columns) - _pairwise(diagonal)
+def l1_coherence(rows: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """C from the (K, N) entries at a support: the magnitudes of its
+    off-diagonal rows, added one row at a time in support (row-major) order."""
+    zeros = np.zeros(rows.shape[-1])
+    return functools.reduce(np.add, np.abs(rows[support // 8 != support % 8]), zeros)
 
 
 def support_measures(rows: np.ndarray, support, measures: tuple[str, ...]) -> dict[str, np.ndarray]:
@@ -90,7 +79,7 @@ def support_measures(rows: np.ndarray, support, measures: tuple[str, ...]) -> di
     X_TOL."""
     out: dict[str, np.ndarray] = {}
     if "C" in measures:
-        out["C"] = l1_coherence(np.abs(rows), support)
+        out["C"] = l1_coherence(rows, support)
     if "S" in measures or "E" in measures:
         x = ~(np.max(np.abs(rows[off_pattern(support)]), axis=0, initial=0.0) > X_TOL)
         d, e, f = _slots(rows, support)

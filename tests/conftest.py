@@ -27,8 +27,9 @@ straight from the formulas in the `measures` module docstring, so the
 engine's differential test shares no code with the kernels it checks.
 `dense_measures_oracle` is the dense form the package replaced with its
 support-row kernel: a boolean-mask X test over all 48 off-pattern slots,
-slots read off the stack's diagonals and C as `abs.sum - trace` over whole
-(N, 8, 8) stacks. The kernel must give its bits exactly.
+slots read off the stack's diagonals and C as the sum of all 56
+off-diagonal magnitudes of whole (N, 8, 8) stacks, added in row-major order
+as `x_measures_oracle` adds them. The kernel must give its bits exactly.
 
 `sweep_records_oracle`, `records_csv_oracle`, `records_json_oracle` and
 `figure_csv_oracle` are the per-record and per-cell writers the package
@@ -208,6 +209,7 @@ def x_measures_oracle(mat: np.ndarray) -> dict[str, float]:
 
 
 _OFF_X = ~(np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1])
+_OFF_DIAGONAL = ~np.eye(8, dtype=bool)
 _F_ROWS = np.arange(4)
 
 
@@ -218,7 +220,8 @@ def dense_measures_oracle(stack: np.ndarray, measures) -> dict[str, np.ndarray]:
     absm = np.abs(stack)
     out = {}
     if "C" in measures:
-        out["C"] = absm.sum(axis=(-2, -1)) - np.trace(absm, axis1=-2, axis2=-1)
+        # One entry at a time in row-major order: the order fixes the bits.
+        out["C"] = reduce(np.add, absm[:, _OFF_DIAGONAL].T, np.zeros(len(stack)))
     if "S" in measures or "E" in measures:
         x = ~(np.max(absm[:, _OFF_X], axis=1, initial=0.0) > X_TOL)
         diag = np.diagonal(stack, axis1=-2, axis2=-1).real

@@ -120,10 +120,14 @@ class TestNumericMeasures:
         assert values["C"] == pytest.approx(0.72456883730947186, abs=1e-13)
 
     def test_agrees_with_measure_functions(self):
+        """C adds the off-diagonal magnitudes in the oracle's row-major
+        order, so it carries the oracle's bits; S and E agree to 1e-14."""
         rho = damped_scenario_state("AB_II_C_II", 0.6, 0.5, 0.4)
         values = numeric_batch("AB_II_C_II", 0.6, 0.5, 0.4)
-        for measure, want in x_measures_oracle(rho).items():
-            assert values[measure] == pytest.approx(want, abs=1e-14), measure
+        want = x_measures_oracle(rho)
+        assert values["C"].view(np.int64) == np.float64(want.pop("C")).view(np.int64)
+        for measure, value in want.items():
+            assert values[measure] == pytest.approx(value, abs=1e-14), measure
 
     def test_measure_subset_selection(self):
         values = numeric_batch("ABC_I", 0.7, 0.2, 0.1, ("C",))
