@@ -23,18 +23,21 @@ Timing (`--pairs N`): each pair is one cold pass of a workload's commands
 (WORKLOADS, at the CLI's default sizes) on each tree, REV first on even
 pairs and this checkout first on odd ones, because the machine drifts over
 minutes and only alternating pairs compare. A pass sums over its commands
-the wall time, the user+sys CPU time and the minor page faults, the last
-two read from `os.wait4` of each process. Per metric it prints each side's
-min, q1, median, q3 and max, then the median of the paired differences
-(this checkout minus REV) and the pairs this checkout won (lower). For the
-two timing metrics, the ones the benchmark gates, it also prints whether a
-gain claim holds: at least 9 in 10 pairs won and the medians apart by more
-than REV's interquartile range. Minor faults get no claim: their count moves
-with memory layout by more than a code change moves it (for the same two
-trees, the default `audit` read +126 faults per pass under this script and
--622 with REV's `src/` extracted into another directory). Without
-`--workload` every workload runs. The exit status is 1 if a command exits
-with another code than its expected one, else 0.
+the wall time, the user+sys CPU time and the minor page faults, and takes
+the largest peak RSS of its commands (`rss_mib`); the last three are read
+from `os.wait4` of each process. A child's `ru_maxrss` can include the RSS
+it was forked with, but this script imports no numpy, so its own RSS stays
+below every CLI child's peak. Per metric it prints each side's min, q1,
+median, q3 and max, then the median of the paired differences (this
+checkout minus REV) and the pairs this checkout won (lower). For the two
+timing metrics, the ones the benchmark gates, it also prints whether a gain
+claim holds: at least 9 in 10 pairs won and the medians apart by more than
+REV's interquartile range. Peak RSS and minor faults get no claim. The
+fault count moves with memory layout by more than a code change moves it
+(for the same two trees, the default `audit` read +126 faults per pass
+under this script and -622 with REV's `src/` extracted into another
+directory). Without `--workload` every workload runs. The exit status is 1
+if a command exits with another code than its expected one, else 0.
 """
 from __future__ import annotations
 
@@ -144,7 +147,7 @@ WORKLOADS: dict[str, list[tuple[list[str], int]]] = {
 }
 
 #: metric -> its print format.
-METRICS = {"wall_s": ".4f", "cpu_s": ".4f", "minflt": ".0f"}
+METRICS = {"wall_s": ".4f", "cpu_s": ".4f", "minflt": ".0f", "rss_mib": ".1f"}
 #: The metrics that get a gain claim.
 CLAIMED = ("wall_s", "cpu_s")
 
@@ -229,10 +232,13 @@ def identity(base: Path, label: str, expect_diff: list[str]) -> int:
     return 1 if unexpected else 0
 
 
-def cold_pass(tree: Path, commands: list[tuple[list[str], int]]) -> tuple[float, float, int]:
+def cold_pass(
+    tree: Path, commands: list[tuple[list[str], int]]
+) -> tuple[float, float, int, float]:
     """(wall s, user+sys CPU s, minor faults) summed over one cold run of
-    each command; exits if a command returns an unexpected code."""
-    wall = cpu = 0.0
+    each command, and the largest peak RSS of them in MiB; exits if a
+    command returns an unexpected code."""
+    wall = cpu = rss = 0.0
     faults = 0
     with tempfile.TemporaryDirectory(prefix="ab-") as cwd:
         for args, want in commands:
@@ -248,7 +254,8 @@ def cold_pass(tree: Path, commands: list[tuple[list[str], int]]) -> tuple[float,
                 sys.exit(f"{' '.join(args)} on {tree} exited {proc.returncode}, not {want}")
             cpu += usage.ru_utime + usage.ru_stime
             faults += usage.ru_minflt
-    return wall, cpu, faults
+            rss = max(rss, usage.ru_maxrss / 1024)  # KiB on Linux
+    return wall, cpu, faults, rss
 
 
 def _summary(values: list[float], spec: str) -> str:

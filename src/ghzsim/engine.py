@@ -20,22 +20,24 @@ steps together on a scenario's support: the 5 to 10 real entries its
 reduced states (near-X matrices; Hashemi Rafsanjani et al., PRA 86, 062303
 (2012)) can carry, closed under the damping block map and found once per
 scenario. `unruh.scenario_reduced_entries` builds them as (K, n) rows, one
-column per (alpha, beta) element of a block, never one per p;
-`channels.damp_entries` damps the rows at each point's own p, and
-`measures.support_measures` measures them. No 8x8 matrix is formed, except
-by `damped_scenario_state`, which scatters one point's damped support rows
-into a plain real (8, 8) array for callers that want the whole matrix.
+column per (alpha, beta) element of the broadcast, once per call and never
+once per p; `channels.damp_entries` damps the gathered rows at each point's
+own p, and `measures.support_measures` measures them. No 8x8 matrix is
+formed, except by `damped_scenario_state`, which scatters one point's damped
+support rows into a plain real (8, 8) array for callers that want the whole
+matrix.
 
-A call evaluates BLOCK_POINTS points at a time. Measured with tracemalloc,
-a block peaks at about 1.5 MiB when its points share reduced states, as
-grid rows do, and at 5.1 MiB (1.3 KiB per point) with two damped modes and
-a distinct (alpha, beta) at every point.
+A call builds BLOCK_POINTS elements, then damps and measures BLOCK_POINTS
+points, at a time, and holds 8K bytes (at most 80) per (alpha, beta)
+element: about 80 KB at the CLI defaults, which have at most 1,009. Measured
+with tracemalloc, a 101 x 101 grid call peaks at 1.6 MiB (ABC_I) and 1.7 MiB
+(AB_I_C_I); on AB_I_C_I with a distinct (alpha, beta) at every point, at
+5.3 MiB for 4,096 points and 15.5 MiB for 100,000.
 """
 from __future__ import annotations
 
 import functools
-import math
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -64,26 +66,6 @@ def _support(scen: Scenario) -> tuple[np.ndarray, list]:
     return support, block_plan(support, 8, positions)
 
 
-def _damped_blocks(scen: Scenario, alpha, beta, p) -> Iterator[tuple[slice, np.ndarray]]:
-    """(slice, damped (K, n) support rows) over the flattened broadcast of
-    (alpha, beta, p) in row-major order, BLOCK_POINTS points at a time; the
-    engine's one range check, under both public functions."""
-    a, b = np.broadcast_arrays(checked("alpha", alpha), checked("beta", beta))
-    p = checked("p", p)
-    shape = np.broadcast_shapes(a.shape, np.shape(p))
-    # The (alpha, beta) element and the p of every point.
-    ab = np.broadcast_to(np.arange(a.size).reshape(a.shape), shape).ravel()
-    pp = np.broadcast_to(p, shape).ravel()
-    a, b = a.ravel(), b.ravel()
-    support, plan = _support(scen)
-    for start in range(0, len(pp), BLOCK_POINTS):
-        block = slice(start, start + BLOCK_POINTS)
-        used, inverse = np.unique(ab[block], return_inverse=True)
-        reduced = scenario_reduced_entries(a[used], b[used], scen, support)
-        # A fresh C-contiguous array, which damping updates in place.
-        yield block, damp_entries(np.take(reduced, inverse, axis=1), plan, pp[block])
-
-
 def numeric_batch(
     name: str, alpha, beta, p, measures: Iterable[str] = MEASURES
 ) -> dict[str, np.ndarray]:
@@ -94,10 +76,23 @@ def numeric_batch(
     wanted = tuple(measures)
     if unknown := set(wanted) - set(MEASURES):
         raise ConfigError(f"unknown measures {sorted(unknown)}; expected subset of {MEASURES}")
-    shape = np.broadcast_shapes(np.shape(alpha), np.shape(beta), np.shape(p))
-    values = {m: np.empty(math.prod(shape)) for m in wanted}
-    support, _ = _support(scen)
-    for block, rows in _damped_blocks(scen, alpha, beta, p):
+    a, b = np.broadcast_arrays(checked("alpha", alpha), checked("beta", beta))
+    p = checked("p", p)
+    shape = np.broadcast_shapes(a.shape, np.shape(p))
+    # The (alpha, beta) element and the p of every point, in row-major order.
+    ab = np.broadcast_to(np.arange(a.size).reshape(a.shape), shape).ravel()
+    pp = np.broadcast_to(p, shape).ravel()
+    a, b = a.ravel(), b.ravel()
+    support, plan = _support(scen)
+    reduced = np.empty((len(support), a.size))
+    for start in range(0, a.size, BLOCK_POINTS):
+        block = slice(start, start + BLOCK_POINTS)
+        reduced[:, block] = scenario_reduced_entries(a[block], b[block], scen, support)
+    values = {m: np.empty(len(pp)) for m in wanted}
+    for start in range(0, len(pp), BLOCK_POINTS):
+        block = slice(start, start + BLOCK_POINTS)
+        # A fresh C-contiguous array, which damping updates in place.
+        rows = damp_entries(np.take(reduced, ab[block], axis=1), plan, pp[block])
         for m, v in support_measures(rows, support, wanted).items():
             values[m][block] = v
     return {m: v.reshape(shape) for m, v in values.items()}
@@ -108,9 +103,11 @@ def damped_scenario_state(name: str, alpha: float, beta: float, p: float) -> np.
     damping of its kept accelerated modes (reduction first; the two orders
     commute); at p = 0, the undamped reduced matrix."""
     scen = scenario(name)
-    _, rows = next(_damped_blocks(scen, float(alpha), float(beta), float(p)))
+    alpha, beta = checked("alpha", float(alpha)), checked("beta", float(beta))
+    support, plan = _support(scen)
+    rows = scenario_reduced_entries(alpha, beta, scen, support)
     matrix = np.zeros(64)
-    matrix[_support(scen)[0]] = rows[:, 0]
+    matrix[support] = damp_entries(rows, plan, checked("p", float(p)))[:, 0]
     return matrix.reshape(8, 8)
 
 

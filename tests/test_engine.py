@@ -178,7 +178,8 @@ class TestIsXStructured:
         """Read from the support, the rule gives the answer of a full kernel
         call at one interior point, and makes no kernel call itself."""
         probe = not math.isnan(numeric_batch(name, 0.6, 0.5, 0.3, ("S",))["S"])
-        monkeypatch.setattr(engine, "_damped_blocks", None)  # a kernel call now fails
+        # `_support` is cached by now, so only a kernel call would build.
+        monkeypatch.setattr(engine, "scenario_reduced_entries", None)
         assert is_x_structured(name) == probe
 
 
@@ -222,6 +223,21 @@ class TestNumericBatch:
     def test_rejects_p_outside_unit_interval(self):
         with pytest.raises(ConfigError, match="outside"):
             numeric_batch("ABC_I", 0.7, 0.2, np.array([0.5, 1.0 + 1e-13]))
+
+    @pytest.mark.parametrize(
+        "alpha, beta, p, shape",
+        [
+            (np.array([]), 0.3, 0.5, (0,)),
+            (0.5, np.zeros((3, 0)), np.zeros((2, 1, 1)), (2, 3, 0)),
+        ],
+        ids=["no-alpha", "no-beta-column"],
+    )
+    @pytest.mark.parametrize("name", ["ABC_I", "AB_I_C_I"])
+    def test_empty_broadcast_gives_empty_arrays(self, name, alpha, beta, p, shape):
+        values = numeric_batch(name, alpha, beta, p)
+        assert sorted(values) == sorted(MEASURES)
+        for measure, v in values.items():
+            assert v.shape == shape and v.dtype == np.float64, measure
 
 
 #: An edge-inclusive grid: alpha and beta at both ends of their ranges and
@@ -300,6 +316,8 @@ class TestSupportDamping:
 @pytest.fixture
 def build_sizes(monkeypatch) -> list[int]:
     """Number of reduced matrices of each call to the support-row builder."""
+    for scen in SCENARIOS.values():
+        engine._support(scen)  # its probe build is not a kernel call
     sizes: list[int] = []
     build = engine.scenario_reduced_entries
 
@@ -319,23 +337,36 @@ class TestReducedBuilds:
         numeric_batch("AB_I_C_I", ALPHA_GHZ, betas, ps, MEASURES)
         assert sum(build_sizes) == 5
 
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            ((3, 1), (3, 4), (2, 1, 4)),
+            # alpha on the last axis and p on the first only: at 5 points a
+            # block gathers the elements 10, 11, 0, 1 and 2.
+            ((4,), (3, 1), (2, 1, 1)),
+        ],
+        ids=["alpha-first", "alpha-last"],
+    )
     @pytest.mark.parametrize("name", ["AB_I_C_I", "AB_I_B_II"])
-    def test_blocks_are_byte_identical_to_one_pass(self, monkeypatch, build_sizes, name):
-        """Points split over several blocks give the bytes of one block, and
-        no block builds more matrices than it has points."""
+    def test_blocks_are_byte_identical_to_one_pass(self, monkeypatch, build_sizes, name, shapes):
+        """Each of the 12 (alpha, beta) elements is built once per call, in
+        builds of at most BLOCK_POINTS elements, and any block size gives
+        the bytes of one block."""
         rng = np.random.default_rng(11)
-        alphas = rng.uniform(0.0, 1.0, (3, 1))
-        betas = rng.uniform(0.0, BETA_MAX, (3, 4))
-        ps = rng.uniform(0.0, 1.0, (2, 1, 4))
+        alpha_shape, beta_shape, p_shape = shapes
+        alphas = rng.uniform(0.0, 1.0, alpha_shape)
+        betas = rng.uniform(0.0, BETA_MAX, beta_shape)
+        ps = rng.uniform(0.0, 1.0, p_shape)
         whole = numeric_batch(name, alphas, betas, ps)
         assert build_sizes == [12]
-        build_sizes.clear()
-        monkeypatch.setattr(engine, "BLOCK_POINTS", 5)
-        split = numeric_batch(name, alphas, betas, ps)
-        assert len(build_sizes) == 5 and max(build_sizes) <= 5
-        for measure in MEASURES:
-            assert split[measure].shape == whole[measure].shape == (2, 3, 4)
-            assert split[measure].tobytes() == whole[measure].tobytes(), measure
+        for block_points in (1, 5, 4096):
+            build_sizes.clear()
+            monkeypatch.setattr(engine, "BLOCK_POINTS", block_points)
+            split = numeric_batch(name, alphas, betas, ps)
+            assert sum(build_sizes) == 12 and max(build_sizes) <= block_points
+            for measure in MEASURES:
+                assert split[measure].shape == whole[measure].shape == (2, 3, 4)
+                assert split[measure].tobytes() == whole[measure].tobytes(), measure
 
 
 class TestMonotonicityInP:

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import ghzsim.engine
 import ghzsim.sweep
 from ghzsim import (
     BETA_MAX,
@@ -22,6 +21,7 @@ from ghzsim import (
     ConfigError,
     SweepGrid,
     cf_eval,
+    damped_scenario_state,
     figure_csv,
     find_boundary,
     numeric_batch,
@@ -94,15 +94,17 @@ class TestSweepChecks:
          ("tol", math.nan, MAX_FLOAT), ("tol", -1.0, MAX_FLOAT), ("tol", math.inf, MAX_FLOAT)],
     )
     def test_range_errors_read_the_same_everywhere(self, name, bad, shown):
-        """Both engines and the workflows reject a bad alpha, beta, p or tol
-        with one ConfigError text: the sweep (alpha; its axes lie in range),
-        the audit and the boundary (alpha and tol)."""
+        """Both engines, the one-point damped state and the workflows reject
+        a bad alpha, beta, p or tol with one ConfigError text: the sweep
+        (alpha; its axes lie in range), the audit and the boundary (alpha and
+        tol)."""
         good = {"alpha": 0.6, "beta": 0.3, "p": 0.5}
         rejecters = {}
         if name != "tol":
             point = {**good, name: bad}
             rejecters["numeric_batch"] = lambda: numeric_batch("AB_I_C_I", **point)
             rejecters["cf_eval"] = lambda: cf_eval("AB_I_C_I", "C", **point)
+            rejecters["damped_scenario_state"] = lambda: damped_scenario_state("AB_I_C_I", **point)
         if name == "alpha":
             rejecters["run_sweep"] = lambda: run_sweep(alpha=bad)
         if name in ("alpha", "tol"):
@@ -860,14 +862,15 @@ class TestKernelCalls:
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
+        """The scenario name of each `numeric_batch` call a workflow makes."""
         calls = []
-        blocks = ghzsim.engine._damped_blocks
+        batch = ghzsim.sweep.numeric_batch
 
         def counted(*args, **kwargs):
-            calls.append(args[0].name)
-            return blocks(*args, **kwargs)
+            calls.append(args[0])
+            return batch(*args, **kwargs)
 
-        monkeypatch.setattr(ghzsim.engine, "_damped_blocks", counted)
+        monkeypatch.setattr(ghzsim.sweep, "numeric_batch", counted)
         return calls
 
     def test_default_audit(self, kernel_calls):
