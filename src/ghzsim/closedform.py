@@ -16,11 +16,12 @@ broadcastable (alpha, beta, p) to an array of the broadcast shape, like the
 numeric engine, after the engine's own check (`qcore.checked`). Powers use
 `np.float_power` (libm `pow`, as float `**` does): array `**` multiplies
 instead and would move some values in the last digit.
+
+The coherence relations are a table as well: `SUM_RULES` maps each
+relation's name, in report order, to an (lhs, rhs) pair of array functions,
+lhs(c, alpha) of a scenario -> C mapping and rhs(alpha, p).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -151,9 +152,7 @@ def _c_ab_i_b_ii(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     return 2.0 * (1.0 - p) * a * a * np.sin(b) * np.cos(b)
 
 
-CatalogFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-
-CATALOG: dict[tuple[str, str], CatalogFn] = {
+CATALOG = {
     ("ABC_I", "S"): _s_abc_i,
     ("ABC_I", "E"): _e_abc_i,
     ("ABC_I", "C"): _c_abc_i,
@@ -189,80 +188,47 @@ def cf_eval(name: str, measure: str, alpha, beta, p) -> np.ndarray:
     a bad value, or a pair not in the catalog, is a ConfigError.
 
     The expression sees the inputs as given, not broadcast, so on a
-    (B, 1) x (P,) grid each function of beta alone runs over B values."""
+    (B, 1) x (P,) grid each function of beta alone runs over B values. Every
+    expression reads all three inputs, so its own result has the broadcast
+    shape."""
     try:
         fn = CATALOG[(name, measure)]
     except KeyError:
         raise ConfigError(f"no closed form for ({name}, {measure})") from None
     args = [checked(n, v) for n, v in (("alpha", alpha), ("beta", beta), ("p", p))]
-    shape = np.broadcast_shapes(*(np.shape(v) for v in args))
-    value = fn(*args)
-    if np.shape(value) != shape:
-        value = np.broadcast_to(value, shape).copy()
-    return value
+    return fn(*args)
 
 
-@dataclass(frozen=True)
-class SumRule:
-    """One coherence relation: lhs is a combination of scenario coherences,
-    rhs a closed expression in (alpha, p). `asserted` marks relations the
-    numeric engine is expected to satisfy exactly; the remaining one is
-    evaluated and reported only."""
+#: The one relation the numeric engine is not expected to satisfy: it is
+#: evaluated and reported, not asserted.
+REPORTED_RULE = "same_observer_weighted_sq"
 
-    name: str
-    asserted: bool
-    lhs: Callable[[Callable[[str], float], float], float]
-    rhs: Callable[[float, float], float]
-
-
-def _lhs_charlie_pair_sq(c: Callable[[str], float], alpha: float) -> float:
-    return c("ABC_I") ** 2 + c("ABC_II") ** 2
-
-
-def _lhs_matched_wedges(c: Callable[[str], float], alpha: float) -> float:
-    return c("AB_I_C_I") + c("AB_II_C_II")
-
-
-def _lhs_bc_wedges_sq(c: Callable[[str], float], alpha: float) -> float:
-    return (
-        c("AB_I_C_I") ** 2
-        + c("AB_II_C_II") ** 2
-        + c("AB_I_C_II") ** 2
-        + c("AB_II_C_I") ** 2
-    )
-
-
-def _lhs_same_observer_weighted(c: Callable[[str], float], alpha: float) -> float:
-    return (
-        c("AB_I_C_I") ** 2
-        + c("AB_II_C_II") ** 2
-        + (1.0 - alpha * alpha) * (c("AB_I_B_II") ** 2 + c("AC_I_C_II") ** 2)
-    )
-
-
-SUM_RULES: tuple[SumRule, ...] = (
-    SumRule(
-        "charlie_pair_coherence_sq",
-        asserted=True,
-        lhs=_lhs_charlie_pair_sq,
-        rhs=lambda a, p: 4.0 * (1.0 - p) * a * a * (1.0 - a * a),
+#: The coherence relations, in report order: name -> (lhs, rhs). lhs(c, alpha)
+#: combines the scenario -> C arrays `c`, rhs(alpha, p) is a closed expression.
+SUM_RULES: dict[str, tuple] = {
+    "charlie_pair_coherence_sq": (
+        lambda c, alpha: c["ABC_I"] ** 2 + c["ABC_II"] ** 2,
+        lambda a, p: 4.0 * (1.0 - p) * a * a * (1.0 - a * a),
     ),
-    SumRule(
-        "matched_wedge_coherence_sum",
-        asserted=True,
-        lhs=_lhs_matched_wedges,
-        rhs=lambda a, p: 2.0 * (1.0 - p) * _ghz_weight(a),
+    "matched_wedge_coherence_sum": (
+        lambda c, alpha: c["AB_I_C_I"] + c["AB_II_C_II"],
+        lambda a, p: 2.0 * (1.0 - p) * _ghz_weight(a),
     ),
-    SumRule(
-        "bc_wedge_coherence_sq",
-        asserted=True,
-        lhs=_lhs_bc_wedges_sq,
-        rhs=lambda a, p: 4.0 * _pow(1.0 - p, 2) * a * a * (1.0 - a * a),
+    "bc_wedge_coherence_sq": (
+        lambda c, alpha: (
+            c["AB_I_C_I"] ** 2
+            + c["AB_II_C_II"] ** 2
+            + c["AB_I_C_II"] ** 2
+            + c["AB_II_C_I"] ** 2
+        ),
+        lambda a, p: 4.0 * _pow(1.0 - p, 2) * a * a * (1.0 - a * a),
     ),
-    SumRule(
-        "same_observer_weighted_sq",
-        asserted=False,
-        lhs=_lhs_same_observer_weighted,
-        rhs=lambda a, p: 4.0 * _pow(1.0 - p, 2) * a * a * (1.0 - a * a),
+    REPORTED_RULE: (
+        lambda c, alpha: (
+            c["AB_I_C_I"] ** 2
+            + c["AB_II_C_II"] ** 2
+            + (1.0 - alpha * alpha) * (c["AB_I_B_II"] ** 2 + c["AC_I_C_II"] ** 2)
+        ),
+        lambda a, p: 4.0 * _pow(1.0 - p, 2) * a * a * (1.0 - a * a),
     ),
-)
+}

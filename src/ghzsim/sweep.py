@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import SUM_RULES, cf_eval
+from .closedform import REPORTED_RULE, SUM_RULES, cf_eval
 from .engine import MEASURES, is_x_structured, numeric_batch
 from .qcore import BETA_MAX, ENGINES, FIGURES, SCENARIOS, ConfigError, checked
 from .qcore import scenario as scenario_row
@@ -331,23 +331,19 @@ def figure_csv(
 
 # --- sum rules -----------------------------------------------------------------
 
-def _sum_rule_terms(alphas, betas, ps) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(numeric lhs, catalog lhs, rhs) arrays of each rule in SUM_RULES over
-    the broadcast points (alpha, beta, p): one kernel call and one catalog
-    call per scenario."""
+def _sum_rule_terms(alphas, betas, ps) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Rule name -> (numeric lhs, catalog lhs, rhs) arrays of each rule in
+    SUM_RULES over the broadcast points (alpha, beta, p): one kernel call and
+    one catalog call per scenario."""
     alphas, betas, ps = (
         np.asarray(v, dtype=float).ravel() for v in np.broadcast_arrays(alphas, betas, ps)
     )
     numeric = {name: numeric_batch(name, alphas, betas, ps, ("C",))["C"] for name in SCENARIOS}
     catalog = {name: cf_eval(name, "C", alphas, betas, ps) for name in SCENARIOS}
-    return [
-        (
-            rule.lhs(numeric.__getitem__, alphas),
-            rule.lhs(catalog.__getitem__, alphas),
-            rule.rhs(alphas, ps),
-        )
-        for rule in SUM_RULES
-    ]
+    return {
+        name: (lhs(numeric, alphas), lhs(catalog, alphas), rhs(alphas, ps))
+        for name, (lhs, rhs) in SUM_RULES.items()
+    }
 
 
 def sum_rule_samples(alpha: float | None = None, samples: int = DEFAULT_SAMPLES,
@@ -357,7 +353,7 @@ def sum_rule_samples(alpha: float | None = None, samples: int = DEFAULT_SAMPLES,
     The points come from `random.Random(seed).uniform`, whose stream Python
     keeps the same across versions: `samples` alphas on [0, 1] (only when
     `alpha` is None; otherwise it is held fixed), then as many betas on
-    [0, BETA_MAX], then as many p on [0, 1]. The relation marked `asserted=False`
+    [0, BETA_MAX], then as many p on [0, 1]. The relation `REPORTED_RULE`
     is reported with its alpha-dependence instead of being gated: its residual
     lhs - rhs is exactly -2 sin^2(2 beta) (1-p)^2 alpha^2 (1-alpha^2)^2, which
     vanishes only at alpha in {0, 1}, beta = 0 or p = 1. Nine fixed points,
@@ -377,17 +373,18 @@ def sum_rule_samples(alpha: float | None = None, samples: int = DEFAULT_SAMPLES,
     n0 = len(alphas0)
     terms = _sum_rule_terms(alphas + alphas0, betas + [beta0] * n0, ps + [p0] * n0)
     # Per rule, each engine's |lhs - rhs|: the random points, then the fixed ones.
-    residuals = [(np.abs(num - rhs), np.abs(cat - rhs)) for num, cat, rhs in terms]
+    residuals = {
+        name: (np.abs(num - rhs), np.abs(cat - rhs)) for name, (num, cat, rhs) in terms.items()
+    }
 
     # alpha-dependence of the reported-only relation at a fixed (beta, p).
-    reported = next(k for k, rule in enumerate(SUM_RULES) if not rule.asserted)
     alpha_dependence = [
         {
             "alpha": a,
             "numeric_residual": residual,
             "residual_over_alpha2_times_1_minus_alpha2_sq": residual / (a * a * (1.0 - a * a) ** 2),
         }
-        for a, residual in zip(alphas0, residuals[reported][0][samples:].tolist())
+        for a, residual in zip(alphas0, residuals[REPORTED_RULE][0][samples:].tolist())
     ]
 
     return {
@@ -396,19 +393,19 @@ def sum_rule_samples(alpha: float | None = None, samples: int = DEFAULT_SAMPLES,
         "alpha": alpha,
         "rules": [
             {
-                "name": rule.name,
-                "asserted": rule.asserted,
+                "name": name,
+                "asserted": name != REPORTED_RULE,
                 "max_numeric_residual": float(num[:samples].max()),
                 "max_closedform_residual": float(cat[:samples].max()),
             }
-            for rule, (num, cat) in zip(SUM_RULES, residuals)
+            for name, (num, cat) in residuals.items()
         ],
         "reported_rule_alpha_dependence": {
             "beta": beta0,
             "p": p0,
             "points": alpha_dependence,
             "note": (
-                "residual of same_observer_weighted_sq scales as "
+                f"residual of {REPORTED_RULE} scales as "
                 "alpha^2*(1-alpha^2)^2 at fixed (beta, p); it vanishes only "
                 "at alpha in {0, 1}, beta = 0 or p = 1"
             ),

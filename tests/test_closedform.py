@@ -18,8 +18,8 @@ from ghzsim import (
     cf_eval,
     numeric_batch,
 )
-from ghzsim.closedform import SUM_RULES
-from ghzsim.sweep import _sum_rule_terms
+from ghzsim.closedform import REPORTED_RULE, SUM_RULES
+from ghzsim.sweep import _sum_rule_terms, sum_rule_samples
 
 ALPHA_GHZ = 1.0 / math.sqrt(2.0)
 POINT = (ALPHA_GHZ, math.pi / 6, 0.3)
@@ -150,14 +150,21 @@ class TestArrayCatalog:
         assert np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
-    def test_result_takes_the_broadcast_shape(self, monkeypatch):
-        """An expression that ignores an input still gives a writeable array
-        of the broadcast shape."""
-        monkeypatch.setitem(CATALOG, ("ABC_I", "C"), lambda a, b, p: 2.0 * np.cos(b))
-        betas = np.linspace(0.0, BETA_MAX, 5)[:, None]
-        value = cf_eval("ABC_I", "C", ALPHA_GHZ, betas, np.linspace(0.0, 1.0, 3))
-        assert value.shape == (5, 3) and value.flags.writeable
-        assert value.tolist() == np.repeat(2.0 * np.cos(betas), 3, axis=1).tolist()
+    @pytest.mark.parametrize("name,measure", sorted(CATALOG))
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (ALPHA_GHZ, np.linspace(0.0, BETA_MAX, 5)[:, None], np.linspace(0.0, 1.0, 3)),
+            tuple(np.linspace(0.0, hi, 7) for hi in (1.0, BETA_MAX, 1.0)),
+            POINT,
+        ],
+        ids=["grid", "points", "scalar"],
+    )
+    def test_result_takes_the_broadcast_shape(self, name, measure, args):
+        """Every expression reads alpha, beta and p, so its own result has
+        the broadcast shape; `cf_eval` broadcasts nothing after it."""
+        shape = np.broadcast_shapes(*(np.shape(v) for v in args))
+        assert np.shape(cf_eval(name, measure, *args)) == shape
 
     def test_scalar_arguments_give_a_float(self):
         value = cf_eval("ABC_I", "C", *POINT)
@@ -193,33 +200,47 @@ class TestArrayCatalog:
         assert got == self.PINNED
 
 
-#: Index of the one relation that is reported, not asserted.
-REPORTED = next(k for k, rule in enumerate(SUM_RULES) if not rule.asserted)
-
-
 class TestSumRules:
     def test_rule_inventory(self):
-        names = [rule.name for rule in SUM_RULES]
+        names = list(SUM_RULES)
         assert names == [
             "charlie_pair_coherence_sq",
             "matched_wedge_coherence_sum",
             "bc_wedge_coherence_sq",
             "same_observer_weighted_sq",
         ]
-        assert [rule.asserted for rule in SUM_RULES] == [True, True, True, False]
+        assert REPORTED_RULE == "same_observer_weighted_sq"
+        rules = sum_rule_samples(None, samples=2)["rules"]
+        assert [rule["name"] for rule in rules] == names
+        assert [rule["asserted"] for rule in rules] == [True, True, True, False]
 
     def test_asserted_rules_hold_numerically(self):
         for alpha, beta, p in [(0.3, 0.2, 0.1), (0.9, 0.7, 0.6), POINT]:
-            for rule, (num, cat, rhs) in zip(SUM_RULES, _sum_rule_terms(alpha, beta, p)):
-                if rule.asserted:
-                    assert abs(num[0] - rhs[0]) < 1e-12, rule.name
-                    assert abs(cat[0] - rhs[0]) < 1e-12, rule.name
+            for name, (num, cat, rhs) in _sum_rule_terms(alpha, beta, p).items():
+                if name != REPORTED_RULE:
+                    assert abs(num[0] - rhs[0]) < 1e-12, name
+                    assert abs(cat[0] - rhs[0]) < 1e-12, name
+
+    def test_relations_are_array_functions(self):
+        """One call over 50 points gives, bit for bit, the 50 one-point calls'
+        numeric lhs, catalog lhs and rhs: no relation is a per-point
+        expression (math.*, a Python loop) that a one-point call would hide."""
+        rng = np.random.default_rng(5)
+        alphas, betas, ps = rng.random(50), rng.random(50) * BETA_MAX, rng.random(50)
+        batch = _sum_rule_terms(alphas, betas, ps)
+        points = [_sum_rule_terms(a, b, p) for a, b, p in zip(alphas, betas, ps)]
+        assert list(batch) == list(SUM_RULES)
+        for name, terms in batch.items():
+            for k, got in enumerate(terms):
+                want = np.concatenate([point[name][k] for point in points])
+                assert got.shape == want.shape == (50,), (name, k)
+                assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), (name, k)
 
     def test_reported_rule_residual_formula(self):
         """The non-asserted relation undercounts by a cross term; its
         residual is 8 (1-p)^2 alpha^2 (1-alpha^2)^2 sin^2(beta) cos^2(beta)."""
         alpha, beta, p = 0.6, 0.5, 0.25
-        num, _, rhs = _sum_rule_terms(alpha, beta, p)[REPORTED]
+        num, _, rhs = _sum_rule_terms(alpha, beta, p)[REPORTED_RULE]
         a2 = alpha * alpha
         expected = (
             8.0
@@ -264,7 +285,7 @@ class TestSumRules:
 
     def test_reported_rule_vanishes_at_alpha_endpoints(self):
         for alpha in (0.0, 1.0):
-            num, _, rhs = _sum_rule_terms(alpha, 0.5, 0.3)[REPORTED]
+            num, _, rhs = _sum_rule_terms(alpha, 0.5, 0.3)[REPORTED_RULE]
             assert abs(num[0] - rhs[0]) < 1e-13
 
 
