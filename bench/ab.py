@@ -126,6 +126,15 @@ COMMANDS: dict[str, tuple[list[str], dict[str, str]]] = {
        for command in ("sweep", "audit", "boundary", "sumrules", "figure")},
     "usage-error": (["sweep", "--workers", "2"], {}),
     "config-error": (["audit", "--seed", "-1"], {}),
+    # Each count at the edge of its domain.
+    "sweep-beta-steps-1": (["sweep", "--beta-steps", "1"], {}),
+    "audit-p-steps-1": (["audit", "--p-steps", "1", "--samples", "2"], {}),
+    "boundary-beta-steps-0": (["boundary", "--measure", "S", "--beta-steps", "0"], {}),
+    "figure-resolution-15": (
+        ["figure", "--figure", "1", "--resolution", "15", "--out", "f.csv"], {}
+    ),
+    "sumrules-samples-0": (["sumrules", "--samples", "0"], {}),
+    "sumrules-seed-negative": (["sumrules", "--seed", "-1"], {}),
 }
 
 #: Each command runs once per setting of PYTHONUNBUFFERED (None: unset).

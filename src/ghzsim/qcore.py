@@ -1,11 +1,11 @@
-"""The package's error class, the domain of its float parameters and the
+"""The package's error class, the domain of every numeric parameter and the
 tables the CLI parser is built from: the scenario table (`Scenario`,
 `SCENARIOS`, `scenario`), the figure table `FIGURES` and the engine names
 `ENGINES`. `sweep` imports them from here, so `ghzsim.cli` builds its
 parser without numpy. Public functions take a scenario by name and look its
 row up with `scenario`. The CLI exits 2 for a `ConfigError` and lets every
-other exception propagate. `checked` is the one range check of alpha, beta,
-p and tol, and the one rule that reads -0.0 as 0.0."""
+other exception propagate. `checked` is the one range check of every numeric
+parameter, and the one rule that reads -0.0 as 0.0."""
 from __future__ import annotations
 
 import math
@@ -19,26 +19,35 @@ class ConfigError(ValueError):
 
 BETA_MAX = math.pi / 4
 
-#: name -> (upper limit, as shown in messages) of each float parameter, all
-#: from 0. Beta's has a slack of 1e-15, so pi/4 computed another way passes;
-#: a tolerance may be 0 (bisection stops at float spacing) but not infinite.
-_DOMAIN = {"alpha": (1.0, "1"), "beta": (BETA_MAX + 1e-15, "pi/4"), "p": (1.0, "1"),
-           "tol": (sys.float_info.max, repr(sys.float_info.max))}
+#: name -> (low end, high end, high end as messages show it) of each numeric
+#: parameter. Beta's high end has a slack of 1e-15, so pi/4 computed another
+#: way passes; a tolerance may be 0 (bisection stops at float spacing) but not
+#: infinite. A count's low end is an int and it has no high end (None): a
+#: seed may be any int that `random.Random` takes.
+_DOMAIN = {"alpha": (0.0, 1.0, "1"), "beta": (0.0, BETA_MAX + 1e-15, "pi/4"),
+           "p": (0.0, 1.0, "1"), "tol": (0.0, sys.float_info.max, repr(sys.float_info.max)),
+           "beta_steps": (1, None, "inf"), "p_steps": (1, None, "inf"),
+           "resolution": (16, None, "inf"), "samples": (1, None, "inf"),
+           "seed": (0, None, "inf")}
 
 
 def checked(name: str, values):
-    """`values` of float parameter `name` (a float for a scalar, else a new
-    array) with -0.0 read as 0.0, which changes no other value's bits; a
-    ConfigError names the first value outside its domain, NaN included."""
+    """`values` of numeric parameter `name`: a count as it is given, floats (a
+    float for a scalar, else a new array) with -0.0 read as 0.0, which
+    changes no other value's bits. A ConfigError names the first value
+    outside the domain, NaN included, as `name=value outside [low, high]`."""
     import numpy as np
 
-    upper, shown = _DOMAIN[name]
-    values = np.asarray(values, dtype=float)
-    bad = ~((values >= 0.0) & (values <= upper))
-    if bad.any():
-        raise ConfigError(f"{name}={values[bad][0]} outside [0, {shown}]")
-    values = values + 0.0
-    return values if values.ndim else float(values)
+    low, high, shown = _DOMAIN[name]
+    if isinstance(low, int):  # a count: one int of any size
+        bad = [values] if values < low else []
+    else:
+        values = np.asarray(values, dtype=float) + 0.0
+        bad = values[~((values >= low) & (values <= high))]
+        values = values if values.ndim else float(values)
+    if len(bad):
+        raise ConfigError(f"{name}={bad[0]} outside [{low:g}, {shown}]")
+    return values
 
 
 class Scenario(NamedTuple):

@@ -11,7 +11,8 @@ one kernel call and one catalog call per scenario. Evaluation runs in a
 single process. Each workflow takes only the parameters it reads, each named
 after the flag of its CLI subcommand that sets it and each default written
 once here. A grid is given by its step counts: beta runs over [0, BETA_MAX]
-and p over [0, 1], the whole domain of the paper's figures.
+and p over [0, 1], the whole domain of the paper's figures, and an axis of
+one step is its 0 end.
 
 Every workflow returns plain data and writes no file: `run_sweep` a
 `SweepGrid` (the axes and one (beta, p) array per (measure, engine)),
@@ -22,8 +23,9 @@ straight from the arrays, in the documented row order, each by one `%`
 operation over a template that repeats one per-point block: per column,
 the column's constant text, a slot for the point's preformatted (beta, p)
 text and a slot for its value. `json_text` spells every other JSON
-document. Each workflow keeps what the engines' range check
-`qcore.checked` returns for its float parameters: no echo shows -0.
+document. Each workflow checks every numeric parameter it takes, floats and
+counts, with the engines' range check `qcore.checked` and keeps what it
+returns: no echo shows -0.
 
 All outputs are deterministic for a fixed configuration: grid order defines
 row order, floats are serialized with 17 significant digits, random sampling
@@ -51,12 +53,6 @@ DEFAULT_SAMPLES = 1000
 DEFAULT_STEPS = 101
 
 
-def _check_grid(beta_steps: int, p_steps: int) -> None:
-    for name, steps in (("beta", beta_steps), ("p", p_steps)):
-        if steps < 2:
-            raise ConfigError(f"{name} steps must be >= 2, got {steps}")
-
-
 @dataclass(frozen=True, eq=False)
 class SweepGrid:
     """A sweep's (beta, p) surfaces. The writers lay them out as rows
@@ -75,7 +71,8 @@ class SweepGrid:
 
 
 def _axis(hi: float, steps: int) -> tuple[float, ...]:
-    """`steps` evenly spaced values from 0 to `hi`, both ends included."""
+    """`steps` evenly spaced values from 0 to `hi`: both ends for two steps
+    or more, only the 0 end for one."""
     return tuple(np.linspace(0.0, hi, steps).tolist())
 
 
@@ -88,7 +85,7 @@ def run_sweep(
     kernel call and one catalog call per measure over the (beta, 1) x (p,)
     broadcast."""
     alpha = checked("alpha", alpha)
-    _check_grid(beta_steps, p_steps)
+    beta_steps, p_steps = checked("beta_steps", beta_steps), checked("p_steps", p_steps)
     scenario_row(scenario)
     bad = set(measures) - set(MEASURES)
     if bad or not measures or len(set(measures)) < len(measures):
@@ -259,9 +256,7 @@ def find_boundary(
     """
     if measure not in _BOUNDARY_RULES:
         raise ConfigError(f"boundary measure must be S or E, got {measure!r}")
-    tol = checked("tol", tol)
-    if beta_steps < 1:
-        raise ConfigError(f"beta steps must be >= 1, got {beta_steps}")
+    tol, beta_steps = checked("tol", tol), checked("beta_steps", beta_steps)
     scenario_row(scenario)  # an unknown name is reported before a bad alpha
     alpha = checked("alpha", alpha)
     if not is_x_structured(scenario):
@@ -316,8 +311,7 @@ def figure_csv(
     """
     if figure not in FIGURES:
         raise ConfigError(f"figure id must be in {sorted(FIGURES)}, got {figure}")
-    if resolution < 16:
-        raise ConfigError(f"resolution must be >= 16, got {resolution}")
+    resolution = checked("resolution", resolution)
     scenario, measures = FIGURES[figure]
     engine = "numeric" if is_x_structured(scenario) else "closedform"
     grid = run_sweep(scenario, alpha=alpha, beta_steps=resolution, p_steps=resolution,
@@ -359,10 +353,7 @@ def sum_rule_samples(alpha: float | None = None, samples: int = DEFAULT_SAMPLES,
     vanishes only at alpha in {0, 1}, beta = 0 or p = 1. Nine fixed points,
     alpha = 0.1 ... 0.9 at one (beta, p), follow the random ones to show it.
     """
-    if samples < 1:
-        raise ConfigError(f"samples must be >= 1, got {samples}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    samples, seed = checked("samples", samples), checked("seed", seed)
     alpha = None if alpha is None else checked("alpha", alpha)
     rnd = random.Random(seed)
     alphas = [rnd.uniform(0.0, 1.0) for _ in range(samples)] if alpha is None else [alpha] * samples
@@ -433,7 +424,7 @@ def run_audit(
     the scenario name is looked up before that.
     """
     alpha = checked("alpha", alpha)
-    _check_grid(beta_steps, p_steps)
+    beta_steps, p_steps = checked("beta_steps", beta_steps), checked("p_steps", p_steps)
     tol = checked("tol", tol)
     names = sorted(SCENARIOS) if scenario is None else [scenario_row(scenario).name]
     rules = sum_rule_samples(None, samples, seed)

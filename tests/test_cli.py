@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ghzsim.sweep
 from ghzsim.cli import (
@@ -343,6 +346,126 @@ class TestExplicitValues:
             f"error: tol={tol} outside [0, {sys.float_info.max!r}]"
         ]
         assert not out.exists()
+
+
+#: Each numeric flag's domain, (low, high), as the README's table states it;
+#: a count has no high end.
+DOMAINS = {"alpha": (0.0, 1.0), "tol": (0.0, sys.float_info.max), "beta_steps": (1, None),
+           "p_steps": (1, None), "resolution": (16, None), "samples": (1, None),
+           "seed": (0, None)}
+
+#: A small run of each subcommand, as flags; a drawn flag replaces its own.
+SMALL_RUNS = {
+    "sweep": {"beta_steps": 2, "p_steps": 2},
+    "audit": {"scenario": "ABC_I", "beta_steps": 2, "p_steps": 2, "samples": 2},
+    "boundary": {"measure": "S", "beta_steps": 2},
+    "sumrules": {"samples": 2},
+    "figure": {"figure": 1, "resolution": 16},
+}
+
+
+@st.composite
+def out_of_domain(draw):
+    """A subcommand, one numeric flag it takes, a value of the flag's type
+    outside its domain, and whether a config file gives it."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    flag = draw(st.sampled_from([f for f in _SUBCOMMANDS[command][1] if f in DOMAINS]))
+    low, high = DOMAINS[flag]
+    if high is None:
+        value = draw(st.integers(max_value=low - 1))
+    else:
+        value = draw(st.floats(max_value=-math.ulp(0.0))
+                     | st.floats(min_value=math.nextafter(high, math.inf))
+                     | st.just(math.nan))
+    return command, flag, value, draw(st.booleans())
+
+
+class TestNumericDomains:
+    """One domain per numeric parameter, on every subcommand that takes it."""
+
+    @staticmethod
+    def _run(tmp_path, command, flag, value, in_config):
+        """Run the subcommand's small run with `flag` set to `value`, on the
+        command line or in a config file; return the exit code and --out."""
+        args = [command]
+        for key, given_value in SMALL_RUNS[command].items():
+            if key != flag:
+                args += ["--" + key.replace("_", "-"), str(given_value)]
+        if in_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{flag} = {value}\n")
+            args += ["--config", str(cfg)]
+        else:  # one token, so argparse reads "-inf" as a value
+            args.append(f"--{flag.replace('_', '-')}={value}")
+        out = tmp_path / "out.txt"
+        out.unlink(missing_ok=True)
+        return run(args + ["--out", str(out)]), out
+
+    @settings(derandomize=True, max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=out_of_domain())
+    def test_value_outside_the_domain_is_one_error_line(self, tmp_path, capsys, case):
+        """A value outside its flag's domain exits 2 with one `error:` line
+        that names the parameter, nothing on stdout and no --out file; the
+        domain's nearest end runs."""
+        command, flag, value, in_config = case
+        code, out = self._run(tmp_path, command, flag, value, in_config)
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: {flag}={value} outside [")
+        assert not out.exists()
+
+        low, high = DOMAINS[flag]
+        end = high if high is not None and value > high else low
+        code, out = self._run(tmp_path, command, flag, end, in_config)
+        assert "error:" not in capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_AUDIT_FLAGGED)
+        assert out.exists()
+
+    @pytest.mark.parametrize(
+        "args, betas",
+        [(["sweep", "--p-steps", "2", "--format", "json"], lambda doc: [r["beta"] for r in doc]),
+         (["audit", "--p-steps", "2", "--samples", "2"],
+          lambda doc: [e["beta_at_max"] for e in doc["entries"]]),
+         (["boundary", "--measure", "S", "--format", "json"],
+          lambda doc: [pt["beta"] for pt in doc["curve"]])],
+        ids=["sweep", "audit", "boundary"],
+    )
+    def test_one_beta_step_is_the_zero_end_on_every_subcommand(self, tmp_path, args, betas):
+        out = tmp_path / "out.json"
+        code = run(args + ["--beta-steps", "1", "--scenario", "ABC_I", "--out", str(out)])
+        assert code == EXIT_OK
+        assert set(betas(json.loads(out.read_text()))) == {0.0}
+
+    def test_one_step_grid_is_its_corner(self, tmp_path):
+        out = tmp_path / "one.csv"
+        assert run(["sweep", "--beta-steps", "1", "--p-steps", "1", "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 3 * 2
+        assert all(line.split(",")[4:6] == ["0", "0"] for line in lines[1:])
+
+
+#: A seed far past 64 bits: `random.Random` takes any int >= 0.
+HUGE_SEED = 1180591620717411303424
+
+
+class TestHugeSeed:
+    def test_sumrules_echoes_it_exactly(self, tmp_path):
+        out = tmp_path / "rules.json"
+        code = run(["sumrules", "--samples", "2", "--seed", str(HUGE_SEED), "--out", str(out)])
+        assert code == EXIT_OK
+        assert f'"seed": {HUGE_SEED},' in out.read_text()
+        assert json.loads(out.read_text())["seed"] == HUGE_SEED
+
+    def test_audit_echoes_it_exactly(self, tmp_path):
+        out = tmp_path / "audit.json"
+        code = run(["audit", "--beta-steps", "3", "--p-steps", "3", "--samples", "2",
+                    "--seed", str(HUGE_SEED), "--out", str(out)])
+        assert code == EXIT_AUDIT_FLAGGED
+        report = json.loads(out.read_text())
+        assert report["config"]["seed"] == report["sum_rules"]["seed"] == HUGE_SEED
 
 
 class TestFlagSets:

@@ -1,4 +1,4 @@
-"""The one range check of the float parameters and its -0.0 rule."""
+"""The one range check of the numeric parameters and its -0.0 rule."""
 from __future__ import annotations
 
 import math
@@ -40,3 +40,15 @@ class TestChecked:
     def test_first_value_outside_is_a_config_error(self, name, bad):
         with pytest.raises(ConfigError, match=f"^{name}={bad} outside \\[0, "):
             checked(name, [0.0, bad, 2.0])
+
+    @pytest.mark.parametrize(
+        "name, low",
+        [("beta_steps", 1), ("p_steps", 1), ("resolution", 16), ("samples", 1), ("seed", 0)],
+    )
+    def test_a_count_from_its_low_end_passes_as_given(self, name, low):
+        """A count has no high end: its low end and any larger int, a seed
+        past 64 bits included, come back as the same int."""
+        for value in (low, low + 1, 2**70):
+            assert checked(name, value) is value
+        with pytest.raises(ConfigError, match=f"^{name}={low - 1} outside \\[{low}, inf\\]$"):
+            checked(name, low - 1)

@@ -61,8 +61,8 @@ class TestSweepChecks:
         "kwargs",
         [
             {"alpha": 1.5},
-            {"beta_steps": 1},
-            {"p_steps": 1},
+            {"beta_steps": 0},
+            {"p_steps": 0},
             {"scenario": "nope"},
             {"measures": ("S", "Q")},
             {"measures": ()},
@@ -426,7 +426,7 @@ class TestFindBoundary:
         assert any(pt["status"] == "crossing" for pt in curves[0])
 
     def test_rejects_empty_curve(self):
-        with pytest.raises(ConfigError, match="beta steps must be >= 1, got 0"):
+        with pytest.raises(ConfigError, match=r"^beta_steps=0 outside \[1, inf\]$"):
             find_boundary("ABC_I", measure="S", alpha=ALPHA_GHZ, beta_steps=0)
 
     def test_tolerance_below_float_spacing_terminates(self, monkeypatch):
@@ -722,8 +722,8 @@ class TestAuditParameters:
 
     @pytest.mark.parametrize(
         "kwargs, error",
-        [({"alpha": 1.5}, "alpha=1.5 outside"), ({"beta_steps": 1}, "beta steps"),
-         ({"p_steps": 1}, "p steps")],
+        [({"alpha": 1.5}, "alpha=1.5 outside"), ({"beta_steps": 0}, "beta_steps=0 outside"),
+         ({"p_steps": 0}, "p_steps=0 outside")],
     )
     def test_bad_grid_fails_before_the_sum_rules(self, monkeypatch, kwargs, error):
         def unreachable(*a, **k):
