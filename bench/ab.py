@@ -74,6 +74,13 @@ COMMANDS: dict[str, tuple[list[str], dict[str, str]]] = {
          "--beta-steps", "3", "--p-steps", "3"],
         {},
     ),
+    # The X test is exact, so at a small alpha too S and E are NaN off the
+    # beta = 0 row and the p = 1 column.
+    "sweep-small-alpha-non-x": (
+        ["sweep", "--scenario", "AB_I_B_II", "--alpha", "1e-6", "--measures", "S,E",
+         "--beta-steps", "7", "--p-steps", "5"],
+        {},
+    ),
     "sweep-config-file": (
         ["sweep", "--config", "run.cfg", "--beta-steps", "3", "--out", "cfg.csv"],
         {"run.cfg": "alpha = 0.5\np-steps = 4\nengine = closedform\n"},

@@ -5,12 +5,13 @@ state, expand the accelerated observers' modes, reduce to the scenario's
 three kept modes, damp the kept accelerated modes, then evaluate S/E/C.
 
 S and E are defined through the X-state parameterization. The kernel decides
-per point: S/E are NaN exactly where the damped state has a
-`measures.off_pattern` entry above `measures.X_TOL`; the l1-coherence C is
-always finite. AB_I_B_II and AC_I_C_II keep both wedge modes of one observer,
-whose coherence connects basis states two bit flips apart. It vanishes only
-on the beta = 0 row, the p = 1 column and at alpha = 0, so only there are
-S/E finite (201 values of a 101 x 101 sweep at alpha = 1/sqrt(2)).
+per point: S/E are NaN exactly where the damped state has a nonzero
+`measures.off_pattern` entry, with no tolerance; the l1-coherence C is always
+finite. AB_I_B_II and AC_I_C_II keep both wedge modes of one observer, whose
+coherence alpha^2 g(beta, p) connects basis states two bit flips apart. It
+is exactly 0 only on the beta = 0 row, the p = 1 column and at alpha = 0, so
+only there are S/E finite: 201 values of a 101 x 101 sweep at every alpha
+from 1e-158 to 1 (near 1e-160 the computed coherence underflows to 0).
 `is_x_structured` decides for a whole scenario from its support, with no
 kernel call; the audit, the figures and the boundary use it.
 

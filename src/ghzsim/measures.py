@@ -17,10 +17,11 @@ e_i sit on mirrored positions. f_i lives on the (i, 9-i) antidiagonal slot
 Each measure is written once, as an array expression over N matrices held
 as the (K, N) rows of their entries at a support (sorted flat 8x8 indices;
 every other entry is 0; a whole matrix is the support np.arange(64)).
-`support_measures` evaluates them and leaves S and E NaN on a matrix with an
-`off_pattern` entry above X_TOL. C adds the off-diagonal magnitudes one row
-at a time in row-major order; an entry outside the support adds 0, so every
-support of a matrix gives the same bits, and so does every batch width.
+`support_measures` evaluates them and leaves S and E NaN on a matrix with a
+nonzero `off_pattern` entry (-0.0 counts as 0): an exact test, so no scale
+of the state moves it. C adds the off-diagonal magnitudes one row at a time
+in row-major order; an entry outside the support adds 0, so every support
+of a matrix gives the same bits, and so does every batch width.
 """
 from __future__ import annotations
 
@@ -29,8 +30,6 @@ import math
 
 import numpy as np
 
-#: Largest off-pattern magnitude an X-structured matrix may carry.
-X_TOL = 1e-12
 _SQRT2_8 = 8.0 * math.sqrt(2.0)
 #: Flat 8x8 indices of d_1..d_4, e_1..e_4 and f_1..f_4.
 _SLOTS = np.r_[0:36:9, 63:35:-9, 7:35:7]
@@ -75,13 +74,12 @@ def l1_coherence(rows: np.ndarray, support: np.ndarray) -> np.ndarray:
 def support_measures(rows: np.ndarray, support, measures: tuple[str, ...]) -> dict[str, np.ndarray]:
     """The requested measures of the N matrices whose entries at the sorted
     flat indices `support` are the (K, N) `rows`, as (N,) arrays. S and E
-    are NaN where a matrix fails the X test: an `off_pattern` entry above
-    X_TOL."""
+    are NaN where a matrix fails the X test: a nonzero `off_pattern` entry."""
     out: dict[str, np.ndarray] = {}
     if "C" in measures:
         out["C"] = l1_coherence(rows, support)
     if "S" in measures or "E" in measures:
-        x = ~(np.max(np.abs(rows[off_pattern(support)]), axis=0, initial=0.0) > X_TOL)
+        x = ~np.any(rows[off_pattern(support)], axis=0)
         d, e, f = _slots(rows, support)
         f = np.abs(f)
         if "S" in measures:

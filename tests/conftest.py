@@ -30,6 +30,10 @@ support-row kernel: a boolean-mask X test over all 48 off-pattern slots,
 slots read off the stack's diagonals and C as the sum of all 56
 off-diagonal magnitudes of whole (N, 8, 8) stacks, added in row-major order
 as `x_measures_oracle` adds them. The kernel must give its bits exactly.
+Both oracles call a matrix X-structured as the package does, exactly: when
+no off-pattern entry is nonzero, with no tolerance. `svetlichny_bound_oracle`
+bounds S from above by the singular values of the correlation tensor, with
+no X-state formula, so it also checks the formula S itself.
 
 `sweep_records_oracle`, `records_csv_oracle`, `records_json_oracle` and
 `figure_csv_oracle` are the per-record and per-cell writers the package
@@ -49,9 +53,9 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from ghzsim import cf_eval, numeric_batch
+from ghzsim import cf_eval, damped_scenario_state, numeric_batch
 from ghzsim.channels import block_plan, damp_entries
-from ghzsim.measures import X_TOL, svetlichny, tripartite_entanglement
+from ghzsim.measures import svetlichny, tripartite_entanglement
 
 # --- independent oracles ------------------------------------------------------
 
@@ -191,11 +195,11 @@ def register_reduced_oracle(alpha: float, beta: float, scen) -> np.ndarray:
 def x_measures_oracle(mat: np.ndarray) -> dict[str, float]:
     """S, E and C of one 8x8 matrix, in Python scalars, from the formulas of
     the `measures` docstring. S and E are NaN when any entry off both the
-    diagonal and the antidiagonal exceeds 1e-12 in magnitude."""
+    diagonal and the antidiagonal is nonzero, however small (-0.0 is 0)."""
     m = mat.tolist()
     off_diagonal = [(i, j) for i in range(8) for j in range(8) if i != j]
     out = {"C": sum(abs(m[i][j]) for i, j in off_diagonal)}
-    if any(abs(m[i][j]) > 1e-12 for i, j in off_diagonal if i + j != 7):
+    if any(m[i][j] != 0 for i, j in off_diagonal if i + j != 7):
         return {"S": math.nan, "E": math.nan, **out}
     d = [m[i][i].real for i in range(4)]  # entries 1..4
     e = [m[7 - i][7 - i].real for i in range(4)]  # entries 8..5
@@ -215,15 +219,15 @@ _F_ROWS = np.arange(4)
 
 def dense_measures_oracle(stack: np.ndarray, measures) -> dict[str, np.ndarray]:
     """The measures of every matrix in an (N, 8, 8) stack, read off the
-    dense stack. S and E are NaN where an off-pattern magnitude exceeds
-    X_TOL."""
+    dense stack. S and E are NaN where an off-pattern entry is nonzero (-0.0
+    is 0), by a boolean mask over the whole stack."""
     absm = np.abs(stack)
     out = {}
     if "C" in measures:
         # One entry at a time in row-major order: the order fixes the bits.
         out["C"] = reduce(np.add, absm[:, _OFF_DIAGONAL].T, np.zeros(len(stack)))
     if "S" in measures or "E" in measures:
-        x = ~(np.max(absm[:, _OFF_X], axis=1, initial=0.0) > X_TOL)
+        x = ~(stack[:, _OFF_X] != 0).any(axis=1)
         diag = np.diagonal(stack, axis1=-2, axis2=-1).real
         d, e = diag[..., :4].T, diag[..., 7:3:-1].T
         f = np.abs(stack[..., _F_ROWS, 7 - _F_ROWS].T)
@@ -232,6 +236,26 @@ def dense_measures_oracle(stack: np.ndarray, measures) -> dict[str, np.ndarray]:
         if "E" in measures:
             out["E"] = np.where(x, tripartite_entanglement(d, e, f), math.nan)
     return out
+
+
+_PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def svetlichny_bound_oracle(name: str, alpha: float, beta: float, p: float) -> float:
+    """4 sigma_max(M), an upper bound on the Svetlichny value of
+    `damped_scenario_state(name, alpha, beta, p)`, where M is the 3x9
+    unfolding (Alice's index by Bob's and Charlie's) of the correlation
+    tensor T_ijk = Tr(rho sigma_i x sigma_j x sigma_k).
+
+    Charlie's unit settings enter as c + c' = 2 cos(t) u and c - c' =
+    2 sin(t) v, with u and v orthogonal unit vectors. So Alice's settings a
+    and a' meet T through a.Mx and a'.My, where x = 2(cos(t) b x u + sin(t)
+    b' x v) and y = 2(sin(t) b x v - cos(t) b' x u) have norm 2. Hence
+    S <= |Mx| + |My| <= 4 sigma_max(M): a theorem, not a search, and it
+    shares no code with the X-state formulas."""
+    rho = damped_scenario_state(name, alpha, beta, p).reshape((2,) * 6)
+    tensor = np.einsum("abcdef,ida,jeb,kfc->ijk", rho, _PAULIS, _PAULIS, _PAULIS).real
+    return 4.0 * float(np.linalg.svd(tensor.reshape(3, 9), compute_uv=False)[0])
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from ghzsim import (
     damped_scenario_state,
     is_x_structured,
     numeric_batch,
+    run_sweep,
 )
 from ghzsim import engine
 from ghzsim.engine import MEASURES
@@ -27,6 +28,7 @@ from conftest import (
     dense_measures_oracle,
     density_deviations,
     register_reduced_oracle,
+    svetlichny_bound_oracle,
     x_measures_oracle,
 )
 
@@ -146,17 +148,21 @@ class TestNumericMeasures:
         assert math.isnan(values["E"])
         assert values["C"] == pytest.approx(0.30310889132455343, abs=1e-13)
 
+    @pytest.mark.parametrize("alpha", [1e-150, 1e-8, 1e-4, ALPHA_GHZ])
     @pytest.mark.parametrize("name", NON_X_SCENARIOS)
-    def test_x_test_is_decided_per_point(self, name):
-        """The two-flip coherence vanishes on the beta = 0 row and the p = 1
-        column, so S and E are finite there and only there."""
-        betas = np.linspace(0.0, BETA_MAX, 5)[:, None]
-        ps = np.linspace(0.0, 1.0, 5)
-        values = numeric_batch(name, ALPHA_GHZ, betas, ps)
-        on_x = (betas == 0.0) | (ps == 1.0)
+    def test_x_test_is_decided_per_point(self, name, alpha):
+        """The two-flip coherence is alpha^2 g(beta, p). It vanishes on the
+        beta = 0 row and the p = 1 column and nowhere else, however small
+        alpha is, as long as its square does not underflow; the X test is
+        exact. So a default sweep has finite S and E there, 201 points, and
+        only there, at every such alpha."""
+        grid = run_sweep(name, alpha=alpha, engine="numeric")
+        on_x = (np.array(grid.betas)[:, None] == 0.0) | (np.array(grid.ps) == 1.0)
+        assert on_x.sum() == 201
         for measure in ("S", "E"):
-            assert np.array_equal(np.isfinite(values[measure]), on_x), measure
-        assert np.isfinite(values["C"]).all()
+            finite = np.isfinite(grid.surfaces[measure, "numeric"])
+            assert np.array_equal(finite, on_x), (measure, int(finite.sum()))
+        assert np.isfinite(grid.surfaces["C", "numeric"]).all()
 
     def test_full_damping_leaves_ground_state_statistics(self):
         values = numeric_batch("AB_I_C_I", 0.8, 0.5, 1.0)
@@ -372,9 +378,12 @@ class TestReducedBuilds:
 class TestMonotonicityInP:
     """Damping is an incoherent operation and local damping is LOCC, so at
     fixed (alpha, beta) neither the l1-coherence C nor the GME monotone E
-    may grow with p. S may, and is not tested."""
+    may grow with p. On a kept _I mode the Unruh map is a local channel too
+    (test_unruh.TestUnruhChannel), so where only _I modes are kept E may not
+    grow with beta either. S may grow with both (TestSvetlichnyRises)."""
 
     PS = np.linspace(0.0, 1.0, 201)
+    BETAS = np.linspace(0.0, BETA_MAX, 201)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -388,6 +397,39 @@ class TestMonotonicityInP:
         for measure in measures:
             rise = np.diff(values[measure])
             assert rise.max() <= 1e-12, (measure, float(self.PS[1 + rise.argmax()]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(["ABC_I", "AB_I_C_I"]),
+        alpha=st.floats(0.0, 1.0),
+        p=st.floats(0.0, 1.0),
+    )
+    def test_entanglement_never_increases_with_beta_on_i_modes(self, name, alpha, p):
+        rise = np.diff(numeric_batch(name, alpha, self.BETAS, p, ("E",))["E"])
+        assert rise.max() <= 1e-12, float(self.BETAS[1 + rise.argmax()])
+
+
+class TestSvetlichnyRises:
+    """S is no monotone under local channels, as a known property of the
+    X-state S rather than an engine bug: it maximises over spin settings
+    sigma.n only, and the adjoint of a non-unital channel adds an identity
+    part to a setting (damping: sigma_z -> (1 - p) sigma_z + p I; the Unruh
+    map likewise), which can raise the best sigma.n correlation. On the
+    default 101 x 101 grid one step in beta raises S by as much as 0.0057 on
+    ABC_I at alpha = 0.3, and one step in p by as much as 0.0157 on AB_I_C_I
+    at alpha = 0.8; E rises with neither (TestMonotonicityInP). Only the
+    rise's presence is pinned."""
+
+    BETAS = np.linspace(0.0, BETA_MAX, 101)[:, None]
+    PS = np.linspace(0.0, 1.0, 101)
+
+    def test_rises_with_beta_on_abc_i(self):
+        s = numeric_batch("ABC_I", 0.3, self.BETAS, self.PS, ("S",))["S"]
+        assert np.diff(s, axis=0).max() > 1e-3
+
+    def test_rises_with_p_on_ab_i_c_i(self):
+        s = numeric_batch("AB_I_C_I", 0.8, self.BETAS, self.PS, ("S",))["S"]
+        assert np.diff(s, axis=1).max() > 1e-2
 
 
 class TestNoNonlocalityNearFullDamping:
@@ -405,6 +447,56 @@ class TestNoNonlocalityNearFullDamping:
     def test_svetlichny_is_at_most_4(self, name):
         s = numeric_batch(name, self.ALPHAS, self.BETAS, self.PS, ("S",))["S"]
         assert s.max() <= 4.0 + 1e-12
+
+
+def svetlichny_branches(mat: np.ndarray) -> tuple[float, float]:
+    """The two branches of the X-state S of one matrix: 8 sqrt(2) max |f_i|
+    and 4|N|."""
+    d, e = np.diag(mat)[:4], np.diag(mat)[:3:-1]
+    f = np.abs(mat[np.arange(4), 7 - np.arange(4)])
+    n = d[0] - d[1] - d[2] + d[3] - e[3] + e[2] + e[1] - e[0]
+    return 8.0 * math.sqrt(2.0) * float(f.max()), 4.0 * abs(float(n))
+
+
+class TestSvetlichnyCertificate:
+    """S <= 4 sigma_max of the correlation tensor's 3x9 unfolding is a
+    theorem (`svetlichny_bound_oracle`), and the X-state formula attains it:
+    wherever the engine's S is finite, in any scenario, S equals the bound.
+    The two have agreed bit for bit, but the bound goes through an SVD, whose
+    bits LAPACK does not promise, hence the 1e-12 tolerance."""
+
+    def test_normalisation(self):
+        bound = svetlichny_bound_oracle("ABC_I", ALPHA_GHZ, 0.0, 0.0)
+        assert bound == pytest.approx(4.0 * math.sqrt(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_finite_s_equals_the_bound(self, name):
+        """60 seeded points per scenario; those of a non-X scenario lie on
+        its beta = 0 row or its p = 1 column, where S is finite."""
+        rng = np.random.default_rng(sorted(SCENARIOS).index(name))
+        alpha, beta, p = rng.random(60), rng.random(60) * BETA_MAX, rng.random(60)
+        if name in NON_X_SCENARIOS:
+            beta[::2], p[1::2] = 0.0, 1.0
+        s = numeric_batch(name, alpha, beta, p, ("S",))["S"]
+        assert np.isfinite(s).all()
+        for point, value in zip(zip(alpha, beta, p), s):
+            assert abs(value - svetlichny_bound_oracle(name, *point)) <= 1e-12, point
+
+    @pytest.mark.parametrize(
+        "name, alpha, beta, p, f_wins",
+        [
+            ("ABC_I", ALPHA_GHZ, 0.3, 0.2, True),
+            ("AB_II_C_II", 0.9, 0.5, 0.1, True),
+            ("AB_I_C_I", 0.3, 0.2, 0.8, False),
+            ("AB_I_B_II", 0.6, 0.0, 0.4, False),
+            ("AC_I_C_II", 0.6, 0.5, 1.0, False),
+        ],
+    )
+    def test_each_branch_attains_the_bound(self, name, alpha, beta, p, f_wins):
+        f_branch, n_branch = svetlichny_branches(damped_scenario_state(name, alpha, beta, p))
+        assert (f_branch > n_branch) == f_wins
+        s = numeric_batch(name, alpha, beta, p, ("S",))["S"]
+        assert abs(s - svetlichny_bound_oracle(name, alpha, beta, p)) <= 1e-12
 
 
 #: The law grid: 9 alphas x 101 betas x 201 ps, in every scenario.

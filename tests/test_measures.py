@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzsim.engine import MEASURES
-from ghzsim.measures import X_TOL, _slots, off_pattern, support_measures
+from ghzsim.measures import _slots, off_pattern, support_measures
 from conftest import _OFF_X, dense_measures_oracle, random_density_matrix
 
 SQRT2_8 = 8.0 * math.sqrt(2.0)
@@ -145,17 +145,22 @@ class TestFullSupportKernel:
     def test_bit_identical_to_dense_oracle(self, rng, n):
         stack = rng.normal(size=(n, 8, 8)) + 1j * rng.normal(size=(n, 8, 8))
         stack[rng.random((n, 8, 8)) < 0.3] = 0.0
-        # A third X-structured, a third with off-pattern entries at X_TOL
-        # or just above it, a third dense.
+        # A third X-structured, a third whose off-pattern entries are all
+        # -0.0, all +0.0, or -0.0 but for one 5e-324, in turn, a third dense.
         off = ~(np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1])
         stack[: n // 3, off] = 0.0
-        near = stack[n // 3 : 2 * n // 3]
-        near[:, off] *= X_TOL / np.maximum(np.abs(near[:, off]), 1e-300)
-        near[::2, 0, 3] = np.nextafter(X_TOL, 1.0)
+        zeros = stack[n // 3 : 2 * n // 3]
+        zeros[:, off] = complex(-0.0, -0.0)
+        zeros[1::3, off] = 0.0
+        zeros[2::3, 0, 3] = 5e-324
         stack[:, [2, 5], [2, 5]] = -0.0
         got = support_measures(stack.reshape(n, 64).T, np.arange(64), MEASURES)
         want = dense_measures_oracle(stack, MEASURES)
         for measure in MEASURES:
             # int64 views: signed zeros and NaN payloads count.
             assert np.array_equal(got[measure].view(np.int64), want[measure].view(np.int64)), measure
-        assert np.isfinite(got["S"][: n // 3]).all()
+        x = np.ones(n, dtype=bool)
+        x[2 * n // 3 :] = False
+        x[n // 3 : 2 * n // 3][2::3] = False
+        for measure in ("S", "E"):
+            assert np.array_equal(np.isfinite(got[measure]), x), measure

@@ -300,3 +300,27 @@ class TestFullSupportBuild:
             damped_scenario_state("ABC_I", math.nan, 0.3, 0.0)
         with pytest.raises(ConfigError):
             damped_scenario_state("ABC_I", 0.6, math.nan, 0.0)
+
+
+class TestUnruhChannel:
+    """On a kept _I mode the expansion followed by the trace over _II is a
+    qubit channel with the Kraus pair diag(cos beta, 1) and sin beta |1><0|:
+    |0><0| -> cos^2 |0><0| + sin^2 |1><1|, |1><1| -> |1><1| and |0><1| ->
+    cos |0><1|. It composes in cos beta, as damping composes in 1 - p
+    (test_channels.TestDampingSemigroup): the state at beta is the channel
+    at c = cos beta / cos beta_0 applied to the state at any beta_0 <= beta."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=_ends_or_inside(1.0),
+        betas=st.lists(_ends_or_inside(BETA_MAX), min_size=2, max_size=2),
+    )
+    def test_expansions_compose_as_a_channel_on_qubit_c(self, alpha, betas):
+        beta_0, beta = sorted(betas)
+        c = math.cos(beta) / math.cos(beta_0)
+        pair = (np.diag([c, 1.0]), np.array([[0.0, 0.0], [math.sqrt(max(0.0, 1.0 - c * c)), 0.0]]))
+        ops = [np.kron(np.eye(4), k) for k in pair]
+        earlier = damped_scenario_state("ABC_I", alpha, beta_0, 0.0)
+        want = sum(op @ earlier @ op.T for op in ops)
+        got = damped_scenario_state("ABC_I", alpha, beta, 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-14, (beta_0, beta)
