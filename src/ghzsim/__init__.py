@@ -5,9 +5,10 @@ The numeric engine has one public face, and every public function takes a
 scenario by name: `numeric_batch` evaluates S, E and C over broadcastable
 (alpha, beta, p), scalars included, and `damped_scenario_state` gives one
 point's whole reduced matrix as a plain real (8, 8) array, before damping
-at p = 0. The kernels under them (`unruh.scenario_reduced_entries`,
-`channels.damp_entries`, `measures.support_measures`) work on batched rows
-of a scenario's support entries. Scenarios and sweep grids are plain data:
+at p = 0. The kernels under them, in the same module
+(`engine.scenario_reduced_entries`, `engine.damp_entries`,
+`engine.support_measures`), work on batched rows of a scenario's support
+entries. Scenarios and sweep grids are plain data:
 a `Scenario` is a named tuple of mode-name strings, and a `SweepGrid` holds
 its axes and one (beta, p) array per (measure, engine). The other workflows
 return dicts or text, and no library function writes a file. Each workflow

@@ -5,7 +5,7 @@ so the tests cross-check two implementations. `trace_out_oracle` is the
 partial trace, an einsum contraction; the package never forms a full
 register's matrix. `damp_qubit_oracle` damps one qubit of one matrix out of
 place, building a new array from the four operator blocks; the package's
-single damping kernel, `channels.damp_entries`, updates chosen entries of N
+single damping kernel, `engine.damp_entries`, updates chosen entries of N
 matrices in place as rows of a (K, N) array, one p per matrix.
 `kraus_pair_oracle` is the channel's definition, its two 2x2 Kraus
 operators, and `kraus_sum_oracle` applies them to chosen qubits as a Kraus
@@ -23,7 +23,7 @@ bit. Which modes it expands and keeps, `expanded_from_name` and
 `modes_from_name` read off the scenario's name, not from the package's
 scenario table.
 `x_measures_oracle` evaluates S, E and C of one matrix in Python scalars,
-straight from the formulas in the `measures` module docstring, so the
+straight from the formulas in the `engine` module docstring, so the
 engine's differential test shares no code with the kernels it checks.
 `dense_measures_oracle` is the dense form the package replaced with its
 support-row kernel: a boolean-mask X test over all 48 off-pattern slots,
@@ -54,8 +54,7 @@ import numpy as np
 import pytest
 
 from ghzsim import cf_eval, damped_scenario_state, numeric_batch
-from ghzsim.channels import block_plan, damp_entries
-from ghzsim.measures import svetlichny, tripartite_entanglement
+from ghzsim.engine import block_plan, damp_entries, svetlichny, tripartite_entanglement
 
 # --- independent oracles ------------------------------------------------------
 

@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzsim import BETA_MAX, SCENARIOS
-from ghzsim.channels import block_plan, damp_entries
-from ghzsim.unruh import scenario_reduced_entries
+from ghzsim.engine import block_plan, damp_entries, scenario_reduced_entries
 from conftest import (
     damp_all_entries,
     damp_one,

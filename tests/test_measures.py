@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzsim.engine import MEASURES
-from ghzsim.measures import _slots, off_pattern, support_measures
+from ghzsim.engine import MEASURES, _slots, off_pattern, support_measures
 from conftest import _OFF_X, dense_measures_oracle, random_density_matrix
 
 SQRT2_8 = 8.0 * math.sqrt(2.0)

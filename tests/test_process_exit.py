@@ -137,6 +137,7 @@ class TestEarlyClosingReader:
         finally:
             proc.kill()
             proc.wait()
+            proc.stderr.close()
         assert stderr == f"I/O error: [Errno {errno.EPIPE}] Broken pipe\n".encode()
 
     class ShortWrites(io.RawIOBase):

@@ -1,8 +1,10 @@
-"""What a fresh process pays to start: `import ghzsim` loads no submodule,
-`import ghzsim.qcore` loads neither numpy nor dataclasses, `import
-ghzsim.cli` and every CLI run that computes nothing load no numpy, the CLI
-runs numpy's OpenBLAS with one thread unless the user chose a number, and no
-CLI run imports `numpy.random`.
+"""The package's layers and what a fresh process pays to start: the package
+holds one module per layer and `import ghzsim.sweep` loads every one below
+the CLI, `import ghzsim` loads no submodule, `import ghzsim.qcore` loads
+neither numpy nor dataclasses, `import ghzsim.cli` and every CLI run that
+computes nothing load no numpy, the CLI runs numpy's OpenBLAS with one
+thread unless the user chose a number, and no CLI run imports
+`numpy.random`.
 
 Each check runs in a new interpreter, because this test process has
 already imported numpy and every ghzsim module."""
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +45,17 @@ def fresh_python(code: str, **env: str) -> object:
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
+
+
+class TestLayers:
+    def test_one_module_per_layer(self):
+        names = sorted(m.name for m in pkgutil.iter_modules(ghzsim.__path__))
+        assert names == ["cli", "closedform", "engine", "qcore", "sweep"]
+
+    def test_sweep_loads_every_layer_below_the_cli(self):
+        code = "import json, sys, ghzsim.sweep; print(json.dumps(sorted(sys.modules)))"
+        ours = [m for m in fresh_python(code) if m.partition(".")[0] == "ghzsim"]
+        assert ours == ["ghzsim", "ghzsim.closedform", "ghzsim.engine", "ghzsim.qcore", "ghzsim.sweep"]
 
 
 class TestLazyPackage:

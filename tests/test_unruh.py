@@ -17,7 +17,7 @@ from ghzsim import (
     numeric_batch,
     scenario,
 )
-from ghzsim.unruh import scenario_reduced_entries
+from ghzsim.engine import scenario_reduced_entries
 from conftest import (
     density_deviations,
     expanded_from_name,
