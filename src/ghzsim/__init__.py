@@ -8,16 +8,17 @@ point's whole reduced matrix as a plain real (8, 8) array, before damping
 at p = 0. The kernels under them, in the same module
 (`engine.scenario_reduced_entries`, `engine.damp_entries`,
 `engine.support_measures`), work on batched rows of a scenario's support
-entries. Scenarios and sweep grids are plain data:
-a `Scenario` is a named tuple of mode-name strings, and a `SweepGrid` holds
-its axes and one (beta, p) array per (measure, engine). The other workflows
-return dicts or text, and no library function writes a file. Each workflow
-takes keyword parameters named after its CLI subcommand's flags, a grid by
-its step counts over the whole (beta, p) domain. The numpy-free `qcore`
-owns the scenario, figure and engine tables that the CLI's parser reads,
-and the one range check of alpha, beta, p and tol, which the engine entry,
-`cf_eval` and each workflow call; one error class, `ConfigError`, reports
-every bad value, scenario and measure.
+entries. Scenarios and sweep grids are plain data: a `Scenario` is a named
+tuple of mode-name strings, and `run_sweep` returns a dict of "scenario",
+"alpha", "betas", "ps" and "surfaces" (one (beta, p) array per (measure,
+engine)), written as len(betas) * len(ps) * len(surfaces) rows. The other
+workflows return dicts or text, and no library function writes a file. Each
+workflow takes keyword parameters named after its CLI subcommand's flags, a
+grid by its step counts over the whole (beta, p) domain. The numpy-free
+`qcore` owns the scenario, figure and engine tables that the CLI's parser
+reads, and the one range check of alpha, beta, p and tol, which the engine
+entry, `cf_eval` and each workflow call; one error class, `ConfigError`,
+reports every bad value, scenario and measure.
 
 The public names below are imported from their submodules on first use
 (PEP 562), so `import ghzsim` alone loads no submodule and not numpy. This
@@ -35,7 +36,7 @@ _EXPORTS = {
         "closedform": "CATALOG cf_eval",
         "engine": "damped_scenario_state is_x_structured numeric_batch",
         "qcore": "BETA_MAX ConfigError SCENARIOS Scenario scenario",
-        "sweep": "SweepGrid figure_csv find_boundary run_audit run_sweep sum_rule_samples",
+        "sweep": "figure_csv find_boundary run_audit run_sweep sum_rule_samples",
     }.items()
     for name in names.split()
 }

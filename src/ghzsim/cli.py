@@ -26,9 +26,9 @@ plain `float`s: the library checks them and reads -0.0 as 0.0.
 process entry, used by the `ghzsim` console script and `python -m ghzsim.cli`.
 
 The parser is built from tables that the numpy-free `qcore` owns: the
-scenario names, the figure ids and the engine names. Each subcommand
-imports `sweep`, and with it numpy, only when it runs, so `--help`, a usage
-error or a configuration error ends before numpy loads.
+scenario names, the figure ids, the engine names and the boundary measures.
+Each subcommand imports `sweep`, and with it numpy, only when it runs, so
+`--help`, a usage error or a configuration error ends before numpy loads.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ from typing import NoReturn
 # 0.1 s of CPU per process; this must run before the first numpy import.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .qcore import ENGINES, FIGURES, SCENARIOS, ConfigError
+from .qcore import BOUNDARY_RULES, ENGINES, FIGURES, SCENARIOS, ConfigError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,7 +85,7 @@ _FLAGS: dict[str, tuple] = {
     "p_steps": (int, {}),
     "scenario": (str, {"choices": sorted(SCENARIOS)}),
     "measures": (_names, {"help": "comma list from S,E,C"}),
-    "measure": (str, {"choices": ("S", "E")}),
+    "measure": (str, {"choices": tuple(BOUNDARY_RULES)}),
     "engine": (str, {"choices": ENGINES}),
     "figure": (int, {"choices": sorted(FIGURES)}),
     "resolution": (int, {}),
@@ -250,7 +250,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_boundary(args: argparse.Namespace) -> int:
     if args.measure is None:
-        raise ConfigError("boundary requires --measure S|E")
+        raise ConfigError(f"boundary requires --measure {'|'.join(BOUNDARY_RULES)}")
     from .sweep import boundary_to_csv, find_boundary, json_text
     result = find_boundary(**_given(args))
     _emit(json_text(result) if args.format == "json" else boundary_to_csv(result), args.out)

@@ -1,11 +1,12 @@
 """The package's error class, the domain of every numeric parameter and the
 tables the CLI parser is built from: the scenario table (`Scenario`,
-`SCENARIOS`, `scenario`), the figure table `FIGURES` and the engine names
-`ENGINES`. `sweep` imports them from here, so `ghzsim.cli` builds its
-parser without numpy. Public functions take a scenario by name and look its
-row up with `scenario`. The CLI exits 2 for a `ConfigError` and lets every
-other exception propagate. `checked` is the one range check of every numeric
-parameter, and the one rule that reads -0.0 as 0.0."""
+`SCENARIOS`, `scenario`), the figure table `FIGURES`, the engine names
+`ENGINES` and the boundary rule table `BOUNDARY_RULES`. `sweep` imports them
+from here, so `ghzsim.cli` builds its parser without numpy. Public functions
+take a scenario by name and look its row up with `scenario`. The CLI exits 2
+for a `ConfigError` and lets every other exception propagate. `checked`, the
+one range check of every numeric parameter, is the one rule that reads -0.0
+as 0.0."""
 from __future__ import annotations
 
 import math
@@ -110,3 +111,8 @@ FIGURES: dict[int, tuple[str, tuple[str, ...]]] = {
 }
 
 ENGINES = ("numeric", "closedform", "both")
+
+#: boundary measure -> (threshold, slack): the scan finds the first value <=
+#: threshold + slack; bisection keeps its lower end while the value exceeds
+#: the threshold. S falls to the classical bound 4; E reaches exactly 0.
+BOUNDARY_RULES = {"S": (4.0, 1e-12), "E": (0.0, 0.0)}

@@ -14,18 +14,19 @@ once here. A grid is given by its step counts: beta runs over [0, BETA_MAX]
 and p over [0, 1], the whole domain of the paper's figures, and an axis of
 one step is its 0 end.
 
-Every workflow returns plain data and writes no file: `run_sweep` a
-`SweepGrid` (the axes and one (beta, p) array per (measure, engine)),
-`run_audit`, `sum_rule_samples` and `find_boundary` their JSON documents as
-dicts, `figure_csv` each measure's CSV text. Only the CLI picks output
-paths and formats, and writes. Sweep CSV, sweep JSON and figure CSV are made
-straight from the arrays, in the documented row order, each by one `%`
-operation over a template that repeats one per-point block: per column,
-the column's constant text, a slot for the point's preformatted (beta, p)
-text and a slot for its value. `json_text` spells every other JSON
-document. Each workflow checks every numeric parameter it takes, floats and
-counts, with the engines' range check `qcore.checked` and keeps what it
-returns: no echo shows -0.
+Every workflow returns built-in data and writes no file: `run_sweep` a dict
+of "scenario", "alpha", "betas", "ps" and "surfaces", which the writers lay
+out as len(betas) * len(ps) * len(surfaces) rows; `run_audit`,
+`sum_rule_samples` and `find_boundary` their JSON documents as dicts;
+`figure_csv` each measure's CSV text. Only the CLI picks output paths and
+formats, and writes. Sweep CSV, sweep JSON and figure CSV are made straight
+from the arrays, in the documented row order, each by one `%` operation over
+a template that repeats one per-point block: per column, the column's
+constant text, a slot for the point's preformatted (beta, p) text and a slot
+for its value. `json_text` spells every other JSON document. Each workflow
+checks every numeric parameter it takes, floats and counts, with the
+engines' range check `qcore.checked` and keeps what it returns: no echo
+shows -0.
 
 All outputs are deterministic for a fixed configuration: grid order defines
 row order, floats are serialized with 17 significant digits, random sampling
@@ -36,13 +37,12 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
 from .closedform import REPORTED_RULE, SUM_RULES, cf_eval
 from .engine import MEASURES, is_x_structured, numeric_batch
-from .qcore import BETA_MAX, ENGINES, FIGURES, SCENARIOS, ConfigError, checked
+from .qcore import BETA_MAX, BOUNDARY_RULES, ENGINES, FIGURES, SCENARIOS, ConfigError, checked
 from .qcore import scenario as scenario_row
 
 DEFAULT_ALPHA = 1.0 / math.sqrt(2.0)
@@ -51,23 +51,6 @@ DEFAULT_SEED = 20260823
 DEFAULT_SAMPLES = 1000
 #: Points on each axis of a grid, and on a figure's.
 DEFAULT_STEPS = 101
-
-
-@dataclass(frozen=True, eq=False)
-class SweepGrid:
-    """A sweep's (beta, p) surfaces. The writers lay them out as rows
-    ordered by (beta index, p index), then measure (config order), then
-    engine (numeric before closedform); its length is that row count."""
-
-    scenario: str
-    alpha: float
-    betas: tuple[float, ...]
-    ps: tuple[float, ...]
-    #: (measure, engine) -> (len(betas), len(ps)) array, in row order.
-    surfaces: dict[tuple[str, str], np.ndarray]
-
-    def __len__(self) -> int:
-        return len(self.betas) * len(self.ps) * len(self.surfaces)
 
 
 def _axis(hi: float, steps: int) -> tuple[float, ...]:
@@ -80,10 +63,14 @@ def run_sweep(
     scenario: str = DEFAULT_SCENARIO, *, alpha: float = DEFAULT_ALPHA,
     beta_steps: int = DEFAULT_STEPS, p_steps: int = DEFAULT_STEPS,
     measures: tuple[str, ...] = MEASURES, engine: str = "both",
-) -> SweepGrid:
+) -> dict:
     """One scenario's measures by one engine or both over the grid: one
     kernel call and one catalog call per measure over the (beta, 1) x (p,)
-    broadcast."""
+    broadcast. Returns {"scenario", "alpha", "betas", "ps", "surfaces"}:
+    `surfaces` maps (measure, engine) to a (len(betas), len(ps)) array. The
+    writers lay them out as len(betas) * len(ps) * len(surfaces) rows,
+    ordered by (beta index, p index), then measure (config order), then
+    engine (numeric before closedform), which is the order of `surfaces`."""
     alpha = checked("alpha", alpha)
     beta_steps, p_steps = checked("beta_steps", beta_steps), checked("p_steps", p_steps)
     scenario_row(scenario)
@@ -102,7 +89,7 @@ def run_sweep(
         for m in measures
         for e in engines
     }
-    return SweepGrid(scenario, alpha, betas, ps, surfaces)
+    return dict(scenario=scenario, alpha=alpha, betas=betas, ps=ps, surfaces=surfaces)
 
 
 # --- serialization -----------------------------------------------------------
@@ -146,11 +133,11 @@ def _grid_csv(header: str, keys: list[str], columns: list[tuple[str, np.ndarray]
     return _fill(header + "\n", prefixes, "%s%.17g\n", keys, values)
 
 
-def records_to_csv(grid: SweepGrid) -> str:
-    alpha = _fmt(grid.alpha)
-    columns = [(f"{grid.scenario},{m},{e},{alpha},", s) for (m, e), s in grid.surfaces.items()]
+def records_to_csv(grid: dict) -> str:
+    scenario, alpha = grid["scenario"], _fmt(grid["alpha"])
+    columns = [(f"{scenario},{m},{e},{alpha},", s) for (m, e), s in grid["surfaces"].items()]
     header = "scenario,measure,engine,alpha,beta,p,value"
-    return _grid_csv(header, _csv_keys(grid.betas, grid.ps), columns)
+    return _grid_csv(header, _csv_keys(grid["betas"], grid["ps"]), columns)
 
 
 #: float.__repr__ texts that JSON spells otherwise; a NaN value is null.
@@ -172,20 +159,21 @@ def _json_values(surface: np.ndarray) -> list:
     return values
 
 
-def records_to_json(grid: SweepGrid) -> str:
+def records_to_json(grid: dict) -> str:
     """The bytes `json.dumps(..., indent=2)` gives for the list of record
     dicts (NaN values as null), in one `%` pass over a template that
     repeats one per-point block of records, as `_grid_csv` does."""
-    if not len(grid):
+    betas, ps, surfaces = grid["betas"], grid["ps"], grid["surfaces"]
+    if not (betas and ps and surfaces):
         return "[]\n"
     prefixes = [
-        f'  {{\n    "scenario": {json.dumps(grid.scenario)},\n    "measure": {json.dumps(m)},\n'
-        f'    "engine": {json.dumps(e)},\n    "alpha": {json.dumps(grid.alpha)},\n    "beta": '
-        for m, e in grid.surfaces
+        f'  {{\n    "scenario": {json.dumps(grid["scenario"])},\n    "measure": {json.dumps(m)},\n'
+        f'    "engine": {json.dumps(e)},\n    "alpha": {json.dumps(grid["alpha"])},\n    "beta": '
+        for m, e in surfaces
     ]
-    ps = [_json_num(p) for p in grid.ps]
-    keys = [f'{b},\n    "p": {p},\n    "value": ' for b in map(_json_num, grid.betas) for p in ps]
-    values = [_json_values(s) for s in grid.surfaces.values()]
+    ps = [_json_num(p) for p in ps]
+    keys = [f'{b},\n    "p": {p},\n    "value": ' for b in map(_json_num, betas) for p in ps]
+    values = [_json_values(s) for s in surfaces.values()]
     return _fill("[\n", prefixes, "%s%s\n  }", keys, values, sep=",\n", tail="\n]\n")
 
 
@@ -207,14 +195,8 @@ def json_text(obj) -> str:
 
 # --- sudden-death boundary ----------------------------------------------------
 
-S_THRESHOLD = 4.0
 #: Spacing of the coarse p scan that brackets a boundary crossing.
 SCAN_STEP = 1e-3
-
-#: measure -> (threshold, slack). The scan finds the first value <= threshold
-#: + slack; bisection keeps its lower end while the value exceeds the
-#: threshold. E reaches 0 only where it is exactly 0.
-_BOUNDARY_RULES = {"S": (S_THRESHOLD, 1e-12), "E": (0.0, 0.0)}
 
 
 def _bisect(name, measure, alpha, betas, lo, hi, level, tol) -> np.ndarray:
@@ -254,8 +236,9 @@ def find_boundary(
     p = 0; one that starts below it never crosses. Absence of a crossing is
     data, not an error. A tolerance of 0 bisects to float spacing.
     """
-    if measure not in _BOUNDARY_RULES:
-        raise ConfigError(f"boundary measure must be S or E, got {measure!r}")
+    if measure not in BOUNDARY_RULES:
+        names = " or ".join(BOUNDARY_RULES)
+        raise ConfigError(f"boundary measure must be {names}, got {measure!r}")
     tol, beta_steps = checked("tol", tol), checked("beta_steps", beta_steps)
     scenario_row(scenario)  # an unknown name is reported before a bad alpha
     alpha = checked("alpha", alpha)
@@ -264,7 +247,7 @@ def find_boundary(
             f"numeric {measure} undefined for scenario {scenario}: "
             "its reduced state is not X-structured"
         )
-    threshold, slack = _BOUNDARY_RULES[measure]
+    threshold, slack = BOUNDARY_RULES[measure]
 
     betas = _axis(BETA_MAX, beta_steps)
     beta_arr = np.asarray(betas)
@@ -316,10 +299,10 @@ def figure_csv(
     engine = "numeric" if is_x_structured(scenario) else "closedform"
     grid = run_sweep(scenario, alpha=alpha, beta_steps=resolution, p_steps=resolution,
                      measures=measures, engine=engine)
-    keys = _csv_keys(grid.betas, grid.ps)
+    keys = _csv_keys(grid["betas"], grid["ps"])
     return {
         m: _grid_csv("beta,p,value", keys, [("", surface)])
-        for (m, _), surface in grid.surfaces.items()
+        for (m, _), surface in grid["surfaces"].items()
     }
 
 
@@ -450,14 +433,14 @@ def run_audit(
                 )
                 flags.append(f"{name}/{measure}: reduced state not X-structured")
                 continue
-            values = sweep.surfaces[measure, "numeric"]
-            catalog = sweep.surfaces[measure, "closedform"]
+            values = sweep["surfaces"][measure, "numeric"]
+            catalog = sweep["surfaces"][measure, "closedform"]
             # First maximum in row-major order; a NaN deviation never wins.
             devs = np.abs(values - catalog)
             devs[np.isnan(devs)] = -1.0
-            bi, pi = divmod(int(np.argmax(devs)), len(sweep.ps))
+            bi, pi = divmod(int(np.argmax(devs)), len(sweep["ps"]))
             worst_dev = float(devs[bi, pi])
-            beta_at, p_at = sweep.betas[bi], sweep.ps[pi]
+            beta_at, p_at = sweep["betas"][bi], sweep["ps"][pi]
             numeric_at, cf_at = float(values[bi, pi]), float(catalog[bi, pi])
             ok = worst_dev <= tol
             entries.append(

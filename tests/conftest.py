@@ -39,7 +39,7 @@ no X-state formula, so it also checks the formula S itself.
 `figure_csv_oracle` are the per-record and per-cell writers the package
 replaced with its columnar grid writer; the serialization tests require the
 package's output to equal theirs byte for byte. `grid_records` lays a
-`SweepGrid`'s arrays out as those writers' `Record` rows.
+`run_sweep` grid's arrays out as those writers' `Record` rows.
 """
 from __future__ import annotations
 
@@ -52,9 +52,15 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ghzsim import cf_eval, damped_scenario_state, numeric_batch
 from ghzsim.engine import block_plan, damp_entries, svetlichny, tripartite_entanglement
+
+# Every property test checks the same examples on every run: each test's own
+# @settings inherit a derandomized profile that keeps no example database.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 # --- independent oracles ------------------------------------------------------
 
@@ -274,13 +280,13 @@ Record = namedtuple("Record", "scenario measure engine alpha beta p value")
 
 
 def grid_records(grid):
-    """The rows of a `SweepGrid` in their documented order: by (beta index,
-    p index), then by (measure, engine) in the order of its surfaces."""
-    surfaces = [(m, e, s.tolist()) for (m, e), s in grid.surfaces.items()]
-    for bi, beta in enumerate(grid.betas):
-        for pi, p in enumerate(grid.ps):
+    """The rows of a `run_sweep` grid in their documented order: by (beta
+    index, p index), then by (measure, engine) in the order of its surfaces."""
+    surfaces = [(m, e, s.tolist()) for (m, e), s in grid["surfaces"].items()]
+    for bi, beta in enumerate(grid["betas"]):
+        for pi, p in enumerate(grid["ps"]):
             for m, e, s in surfaces:
-                yield Record(grid.scenario, m, e, grid.alpha, beta, p, s[bi][pi])
+                yield Record(grid["scenario"], m, e, grid["alpha"], beta, p, s[bi][pi])
 
 
 def sweep_records_oracle(

@@ -222,7 +222,7 @@ def test_criterion_9_performance_envelope(tmp_path):
     start = time.perf_counter()
     rows = run_sweep(scenario="ABC_I", beta_steps=101, p_steps=101, engine="both")
     elapsed = time.perf_counter() - start
-    assert len(rows) == 101 * 101 * 3 * 2
+    assert len(rows["betas"]) * len(rows["ps"]) * len(rows["surfaces"]) == 101 * 101 * 3 * 2
     assert elapsed < 5.0, f"sweep took {elapsed:.2f}s"
 
     again = run_sweep(scenario="ABC_I", beta_steps=101, p_steps=101, engine="both")

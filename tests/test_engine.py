@@ -157,12 +157,12 @@ class TestNumericMeasures:
         exact. So a default sweep has finite S and E there, 201 points, and
         only there, at every such alpha."""
         grid = run_sweep(name, alpha=alpha, engine="numeric")
-        on_x = (np.array(grid.betas)[:, None] == 0.0) | (np.array(grid.ps) == 1.0)
+        on_x = (np.array(grid["betas"])[:, None] == 0.0) | (np.array(grid["ps"]) == 1.0)
         assert on_x.sum() == 201
         for measure in ("S", "E"):
-            finite = np.isfinite(grid.surfaces[measure, "numeric"])
+            finite = np.isfinite(grid["surfaces"][measure, "numeric"])
             assert np.array_equal(finite, on_x), (measure, int(finite.sum()))
-        assert np.isfinite(grid.surfaces["C", "numeric"]).all()
+        assert np.isfinite(grid["surfaces"]["C", "numeric"]).all()
 
     def test_full_damping_leaves_ground_state_statistics(self):
         values = numeric_batch("AB_I_C_I", 0.8, 0.5, 1.0)

@@ -1,10 +1,10 @@
 """The package's layers and what a fresh process pays to start: the package
 holds one module per layer and `import ghzsim.sweep` loads every one below
-the CLI, `import ghzsim` loads no submodule, `import ghzsim.qcore` loads
-neither numpy nor dataclasses, `import ghzsim.cli` and every CLI run that
-computes nothing load no numpy, the CLI runs numpy's OpenBLAS with one
-thread unless the user chose a number, and no CLI run imports
-`numpy.random`.
+the CLI and not dataclasses, `import ghzsim` loads no submodule, `import
+ghzsim.qcore` loads neither numpy nor dataclasses, `import ghzsim.cli` and
+every CLI run that computes nothing load no numpy, the CLI runs numpy's
+OpenBLAS with one thread unless the user chose a number, and no CLI run
+imports `numpy.random`.
 
 Each check runs in a new interpreter, because this test process has
 already imported numpy and every ghzsim module."""
@@ -26,7 +26,7 @@ SRC = str(Path(ghzsim.__file__).resolve().parents[1])
 #: The package's public names, pinned.
 EXPORTS = {
     "BETA_MAX", "CATALOG", "ConfigError",
-    "SCENARIOS", "Scenario", "SweepGrid",
+    "SCENARIOS", "Scenario",
     "cf_eval", "damped_scenario_state", "figure_csv", "find_boundary",
     "is_x_structured", "numeric_batch", "run_audit", "run_sweep", "scenario",
     "sum_rule_samples",
@@ -54,8 +54,10 @@ class TestLayers:
 
     def test_sweep_loads_every_layer_below_the_cli(self):
         code = "import json, sys, ghzsim.sweep; print(json.dumps(sorted(sys.modules)))"
-        ours = [m for m in fresh_python(code) if m.partition(".")[0] == "ghzsim"]
+        loaded = fresh_python(code)
+        ours = [m for m in loaded if m.partition(".")[0] == "ghzsim"]
         assert ours == ["ghzsim", "ghzsim.closedform", "ghzsim.engine", "ghzsim.qcore", "ghzsim.sweep"]
+        assert "dataclasses" not in loaded
 
 
 class TestLazyPackage:
@@ -93,7 +95,7 @@ class TestLazyPackage:
             "                  'engine': engine.__name__}))\n"
         )
         got = fresh_python(code)
-        assert len(got["all"]) == len(EXPORTS) == 16
+        assert len(got["all"]) == len(EXPORTS) == 15
         assert set(got["all"]) == EXPORTS
         # The domain's constant lives with its check, in the numpy-free qcore.
         assert ghzsim._EXPORTS["BETA_MAX"] == "qcore"

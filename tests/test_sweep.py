@@ -19,7 +19,6 @@ from ghzsim import (
     BETA_MAX,
     SCENARIOS,
     ConfigError,
-    SweepGrid,
     cf_eval,
     damped_scenario_state,
     figure_csv,
@@ -75,14 +74,15 @@ class TestSweepChecks:
             run_sweep(**kwargs)
 
     def test_default_config_is_valid(self):
-        assert len(run_sweep()) == 101 * 101 * 3 * 2
+        grid = run_sweep()
+        assert len(grid["betas"]) * len(grid["ps"]) * len(grid["surfaces"]) == 101 * 101 * 3 * 2
 
     @pytest.mark.parametrize("name, hi", [("beta", BETA_MAX), ("p", 1.0)])
     def test_axes_end_at_the_pipeline_limits(self, name, hi):
         """Each axis runs evenly from 0 to its domain's upper end, both ends
         included, so no grid point lies past what the pipeline accepts."""
         grid = run_sweep(**{**SMALL, f"{name}_steps": 5}, engine="numeric")
-        values = grid.betas if name == "beta" else grid.ps
+        values = grid["betas"] if name == "beta" else grid["ps"]
         assert (len(values), values[0], values[-1]) == (5, 0.0, hi)
         np.testing.assert_allclose(np.diff(values), hi / 4, rtol=1e-12)
 
@@ -121,7 +121,7 @@ class TestRunSweep:
         grid = run_sweep(**SMALL)
         rows = list(grid_records(grid))
         # 3 beta x 3 p x 3 measures x 2 engines
-        assert len(grid) == len(rows) == 54
+        assert len(grid["betas"]) * len(grid["ps"]) * len(grid["surfaces"]) == len(rows) == 54
         first = rows[0]
         assert (first.measure, first.engine) == ("S", "numeric")
         assert rows[1].engine == "closedform"
@@ -153,7 +153,8 @@ class TestRunSweep:
             engine="numeric",
         )
         rows = list(grid_records(grid))
-        assert len(grid) == len(rows) == 7 * 7 * 3
+        rows_in_grid = len(grid["betas"]) * len(grid["ps"]) * len(grid["surfaces"])
+        assert rows_in_grid == len(rows) == 7 * 7 * 3
         axis = [k / 6.0 for k in range(7)]
         for k, row in enumerate(rows):
             bi, rest = divmod(k, 7 * 3)
@@ -196,7 +197,7 @@ class TestSerialization:
         # the reduced state is not X-structured there, so the numeric
         # Svetlichny value is undefined
         grid = run_sweep("AB_I_B_II", beta_steps=3, p_steps=3, engine="numeric", measures=("S",))
-        assert (grid.betas[1], grid.ps[0]) == (math.pi / 8, 0.0)
+        assert (grid["betas"][1], grid["ps"][0]) == (math.pi / 8, 0.0)
         csv_text = records_to_csv(grid)
         assert csv_text.strip().split("\n")[4].endswith(",nan")
         payload = json.loads(records_to_json(grid))
@@ -225,11 +226,11 @@ COLUMNAR_CONFIGS = [
 #: needs all 17 digits, on a 3x2 (beta, p) grid, and a grid of them with
 #: signed-zero and subnormal axis values.
 SPECIAL_VALUES = np.array([[math.nan, math.inf], [-math.inf, -0.0], [5e-324, 0.1 + 0.2]])
-SPECIAL_GRID = SweepGrid(
-    "AB_I_C_I", 0.3, (0.0, 1e-300, BETA_MAX), (-0.0, 1.0),
-    {("S", "numeric"): SPECIAL_VALUES, ("C", "closedform"): SPECIAL_VALUES[::-1].copy()},
+SPECIAL_GRID = dict(
+    scenario="AB_I_C_I", alpha=0.3, betas=(0.0, 1e-300, BETA_MAX), ps=(-0.0, 1.0),
+    surfaces={("S", "numeric"): SPECIAL_VALUES, ("C", "closedform"): SPECIAL_VALUES[::-1].copy()},
 )
-EMPTY_GRID = SweepGrid("ABC_I", 0.5, (), (), {})
+EMPTY_GRID = dict(scenario="ABC_I", alpha=0.5, betas=(), ps=(), surfaces={})
 
 
 class TestColumnarOutput:
@@ -268,7 +269,8 @@ class TestColumnarOutput:
     def test_percent_in_a_scenario_name_is_text(self, name):
         """Both writers fill one `%` template; a `%` in the name is not a
         conversion of it."""
-        grid = SweepGrid(name, 0.3, (0.0, 0.5), (0.25,), {("C", "numeric"): SPECIAL_VALUES[:2, :1]})
+        grid = dict(scenario=name, alpha=0.3, betas=(0.0, 0.5), ps=(0.25,),
+                    surfaces={("C", "numeric"): SPECIAL_VALUES[:2, :1]})
         text = records_to_csv(grid)
         assert text == records_csv_oracle(grid_records(grid))
         assert text.split("\n")[1].startswith(name + ",C,numeric,")
@@ -278,11 +280,11 @@ class TestColumnarOutput:
     @pytest.mark.parametrize("config", COLUMNAR_CONFIGS)
     def test_grid_reads_as_its_records(self, config):
         """The grid's arrays, laid out in the documented row order, are the
-        records built one by one, and its length is their count."""
+        records built one by one, and its row count is theirs."""
         grid = run_sweep(**config)
         records = sweep_records_oracle(**config)
         assert records_csv_oracle(grid_records(grid)) == records_csv_oracle(records)
-        assert len(grid) == len(records)
+        assert len(grid["betas"]) * len(grid["ps"]) * len(grid["surfaces"]) == len(records)
 
     @pytest.mark.parametrize("figure_id", [1, 2, 7])
     def test_figure_files_equal_the_per_cell_writer(self, figure_id):
@@ -756,9 +758,9 @@ class TestNegativeSeed:
             run_audit(seed=-1)
 
 
-def _surfaces(grid: SweepGrid):
-    return grid.betas, grid.ps, {k: np.nan_to_num(v, nan=-1.0).tolist()
-                                 for k, v in grid.surfaces.items()}
+def _surfaces(grid: dict):
+    return grid["betas"], grid["ps"], {k: np.nan_to_num(v, nan=-1.0).tolist()
+                                       for k, v in grid["surfaces"].items()}
 
 
 def _findings(report: dict):
