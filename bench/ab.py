@@ -5,6 +5,7 @@ Usage (from anywhere inside a ghzsim checkout):
 
     python3 bench/ab.py --against REV [--expect-diff NAME ...]
     python3 bench/ab.py --against REV --pairs N [--workload grid|audit|scan]
+    python3 bench/ab.py --record PATH
 
 REV's `src/` is extracted with `git archive` into a temporary directory, so
 no network is needed and the repository itself is left as it was. Every
@@ -38,12 +39,26 @@ fault count moves with memory layout by more than a code change moves it
 under this script and -622 with REV's `src/` extracted into another
 directory). Without `--workload` every workload runs. The exit status is 1
 if a command exits with another code than its expected one, else 0.
+
+Recording (`--record PATH`, no REV): each command of RECORDED, every
+WORKLOADS command and `sweep --format json`, runs RECORD_RUNS times cold in
+this checkout's working tree, one command after another in each round,
+through the same `os.wait4` path as a timing pass. PATH gets a JSON document:
+per command, the median and interquartile range of each metric above, and a
+`meta` block with the CPUs this process may use (`nproc`), the Python and
+numpy versions (numpy's from its installed metadata, so this script still
+imports no numpy), the git revision (with `+dirty` when `src/` differs from
+it) and PYTHONDONTWRITEBYTECODE, the bytecode policy every child inherits.
+It holds no timestamp, so a rerun changes only the measured values.
 """
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import io
+import json
 import os
+import platform
 import stat
 import statistics
 import subprocess
@@ -133,6 +148,13 @@ COMMANDS: dict[str, tuple[list[str], dict[str, str]]] = {
        for command in ("sweep", "audit", "boundary", "sumrules", "figure")},
     "usage-error": (["sweep", "--workers", "2"], {}),
     "config-error": (["audit", "--seed", "-1"], {}),
+    # A named parameter's error, from the library's one check.
+    "sweep-repeated-measures": (
+        ["sweep", "--measures", "S,S", "--beta-steps", "2", "--p-steps", "2"], {}
+    ),
+    "sweep-unknown-measure": (
+        ["sweep", "--measures", "S,Q", "--beta-steps", "2", "--p-steps", "2"], {}
+    ),
     # Each count at the edge of its domain.
     "sweep-beta-steps-1": (["sweep", "--beta-steps", "1"], {}),
     "audit-p-steps-1": (["audit", "--p-steps", "1", "--samples", "2"], {}),
@@ -162,7 +184,14 @@ WORKLOADS: dict[str, list[tuple[list[str], int]]] = {
     ],
 }
 
-#: metric -> its print format.
+#: The commands `--record` times: every workload's, then the sweep as JSON.
+RECORDED = [command for commands in WORKLOADS.values() for command in commands] + [
+    (["sweep", "--format", "json", "--out", "sweep.json"], 0)
+]
+#: Cold runs of each recorded command.
+RECORD_RUNS = 10
+
+#: metric -> its print format, in `cold_pass`'s order.
 METRICS = {"wall_s": ".4f", "cpu_s": ".4f", "minflt": ".0f", "rss_mib": ".1f"}
 #: The metrics that get a gain claim.
 CLAIMED = ("wall_s", "cpu_s")
@@ -310,9 +339,43 @@ def pairs(base: Path, label: str, workloads: list[str], n: int) -> int:
     return 0
 
 
+def record(path: str) -> int:
+    """Time each RECORDED command RECORD_RUNS times in this checkout and
+    write the medians and interquartile ranges, with a meta block, to `path`."""
+    runs: list[list[tuple]] = [[] for _ in RECORDED]
+    for _ in range(RECORD_RUNS):
+        for done, command in zip(runs, RECORDED):
+            done.append(cold_pass(ROOT, [command]))
+    commands = {}
+    for (args, _), done in zip(RECORDED, runs):
+        stats = {}
+        for j, (metric, spec) in enumerate(METRICS.items()):
+            q1, median, q3 = statistics.quantiles([p[j] for p in done], n=4, method="inclusive")
+            stats[metric] = {"median": float(format(median, spec)),
+                             "iqr": float(format(q3 - q1, spec))}
+        commands[" ".join(args)] = stats
+    revision = _git("rev-parse", "HEAD").decode().strip()
+    if _git("status", "--porcelain", "--untracked-files=no", "--", "src").strip():
+        revision += "+dirty"
+    meta = {
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": importlib.metadata.version("numpy"),
+        "revision": revision,
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "runs": RECORD_RUNS,
+    }
+    Path(path).write_text(json.dumps({"meta": meta, "commands": commands}, indent=2) + "\n")
+    for name, stats in commands.items():
+        print(f"{stats['wall_s']['median']:.4f} s  {name}", flush=True)
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--against", required=True, metavar="REV", help="revision to compare with")
+    target = parser.add_mutually_exclusive_group(required=True)
+    target.add_argument("--against", metavar="REV", help="revision to compare with")
+    target.add_argument("--record", metavar="PATH", help="write this checkout's timings to PATH")
     parser.add_argument(
         "--expect-diff", action="append", default=[], choices=sorted(COMMANDS), metavar="NAME",
         help="a command whose output may differ (repeatable; identity only)",
@@ -322,6 +385,8 @@ def main(argv: list[str] | None = None) -> int:
         "--workload", choices=sorted(WORKLOADS), help="the one workload to time (with --pairs)"
     )
     args = parser.parse_args(argv)
+    if args.record is not None and (args.pairs is not None or args.workload or args.expect_diff):
+        parser.error("--record takes no other option")
     if args.pairs is None and args.workload is not None:
         parser.error("--workload needs --pairs")
     if args.pairs is not None and args.expect_diff:
@@ -329,8 +394,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs is not None and args.pairs < 2:
         parser.error("--pairs must be >= 2")
 
-    sha = _git("rev-parse", "--verify", f"{args.against}^{{commit}}").decode().strip()
     os.umask(0o022)
+    if args.record is not None:
+        return record(args.record)
+    sha = _git("rev-parse", "--verify", f"{args.against}^{{commit}}").decode().strip()
     with tempfile.TemporaryDirectory(prefix="ab-rev-") as base:
         with tarfile.open(fileobj=io.BytesIO(_git("archive", sha, "src"))) as tar:
             tar.extractall(base, filter="data")

@@ -15,10 +15,10 @@ engine)), written as len(betas) * len(ps) * len(surfaces) rows. The other
 workflows return dicts or text, and no library function writes a file. Each
 workflow takes keyword parameters named after its CLI subcommand's flags, a
 grid by its step counts over the whole (beta, p) domain. The numpy-free
-`qcore` owns the scenario, figure and engine tables that the CLI's parser
-reads, and the one range check of alpha, beta, p and tol, which the engine
-entry, `cf_eval` and each workflow call; one error class, `ConfigError`,
-reports every bad value, scenario and measure.
+`qcore` owns the measure, scenario, figure and engine tables that the CLI's
+parser reads, and `checked`, the one check of every parameter, numeric or
+named, which the engine entry, `cf_eval` and each workflow call; one error
+class, `ConfigError`, reports every bad value and name.
 
 The public names below are imported from their submodules on first use
 (PEP 562), so `import ghzsim` alone loads no submodule and not numpy. This
@@ -35,7 +35,7 @@ _EXPORTS = {
     for module, names in {
         "closedform": "CATALOG cf_eval",
         "engine": "damped_scenario_state is_x_structured numeric_batch",
-        "qcore": "BETA_MAX ConfigError SCENARIOS Scenario scenario",
+        "qcore": "BETA_MAX ConfigError SCENARIOS Scenario",
         "sweep": "figure_csv find_boundary run_audit run_sweep sum_rule_samples",
     }.items()
     for name in names.split()

@@ -26,7 +26,8 @@ plain `float`s: the library checks them and reads -0.0 as 0.0.
 process entry, used by the `ghzsim` console script and `python -m ghzsim.cli`.
 
 The parser is built from tables that the numpy-free `qcore` owns: the
-scenario names, the figure ids, the engine names and the boundary measures.
+measure and scenario names, the figure ids, the engine names and the
+boundary measures.
 Each subcommand imports `sweep`, and with it numpy, only when it runs, so
 `--help`, a usage error or a configuration error ends before numpy loads.
 """
@@ -43,7 +44,7 @@ from typing import NoReturn
 # 0.1 s of CPU per process; this must run before the first numpy import.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .qcore import BOUNDARY_RULES, ENGINES, FIGURES, SCENARIOS, ConfigError
+from .qcore import BOUNDARY_RULES, ENGINES, FIGURES, MEASURES, SCENARIOS, ConfigError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,7 +85,7 @@ _FLAGS: dict[str, tuple] = {
     "beta_steps": (int, {}),
     "p_steps": (int, {}),
     "scenario": (str, {"choices": sorted(SCENARIOS)}),
-    "measures": (_names, {"help": "comma list from S,E,C"}),
+    "measures": (_names, {"help": f"comma list from {','.join(MEASURES)}"}),
     "measure": (str, {"choices": tuple(BOUNDARY_RULES)}),
     "engine": (str, {"choices": ENGINES}),
     "figure": (int, {"choices": sorted(FIGURES)}),

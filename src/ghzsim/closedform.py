@@ -13,9 +13,10 @@ Bob<->Charlie symmetric partner's expressions.
 
 Every expression is a numpy array expression, so `cf_eval` maps
 broadcastable (alpha, beta, p) to an array of the broadcast shape, like the
-numeric engine, after the engine's own check (`qcore.checked`). Powers use
-`np.float_power` (libm `pow`, as float `**` does): array `**` multiplies
-instead and would move some values in the last digit.
+numeric engine, after the engine's own check (`qcore.checked`) of the
+scenario name, the measure and each input. Powers use `np.float_power` (libm
+`pow`, as float `**` does): array `**` multiplies instead and would move some
+values in the last digit.
 
 The coherence relations are a table as well: `SUM_RULES` maps each
 relation's name, in report order, to an (lhs, rhs) pair of array functions,
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qcore import ConfigError, checked
+from .qcore import checked
 
 
 def _ghz_weight(alpha: np.ndarray) -> np.ndarray:
@@ -184,17 +185,14 @@ CATALOG = {
 def cf_eval(name: str, measure: str, alpha, beta, p) -> np.ndarray:
     """Evaluate the catalog expression of (scenario `name`, measure) at every
     point of the broadcast of (alpha, beta, p); the result has the broadcast
-    shape. The inputs are checked and -0.0 read as 0.0 as the engine's are;
-    a bad value, or a pair not in the catalog, is a ConfigError.
+    shape. The name, the measure and the inputs are checked, and -0.0 read
+    as 0.0, as the engine's are: a bad one is a ConfigError.
 
     The expression sees the inputs as given, not broadcast, so on a
     (B, 1) x (P,) grid each function of beta alone runs over B values. Every
     expression reads all three inputs, so its own result has the broadcast
     shape."""
-    try:
-        fn = CATALOG[(name, measure)]
-    except KeyError:
-        raise ConfigError(f"no closed form for ({name}, {measure})") from None
+    fn = CATALOG[(checked("scenario", name), *checked("measures", (measure,)))]
     args = [checked(n, v) for n, v in (("alpha", alpha), ("beta", beta), ("p", p))]
     return fn(*args)
 

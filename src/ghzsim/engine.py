@@ -4,9 +4,9 @@ One evaluation point is (scenario, alpha, beta, p): build the GHZ-like
 state alpha|000> + sqrt(1 - alpha^2)|111>, expand the accelerated
 observers' modes, reduce to the scenario's three kept modes, damp the kept
 accelerated modes, then evaluate S/E/C. Each public function takes a
-scenario by name, the kernels its `SCENARIOS` row (`qcore` owns that table,
-so the CLI reads it without numpy). The kernels check no range: the public
-functions do, through `qcore.checked`.
+scenario by name, the kernels its `SCENARIOS` row (`qcore` owns that table
+and `MEASURES`). The kernels check nothing: the public functions check every
+parameter, the scenario name and the measures included, with `qcore.checked`.
 
 Support rows, the one data format of the kernels: N real 8x8 matrices held
 as the (K, N) rows of their entries at a support, sorted flat 8x8 indices
@@ -91,9 +91,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .qcore import ConfigError, Scenario, checked, scenario
-
-MEASURES = ("S", "E", "C")
+from .qcore import MEASURES, SCENARIOS, Scenario, checked
 
 #: Points damped and measured together in one pass of `numeric_batch`.
 BLOCK_POINTS = 4096
@@ -251,10 +249,8 @@ def numeric_batch(
     """Evaluate the requested measures of scenario `name` at every point of
     the broadcast of (alpha, beta, p); each array has the broadcast shape. S
     and E are NaN where the damped state is not X-structured."""
-    scen = scenario(name)
-    wanted = tuple(measures)
-    if unknown := set(wanted) - set(MEASURES):
-        raise ConfigError(f"unknown measures {sorted(unknown)}; expected subset of {MEASURES}")
+    scen = SCENARIOS[checked("scenario", name)]
+    wanted = checked("measures", tuple(measures))
     a, b = np.broadcast_arrays(checked("alpha", alpha), checked("beta", beta))
     p = checked("p", p)
     shape = np.broadcast_shapes(a.shape, np.shape(p))
@@ -281,7 +277,7 @@ def damped_scenario_state(name: str, alpha: float, beta: float, p: float) -> np.
     """The real (8, 8) reduced matrix of scenario `name` after amplitude
     damping of its kept accelerated modes (reduction first; the two orders
     commute); at p = 0, the undamped reduced matrix."""
-    scen = scenario(name)
+    scen = SCENARIOS[checked("scenario", name)]
     alpha, beta = checked("alpha", float(alpha)), checked("beta", float(beta))
     support, plan = _support(scen)
     rows = scenario_reduced_entries(alpha, beta, scen, support)
@@ -294,4 +290,4 @@ def is_x_structured(name: str) -> bool:
     """Whether the damped states of scenario `name` carry the X pattern (and
     hence numeric S/E are defined): whether its support, found from the
     states themselves, holds no off-pattern entry."""
-    return not off_pattern(_support(scenario(name))[0]).any()
+    return not off_pattern(_support(SCENARIOS[checked("scenario", name)])[0]).any()

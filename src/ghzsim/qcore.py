@@ -1,12 +1,11 @@
-"""The package's error class, the domain of every numeric parameter and the
-tables the CLI parser is built from: the scenario table (`Scenario`,
-`SCENARIOS`, `scenario`), the figure table `FIGURES`, the engine names
-`ENGINES` and the boundary rule table `BOUNDARY_RULES`. `sweep` imports them
-from here, so `ghzsim.cli` builds its parser without numpy. Public functions
-take a scenario by name and look its row up with `scenario`. The CLI exits 2
-for a `ConfigError` and lets every other exception propagate. `checked`, the
-one range check of every numeric parameter, is the one rule that reads -0.0
-as 0.0."""
+"""The package's error class, the tables the CLI parser is built from (the
+measure names `MEASURES`, the scenario table `Scenario` and `SCENARIOS`, the
+figure table `FIGURES`, the engine names `ENGINES` and the boundary rule
+table `BOUNDARY_RULES`) and `checked`, the one check of every parameter,
+numeric or named. `ghzsim.cli` builds its parser from these without numpy.
+Public functions take a scenario by name and look its row up once `checked`
+has passed it. The CLI exits 2 for a `ConfigError` and lets every other
+exception propagate. `checked` is also the one rule that reads -0.0 as 0.0."""
 from __future__ import annotations
 
 import math
@@ -20,35 +19,7 @@ class ConfigError(ValueError):
 
 BETA_MAX = math.pi / 4
 
-#: name -> (low end, high end, high end as messages show it) of each numeric
-#: parameter. Beta's high end has a slack of 1e-15, so pi/4 computed another
-#: way passes; a tolerance may be 0 (bisection stops at float spacing) but not
-#: infinite. A count's low end is an int and it has no high end (None): a
-#: seed may be any int that `random.Random` takes.
-_DOMAIN = {"alpha": (0.0, 1.0, "1"), "beta": (0.0, BETA_MAX + 1e-15, "pi/4"),
-           "p": (0.0, 1.0, "1"), "tol": (0.0, sys.float_info.max, repr(sys.float_info.max)),
-           "beta_steps": (1, None, "inf"), "p_steps": (1, None, "inf"),
-           "resolution": (16, None, "inf"), "samples": (1, None, "inf"),
-           "seed": (0, None, "inf")}
-
-
-def checked(name: str, values):
-    """`values` of numeric parameter `name`: a count as it is given, floats (a
-    float for a scalar, else a new array) with -0.0 read as 0.0, which
-    changes no other value's bits. A ConfigError names the first value
-    outside the domain, NaN included, as `name=value outside [low, high]`."""
-    import numpy as np
-
-    low, high, shown = _DOMAIN[name]
-    if isinstance(low, int):  # a count: one int of any size
-        bad = [values] if values < low else []
-    else:
-        values = np.asarray(values, dtype=float) + 0.0
-        bad = values[~((values >= low) & (values <= high))]
-        values = values if values.ndim else float(values)
-    if len(bad):
-        raise ConfigError(f"{name}={bad[0]} outside [{low:g}, {shown}]")
-    return values
+MEASURES = ("S", "E", "C")
 
 
 class Scenario(NamedTuple):
@@ -88,17 +59,6 @@ SCENARIOS: dict[str, Scenario] = {
     )
 }
 
-
-def scenario(name: str) -> Scenario:
-    """The `SCENARIOS` row of `name`; anything else is a ConfigError."""
-    try:
-        return SCENARIOS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown scenario {name!r}; expected one of {sorted(SCENARIOS)}"
-        ) from None
-
-
 #: figure id -> (scenario, measures). All panels are drawn at alpha = 1/sqrt(2).
 FIGURES: dict[int, tuple[str, tuple[str, ...]]] = {
     1: ("ABC_I", ("S",)),
@@ -116,3 +76,47 @@ ENGINES = ("numeric", "closedform", "both")
 #: threshold + slack; bisection keeps its lower end while the value exceeds
 #: the threshold. S falls to the classical bound 4; E reaches exactly 0.
 BOUNDARY_RULES = {"S": (4.0, 1e-12), "E": (0.0, 0.0)}
+
+#: name -> (low end, high end, high end as messages show it) of each numeric
+#: parameter. Beta's high end has a slack of 1e-15, so pi/4 computed another
+#: way passes; a tolerance may be 0 (bisection stops at float spacing) but not
+#: infinite. A count's low end is an int and it has no high end (None): a
+#: seed may be any int that `random.Random` takes.
+_DOMAIN = {"alpha": (0.0, 1.0, "1"), "beta": (0.0, BETA_MAX + 1e-15, "pi/4"),
+           "p": (0.0, 1.0, "1"), "tol": (0.0, sys.float_info.max, repr(sys.float_info.max)),
+           "beta_steps": (1, None, "inf"), "p_steps": (1, None, "inf"),
+           "resolution": (16, None, "inf"), "samples": (1, None, "inf"),
+           "seed": (0, None, "inf")}
+
+#: name -> the values of each named parameter, in the order messages list
+#: them; `measures` takes a nonempty tuple of them with no repeats.
+_CHOICES = {"scenario": tuple(sorted(SCENARIOS)), "measure": tuple(BOUNDARY_RULES),
+            "measures": MEASURES, "engine": ENGINES, "figure": tuple(FIGURES)}
+
+
+def checked(name: str, values):
+    """`values` of parameter `name`. A named parameter's value comes back
+    unchanged, with no numpy loaded. A numeric one's comes back as a count as
+    it is given, or as floats (a float for a scalar, else a new array) with
+    -0.0 read as 0.0, which changes no other value's bits. A ConfigError
+    names a value that is no choice as `name=value not in (choices)`, with
+    the value's repr, and the first numeric value outside the domain, NaN
+    included, as `name=value outside [low, high]`."""
+    if (choices := _CHOICES.get(name)) is not None:
+        listed = values if name == "measures" else (values,)
+        if not (isinstance(listed, tuple) and listed and all(v in choices for v in listed)
+                and len(set(listed)) == len(listed)):
+            raise ConfigError(f"{name}={values!r} not in {choices}")
+        return values
+    import numpy as np
+
+    low, high, shown = _DOMAIN[name]
+    if isinstance(low, int):  # a count: one int of any size
+        bad = [values] if values < low else []
+    else:
+        values = np.asarray(values, dtype=float) + 0.0
+        bad = values[~((values >= low) & (values <= high))]
+        values = values if values.ndim else float(values)
+    if len(bad):
+        raise ConfigError(f"{name}={bad[0]} outside [{low:g}, {shown}]")
+    return values

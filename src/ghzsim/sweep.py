@@ -24,9 +24,8 @@ from the arrays, in the documented row order, each by one `%` operation over
 a template that repeats one per-point block: per column, the column's
 constant text, a slot for the point's preformatted (beta, p) text and a slot
 for its value. `json_text` spells every other JSON document. Each workflow
-checks every numeric parameter it takes, floats and counts, with the
-engines' range check `qcore.checked` and keeps what it returns: no echo
-shows -0.
+checks every parameter it takes, floats, counts and names, with the engines'
+one check `qcore.checked` and keeps what it returns: no echo shows -0.
 
 All outputs are deterministic for a fixed configuration: grid order defines
 row order, floats are serialized with 17 significant digits, random sampling
@@ -41,9 +40,8 @@ import random
 import numpy as np
 
 from .closedform import REPORTED_RULE, SUM_RULES, cf_eval
-from .engine import MEASURES, is_x_structured, numeric_batch
-from .qcore import BETA_MAX, BOUNDARY_RULES, ENGINES, FIGURES, SCENARIOS, ConfigError, checked
-from .qcore import scenario as scenario_row
+from .engine import is_x_structured, numeric_batch
+from .qcore import BETA_MAX, BOUNDARY_RULES, FIGURES, MEASURES, SCENARIOS, ConfigError, checked
 
 DEFAULT_ALPHA = 1.0 / math.sqrt(2.0)
 DEFAULT_SCENARIO = "ABC_I"
@@ -73,12 +71,8 @@ def run_sweep(
     engine (numeric before closedform), which is the order of `surfaces`."""
     alpha = checked("alpha", alpha)
     beta_steps, p_steps = checked("beta_steps", beta_steps), checked("p_steps", p_steps)
-    scenario_row(scenario)
-    bad = set(measures) - set(MEASURES)
-    if bad or not measures or len(set(measures)) < len(measures):
-        raise ConfigError(f"measures must be a nonempty subset of {MEASURES}")
-    if engine not in ENGINES:
-        raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
+    scenario, measures = checked("scenario", scenario), checked("measures", tuple(measures))
+    engine = checked("engine", engine)
     betas, ps = _axis(BETA_MAX, beta_steps), _axis(1.0, p_steps)
     engines = ("numeric", "closedform") if engine == "both" else (engine,)
     grid = (alpha, np.asarray(betas)[:, None], np.asarray(ps))
@@ -236,11 +230,9 @@ def find_boundary(
     p = 0; one that starts below it never crosses. Absence of a crossing is
     data, not an error. A tolerance of 0 bisects to float spacing.
     """
-    if measure not in BOUNDARY_RULES:
-        names = " or ".join(BOUNDARY_RULES)
-        raise ConfigError(f"boundary measure must be {names}, got {measure!r}")
+    checked("measure", measure)
     tol, beta_steps = checked("tol", tol), checked("beta_steps", beta_steps)
-    scenario_row(scenario)  # an unknown name is reported before a bad alpha
+    checked("scenario", scenario)  # an unknown name is reported before a bad alpha
     alpha = checked("alpha", alpha)
     if not is_x_structured(scenario):
         raise ConfigError(
@@ -292,9 +284,7 @@ def figure_csv(
     surfaces from the closed-form catalog, because the numeric pipeline
     leaves S and E undefined there.
     """
-    if figure not in FIGURES:
-        raise ConfigError(f"figure id must be in {sorted(FIGURES)}, got {figure}")
-    resolution = checked("resolution", resolution)
+    figure, resolution = checked("figure", figure), checked("resolution", resolution)
     scenario, measures = FIGURES[figure]
     engine = "numeric" if is_x_structured(scenario) else "closedform"
     grid = run_sweep(scenario, alpha=alpha, beta_steps=resolution, p_steps=resolution,
@@ -409,7 +399,7 @@ def run_audit(
     alpha = checked("alpha", alpha)
     beta_steps, p_steps = checked("beta_steps", beta_steps), checked("p_steps", p_steps)
     tol = checked("tol", tol)
-    names = sorted(SCENARIOS) if scenario is None else [scenario_row(scenario).name]
+    names = sorted(SCENARIOS) if scenario is None else [checked("scenario", scenario)]
     rules = sum_rule_samples(None, samples, seed)
     entries = []
     flags: list[str] = []

@@ -184,7 +184,7 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "measures must be a nonempty subset" in captured.err
+        assert "measures=('S', 'S', 'E') not in ('S', 'E', 'C')" in captured.err
 
     def test_config_error_for_bad_alpha(self):
         assert run(["sweep", "--alpha", "2.0", "--beta-steps", "2", "--p-steps", "2"]) == EXIT_CONFIG

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ class TestCatalog:
 
     @pytest.mark.parametrize("name,measure", [("ABC_I", "Q"), ("ABC_III", "C")])
     def test_unknown_pair(self, name, measure):
-        with pytest.raises(ConfigError, match="no closed form"):
+        with pytest.raises(ConfigError, match=r"^(scenario='ABC_III'|measures=\('Q',\)) not in \("):
             cf_eval(name, measure, *POINT)
 
     @pytest.mark.parametrize(
@@ -69,7 +70,7 @@ class TestCatalog:
     def test_a_hand_built_row_is_rejected(self, row):
         """The catalog takes a scenario by name: a `Scenario` object, a table
         row included, has no closed form."""
-        with pytest.raises(ConfigError, match="no closed form"):
+        with pytest.raises(ConfigError, match="^" + re.escape(f"scenario={row!r} not in (")):
             cf_eval(row, "S", *POINT)
 
     @pytest.mark.parametrize("name,measure", AGREEING)

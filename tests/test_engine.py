@@ -136,7 +136,7 @@ class TestNumericMeasures:
         assert set(values) == {"C"}
 
     def test_unknown_measure_rejected(self):
-        with pytest.raises(ConfigError, match="unknown measures"):
+        with pytest.raises(ConfigError, match=r"^measures=\('S', 'Q'\) not in \('S', 'E', 'C'\)$"):
             numeric_batch("ABC_I", 0.7, 0.2, 0.1, ("S", "Q"))
 
     @pytest.mark.parametrize("name", NON_X_SCENARIOS)

@@ -1,14 +1,23 @@
-"""The one range check of the numeric parameters and its -0.0 rule."""
+"""The one check of every parameter: the numeric domains with their -0.0
+rule, and the choices of the named parameters."""
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ghzsim import BETA_MAX, ConfigError
-from ghzsim.qcore import checked
+import ghzsim
+from ghzsim import BETA_MAX, SCENARIOS, ConfigError
+from ghzsim.qcore import BOUNDARY_RULES, ENGINES, FIGURES, MEASURES, checked
 
 
 class TestChecked:
@@ -52,3 +61,67 @@ class TestChecked:
             assert checked(name, value) is value
         with pytest.raises(ConfigError, match=f"^{name}={low - 1} outside \\[{low}, inf\\]$"):
             checked(name, low - 1)
+
+
+#: Each named parameter's choices, in the order its message lists them.
+NAMED = {
+    "scenario": tuple(sorted(SCENARIOS)),
+    "measure": tuple(BOUNDARY_RULES),
+    "measures": MEASURES,
+    "engine": ENGINES,
+    "figure": tuple(FIGURES),
+}
+
+
+class TestNamedDomains:
+    @pytest.mark.parametrize("name", [n for n in NAMED if n != "measures"])
+    def test_every_choice_passes_unchanged(self, name):
+        for choice in NAMED[name]:
+            assert checked(name, choice) is choice
+
+    def test_every_measures_tuple_passes_unchanged(self):
+        """Any nonempty ordering of distinct measures, the order kept."""
+        for k in range(1, len(MEASURES) + 1):
+            for wanted in itertools.permutations(MEASURES, k):
+                assert checked("measures", wanted) is wanted
+
+    @settings(max_examples=50, deadline=None)
+    @given(name=st.sampled_from(sorted(NAMED)), text=st.text())
+    def test_drawn_text_that_is_no_choice_is_a_config_error(self, name, text):
+        """A text is a choice only of the rows of texts; for `measures` no
+        text is one, as it takes a tuple."""
+        if name != "measures" and text in NAMED[name]:
+            assert checked(name, text) is text
+            return
+        message = f"{name}={text!r} not in {NAMED[name]}"
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            checked(name, text)
+
+    @pytest.mark.parametrize("row", SCENARIOS.values(), ids=list(SCENARIOS))
+    def test_a_scenario_row_is_no_name(self, row):
+        with pytest.raises(ConfigError, match="^" + re.escape(f"scenario={row!r} not in (")):
+            checked("scenario", row)
+
+    @pytest.mark.parametrize(
+        "measures",
+        [(), ("S", "S"), ("S", "E", "S"), ("Q",), ("S", "Q"), ("s",), ["S"], "S"],
+        ids=["empty", "repeat", "repeat-apart", "unknown", "one-unknown", "lower-case",
+             "list", "text"],
+    )
+    def test_measures_is_a_nonempty_tuple_of_distinct_measures(self, measures):
+        message = f"measures={measures!r} not in ('S', 'E', 'C')"
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            checked("measures", measures)
+
+    def test_a_name_check_loads_no_numpy(self):
+        code = (
+            "import sys\n"
+            "from ghzsim.qcore import checked\n"
+            "checked('scenario', 'ABC_I')\n"
+            "checked('measures', ('S', 'E'))\n"
+            "sys.exit('numpy' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(ghzsim.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

@@ -28,7 +28,7 @@ EXPORTS = {
     "BETA_MAX", "CATALOG", "ConfigError",
     "SCENARIOS", "Scenario",
     "cf_eval", "damped_scenario_state", "figure_csv", "find_boundary",
-    "is_x_structured", "numeric_batch", "run_audit", "run_sweep", "scenario",
+    "is_x_structured", "numeric_batch", "run_audit", "run_sweep",
     "sum_rule_samples",
 }
 
@@ -95,7 +95,7 @@ class TestLazyPackage:
             "                  'engine': engine.__name__}))\n"
         )
         got = fresh_python(code)
-        assert len(got["all"]) == len(EXPORTS) == 15
+        assert len(got["all"]) == len(EXPORTS) == 14
         assert set(got["all"]) == EXPORTS
         # The domain's constant lives with its check, in the numpy-free qcore.
         assert ghzsim._EXPORTS["BETA_MAX"] == "qcore"

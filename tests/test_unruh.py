@@ -12,12 +12,16 @@ from ghzsim import (
     BETA_MAX,
     SCENARIOS,
     ConfigError,
+    cf_eval,
     damped_scenario_state,
+    find_boundary,
     is_x_structured,
     numeric_batch,
-    scenario,
+    run_audit,
+    run_sweep,
 )
 from ghzsim.engine import scenario_reduced_entries
+from ghzsim.qcore import checked
 from conftest import (
     density_deviations,
     expanded_from_name,
@@ -55,16 +59,26 @@ class TestParams:
         """A name resolves to its own table row: at p = 0 the whole-matrix
         function gives the bits of the kernel on that row."""
         by_name = damped_scenario_state(name, 0.7, 0.3, 0.0)
-        assert by_name.tobytes() == reduced_matrices(0.7, 0.3, scenario(name))[0].tobytes()
+        assert by_name.tobytes() == reduced_matrices(0.7, 0.3, SCENARIOS[name])[0].tobytes()
 
     def test_unknown_scenario_name(self):
-        """Every public function resolves a name the same way."""
-        with pytest.raises(ConfigError, match="unknown scenario 'ABC_III'"):
-            numeric_batch("ABC_III", 0.7, 0.3, 0.0)
-        with pytest.raises(ConfigError, match="unknown scenario 'ABC_III'"):
-            damped_scenario_state("ABC_III", 0.7, 0.3, 0.1)
-        with pytest.raises(ConfigError, match="unknown scenario 'ABC_III'"):
-            is_x_structured("ABC_III")
+        """Every public function that takes a scenario resolves a name the
+        same way, with one message."""
+        calls = [
+            lambda: numeric_batch("ABC_III", 0.7, 0.3, 0.0),
+            lambda: damped_scenario_state("ABC_III", 0.7, 0.3, 0.1),
+            lambda: is_x_structured("ABC_III"),
+            lambda: cf_eval("ABC_III", "C", 0.7, 0.3, 0.0),
+            lambda: run_sweep("ABC_III", beta_steps=2, p_steps=2),
+            lambda: find_boundary("ABC_III", measure="S", beta_steps=2),
+            lambda: run_audit(scenario="ABC_III", beta_steps=2, p_steps=2, samples=2),
+        ]
+        messages = set()
+        for call in calls:
+            with pytest.raises(ConfigError, match="^scenario='ABC_III' not in \\(") as caught:
+                call()
+            messages.add(str(caught.value))
+        assert messages == {f"scenario='ABC_III' not in {tuple(sorted(SCENARIOS))}"}
 
 
 class TestTraceOutOracle:
@@ -164,12 +178,12 @@ class TestScenarios:
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
-            scenario("ABC_III")
+            SCENARIOS[checked("scenario", "ABC_III")]
 
     def test_damped_modes_are_the_kept_wedge_modes(self):
-        assert scenario("ABC_I").damped_modes == ("C_I",)
-        assert scenario("AB_I_C_II").damped_modes == ("B_I", "C_II")
-        assert scenario("AC_I_C_II").damped_modes == ("C_I", "C_II")
+        assert SCENARIOS["ABC_I"].damped_modes == ("C_I",)
+        assert SCENARIOS["AB_I_C_II"].damped_modes == ("B_I", "C_II")
+        assert SCENARIOS["AC_I_C_II"].damped_modes == ("C_I", "C_II")
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -229,7 +243,7 @@ class TestScenarioReducedState:
         """Full five-mode expansion contracted with the einsum oracle agrees
         with the pipeline's reduction for every scenario."""
         alpha, beta = 0.7, 0.35
-        modes, vec = expanded_ghz_oracle(alpha, beta, scenario("AB_I_C_I"))
+        modes, vec = expanded_ghz_oracle(alpha, beta, SCENARIOS["AB_I_C_I"])
         full = np.outer(vec, vec.conj())
         order = {m: i for i, m in enumerate(modes)}
         for name in SCENARIOS:
@@ -290,10 +304,10 @@ class TestFullSupportBuild:
 
     def test_one_matrix_per_element_of_the_broadcast(self):
         betas = np.linspace(0.0, BETA_MAX, 4)
-        stack = reduced_matrices(0.6, betas[:, None] * np.ones(3), scenario("ABC_II"))
+        stack = reduced_matrices(0.6, betas[:, None] * np.ones(3), SCENARIOS["ABC_II"])
         assert stack.shape == (12, 8, 8)
         for k, beta in enumerate(np.repeat(betas, 3)):
-            assert np.array_equal(stack[k], register_reduced_oracle(0.6, float(beta), scenario("ABC_II")))
+            assert np.array_equal(stack[k], register_reduced_oracle(0.6, float(beta), SCENARIOS["ABC_II"]))
 
     def test_whole_matrix_builder_rejects_nan(self):
         with pytest.raises(ConfigError):
