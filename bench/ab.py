@@ -155,6 +155,12 @@ COMMANDS: dict[str, tuple[list[str], dict[str, str]]] = {
     "sweep-unknown-measure": (
         ["sweep", "--measures", "S,Q", "--beta-steps", "2", "--p-steps", "2"], {}
     ),
+    # A bad name given by flag or by config file gets that one check's
+    # message too, before anything is computed or written.
+    "sweep-unknown-scenario": (["sweep", "--scenario", "nope"], {}),
+    "figure-unknown-figure": (["figure", "--figure", "9", "--out", "f.csv"], {}),
+    "boundary-unknown-format": (["boundary", "--measure", "S", "--format", "xml"], {}),
+    "sweep-config-unknown-engine": (["sweep", "--config", "run.cfg"], {"run.cfg": "engine = fast\n"}),
     # Each count at the edge of its domain.
     "sweep-beta-steps-1": (["sweep", "--beta-steps", "1"], {}),
     "audit-p-steps-1": (["audit", "--p-steps", "1", "--samples", "2"], {}),

@@ -25,11 +25,11 @@ plain `float`s: the library checks them and reads -0.0 as 0.0.
 `main(argv)` is the in-process API: it returns the exit code. `run()` is the
 process entry, used by the `ghzsim` console script and `python -m ghzsim.cli`.
 
-The parser is built from tables that the numpy-free `qcore` owns: the
-measure and scenario names, the figure ids, the engine names and the
-boundary measures.
-Each subcommand imports `sweep`, and with it numpy, only when it runs, so
-`--help`, a usage error or a configuration error ends before numpy loads.
+The parser lists the choices of the named flags from the numpy-free
+`qcore.CHOICES`, and `main` passes each named flag that is set through
+`qcore.checked` before the subcommand imports `sweep`, and with it numpy: help,
+usage, config-file and name errors end before numpy loads, and `checked`
+decides a numeric value's domain after.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from typing import NoReturn
 # 0.1 s of CPU per process; this must run before the first numpy import.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .qcore import BOUNDARY_RULES, ENGINES, FIGURES, MEASURES, SCENARIOS, ConfigError
+from .qcore import CHOICES, ConfigError, checked
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,23 +78,26 @@ def _names(raw: str) -> tuple[str, ...]:
     return tuple(raw.split(","))
 
 
+#: named flag -> settings that list its choices in help as argparse lists `choices`
+_LISTED = {name: {"metavar": "{%s}" % ",".join(map(str, v))} for name, v in CHOICES.items()}
+
 #: flag -> (type, further argparse settings). The type casts the flag's one
 #: value, from the command line or from a config file.
 _FLAGS: dict[str, tuple] = {
     "alpha": (float, {"help": "GHZ amplitude (default 1/sqrt(2))"}),
     "beta_steps": (int, {}),
     "p_steps": (int, {}),
-    "scenario": (str, {"choices": sorted(SCENARIOS)}),
-    "measures": (_names, {"help": f"comma list from {','.join(MEASURES)}"}),
-    "measure": (str, {"choices": tuple(BOUNDARY_RULES)}),
-    "engine": (str, {"choices": ENGINES}),
-    "figure": (int, {"choices": sorted(FIGURES)}),
+    "scenario": (str, _LISTED["scenario"]),
+    "measures": (_names, {"help": f"comma list from {','.join(CHOICES['measures'])}"}),
+    "measure": (str, _LISTED["measure"]),
+    "engine": (str, _LISTED["engine"]),
+    "figure": (int, _LISTED["figure"]),
     "resolution": (int, {}),
     "tol": (float, {}),
     "seed": (int, {}),
     "samples": (int, {"help": "random sum-rule points"}),
     "out": (str, {"help": "output path (stdout when omitted)"}),
-    "format": (str, {"choices": ("csv", "json")}),
+    "format": (str, _LISTED["format"]),
     "config": (str, {"help": "flat key=value config file"}),
 }
 
@@ -125,8 +128,7 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the config file, casting and checking values
-    as the flags themselves would."""
+    """Fill unset flags from the config file, cast as the flags themselves are."""
     if args.config is None:
         return args
     flags = _SUBCOMMANDS[args.command][1]
@@ -135,13 +137,10 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError(f"config key {key!r} is not a flag of {args.command}")
         if getattr(args, key) is not None:
             continue
-        cast, settings = _FLAGS[key]
         try:
-            value = cast(raw)
+            value = _FLAGS[key][0](raw)
         except ValueError:
             raise ConfigError(f"config key {key}={raw!r} has the wrong type") from None
-        if value not in settings.get("choices", (value,)):
-            raise ConfigError(f"config key {key}={raw!r} is not one of {settings['choices']}")
         setattr(args, key, value)
     return args
 
@@ -251,7 +250,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_boundary(args: argparse.Namespace) -> int:
     if args.measure is None:
-        raise ConfigError(f"boundary requires --measure {'|'.join(BOUNDARY_RULES)}")
+        raise ConfigError(f"boundary requires --measure {'|'.join(CHOICES['measure'])}")
     from .sweep import boundary_to_csv, find_boundary, json_text
     result = find_boundary(**_given(args))
     _emit(json_text(result) if args.format == "json" else boundary_to_csv(result), args.out)
@@ -295,6 +294,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args)
+        for name in CHOICES:  # a named flag from either source, before numpy loads
+            if getattr(args, name, None) is not None:
+                checked(name, getattr(args, name))
         if args.out is not None and os.path.basename(args.out) in ("", ".", ".."):
             raise ConfigError(f"--out must name a file, got {args.out!r}")
         return _COMMANDS[args.command](args)

@@ -1,14 +1,16 @@
-"""The package's error class, the tables the CLI parser is built from (the
-measure names `MEASURES`, the scenario table `Scenario` and `SCENARIOS`, the
-figure table `FIGURES`, the engine names `ENGINES` and the boundary rule
-table `BOUNDARY_RULES`) and `checked`, the one check of every parameter,
-numeric or named. `ghzsim.cli` builds its parser from these without numpy.
-Public functions take a scenario by name and look its row up once `checked`
-has passed it. The CLI exits 2 for a `ConfigError` and lets every other
-exception propagate. `checked` is also the one rule that reads -0.0 as 0.0."""
+"""The package's error class, its tables (the measure names `MEASURES`, the
+scenario table `Scenario` and `SCENARIOS`, the figure table `FIGURES`, the
+engine names `ENGINES`, the boundary rule table `BOUNDARY_RULES` and `CHOICES`,
+the one table of choices of every named parameter, the CLI's `format` too) and
+`checked`, the one check of every parameter, numeric or named, which the CLI
+applies to each named flag before numpy loads. Public functions take a
+scenario by name and look its row up once `checked` has passed it. The CLI
+exits 2 for a `ConfigError` and lets every other exception propagate.
+`checked` is also the one rule that reads -0.0 as 0.0."""
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from typing import NamedTuple
 
@@ -88,21 +90,23 @@ _DOMAIN = {"alpha": (0.0, 1.0, "1"), "beta": (0.0, BETA_MAX + 1e-15, "pi/4"),
            "resolution": (16, None, "inf"), "samples": (1, None, "inf"),
            "seed": (0, None, "inf")}
 
-#: name -> the values of each named parameter, in the order messages list
-#: them; `measures` takes a nonempty tuple of them with no repeats.
-_CHOICES = {"scenario": tuple(sorted(SCENARIOS)), "measure": tuple(BOUNDARY_RULES),
-            "measures": MEASURES, "engine": ENGINES, "figure": tuple(FIGURES)}
+#: name -> the values of each named parameter, the CLI's `format` included, in
+#: the order messages list them; `measures` takes a nonempty tuple with no repeats.
+CHOICES = {"scenario": tuple(sorted(SCENARIOS)), "measure": tuple(BOUNDARY_RULES),
+           "measures": MEASURES, "engine": ENGINES, "figure": tuple(FIGURES),
+           "format": ("csv", "json")}
 
 
 def checked(name: str, values):
     """`values` of parameter `name`. A named parameter's value comes back
-    unchanged, with no numpy loaded. A numeric one's comes back as a count as
-    it is given, or as floats (a float for a scalar, else a new array) with
-    -0.0 read as 0.0, which changes no other value's bits. A ConfigError
-    names a value that is no choice as `name=value not in (choices)`, with
-    the value's repr, and the first numeric value outside the domain, NaN
-    included, as `name=value outside [low, high]`."""
-    if (choices := _CHOICES.get(name)) is not None:
+    unchanged, with no numpy loaded. A numeric one's comes back as a count,
+    an int by `operator.index` (an int is itself), or as floats (a float for a
+    scalar, else a new array) with -0.0 read as 0.0, which changes no other
+    value's bits. A ConfigError names a value that is no choice, or a count
+    that is no int, as `name=value not in (choices)` or `name=value is not an
+    int`, with the value's repr, and the first numeric value outside the
+    domain, NaN included, as `name=value outside [low, high]`."""
+    if (choices := CHOICES.get(name)) is not None:
         listed = values if name == "measures" else (values,)
         if not (isinstance(listed, tuple) and listed and all(v in choices for v in listed)
                 and len(set(listed)) == len(listed)):
@@ -112,6 +116,10 @@ def checked(name: str, values):
 
     low, high, shown = _DOMAIN[name]
     if isinstance(low, int):  # a count: one int of any size
+        try:
+            values = operator.index(values)
+        except TypeError:
+            raise ConfigError(f"{name}={values!r} is not an int") from None
         bad = [values] if values < low else []
     else:
         values = np.asarray(values, dtype=float) + 0.0

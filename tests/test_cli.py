@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ghzsim.sweep
+from ghzsim import ConfigError
 from ghzsim.cli import (
     _SUBCOMMANDS,
     EXIT_AUDIT_FLAGGED,
@@ -21,6 +22,7 @@ from ghzsim.cli import (
     main,
     write_text_atomic,
 )
+from ghzsim.qcore import CHOICES, checked
 
 
 def run(args):
@@ -530,6 +532,49 @@ class TestFlagSets:
         cfg.write_text("format = xml\n")
         assert run(["boundary", "--measure", "S", "--config", str(cfg)]) == EXIT_CONFIG
         assert run(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+#: A bad value of each named flag: as it is written, and as the flag casts it.
+BAD_NAMES = {
+    "scenario": ("nope", "nope"),
+    "measure": ("Q", "Q"),
+    "measures": ("S,Q", ("S", "Q")),
+    "engine": ("fast", "fast"),
+    "figure": ("9", 9),
+    "format": ("xml", "xml"),
+}
+
+#: (subcommand, named flag) for every named flag of every subcommand.
+NAMED_FLAGS = [(c, f) for c, (_, flags) in _SUBCOMMANDS.items() for f in flags if f in CHOICES]
+
+
+class TestNamedFlags:
+    """`qcore.checked` is the one check of a named flag: a bad value from the
+    command line or from a config file exits 2 with its message, and nothing
+    runs or is written."""
+
+    def test_every_named_parameter_has_a_bad_value(self):
+        assert BAD_NAMES.keys() == CHOICES.keys()
+
+    @pytest.mark.parametrize("command, flag", NAMED_FLAGS, ids=["-".join(c) for c in NAMED_FLAGS])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_value_gets_the_message_of_checked(
+        self, tmp_path, monkeypatch, capsys, command, flag, source
+    ):
+        monkeypatch.chdir(tmp_path)
+        raw, value = BAD_NAMES[flag]
+        with pytest.raises(ConfigError) as expected:
+            checked(flag, value)
+        if source == "flag":
+            args = [command, "--" + flag, raw, "--out", "x"]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{flag} = {raw}\n")
+            args = [command, "--config", "run.cfg", "--out", "x"]
+        assert run(args) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {expected.value}\n"
+        assert not (tmp_path / "x").exists()
 
 
 class TestAuditCommand:

@@ -1,8 +1,9 @@
 """The one check of every parameter: the numeric domains with their -0.0
-rule, and the choices of the named parameters."""
+rule, the counts read as ints, and the choices of the named parameters."""
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import os
 import re
@@ -16,8 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghzsim
-from ghzsim import BETA_MAX, SCENARIOS, ConfigError
+from ghzsim import BETA_MAX, SCENARIOS, ConfigError, run_audit, run_sweep, sum_rule_samples
 from ghzsim.qcore import BOUNDARY_RULES, ENGINES, FIGURES, MEASURES, checked
+from ghzsim.sweep import json_text
+
+#: Each count and its low end.
+COUNTS = [("beta_steps", 1), ("p_steps", 1), ("resolution", 16), ("samples", 1), ("seed", 0)]
 
 
 class TestChecked:
@@ -50,10 +55,7 @@ class TestChecked:
         with pytest.raises(ConfigError, match=f"^{name}={bad} outside \\[0, "):
             checked(name, [0.0, bad, 2.0])
 
-    @pytest.mark.parametrize(
-        "name, low",
-        [("beta_steps", 1), ("p_steps", 1), ("resolution", 16), ("samples", 1), ("seed", 0)],
-    )
+    @pytest.mark.parametrize("name, low", COUNTS)
     def test_a_count_from_its_low_end_passes_as_given(self, name, low):
         """A count has no high end: its low end and any larger int, a seed
         past 64 bits included, come back as the same int."""
@@ -63,6 +65,40 @@ class TestChecked:
             checked(name, low - 1)
 
 
+class TestCounts:
+    """A count is read with `operator.index`: any integer type gives a Python
+    int, and a value that is no integer is one ConfigError line."""
+
+    @pytest.mark.parametrize("name, low", COUNTS)
+    def test_a_numpy_int_comes_back_a_python_int(self, name, low):
+        for value in (np.int64(low), np.uint8(low + 1)):
+            got = checked(name, value)
+            assert type(got) is int and got == value
+        with pytest.raises(ConfigError, match=f"^{name}={low - 1} outside \\[{low}, inf\\]$"):
+            checked(name, np.int64(low - 1))
+
+    @pytest.mark.parametrize("name", [name for name, _ in COUNTS])
+    @pytest.mark.parametrize(
+        "bad", [3.0, math.nan, np.float64(3.0), "3", None], ids=["float", "nan", "np-float", "str", "none"]
+    )
+    def test_a_count_that_is_no_int_is_a_config_error(self, name, bad):
+        message = f"{name}={bad!r} is not an int"
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            checked(name, bad)
+
+    def test_workflows_read_numpy_ints_as_ints(self):
+        """A seed of numpy's type draws Python's stream as the int does, and
+        an audit echoes a numpy step count as a JSON number."""
+        assert sum_rule_samples(samples=2, seed=np.int64(3)) == sum_rule_samples(samples=2, seed=3)
+        report = run_audit(beta_steps=np.int64(3), p_steps=2, samples=2, scenario="ABC_I")
+        config = json.loads(json_text(report))["config"]
+        assert config["beta_range"] == [0.0, BETA_MAX, 3] and config["p_range"] == [0.0, 1.0, 2]
+
+    def test_a_float_step_count_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"^beta_steps=3\.0 is not an int$"):
+            run_sweep(beta_steps=3.0)
+
+
 #: Each named parameter's choices, in the order its message lists them.
 NAMED = {
     "scenario": tuple(sorted(SCENARIOS)),
@@ -70,6 +106,7 @@ NAMED = {
     "measures": MEASURES,
     "engine": ENGINES,
     "figure": tuple(FIGURES),
+    "format": ("csv", "json"),
 }
 
 

@@ -106,8 +106,8 @@ class TestLazyPackage:
 
 class TestNumpyFreeFrontEnd:
     """`import ghzsim.cli` loads only the package, the CLI and `qcore`, and a
-    run that computes nothing (help, a usage error, a configuration error)
-    ends before numpy loads."""
+    run that computes nothing (help, a usage error, a config-file error, a
+    bad name from a flag or a config file) ends before numpy loads."""
 
     def test_import_loads_only_cli_and_qcore(self):
         code = "import json, sys, ghzsim.cli; print(json.dumps(sorted(sys.modules)))"
@@ -117,19 +117,23 @@ class TestNumpyFreeFrontEnd:
         assert ours == ["ghzsim", "ghzsim.cli", "ghzsim.qcore"]
 
     @pytest.mark.parametrize(
-        "args, outcome",
+        "args, config, outcome",
         [
-            (["--help"], "SystemExit 0"),
-            (["sweep", "--bogus"], "SystemExit 2"),
-            (["sweep", "--config", "CONFIG"], 2),
-            (["figure", "--figure", "2", "--out", "."], 2),
+            (["--help"], "", "SystemExit 0"),
+            (["sweep", "--bogus"], "", "SystemExit 2"),
+            (["sweep", "--config", "CONFIG"], "bogus = 1\n", 2),
+            (["figure", "--figure", "2", "--out", "."], "", 2),
+            (["sweep", "--scenario", "nope"], "", 2),
+            (["sweep", "--measures", "S,Q"], "", 2),
+            (["sweep", "--config", "CONFIG"], "engine = fast\n", 2),
         ],
-        ids=["help", "usage-error", "config-key", "out-dot"],
+        ids=["help", "usage-error", "config-key", "out-dot", "scenario-flag", "measures-flag",
+             "engine-config"],
     )
-    def test_run_that_computes_nothing_loads_no_numpy(self, tmp_path, args, outcome):
-        config = tmp_path / "bad.cfg"
-        config.write_text("bogus = 1\n")
-        argv = [str(config) if a == "CONFIG" else a for a in args]
+    def test_run_that_computes_nothing_loads_no_numpy(self, tmp_path, args, config, outcome):
+        path = tmp_path / "bad.cfg"
+        path.write_text(config)
+        argv = [str(path) if a == "CONFIG" else a for a in args]
         code = (
             "import contextlib, io, json, sys\n"
             "from ghzsim.cli import main\n"
