@@ -96,6 +96,13 @@ COMMANDS: dict[str, tuple[list[str], dict[str, str]]] = {
          "--beta-steps", "7", "--p-steps", "5"],
         {},
     ),
+    # At alpha = 1e-162 the two-flip coherence underflows to 0, but the
+    # state is still not X, so S and E stay NaN off those lines too.
+    "sweep-nonx-tiny-alpha": (
+        ["sweep", "--scenario", "AB_I_B_II", "--alpha", "1e-162", "--engine", "numeric",
+         "--beta-steps", "3", "--p-steps", "3"],
+        {},
+    ),
     "sweep-config-file": (
         ["sweep", "--config", "run.cfg", "--beta-steps", "3", "--out", "cfg.csv"],
         {"run.cfg": "alpha = 0.5\np-steps = 4\nengine = closedform\n"},

@@ -265,7 +265,7 @@ def _cmd_sumrules(args: argparse.Namespace) -> int:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     if args.figure is None:
-        raise ConfigError("figure requires --figure 1..7")
+        raise ConfigError(f"figure requires --figure {'|'.join(map(str, CHOICES['figure']))}")
     if args.out is None:
         raise ConfigError("figure requires --out")
     from .sweep import figure_csv

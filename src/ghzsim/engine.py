@@ -11,9 +11,8 @@ parameter, the scenario name and the measures included, with `qcore.checked`.
 Support rows, the one data format of the kernels: N real 8x8 matrices held
 as the (K, N) rows of their entries at a support, sorted flat 8x8 indices
 (every other entry is 0; a whole matrix is the support np.arange(64)). A
-scenario's support holds the 5 to 10 entries its reduced states (near-X
-matrices; Hashemi Rafsanjani et al., PRA 86, 062303 (2012)) can carry,
-closed under the damping block map and found once per scenario.
+scenario's support holds the 5 to 10 entries its damped states (near-X
+matrices; Hashemi Rafsanjani et al., PRA 86, 062303 (2012)) can carry.
 
 Wedge map. An accelerated observer's qubit mode splits into the accessible
 wedge mode (suffix _I) and the inaccessible one (suffix _II); for a
@@ -56,18 +55,24 @@ lives on the (i, 9-i) antidiagonal slot (1-based indices). Then
   l1-coherence       C = sum of |off-diagonal entries| (any density matrix).
 
 `support_measures` writes each once, as an array expression over support
-rows. It leaves S and E NaN on a matrix with a nonzero `off_pattern` entry
-(-0.0 counts as 0): an exact test, with no tolerance, so no scale of the
-state moves it; C is always finite. C adds the off-diagonal magnitudes one
-row at a time in row-major order; an entry outside the support adds 0, so
-every support of a matrix gives the same bits, and so does every batch
-width. AB_I_B_II and AC_I_C_II keep both wedge modes of one observer, whose
-coherence alpha^2 g(beta, p) connects basis states two bit flips apart. It
-is exactly 0 only on the beta = 0 row, the p = 1 column and at alpha = 0, so
-only there are S/E finite: 201 values of a 101 x 101 sweep at every alpha
-from 1e-158 to 1 (near 1e-160 the computed coherence underflows to 0).
-`is_x_structured` decides for a whole scenario from its support, with no
-kernel call; the audit, the figures and the boundary use it.
+rows; C is always finite, and S and E are NaN where the caller's X mask is
+False. C adds the off-diagonal magnitudes one row at a time in row-major
+order; an entry outside the support adds 0, so every support of a matrix
+gives the same bits, and so does every batch width.
+
+X test. Every entry is a sum of products of the nonnegative primitives
+alpha, sqrt(1-alpha^2), cos(beta), sin(beta), p, 1-p and sqrt(1-p), each 0
+in floats exactly where it is 0 in the reals. So no entry cancels, and an
+entry is 0 on a whole zero class (alpha 0, inside or 1; beta 0 or inside;
+p 0, inside or 1) exactly when it is 0 at one point of it. `_support`
+builds one point of each of the 18 classes, once per scenario: the support
+is the entries held in any class, and the X table says per class whether
+no `off_pattern` entry is held. `numeric_batch` reads each point's X mask off
+the table, so no underflow moves it. AB_I_B_II and AC_I_C_II keep both
+wedge modes of one observer, whose coherence alpha^2 g(beta, p) connects
+basis states two bit flips apart: they are X only where alpha = 0, beta = 0
+or p = 1 (201 points of a 101 x 101 sweep at every alpha > 0), the six
+other scenarios everywhere. `is_x_structured` reads the all-inside class.
 
 `numeric_batch` takes broadcastable (alpha, beta, p) and builds the rows
 once per (alpha, beta) element of the broadcast, never once per p, then
@@ -147,17 +152,14 @@ def scenario_reduced_entries(alpha, beta, scen: Scenario, support) -> np.ndarray
 def block_plan(support: np.ndarray, dim: int, positions: Iterable[int]) -> list:
     """Per target position, the (r00, matching r11, r01 and r10) rows of
     values gathered at the sorted flat entries `support` of dim x dim
-    matrices; ValueError if an r11 entry's r00 partner is not in it."""
+    matrices, which must hold every r11 entry's r00 partner."""
     rows, cols = np.divmod(support, dim)
     plan = []
     for pos in positions:
         bit = dim >> (1 + pos)  # big-endian: position 0 is the top bit
         upper, left = (rows & bit) != 0, (cols & bit) != 0
         k11 = np.flatnonzero(upper & left)
-        partners = support[k11] - bit * (dim + 1)
-        if not np.isin(partners, support).all():
-            raise ValueError("support is not closed under the damping map")
-        k00 = np.searchsorted(support, partners)
+        k00 = np.searchsorted(support, support[k11] - bit * (dim + 1))
         plan.append((k00, k11, np.flatnonzero(upper != left)))
     return plan
 
@@ -211,15 +213,15 @@ def l1_coherence(rows: np.ndarray, support: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, np.abs(rows[support // 8 != support % 8]), zeros)
 
 
-def support_measures(rows: np.ndarray, support, measures: tuple[str, ...]) -> dict[str, np.ndarray]:
+def support_measures(rows: np.ndarray, support, measures: tuple[str, ...],
+                     x: np.ndarray) -> dict[str, np.ndarray]:
     """The requested measures of the N matrices whose entries at the sorted
     flat indices `support` are the (K, N) `rows`, as (N,) arrays. S and E
-    are NaN where a matrix fails the X test: a nonzero `off_pattern` entry."""
+    are NaN where the (N,) mask `x` says a matrix is not X-structured."""
     out: dict[str, np.ndarray] = {}
     if "C" in measures:
         out["C"] = l1_coherence(rows, support)
     if "S" in measures or "E" in measures:
-        x = ~np.any(rows[off_pattern(support)], axis=0)
         d, e, f = _slots(rows, support)
         f = np.abs(f)
         if "S" in measures:
@@ -230,17 +232,23 @@ def support_measures(rows: np.ndarray, support, measures: tuple[str, ...]) -> di
 
 
 @functools.cache
-def _support(scen: Scenario) -> tuple[np.ndarray, list]:
+def _support(scen: Scenario) -> tuple[np.ndarray, list, np.ndarray]:
     """The sorted flat 8x8 entries the scenario's damped states can carry,
-    and the damping plan over them. At an interior (alpha, beta) no reduced
-    entry cancels (all amplitudes are positive), and damping magnitudes at
-    an interior p fills exactly the entries the block map reaches."""
+    the damping plan over them and the (18,) X table, from one kernel call
+    at one point of each zero class, in `_zero_class` order."""
     # Region tuples are stored in register order, so they are the register.
     positions = [scen.regions.index(m) for m in scen.damped_modes]
     every = np.arange(64)
-    probe = np.abs(scenario_reduced_entries((0.6, 0.8), (0.3, 0.5), scen, every)).sum(axis=1)
-    support = np.flatnonzero(damp_entries(probe[:, None], block_plan(every, 8, positions), 0.5))
-    return support, block_plan(support, 8, positions)
+    reduced = scenario_reduced_entries(np.array([[0.0], [0.6], [1.0]]), (0.0, 0.5), scen, every)
+    held = damp_entries(np.repeat(reduced, 3, axis=1), block_plan(every, 8, positions),
+                        np.tile((0.0, 0.5, 1.0), 6)) != 0
+    support = np.flatnonzero(held.any(axis=1))
+    return support, block_plan(support, 8, positions), ~held[off_pattern(every)].any(axis=0)
+
+
+def _zero_class(alpha, beta, p):
+    """Index into the X table: alpha 0, inside or 1, beta, then p."""
+    return 6 * (alpha > 0) + 6 * (alpha == 1) + 3 * (beta > 0) + (p > 0) + (p == 1)
 
 
 def numeric_batch(
@@ -258,7 +266,7 @@ def numeric_batch(
     ab = np.broadcast_to(np.arange(a.size).reshape(a.shape), shape).ravel()
     pp = np.broadcast_to(p, shape).ravel()
     a, b = a.ravel(), b.ravel()
-    support, plan = _support(scen)
+    support, plan, x_table = _support(scen)
     reduced = np.empty((len(support), a.size))
     for start in range(0, a.size, BLOCK_POINTS):
         block = slice(start, start + BLOCK_POINTS)
@@ -268,7 +276,8 @@ def numeric_batch(
         block = slice(start, start + BLOCK_POINTS)
         # A fresh C-contiguous array, which damping updates in place.
         rows = damp_entries(np.take(reduced, ab[block], axis=1), plan, pp[block])
-        for m, v in support_measures(rows, support, wanted).items():
+        x = x_table[_zero_class(a[ab[block]], b[ab[block]], pp[block])]
+        for m, v in support_measures(rows, support, wanted, x).items():
             values[m][block] = v
     return {m: v.reshape(shape) for m, v in values.items()}
 
@@ -279,7 +288,7 @@ def damped_scenario_state(name: str, alpha: float, beta: float, p: float) -> np.
     commute); at p = 0, the undamped reduced matrix."""
     scen = SCENARIOS[checked("scenario", name)]
     alpha, beta = checked("alpha", float(alpha)), checked("beta", float(beta))
-    support, plan = _support(scen)
+    support, plan, _ = _support(scen)
     rows = scenario_reduced_entries(alpha, beta, scen, support)
     matrix = np.zeros(64)
     matrix[support] = damp_entries(rows, plan, checked("p", float(p)))[:, 0]
@@ -288,6 +297,6 @@ def damped_scenario_state(name: str, alpha: float, beta: float, p: float) -> np.
 
 def is_x_structured(name: str) -> bool:
     """Whether the damped states of scenario `name` carry the X pattern (and
-    hence numeric S/E are defined): whether its support, found from the
-    states themselves, holds no off-pattern entry."""
-    return not off_pattern(_support(SCENARIOS[checked("scenario", name)])[0]).any()
+    hence numeric S/E are defined) inside the domain: its X table's entry for
+    alpha, beta and p all inside."""
+    return bool(_support(SCENARIOS[checked("scenario", name)])[2][_zero_class(0.5, 0.5, 0.5)])

@@ -103,9 +103,10 @@ def checked(name: str, values):
     an int by `operator.index` (an int is itself), or as floats (a float for a
     scalar, else a new array) with -0.0 read as 0.0, which changes no other
     value's bits. A ConfigError names a value that is no choice, or a count
-    that is no int, as `name=value not in (choices)` or `name=value is not an
-    int`, with the value's repr, and the first numeric value outside the
-    domain, NaN included, as `name=value outside [low, high]`."""
+    that is no int (a bool is none), as `name=value not in (choices)` or
+    `name=value is not an int`, with the value's repr, and the first numeric
+    value outside the domain, NaN included, as `name=value outside [low,
+    high]`."""
     if (choices := CHOICES.get(name)) is not None:
         listed = values if name == "measures" else (values,)
         if not (isinstance(listed, tuple) and listed and all(v in choices for v in listed)
@@ -117,7 +118,7 @@ def checked(name: str, values):
     low, high, shown = _DOMAIN[name]
     if isinstance(low, int):  # a count: one int of any size
         try:
-            values = operator.index(values)
+            values = operator.index(None if isinstance(values, bool) else values)
         except TypeError:
             raise ConfigError(f"{name}={values!r} is not an int") from None
         bad = [values] if values < low else []

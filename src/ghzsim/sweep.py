@@ -24,8 +24,9 @@ from the arrays, in the documented row order, each by one `%` operation over
 a template that repeats one per-point block: per column, the column's
 constant text, a slot for the point's preformatted (beta, p) text and a slot
 for its value. `json_text` spells every other JSON document. Each workflow
-checks every parameter it takes, floats, counts and names, with the engines'
-one check `qcore.checked` and keeps what it returns: no echo shows -0.
+checks every parameter it takes with the engines' one check `qcore.checked`,
+names first in `CHOICES` order, as the CLI does, then numbers, and keeps
+what it returns: no echo shows -0.
 
 All outputs are deterministic for a fixed configuration: grid order defines
 row order, floats are serialized with 17 significant digits, random sampling
@@ -69,10 +70,9 @@ def run_sweep(
     writers lay them out as len(betas) * len(ps) * len(surfaces) rows,
     ordered by (beta index, p index), then measure (config order), then
     engine (numeric before closedform), which is the order of `surfaces`."""
-    alpha = checked("alpha", alpha)
-    beta_steps, p_steps = checked("beta_steps", beta_steps), checked("p_steps", p_steps)
     scenario, measures = checked("scenario", scenario), checked("measures", tuple(measures))
-    engine = checked("engine", engine)
+    engine, alpha = checked("engine", engine), checked("alpha", alpha)
+    beta_steps, p_steps = checked("beta_steps", beta_steps), checked("p_steps", p_steps)
     betas, ps = _axis(BETA_MAX, beta_steps), _axis(1.0, p_steps)
     engines = ("numeric", "closedform") if engine == "both" else (engine,)
     grid = (alpha, np.asarray(betas)[:, None], np.asarray(ps))
@@ -230,9 +230,8 @@ def find_boundary(
     p = 0; one that starts below it never crosses. Absence of a crossing is
     data, not an error. A tolerance of 0 bisects to float spacing.
     """
-    checked("measure", measure)
+    scenario, measure = checked("scenario", scenario), checked("measure", measure)
     tol, beta_steps = checked("tol", tol), checked("beta_steps", beta_steps)
-    checked("scenario", scenario)  # an unknown name is reported before a bad alpha
     alpha = checked("alpha", alpha)
     if not is_x_structured(scenario):
         raise ConfigError(
@@ -393,13 +392,12 @@ def run_audit(
     the worst point; scenarios whose reduced state is not X-structured are
     flagged as such for S/E (no numeric value exists to compare). The
     asserted sum rules are gated at 1e-10 over random points, evaluated
-    first, so a bad `samples` or `seed` fails before any grid is evaluated;
-    the scenario name is looked up before that.
+    first, so a bad `samples` or `seed` fails before any grid is evaluated.
     """
+    names = sorted(SCENARIOS) if scenario is None else [checked("scenario", scenario)]
     alpha = checked("alpha", alpha)
     beta_steps, p_steps = checked("beta_steps", beta_steps), checked("p_steps", p_steps)
     tol = checked("tol", tol)
-    names = sorted(SCENARIOS) if scenario is None else [checked("scenario", scenario)]
     rules = sum_rule_samples(None, samples, seed)
     entries = []
     flags: list[str] = []

@@ -246,8 +246,9 @@ class TestExitCodes:
         assert captured.err == f"error: --out must name a file, got {out!r}\n"
         assert [p.name for p in tmp_path.rglob("*")] == ["adir"]
 
-    def test_boundary_requires_measure(self):
+    def test_boundary_requires_measure(self, capsys):
         assert run(["boundary", "--scenario", "ABC_I"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: boundary requires --measure S|E\n"
 
     def test_internal_value_error_is_not_a_config_error(self, monkeypatch):
         """A bug inside the engine must surface as itself, not as bad input."""
@@ -576,6 +577,35 @@ class TestNamedFlags:
         assert captured.err == f"error: {expected.value}\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "args, workflow, kwargs",
+        [
+            (["sweep", "--alpha", "2", "--scenario", "nope"], "run_sweep",
+             dict(scenario="nope", alpha=2.0)),
+            (["sweep", "--beta-steps", "0", "--engine", "fast"], "run_sweep",
+             dict(beta_steps=0, engine="fast")),
+            (["audit", "--alpha", "2", "--scenario", "nope"], "run_audit",
+             dict(scenario="nope", alpha=2.0)),
+            (["boundary", "--scenario", "nope", "--measure", "Q"], "find_boundary",
+             dict(scenario="nope", measure="Q")),
+            (["boundary", "--tol", "-1", "--measure", "Q"], "find_boundary",
+             dict(measure="Q", tol=-1.0)),
+            (["figure", "--alpha", "2", "--figure", "9"], "figure_csv",
+             dict(figure=9, alpha=2.0)),
+        ],
+        ids=["sweep", "sweep-engine", "audit", "boundary-two-names", "boundary", "figure"],
+    )
+    def test_a_bad_name_and_a_bad_value_read_the_same_on_both_routes(
+        self, tmp_path, capsys, args, workflow, kwargs
+    ):
+        """Both `main` and the workflow check names first, in `CHOICES`
+        order, then numbers, so either route reports the same one."""
+        with pytest.raises(ConfigError) as expected:
+            getattr(ghzsim.sweep, workflow)(**kwargs)
+        assert "not in" in str(expected.value)
+        assert run(args + ["--out", str(tmp_path / "x")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+
 
 class TestAuditCommand:
     def test_flagged_audit_exits_nonzero(self, tmp_path):
@@ -632,9 +662,11 @@ class TestSumrulesCommand:
 
 
 class TestFigureCommand:
-    def test_requires_figure_and_out(self, tmp_path):
+    def test_requires_figure_and_out(self, tmp_path, capsys):
         assert run(["figure", "--out", str(tmp_path / "f.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: figure requires --figure 1|2|3|4|5|6|7\n"
         assert run(["figure", "--figure", "1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: figure requires --out\n"
 
     @pytest.mark.parametrize("figure", ["1", "7"])
     @pytest.mark.parametrize("alpha", ["2", "nan"])

@@ -1,6 +1,8 @@
-"""The X-state test and the three quantumness measures, evaluated through
-the support-row kernel on the full support np.arange(64), one matrix at a
-time and against the dense oracle on random stacks."""
+"""The three quantumness measures, evaluated through the support-row kernel
+on the full support np.arange(64), one matrix at a time and against the
+dense oracle on random stacks. The engine decides the X test from its zero
+classes; here a matrix is X-structured where no off-pattern entry is nonzero
+in floats, the dense oracle's mask."""
 from __future__ import annotations
 
 import math
@@ -28,7 +30,10 @@ def x_matrix(d, e, f) -> np.ndarray:
 
 
 def measures_of(mat: np.ndarray, measures=MEASURES) -> dict[str, float]:
-    values = support_measures(mat.reshape(64, 1), np.arange(64), measures)
+    """The measures of one whole matrix, X-structured where no off-pattern
+    entry is nonzero in floats."""
+    x = np.array([not mat[_OFF_X].any()])
+    values = support_measures(mat.reshape(64, 1), np.arange(64), measures, x)
     return {m: float(v[0]) for m, v in values.items()}
 
 
@@ -44,7 +49,7 @@ GHZ = x_matrix([0.5, 0, 0, 0], [0.5, 0, 0, 0], [0.5, 0, 0, 0])
 
 
 class TestExtractXstate:
-    """Slot reading and the X test."""
+    """Slot reading, the off-pattern entries, and S/E following the X mask."""
 
     def test_off_pattern_is_the_complement_of_the_x_pattern(self):
         """The 48 entries off both diagonals, read the same on any support."""
@@ -153,7 +158,8 @@ class TestFullSupportKernel:
         zeros[1::3, off] = 0.0
         zeros[2::3, 0, 3] = 5e-324
         stack[:, [2, 5], [2, 5]] = -0.0
-        got = support_measures(stack.reshape(n, 64).T, np.arange(64), MEASURES)
+        x = ~stack[:, _OFF_X].any(axis=1)
+        got = support_measures(stack.reshape(n, 64).T, np.arange(64), MEASURES, x)
         want = dense_measures_oracle(stack, MEASURES)
         for measure in MEASURES:
             # int64 views: signed zeros and NaN payloads count.

@@ -67,7 +67,8 @@ class TestChecked:
 
 class TestCounts:
     """A count is read with `operator.index`: any integer type gives a Python
-    int, and a value that is no integer is one ConfigError line."""
+    int, and a value that is no integer, a bool included, is one ConfigError
+    line."""
 
     @pytest.mark.parametrize("name, low", COUNTS)
     def test_a_numpy_int_comes_back_a_python_int(self, name, low):
@@ -79,7 +80,8 @@ class TestCounts:
 
     @pytest.mark.parametrize("name", [name for name, _ in COUNTS])
     @pytest.mark.parametrize(
-        "bad", [3.0, math.nan, np.float64(3.0), "3", None], ids=["float", "nan", "np-float", "str", "none"]
+        "bad", [3.0, math.nan, np.float64(3.0), "3", None, True, False],
+        ids=["float", "nan", "np-float", "str", "none", "true", "false"],
     )
     def test_a_count_that_is_no_int_is_a_config_error(self, name, bad):
         message = f"{name}={bad!r} is not an int"
