@@ -50,6 +50,16 @@ numpy versions (numpy's from its installed metadata, so this script still
 imports no numpy), the git revision (with `+dirty` when `src/` differs from
 it) and PYTHONDONTWRITEBYTECODE, the bytecode policy every child inherits.
 It holds no timestamp, so a rerun changes only the measured values.
+
+The record's `cold_split` block says where a cold call's time goes. Before
+the commands, each `python3 -c` variant of COLD_SPLIT runs SPLIT_ROUNDS
+times, in an order that rotates by one each round: one does nothing, one
+imports numpy, one imports the CLI and the library. Each ends in
+`os._exit(0)`, as `cli.run` does, so none pays interpreter teardown. The
+block holds each variant's wall-time median and interquartile range, and each
+recorded command's own work: its wall-time median less the last variant's.
+No variant sets PYTHONPYCACHEPREFIX: under PYTHONDONTWRITEBYTECODE, an empty
+prefix would make every process recompile the standard library.
 """
 from __future__ import annotations
 
@@ -204,6 +214,15 @@ RECORDED = [command for commands in WORKLOADS.values() for command in commands] 
 #: Cold runs of each recorded command.
 RECORD_RUNS = 10
 
+#: cold-split variant -> its `python3 -c` code, in the order the time adds up.
+COLD_SPLIT = {
+    "interpreter": "import os; os._exit(0)",
+    "numpy": "import os, numpy; os._exit(0)",
+    "ghzsim": "import os, ghzsim.cli, ghzsim.sweep; os._exit(0)",
+}
+#: Rounds of the cold split.
+SPLIT_ROUNDS = 15
+
 #: metric -> its print format, in `cold_pass`'s order.
 METRICS = {"wall_s": ".4f", "cpu_s": ".4f", "minflt": ".0f", "rss_mib": ".1f"}
 #: The metrics that get a gain claim.
@@ -290,6 +309,21 @@ def identity(base: Path, label: str, expect_diff: list[str]) -> int:
     return 1 if unexpected else 0
 
 
+def _cold_run(tree: Path, argv: list[str], cwd: str) -> tuple[int, float, float, int, float]:
+    """(exit code, wall s, user+sys CPU s, minor faults, peak RSS MiB) of one
+    fresh `python3 ARGV` process of `tree` in `cwd`."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, *argv], cwd=cwd, env=_env(tree),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return (proc.returncode, wall, usage.ru_utime + usage.ru_stime, usage.ru_minflt,
+            usage.ru_maxrss / 1024)  # KiB on Linux
+
+
 def cold_pass(
     tree: Path, commands: list[tuple[list[str], int]]
 ) -> tuple[float, float, int, float]:
@@ -300,20 +334,36 @@ def cold_pass(
     faults = 0
     with tempfile.TemporaryDirectory(prefix="ab-") as cwd:
         for args, want in commands:
-            start = time.perf_counter()
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "ghzsim.cli", *args], cwd=cwd, env=_env(tree),
-                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            code, one_wall, one_cpu, one_faults, one_rss = _cold_run(
+                tree, ["-m", "ghzsim.cli", *args], cwd
             )
-            _, status, usage = os.wait4(proc.pid, 0)
-            wall += time.perf_counter() - start
-            proc.returncode = os.waitstatus_to_exitcode(status)
-            if proc.returncode != want:
-                sys.exit(f"{' '.join(args)} on {tree} exited {proc.returncode}, not {want}")
-            cpu += usage.ru_utime + usage.ru_stime
-            faults += usage.ru_minflt
-            rss = max(rss, usage.ru_maxrss / 1024)  # KiB on Linux
+            if code != want:
+                sys.exit(f"{' '.join(args)} on {tree} exited {code}, not {want}")
+            wall += one_wall
+            cpu += one_cpu
+            faults += one_faults
+            rss = max(rss, one_rss)
     return wall, cpu, faults, rss
+
+
+def cold_split() -> dict[str, list[float]]:
+    """Each COLD_SPLIT variant's wall times over SPLIT_ROUNDS rounds, the
+    order rotated by one each round; exits if a variant does not exit 0."""
+    names = list(COLD_SPLIT)
+    walls: dict[str, list[float]] = {name: [] for name in names}
+    with tempfile.TemporaryDirectory(prefix="ab-") as cwd:
+        for k in range(SPLIT_ROUNDS):
+            for name in names[k % len(names):] + names[: k % len(names)]:
+                code, wall, *_ = _cold_run(ROOT, ["-c", COLD_SPLIT[name]], cwd)
+                if code:
+                    sys.exit(f"cold-split variant {name} exited {code}")
+                walls[name].append(wall)
+    return walls
+
+
+def _median_iqr(values: list[float], spec: str) -> dict[str, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": float(format(median, spec)), "iqr": float(format(q3 - q1, spec))}
 
 
 def _summary(values: list[float], spec: str) -> str:
@@ -354,19 +404,22 @@ def pairs(base: Path, label: str, workloads: list[str], n: int) -> int:
 
 def record(path: str) -> int:
     """Time each RECORDED command RECORD_RUNS times in this checkout and
-    write the medians and interquartile ranges, with a meta block, to `path`."""
+    write the medians and interquartile ranges, with a meta block and the
+    cold split, to `path`."""
+    split = {name: _median_iqr(walls, ".4f") for name, walls in cold_split().items()}
     runs: list[list[tuple]] = [[] for _ in RECORDED]
     for _ in range(RECORD_RUNS):
         for done, command in zip(runs, RECORDED):
             done.append(cold_pass(ROOT, [command]))
     commands = {}
     for (args, _), done in zip(RECORDED, runs):
-        stats = {}
-        for j, (metric, spec) in enumerate(METRICS.items()):
-            q1, median, q3 = statistics.quantiles([p[j] for p in done], n=4, method="inclusive")
-            stats[metric] = {"median": float(format(median, spec)),
-                             "iqr": float(format(q3 - q1, spec))}
-        commands[" ".join(args)] = stats
+        commands[" ".join(args)] = {
+            metric: _median_iqr([p[j] for p in done], spec)
+            for j, (metric, spec) in enumerate(METRICS.items())
+        }
+    startup = split[list(COLD_SPLIT)[-1]]["median"]
+    own_work = {name: round(stats["wall_s"]["median"] - startup, 4)
+                for name, stats in commands.items()}
     revision = _git("rev-parse", "HEAD").decode().strip()
     if _git("status", "--porcelain", "--untracked-files=no", "--", "src").strip():
         revision += "+dirty"
@@ -378,9 +431,14 @@ def record(path: str) -> int:
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "runs": RECORD_RUNS,
     }
-    Path(path).write_text(json.dumps({"meta": meta, "commands": commands}, indent=2) + "\n")
+    document = {"meta": meta, "commands": commands, "cold_split": {
+        "rounds": SPLIT_ROUNDS, "code": COLD_SPLIT, "wall_s": split, "own_work_s": own_work}}
+    Path(path).write_text(json.dumps(document, indent=2) + "\n")
+    for name, stats in split.items():
+        print(f"{stats['median']:.4f} s  cold split: {name}", flush=True)
     for name, stats in commands.items():
-        print(f"{stats['wall_s']['median']:.4f} s  {name}", flush=True)
+        print(f"{stats['wall_s']['median']:.4f} s  {name} (own work {own_work[name]:+.4f} s)",
+              flush=True)
     return 0
 
 

@@ -18,9 +18,9 @@ own name, which is the parameter's; an unset flag is left out, so the
 library's defaults, each written once in `sweep`, are the CLI's too.
 
 Exit codes: 0 success, 2 configuration error (a ConfigError), 3 I/O error
-(a closed standard output, or a reader that closes the pipe early,
-included), 4 the audit found discrepancies above tolerance. Float flags are
-plain `float`s: the library checks them and reads -0.0 as 0.0.
+(a closed stdout, or a reader that closes the pipe early, included), 4 the
+audit found discrepancies above tolerance; a closed stderr changes none. Float
+flags are plain `float`s: the library checks them and reads -0.0 as 0.0.
 
 `main(argv)` is the in-process API: it returns the exit code. `run()` is the
 process entry, used by the `ghzsim` console script and `python -m ghzsim.cli`.
@@ -222,6 +222,15 @@ def write_text_atomic(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
+def _say(line: str) -> None:
+    """Write one line to stderr, or drop it, as argparse does, where stderr is
+    closed (None, or the write fails): stdout and exit codes never depend on it."""
+    try:
+        sys.stderr.write(line + "\n")
+    except (AttributeError, OSError):
+        pass
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         write_text_atomic(out, text)
@@ -243,7 +252,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     report = run_audit(**_given(args))
     _emit(json_text(report), args.out)
     if report["flags"]:
-        print(f"audit: {len(report['flags'])} discrepancy flag(s) raised", file=sys.stderr)
+        _say(f"audit: {len(report['flags'])} discrepancy flag(s) raised")
         return EXIT_AUDIT_FLAGGED
     return EXIT_OK
 
@@ -301,10 +310,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--out must name a file, got {args.out!r}")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_CONFIG
     except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
+        _say(f"I/O error: {exc}")
         return EXIT_IO
 
 
@@ -325,16 +334,17 @@ def run() -> NoReturn:
 
     An exception from `main()`, argparse's `SystemExit` for `--help` and
     usage errors included, propagates through the normal exit path with its
-    traceback and exit code. If the flush fails, for example with EPIPE from
-    a reader that has gone, the process exits through `SystemExit` instead,
-    so the normal shutdown reports the error."""
+    traceback and exit code. If stdout's flush fails, for example with EPIPE
+    from a reader that has gone, the process exits through `SystemExit`
+    instead, so the normal shutdown reports the error."""
     code = main()
-    try:
-        for stream in (sys.stdout, sys.stderr):
+    for stream in (sys.stdout, sys.stderr):
+        try:
             if stream is not None:
                 stream.flush()
-    except OSError:
-        raise SystemExit(code)
+        except OSError:
+            if stream is sys.stdout:  # a closed stderr drops its lines (`_say`)
+                raise SystemExit(code)
     os._exit(code)
 
 

@@ -8,7 +8,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ghzsim.sweep
@@ -69,6 +69,16 @@ class TestSweepCommand:
         assert code == EXIT_OK
         captured = capsys.readouterr()
         assert captured.out.startswith("scenario,measure,engine,")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_gives_the_bytes_of_out(self, tmp_path, capsys, fmt):
+        args = ["sweep", "--format", fmt, "--beta-steps", "3", "--p-steps", "3"]
+        out = tmp_path / "sweep.out"
+        assert run(args + ["--out", str(out)]) == EXIT_OK
+        assert run(args) == EXIT_OK
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+        if fmt == "json":
+            assert len(json.loads(out.read_text())) == 3 * 3 * 3 * 2
 
     def test_out_file_mode_follows_umask(self, tmp_path, umask_022):
         out = tmp_path / "sweep.csv"
@@ -132,7 +142,7 @@ class TestConfigFile:
 
     def test_hash_inside_a_value_is_part_of_it(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "o.cfg").write_text("out = res#1.csv\n")
+        (tmp_path / "o.cfg").write_text("out = res#1.csv  # the report\n")
         assert run(["sumrules", "--samples", "2", "--config", "o.cfg"]) == EXIT_OK
         assert sorted(path.name for path in tmp_path.iterdir()) == ["o.cfg", "res#1.csv"]
 
@@ -162,6 +172,18 @@ class TestConfigFile:
         assert run([command, "--config", str(cfg)]) == EXIT_CONFIG
         message = f"error: {cfg}:{second}: key {key!r} repeats line {first}\n"
         assert capsys.readouterr().err == message
+
+    def test_file_gives_the_bytes_of_the_flags(self, tmp_path):
+        """A config file sets each flag as the command line does, a measures
+        list included."""
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("measures = S,E\nbeta-steps = 3\np-steps = 3\n")
+        from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        assert run(["sweep", "--config", str(cfg), "--out", str(from_file)]) == EXIT_OK
+        assert run(["sweep", "--measures", "S,E", "--beta-steps", "3", "--p-steps", "3",
+                    "--out", str(from_flags)]) == EXIT_OK
+        assert from_file.read_bytes() == from_flags.read_bytes()
+        assert len(from_file.read_text().splitlines()) == 1 + 3 * 3 * 2 * 2
 
     def test_file_with_byte_order_mark(self, tmp_path):
         """Editors that save UTF-8 with a byte-order mark put it before the
@@ -407,6 +429,7 @@ class TestNumericDomains:
     @settings(derandomize=True, max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=out_of_domain())
+    @example(case=("figure", "resolution", 15, False))
     def test_value_outside_the_domain_is_one_error_line(self, tmp_path, capsys, case):
         """A value outside its flag's domain exits 2 with one `error:` line
         that names the parameter, nothing on stdout and no --out file; the
@@ -649,6 +672,13 @@ class TestBoundaryCommand:
         assert lines[0] == "beta,p_star,status"
         first = lines[1].split(",")
         assert abs(float(first[1]) - 0.5) < 1e-5
+
+    def test_json_has_one_point_per_beta(self, tmp_path):
+        out = tmp_path / "b.json"
+        code = run(["boundary", "--measure", "S", "--beta-steps", "3", "--format", "json",
+                    "--out", str(out)])
+        assert code == EXIT_OK
+        assert len(json.loads(out.read_text())["curve"]) == 3
 
 
 class TestSumrulesCommand:

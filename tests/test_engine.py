@@ -164,6 +164,12 @@ class TestNumericMeasures:
             assert np.array_equal(finite, on_x), (measure, int(finite.sum()))
         assert np.isfinite(grid["surfaces"]["C", "numeric"]).all()
 
+    def test_a_tiny_coherence_is_not_cancelled(self):
+        """C adds the off-diagonal magnitudes, so the 3.5e-17 of AB_I_B_II at
+        alpha = 1e-8, beta = pi/8, p = 0.5 stays positive."""
+        c = numeric_batch("AB_I_B_II", 1e-8, math.pi / 8, 0.5, ("C",))["C"]
+        assert 3e-17 < c < 4e-17
+
     def test_full_damping_leaves_ground_state_statistics(self):
         values = numeric_batch("AB_I_C_I", 0.8, 0.5, 1.0)
         assert values["C"] == pytest.approx(0.0, abs=1e-14)

@@ -1,6 +1,7 @@
 """How a CLI process ends: `ghzsim.cli.run` flushes the standard streams and
 ends the process with `os._exit`, skipping interpreter teardown, while
-`main()` called in-process returns its code.
+`main()` called in-process returns its code. A closed stderr changes neither
+stdout nor the exit code, and no output depends on the string hash seed.
 
 The process tests run a new interpreter with PYTHONUNBUFFERED unset, so
 stdout is block-buffered on a pipe, as a user's pipeline sees it: output
@@ -26,20 +27,21 @@ SRC = str(Path(ghzsim.__file__).resolve().parents[1])
 posix_only = pytest.mark.skipif(os.name != "posix", reason="uses POSIX descriptors and sh")
 
 
-def cli_env(unbuffered: bool = False) -> dict[str, str]:
+def cli_env(unbuffered: bool = False, **extra: str) -> dict[str, str]:
     """The environment of a CLI process: this one's, with PYTHONUNBUFFERED
-    set to 1 or unset."""
+    set to 1 or unset, and `extra` set."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return env
+    return {**env, **extra}
 
 
-def cli_process(args, cwd, *, code=None, stdout=subprocess.PIPE, close_stdout=False):
+def cli_process(args, cwd, *, code=None, stdout=subprocess.PIPE, close_stdout=False, **extra):
     """Run `python -m ghzsim.cli ARGS` (or `python -c CODE ARGS`) in `cwd`
-    with PYTHONUNBUFFERED unset; return the CompletedProcess with bytes."""
-    env = cli_env()
+    with PYTHONUNBUFFERED unset and the `extra` environment variables set;
+    return the CompletedProcess with bytes."""
+    env = cli_env(**extra)
     argv = [sys.executable, *(["-m", "ghzsim.cli"] if code is None else ["-c", code]), *args]
     if close_stdout:
         argv = ["sh", "-c", 'exec "$0" "$@" >&-', *argv]
@@ -192,6 +194,62 @@ class TestClosedStdout:
         assert done.returncode == EXIT_OK
         assert done.stderr == b""
         assert (tmp_path / "x.json").read_text().startswith("{")
+
+
+@posix_only
+class TestClosedStderr:
+    """A closed standard error drops ghzsim's own lines, as argparse drops a
+    message it cannot write: stdout and the exit code are those of a run with
+    stderr open. Descriptor 2 is closed before the interpreter starts, which
+    leaves `sys.stderr` None, or after, which leaves a stream whose writes
+    fail with EBADF; stderr is buffered, or unbuffered under
+    PYTHONUNBUFFERED."""
+
+    LAUNCH = {
+        "closed-before-start": ["sh", "-c", 'exec "$0" "$@" 2>&-', sys.executable, "-m",
+                                "ghzsim.cli"],
+        "closed-after-start": [sys.executable, "-c",
+                               "import os; os.close(2); import ghzsim.cli; ghzsim.cli.run()"],
+    }
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("closed", sorted(LAUNCH))
+    @pytest.mark.parametrize(
+        "args, exit_code",
+        [(["audit", "--beta-steps", "3", "--p-steps", "3", "--samples", "3"], EXIT_AUDIT_FLAGGED),
+         (["sweep", "--scenario", "nope"], EXIT_CONFIG)],
+        ids=["audit-flagged", "config-error"],
+    )
+    def test_stdout_and_exit_code_are_those_of_an_open_stderr(
+        self, tmp_path, capsys, args, exit_code, closed, unbuffered
+    ):
+        assert ghzsim.cli.main(args) == exit_code
+        open_stderr = capsys.readouterr()
+        assert open_stderr.err  # the line that a closed stderr drops
+        done = subprocess.run(
+            self.LAUNCH[closed] + args, cwd=tmp_path, env=cli_env(unbuffered),
+            stdin=subprocess.DEVNULL, capture_output=True, timeout=120,
+        )
+        assert done.returncode == exit_code
+        assert done.stdout == open_stderr.out.encode()
+        assert done.stderr == b""
+
+
+class TestHashSeed:
+    """No output depends on the string hash seed: fresh processes under two
+    seeds write the same bytes."""
+
+    @pytest.mark.parametrize(
+        "args, exit_code",
+        [(["audit", "--beta-steps", "5", "--p-steps", "5", "--samples", "10"], EXIT_AUDIT_FLAGGED),
+         (["sweep", "--format", "json", "--beta-steps", "3", "--p-steps", "3"], EXIT_OK)],
+        ids=["audit", "sweep-json"],
+    )
+    def test_two_seeds_give_the_same_bytes(self, tmp_path, args, exit_code):
+        runs = [cli_process(args, tmp_path, PYTHONHASHSEED=seed) for seed in ("1", "2")]
+        assert [done.returncode for done in runs] == [exit_code, exit_code]
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stdout.startswith((b"{", b"["))
 
 
 class TestEntryInProcess:

@@ -42,14 +42,19 @@ from ghzsim.sweep import (
 from conftest import (
     figure_csv_oracle,
     grid_records,
+    modes_from_name,
     records_csv_oracle,
     records_json_oracle,
+    register_reduced_oracle,
     sweep_records_oracle,
 )
 
 ALPHA_GHZ = 1.0 / math.sqrt(2.0)
 
 SMALL = {"beta_steps": 3, "p_steps": 3}
+
+#: The scenarios whose reduced states are X-structured.
+X_SCENARIOS = ("ABC_I", "ABC_II", "AB_I_C_I", "AB_I_C_II", "AB_II_C_I", "AB_II_C_II")
 
 #: The upper end of a tolerance's domain, as range errors show it.
 MAX_FLOAT = repr(sys.float_info.max)
@@ -400,9 +405,7 @@ class TestFindBoundary:
         assert [pt["p_star"] for pt in result["curve"]] == expected
         assert None in expected and any(p not in (None, 0.0) for p in expected)
 
-    @pytest.mark.parametrize(
-        "name", ["ABC_I", "ABC_II", "AB_I_C_I", "AB_I_C_II", "AB_II_C_I", "AB_II_C_II"]
-    )
+    @pytest.mark.parametrize("name", X_SCENARIOS)
     @pytest.mark.parametrize("alpha", [0.5, ALPHA_GHZ])
     def test_nonlocality_dies_no_later_than_entanglement(self, name, alpha):
         """Svetlichny nonlocality needs entanglement, so wherever both curves
@@ -513,9 +516,7 @@ class TestBoundaryScanMissesNoCrossing:
     @example(beta=2.0**-14)
     @example(beta=2.0**-24)
     @pytest.mark.parametrize("measure", ["S", "E"])
-    @pytest.mark.parametrize(
-        "name", ["ABC_I", "ABC_II", "AB_I_C_I", "AB_I_C_II", "AB_II_C_I", "AB_II_C_II"]
-    )
+    @pytest.mark.parametrize("name", X_SCENARIOS)
     def test_agrees_with_a_fine_scan(self, name, measure, beta):
         point = one_row(name, measure, ALPHA_GHZ, beta, 1e-6)
         want = fine_scan_p_star(name, measure, beta)
@@ -530,6 +531,15 @@ class TestBoundaryScanMissesNoCrossing:
 E_DEATH_FACTOR = 2.0 / math.sqrt(3.0) - 1.0
 #: p*_E = 1 here: a crossing exists only above it.
 BETA_C = math.atan(math.sqrt(E_DEATH_FACTOR))
+
+
+def x_entries_at_p0(name, alpha, beta):
+    """max_i |f_i| and N of the undamped reduced state, from the register
+    oracle, not the engine."""
+    m = register_reduced_oracle(alpha, beta, SCENARIOS[name]).real
+    d, e = np.diag(m)[:4], np.diag(m)[7:3:-1]
+    f0 = max(abs(m[i, 7 - i]) for i in range(4))
+    return f0, d[0] - d[1] - d[2] + d[3] - e[3] + e[2] + e[1] - e[0]
 
 
 def assert_matches(point, p_star, crosses, tol):
@@ -574,14 +584,28 @@ class TestClosedFormBoundaries:
     )
     @example(alpha=ALPHA_GHZ, beta=0.0, tol=1e-12)
     @example(alpha=0.3, beta=0.0, tol=1e-9)
-    def test_nonlocality_death_on_abc_i(self, alpha, beta, tol):
-        """Only the coherence branch of S decides: S = 4 sqrt(x (1 - p)) with
-        x = 8 alpha^2 (1 - alpha^2) cos^2 beta, so p*_S = 1 - 1/x, and a
-        crossing exists only where x > 1."""
-        x = 8.0 * alpha * alpha * (1.0 - alpha * alpha) * math.cos(beta) ** 2
-        assume(abs(x - 1.0) >= 1e-6)
-        point = one_row("ABC_I", "S", alpha, beta, tol)
-        assert_matches(point, 1.0 - 1.0 / x, x > 1.0, tol)
+    # On AB_I_C_I, p* = 1 - 1/(2 sqrt 2 alpha sqrt(1 - alpha^2) cos^2 beta):
+    # 0.2252 here.
+    @example(alpha=ALPHA_GHZ, beta=0.3, tol=1e-12)
+    @pytest.mark.parametrize("name", X_SCENARIOS)
+    def test_nonlocality_death(self, name, alpha, beta, tol):
+        """S = max(8 sqrt 2 max_i |f_i|, 4|N|). N is a signed sum of the
+        diagonal of a unit-trace state, so |N| <= 1 and only the coherence
+        branch lifts S above 4; with k damped modes each f_i is
+        f_i(0) (1 - p)^(k/2). So with g = 2 sqrt 2 max_i |f_i(0)|, S dies at
+        p* = 1 - g^(-2/k) where g > 1, at p = 0 where S(0) is within 1e-9
+        of 4 (`find_boundary`'s start rule), and never otherwise. On ABC_I
+        (k = 1), g^2 = 8 alpha^2 (1 - alpha^2) cos^2 beta."""
+        f0, n0 = x_entries_at_p0(name, alpha, beta)
+        k = sum("_" in mode for mode in modes_from_name(name))
+        g = 2.0 * math.sqrt(2.0) * f0
+        s0 = 4.0 * max(g, abs(n0))
+        assume(abs(g * g - 1.0) >= 1e-6 and not 1e-9 < 4.0 - s0 < 1e-6)
+        point = one_row(name, "S", alpha, beta, tol)
+        if g > 1.0:
+            assert_matches(point, 1.0 - g ** (-2.0 / k), True, tol)
+        else:
+            assert_matches(point, 0.0, 4.0 - s0 <= 1e-9, tol)
 
 
 class TestLateDeath:
@@ -921,6 +945,7 @@ class TestKernelCalls:
         assert entries[("AC_I_C_II", "E")]["status"] == "not_x_structured"
         # coherence is still defined and compared there
         assert entries[("AB_I_B_II", "C")]["pass"]
+        assert entries[("AC_I_C_II", "C")]["pass"]
 
     def test_sound_entries_pass(self, report):
         entries = {
