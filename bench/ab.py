@@ -54,12 +54,13 @@ It holds no timestamp, so a rerun changes only the measured values.
 The record's `cold_split` block says where a cold call's time goes. Before
 the commands, each `python3 -c` variant of COLD_SPLIT runs SPLIT_ROUNDS
 times, in an order that rotates by one each round: one does nothing, one
-imports numpy, one imports the CLI and the library. Each ends in
-`os._exit(0)`, as `cli.run` does, so none pays interpreter teardown. The
-block holds each variant's wall-time median and interquartile range, and each
-recorded command's own work: its wall-time median less the last variant's.
-No variant sets PYTHONPYCACHEPREFIX: under PYTHONDONTWRITEBYTECODE, an empty
-prefix would make every process recompile the standard library.
+imports numpy with one OpenBLAS thread, as the CLI does, and one imports
+the CLI and the library. Each ends in `os._exit(0)`, as `cli.run` does, so
+none pays interpreter teardown. The block holds each variant's wall-time
+median and interquartile range, and each recorded command's own work: its
+wall-time median less the last variant's. No variant sets
+PYTHONPYCACHEPREFIX: under PYTHONDONTWRITEBYTECODE, an empty prefix would
+make every process recompile the standard library.
 """
 from __future__ import annotations
 
@@ -215,9 +216,11 @@ RECORDED = [command for commands in WORKLOADS.values() for command in commands] 
 RECORD_RUNS = 10
 
 #: cold-split variant -> its `python3 -c` code, in the order the time adds up.
+#: numpy loads with one OpenBLAS thread, as the CLI loads it.
 COLD_SPLIT = {
     "interpreter": "import os; os._exit(0)",
-    "numpy": "import os, numpy; os._exit(0)",
+    "numpy": "import os; os.environ.setdefault('OPENBLAS_NUM_THREADS', '1'); import numpy; "
+             "os._exit(0)",
     "ghzsim": "import os, ghzsim.cli, ghzsim.sweep; os._exit(0)",
 }
 #: Rounds of the cold split.
