@@ -51,16 +51,25 @@ imports no numpy), the git revision (with `+dirty` when `src/` differs from
 it) and PYTHONDONTWRITEBYTECODE, the bytecode policy every child inherits.
 It holds no timestamp, so a rerun changes only the measured values.
 
+The record's `stages` block holds the median microseconds per grid point of
+each layer function (`engine.scenario_reduced_entries`, `damp_entries`,
+`support_measures` and `numeric_batch`, which runs them; `closedform.cf_eval`;
+`sweep.records_to_csv` and `records_to_json`; `cli.write_text_atomic`) over
+STAGE_CALLS warm calls on `run_sweep`'s default grid, per STAGE_SCENARIOS
+scenario. A child process times them in-process (`stage_times`), so this
+script still imports no numpy.
+
 The record's `cold_split` block says where a cold call's time goes. Before
-the commands, each `python3 -c` variant of COLD_SPLIT runs SPLIT_ROUNDS
-times, in an order that rotates by one each round: one does nothing, one
-imports numpy with one OpenBLAS thread, as the CLI does, and one imports
-the CLI and the library. Each ends in `os._exit(0)`, as `cli.run` does, so
-none pays interpreter teardown. The block holds each variant's wall-time
-median and interquartile range, and each recorded command's own work: its
-wall-time median less the last variant's. No variant sets
-PYTHONPYCACHEPREFIX: under PYTHONDONTWRITEBYTECODE, an empty prefix would
-make every process recompile the standard library.
+the commands, each `python3` variant of COLD_SPLIT runs SPLIT_ROUNDS times,
+in an order that rotates by one each round: one does nothing without `site`
+(`-S`), one does nothing, one imports numpy with one OpenBLAS thread, as the
+CLI does, and one imports the CLI and the library. Each ends in
+`os._exit(0)`, as `cli.run` does, so none pays interpreter teardown. The
+block holds each variant's wall-time median and interquartile range, and
+each recorded command's own work: its wall-time median less the last
+variant's. No variant sets PYTHONPYCACHEPREFIX: under
+PYTHONDONTWRITEBYTECODE, an empty prefix would make every process recompile
+the standard library.
 """
 from __future__ import annotations
 
@@ -215,16 +224,23 @@ RECORDED = [command for commands in WORKLOADS.values() for command in commands] 
 #: Cold runs of each recorded command.
 RECORD_RUNS = 10
 
-#: cold-split variant -> its `python3 -c` code, in the order the time adds up.
-#: numpy loads with one OpenBLAS thread, as the CLI loads it.
+#: cold-split variant -> its `python3` arguments, in the order the time adds
+#: up: `-S` skips `site`. numpy loads with one OpenBLAS thread, as the CLI
+#: loads it.
 COLD_SPLIT = {
-    "interpreter": "import os; os._exit(0)",
-    "numpy": "import os; os.environ.setdefault('OPENBLAS_NUM_THREADS', '1'); import numpy; "
-             "os._exit(0)",
-    "ghzsim": "import os, ghzsim.cli, ghzsim.sweep; os._exit(0)",
+    "no-site": ["-S", "-c", "import os; os._exit(0)"],
+    "interpreter": ["-c", "import os; os._exit(0)"],
+    "numpy": ["-c", "import os; os.environ.setdefault('OPENBLAS_NUM_THREADS', '1'); "
+                    "import numpy; os._exit(0)"],
+    "ghzsim": ["-c", "import os, ghzsim.cli, ghzsim.sweep; os._exit(0)"],
 }
 #: Rounds of the cold split.
 SPLIT_ROUNDS = 15
+
+#: The scenarios whose layer functions `--record` times: one damped mode, and two.
+STAGE_SCENARIOS = ("ABC_I", "AB_I_C_I")
+#: Timed calls of each stage, after one call that warms it.
+STAGE_CALLS = 9
 
 #: metric -> its print format, in `cold_pass`'s order.
 METRICS = {"wall_s": ".4f", "cpu_s": ".4f", "minflt": ".0f", "rss_mib": ".1f"}
@@ -357,11 +373,77 @@ def cold_split() -> dict[str, list[float]]:
     with tempfile.TemporaryDirectory(prefix="ab-") as cwd:
         for k in range(SPLIT_ROUNDS):
             for name in names[k % len(names):] + names[: k % len(names)]:
-                code, wall, *_ = _cold_run(ROOT, ["-c", COLD_SPLIT[name]], cwd)
+                code, wall, *_ = _cold_run(ROOT, COLD_SPLIT[name], cwd)
                 if code:
                     sys.exit(f"cold-split variant {name} exited {code}")
                 walls[name].append(wall)
     return walls
+
+
+def stage_times() -> None:
+    """Print, as JSON, the median microseconds per grid point of each layer
+    function over STAGE_CALLS warm calls, per STAGE_SCENARIOS scenario, on
+    `run_sweep`'s default grid at its default alpha. Each engine stage runs
+    once over the whole grid, on the inputs `numeric_batch` gives it; the
+    catalog stage is `run_sweep`'s three `cf_eval` calls. Runs in a child
+    process of `--record`, so the driver imports no numpy."""
+    import numpy as np
+
+    from ghzsim import cli, closedform, engine, sweep
+    from ghzsim.qcore import MEASURES, SCENARIOS
+
+    found = {}
+    for name in STAGE_SCENARIOS:
+        grid = sweep.run_sweep(name)
+        alpha, betas, ps = grid["alpha"], np.asarray(grid["betas"]), np.asarray(grid["ps"])
+        points = len(betas) * len(ps)
+        scen = SCENARIOS[name]
+        support, plan, x_table = engine._support(scen)
+        a = np.full(len(betas), alpha)
+        ab, pp = np.repeat(np.arange(len(betas)), len(ps)), np.tile(ps, len(betas))
+        reduced = engine.scenario_reduced_entries(a, betas, scen, support)
+        # Damping works in place, so each call takes a fresh copy, made untimed.
+        fresh = [np.take(reduced, ab, axis=1) for _ in range(1 + STAGE_CALLS)]
+        rows = engine.damp_entries(np.take(reduced, ab, axis=1), plan, pp)
+        x = x_table[engine._zero_class(a[ab], betas[ab], pp)]
+        text = sweep.records_to_csv(grid)
+        out = os.path.join(tempfile.mkdtemp(prefix="ab-"), "sweep.csv")
+        stages = {
+            "engine.numeric_batch": lambda: engine.numeric_batch(
+                name, alpha, betas[:, None], ps, MEASURES),
+            "engine.scenario_reduced_entries": lambda: engine.scenario_reduced_entries(
+                a, betas, scen, support),
+            "engine.damp_entries": lambda: engine.damp_entries(fresh.pop(), plan, pp),
+            "engine.support_measures": lambda: engine.support_measures(
+                rows, support, MEASURES, x),
+            "closedform.cf_eval": lambda: [closedform.cf_eval(name, m, alpha, betas[:, None], ps)
+                                           for m in MEASURES],
+            "sweep.records_to_csv": lambda: sweep.records_to_csv(grid),
+            "sweep.records_to_json": lambda: sweep.records_to_json(grid),
+            "cli.write_text_atomic": lambda: cli.write_text_atomic(out, text),
+        }
+        found[name] = {}
+        for stage, call in stages.items():
+            seconds = []
+            for _ in range(1 + STAGE_CALLS):
+                start = time.perf_counter()
+                call()
+                seconds.append(time.perf_counter() - start)
+            found[name][stage] = round(statistics.median(seconds[1:]) / points * 1e6, 4)
+        os.unlink(out)
+        os.rmdir(os.path.dirname(out))
+    print(json.dumps({"points": points, "us_per_point": found}))
+
+
+def _stages() -> dict:
+    """`stage_times`' document, from a child process of this checkout."""
+    done = subprocess.run(
+        [sys.executable, "-c", "import ab; ab.stage_times()"], cwd=Path(__file__).parent,
+        env=_env(ROOT), capture_output=True, text=True,
+    )
+    if done.returncode:
+        sys.exit(f"stage timing exited {done.returncode}:\n{done.stderr}")
+    return {"calls": STAGE_CALLS, **json.loads(done.stdout)}
 
 
 def _median_iqr(values: list[float], spec: str) -> dict[str, float]:
@@ -409,6 +491,7 @@ def record(path: str) -> int:
     """Time each RECORDED command RECORD_RUNS times in this checkout and
     write the medians and interquartile ranges, with a meta block and the
     cold split, to `path`."""
+    stages = _stages()
     split = {name: _median_iqr(walls, ".4f") for name, walls in cold_split().items()}
     runs: list[list[tuple]] = [[] for _ in RECORDED]
     for _ in range(RECORD_RUNS):
@@ -434,9 +517,12 @@ def record(path: str) -> int:
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "runs": RECORD_RUNS,
     }
-    document = {"meta": meta, "commands": commands, "cold_split": {
-        "rounds": SPLIT_ROUNDS, "code": COLD_SPLIT, "wall_s": split, "own_work_s": own_work}}
+    document = {"meta": meta, "commands": commands, "stages": stages, "cold_split": {
+        "rounds": SPLIT_ROUNDS, "argv": COLD_SPLIT, "wall_s": split, "own_work_s": own_work}}
     Path(path).write_text(json.dumps(document, indent=2) + "\n")
+    for scenario, found in stages["us_per_point"].items():
+        for stage, us in found.items():
+            print(f"{us:.4f} us/point  {scenario} {stage}", flush=True)
     for name, stats in split.items():
         print(f"{stats['median']:.4f} s  cold split: {name}", flush=True)
     for name, stats in commands.items():

@@ -299,8 +299,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error argparse has reported
+        return exc.code
     try:
         args = _merge_config(args)
         for name in CHOICES:  # a named flag from either source, before numpy loads
@@ -318,33 +320,31 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> NoReturn:
-    """Run `main()` on the process's arguments and end the process with its
-    exit code, without interpreter teardown.
+    """Run `main()` on the process's arguments, flush the standard streams
+    (stdout is skipped where it is None, closed at start) and end the
+    process with `os._exit` and the exit code: every run `main()` finishes
+    ends here. A failed stdout flush, such as EPIPE from a reader that has
+    gone, is an I/O error: one `I/O error:` line and EXIT_IO. Only an
+    exception from `main()`, an internal error, takes the normal exit path,
+    with its traceback and exit code.
 
-    After `main()` returns, the standard streams are flushed (a stream that
-    is None, because its descriptor was closed at start, is skipped) and the
-    process ends with `os._exit`. That skips CPython's finalization: the
-    garbage-collection passes over the objects numpy and the imports leave
-    and the module teardown, about 35 ms per process. Nothing is lost by
-    skipping it: every output file is closed before `main()` returns, and
-    ghzsim registers no `atexit` handler. Handlers that site-packages
-    register at start-up are skipped too; certifi's, for example, only
-    removes an extracted copy of its CA bundle, which an unpacked install
-    never makes.
-
-    An exception from `main()`, argparse's `SystemExit` for `--help` and
-    usage errors included, propagates through the normal exit path with its
-    traceback and exit code. If stdout's flush fails, for example with EPIPE
-    from a reader that has gone, the process exits through `SystemExit`
-    instead, so the normal shutdown reports the error."""
+    `os._exit` skips CPython's finalization, about 35 ms per process: the
+    garbage-collection passes over what numpy and the imports leave, and
+    the module teardown. Nothing is lost: every output file is closed before
+    `main()` returns, and ghzsim registers no `atexit` handler. The ones
+    site-packages register are skipped too; certifi's only removes an
+    extracted copy of its CA bundle, which an unpacked install never makes."""
+    if sys.stderr is None:  # closed at start: argparse would print usage to stdout
+        sys.stderr = open(os.devnull, "w")
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:
             if stream is not None:
                 stream.flush()
-        except OSError:
+        except OSError as exc:
             if stream is sys.stdout:  # a closed stderr drops its lines (`_say`)
-                raise SystemExit(code)
+                _say(f"I/O error: {exc}")
+                code = EXIT_IO
     os._exit(code)
 
 

@@ -516,9 +516,7 @@ class TestFlagSets:
         ],
     )
     def test_ignored_flag_is_rejected(self, args, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(args)
-        assert exc.value.code == EXIT_CONFIG
+        assert run(args) == EXIT_CONFIG
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -535,9 +533,7 @@ class TestFlagSets:
     @pytest.mark.parametrize("command", ["sweep", "audit"])
     def test_help_lists_no_workers_flag(self, command, capsys):
         """Evaluation is single-process, so no subcommand offers --workers."""
-        with pytest.raises(SystemExit) as exc:
-            run([command, "--help"])
-        assert exc.value.code == EXIT_OK
+        assert run([command, "--help"]) == EXIT_OK
         assert "workers" not in capsys.readouterr().out
 
     @pytest.mark.parametrize(

@@ -103,18 +103,23 @@ class TestOutputSurvivesTheExit:
         assert (tmp_path / "fig_E.csv").is_file() and (tmp_path / "fig_C.csv").is_file()
 
     @posix_only
-    def test_failed_flush_is_reported_by_the_normal_shutdown(self, tmp_path):
-        """A reader that has gone before the flush: the process ends as an
-        interpreter that cannot flush stdout at exit does."""
+    @pytest.mark.parametrize(
+        "args",
+        [["boundary", "--measure", "S"], ["sumrules", "--samples", "3"],
+         ["figure", "--figure", "2", "--resolution", "16", "--out", "f.csv"], ["--help"]],
+        ids=["boundary", "sumrules", "figure-paths", "help"],
+    )
+    def test_gone_reader_at_the_final_flush_exits_3(self, tmp_path, args):
+        """A reader that has gone before the output, which fits stdout's
+        buffer, is flushed at the end: an I/O error, as a failed write is."""
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            done = cli_process(["boundary", "--measure", "S"], tmp_path, stdout=write_end)
+            done = cli_process(args, tmp_path, stdout=write_end)
         finally:
             os.close(write_end)
-        assert done.returncode == 120
-        assert b"Exception ignored" in done.stderr
-        assert done.stderr.rstrip().endswith(b"BrokenPipeError: [Errno 32] Broken pipe")
+        assert done.returncode == EXIT_IO
+        assert done.stderr == f"I/O error: [Errno {errno.EPIPE}] Broken pipe\n".encode()
 
 
 class TestEarlyClosingReader:
@@ -217,8 +222,9 @@ class TestClosedStderr:
     @pytest.mark.parametrize(
         "args, exit_code",
         [(["audit", "--beta-steps", "3", "--p-steps", "3", "--samples", "3"], EXIT_AUDIT_FLAGGED),
-         (["sweep", "--scenario", "nope"], EXIT_CONFIG)],
-        ids=["audit-flagged", "config-error"],
+         (["sweep", "--scenario", "nope"], EXIT_CONFIG),
+         (["sweep", "--bogus"], EXIT_CONFIG)],
+        ids=["audit-flagged", "config-error", "usage-error"],
     )
     def test_stdout_and_exit_code_are_those_of_an_open_stderr(
         self, tmp_path, capsys, args, exit_code, closed, unbuffered
@@ -270,6 +276,9 @@ class TestEntryInProcess:
             def flush(self):
                 events.append(("flush", self.name))
 
+            def write(self, text):
+                events.append(("write", self.name, text))
+
         def fake_exit(code):
             events.append(("exit", code))
             raise self.Exited
@@ -285,8 +294,6 @@ class TestEntryInProcess:
             ghzsim.cli.run()
         except self.Exited:
             pass
-        except SystemExit as exc:
-            events.append(("SystemExit", exc.code))
         return events
 
     def test_flushes_then_exits_once_with_mains_code(self, monkeypatch):
@@ -299,8 +306,11 @@ class TestEntryInProcess:
             "main", ("flush", "stderr"), ("exit", 4)
         ]
 
-    def test_failed_flush_exits_through_system_exit(self, monkeypatch):
+    def test_failed_stdout_flush_exits_once_with_exit_io(self, monkeypatch):
         def broken_pipe():
             raise BrokenPipeError(errno.EPIPE, "Broken pipe")
 
-        assert self.run_entry(monkeypatch, stdout_flush=broken_pipe) == ["main", ("SystemExit", 4)]
+        assert self.run_entry(monkeypatch, stdout_flush=broken_pipe) == [
+            "main", ("write", "stderr", "I/O error: [Errno 32] Broken pipe\n"),
+            ("flush", "stderr"), ("exit", EXIT_IO)
+        ]
