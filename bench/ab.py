@@ -387,51 +387,51 @@ def stage_times() -> None:
     once over the whole grid, on the inputs `numeric_batch` gives it; the
     catalog stage is `run_sweep`'s three `cf_eval` calls. Runs in a child
     process of `--record`, so the driver imports no numpy."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as the CLI loads numpy
     import numpy as np
 
     from ghzsim import cli, closedform, engine, sweep
     from ghzsim.qcore import MEASURES, SCENARIOS
 
     found = {}
-    for name in STAGE_SCENARIOS:
-        grid = sweep.run_sweep(name)
-        alpha, betas, ps = grid["alpha"], np.asarray(grid["betas"]), np.asarray(grid["ps"])
-        points = len(betas) * len(ps)
-        scen = SCENARIOS[name]
-        support, plan, x_table = engine._support(scen)
-        a = np.full(len(betas), alpha)
-        ab, pp = np.repeat(np.arange(len(betas)), len(ps)), np.tile(ps, len(betas))
-        reduced = engine.scenario_reduced_entries(a, betas, scen, support)
-        # Damping works in place, so each call takes a fresh copy, made untimed.
-        fresh = [np.take(reduced, ab, axis=1) for _ in range(1 + STAGE_CALLS)]
-        rows = engine.damp_entries(np.take(reduced, ab, axis=1), plan, pp)
-        x = x_table[engine._zero_class(a[ab], betas[ab], pp)]
-        text = sweep.records_to_csv(grid)
-        out = os.path.join(tempfile.mkdtemp(prefix="ab-"), "sweep.csv")
-        stages = {
-            "engine.numeric_batch": lambda: engine.numeric_batch(
-                name, alpha, betas[:, None], ps, MEASURES),
-            "engine.scenario_reduced_entries": lambda: engine.scenario_reduced_entries(
-                a, betas, scen, support),
-            "engine.damp_entries": lambda: engine.damp_entries(fresh.pop(), plan, pp),
-            "engine.support_measures": lambda: engine.support_measures(
-                rows, support, MEASURES, x),
-            "closedform.cf_eval": lambda: [closedform.cf_eval(name, m, alpha, betas[:, None], ps)
-                                           for m in MEASURES],
-            "sweep.records_to_csv": lambda: sweep.records_to_csv(grid),
-            "sweep.records_to_json": lambda: sweep.records_to_json(grid),
-            "cli.write_text_atomic": lambda: cli.write_text_atomic(out, text),
-        }
-        found[name] = {}
-        for stage, call in stages.items():
-            seconds = []
-            for _ in range(1 + STAGE_CALLS):
-                start = time.perf_counter()
-                call()
-                seconds.append(time.perf_counter() - start)
-            found[name][stage] = round(statistics.median(seconds[1:]) / points * 1e6, 4)
-        os.unlink(out)
-        os.rmdir(os.path.dirname(out))
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        out = os.path.join(tmp, "sweep.csv")
+        for name in STAGE_SCENARIOS:
+            grid = sweep.run_sweep(name)
+            alpha, betas, ps = grid["alpha"], np.asarray(grid["betas"]), np.asarray(grid["ps"])
+            points = len(betas) * len(ps)
+            scen = SCENARIOS[name]
+            support, plan, x_table = engine._support(scen)
+            a = np.full(len(betas), alpha)
+            ab, pp = np.repeat(np.arange(len(betas)), len(ps)), np.tile(ps, len(betas))
+            reduced = engine.scenario_reduced_entries(a, betas, scen, support)
+            # Damping works in place, so each call takes a fresh copy, made untimed.
+            fresh = [np.take(reduced, ab, axis=1) for _ in range(2 + STAGE_CALLS)]
+            rows = engine.damp_entries(fresh.pop(), plan, pp)
+            x = x_table[engine._zero_class(a[ab], betas[ab], pp)]
+            text = sweep.records_to_csv(grid)
+            stages = {
+                "engine.numeric_batch": lambda: engine.numeric_batch(
+                    name, alpha, betas[:, None], ps, MEASURES),
+                "engine.scenario_reduced_entries": lambda: engine.scenario_reduced_entries(
+                    a, betas, scen, support),
+                "engine.damp_entries": lambda: engine.damp_entries(fresh.pop(), plan, pp),
+                "engine.support_measures": lambda: engine.support_measures(
+                    rows, support, MEASURES, x),
+                "closedform.cf_eval": lambda: [
+                    closedform.cf_eval(name, m, alpha, betas[:, None], ps) for m in MEASURES],
+                "sweep.records_to_csv": lambda: sweep.records_to_csv(grid),
+                "sweep.records_to_json": lambda: sweep.records_to_json(grid),
+                "cli.write_text_atomic": lambda: cli.write_text_atomic(out, text),
+            }
+            found[name] = {}
+            for stage, call in stages.items():
+                seconds = []
+                for _ in range(1 + STAGE_CALLS):
+                    start = time.perf_counter()
+                    call()
+                    seconds.append(time.perf_counter() - start)
+                found[name][stage] = round(statistics.median(seconds[1:]) / points * 1e6, 4)
     print(json.dumps({"points": points, "us_per_point": found}))
 
 
