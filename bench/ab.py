@@ -174,6 +174,8 @@ COMMANDS: dict[str, tuple[list[str], dict[str, str]]] = {
     **{f"help-{command}": ([command, "--help"], {})
        for command in ("sweep", "audit", "boundary", "sumrules", "figure")},
     "usage-error": (["sweep", "--workers", "2"], {}),
+    "usage-no-command": ([], {}),
+    "usage-bad-float": (["sweep", "--alpha", "x"], {}),
     "config-error": (["audit", "--seed", "-1"], {}),
     # A named parameter's error, from the library's one check.
     "sweep-repeated-measures": (

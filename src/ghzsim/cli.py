@@ -23,7 +23,8 @@ audit found discrepancies above tolerance; a closed stderr changes none. Float
 flags are plain `float`s: the library checks them and reads -0.0 as 0.0.
 
 `main(argv)` is the in-process API: it returns the exit code. `run()` is the
-process entry, used by the `ghzsim` console script and `python -m ghzsim.cli`.
+process entry (the `ghzsim` script, `python -m ghzsim.cli`). Every CLI byte,
+argparse's help and usage errors included, goes through `_emit` or `_say`.
 
 The parser lists the choices of the named flags from the numpy-free
 `qcore.CHOICES`, and `main` passes each named flag that is set through
@@ -145,8 +146,19 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
+class _Parser(argparse.ArgumentParser):
+    """Writes argparse's own help and usage-error bytes through `_emit` and `_say`."""
+
+    def print_help(self, file=None) -> None:
+        _emit(self.format_help(), None)
+
+    def error(self, message: str) -> NoReturn:
+        _say(f"{self.format_usage()}{self.prog}: error: {message}")
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ghzsim",
         description=(
             "Nonlocality, entanglement and coherence of GHZ-like states for "
@@ -179,7 +191,8 @@ def _write_all(stream, text: str) -> None:
     may take only part of a write (a pipe whose reader has gone), and the
     text layer would drop the rest without an error; here the next write
     raises EPIPE instead. The text layer is flushed first, so output keeps
-    its order. A stream with no binary layer gets the text as it is."""
+    its order, and the binary layer last, so a failed write or flush is an
+    OSError here. A stream with no binary layer gets the text as it is."""
     buffer = getattr(stream, "buffer", None)
     if buffer is None:
         stream.write(text)
@@ -188,6 +201,7 @@ def _write_all(stream, text: str) -> None:
     data = memoryview(text.encode(stream.encoding, stream.errors))
     while data:
         data = data[buffer.write(data) :]  # None, from a full non-blocking file, retries
+    buffer.flush()
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -223,8 +237,8 @@ def write_text_atomic(path: str, text: str) -> None:
 
 
 def _say(line: str) -> None:
-    """Write one line to stderr, or drop it, as argparse does, where stderr is
-    closed (None, or the write fails): stdout and exit codes never depend on it."""
+    """Write one line to stderr, or drop it where stderr is closed (None, or
+    the write fails): stdout and exit codes never depend on it."""
     try:
         sys.stderr.write(line + "\n")
     except (AttributeError, OSError):
@@ -284,8 +298,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     paths = [args.out] if len(texts) == 1 else [f"{stem}_{m}{ext or '.csv'}" for m in texts]
     for path, text in zip(paths, texts.values()):
         _emit(text, path)
-    for path in paths:
-        print(path)
+    _emit("".join(f"{path}\n" for path in paths), None)
     return EXIT_OK
 
 
@@ -300,17 +313,15 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # --help, or a usage error argparse has reported
-        return exc.code
-    try:
-        args = _merge_config(args)
+        args = _merge_config(build_parser().parse_args(argv))
         for name in CHOICES:  # a named flag from either source, before numpy loads
             if getattr(args, name, None) is not None:
                 checked(name, getattr(args, name))
         if args.out is not None and os.path.basename(args.out) in ("", ".", ".."):
             raise ConfigError(f"--out must name a file, got {args.out!r}")
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # --help, or a usage error `_Parser.error` has reported
+        return exc.code
     except ConfigError as exc:
         _say(f"error: {exc}")
         return EXIT_CONFIG
@@ -320,13 +331,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> NoReturn:
-    """Run `main()` on the process's arguments, flush the standard streams
-    (stdout is skipped where it is None, closed at start) and end the
-    process with `os._exit` and the exit code: every run `main()` finishes
-    ends here. A failed stdout flush, such as EPIPE from a reader that has
-    gone, is an I/O error: one `I/O error:` line and EXIT_IO. Only an
-    exception from `main()`, an internal error, takes the normal exit path,
-    with its traceback and exit code.
+    """Run `main()` on the process's arguments and end the process with
+    `os._exit` and its code. Nothing is left to flush: `_emit` flushes each
+    write to stdout, and stderr is line-buffered. Only an exception from
+    `main()`, an internal error, takes the normal exit path, with its
+    traceback and exit code.
 
     `os._exit` skips CPython's finalization, about 35 ms per process: the
     garbage-collection passes over what numpy and the imports leave, and
@@ -334,18 +343,7 @@ def run() -> NoReturn:
     `main()` returns, and ghzsim registers no `atexit` handler. The ones
     site-packages register are skipped too; certifi's only removes an
     extracted copy of its CA bundle, which an unpacked install never makes."""
-    if sys.stderr is None:  # closed at start: argparse would print usage to stdout
-        sys.stderr = open(os.devnull, "w")
-    code = main()
-    for stream in (sys.stdout, sys.stderr):
-        try:
-            if stream is not None:
-                stream.flush()
-        except OSError as exc:
-            if stream is sys.stdout:  # a closed stderr drops its lines (`_say`)
-                _say(f"I/O error: {exc}")
-                code = EXIT_IO
-    os._exit(code)
+    os._exit(main())
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
-"""How a CLI process ends: `ghzsim.cli.run` flushes the standard streams and
-ends the process with `os._exit`, skipping interpreter teardown, while
-`main()` called in-process returns its code. A closed stderr changes neither
-stdout nor the exit code, and no output depends on the string hash seed.
+"""How a CLI process ends: every byte is written, and flushed, inside
+`main()`, which returns its code, and `ghzsim.cli.run` ends the process with
+`os._exit` and that code, skipping interpreter teardown. A closed or gone
+stdout is an I/O error for every output, argparse's help and `figure`'s path
+list included; a closed stderr changes neither stdout nor the exit code, and
+no output depends on the string hash seed.
 
 The process tests run a new interpreter with PYTHONUNBUFFERED unset, so
 stdout is block-buffered on a pipe, as a user's pipeline sees it: output
@@ -103,23 +105,51 @@ class TestOutputSurvivesTheExit:
         assert (tmp_path / "fig_E.csv").is_file() and (tmp_path / "fig_C.csv").is_file()
 
     @posix_only
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
         "args",
         [["boundary", "--measure", "S"], ["sumrules", "--samples", "3"],
          ["figure", "--figure", "2", "--resolution", "16", "--out", "f.csv"], ["--help"]],
         ids=["boundary", "sumrules", "figure-paths", "help"],
     )
-    def test_gone_reader_at_the_final_flush_exits_3(self, tmp_path, args):
+    def test_gone_reader_at_the_final_flush_exits_3(self, tmp_path, args, unbuffered):
         """A reader that has gone before the output, which fits stdout's
-        buffer, is flushed at the end: an I/O error, as a failed write is."""
+        buffer, is flushed when it is written: an I/O error, as a failed
+        write is, and under PYTHONUNBUFFERED too."""
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            done = cli_process(args, tmp_path, stdout=write_end)
+            done = cli_process(args, tmp_path, stdout=write_end, unbuffered=unbuffered)
         finally:
             os.close(write_end)
         assert done.returncode == EXIT_IO
         assert done.stderr == f"I/O error: [Errno {errno.EPIPE}] Broken pipe\n".encode()
+
+    class GoneReader(io.RawIOBase):
+        """A pipe whose reader has gone: a write fails with EPIPE while
+        `gone` is set."""
+
+        gone = True
+
+        def writable(self):
+            return True
+
+        def write(self, data):
+            if self.gone:
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+            return len(data)
+
+    def test_failed_final_flush_in_process_is_exit_io(self, monkeypatch, capsys):
+        """In-process, a stdout whose binary layer holds the whole output and
+        fails with EPIPE on `flush`: `main` returns EXIT_IO after one line."""
+        raw = self.GoneReader()
+        stdout = io.TextIOWrapper(io.BufferedWriter(raw, buffer_size=1 << 20))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            assert ghzsim.cli.main(["sumrules", "--samples", "3"]) == EXIT_IO
+        finally:
+            raw.gone = False  # so that closing `stdout` later flushes quietly
+        assert capsys.readouterr().err == f"I/O error: [Errno {errno.EPIPE}] Broken pipe\n"
 
 
 class TestEarlyClosingReader:
@@ -187,11 +217,20 @@ class TestEarlyClosingReader:
 
 @posix_only
 class TestClosedStdout:
-    def test_output_to_a_closed_stdout_is_an_io_error(self, tmp_path):
-        done = cli_process(["sumrules", "--samples", "5"], tmp_path, close_stdout=True)
+    @pytest.mark.parametrize(
+        "args, files",
+        [(["sumrules", "--samples", "5"], []),
+         (["--help"], []),
+         (["figure", "--figure", "2", "--resolution", "16", "--out", "fx.csv"],
+          ["fx_E.csv", "fx_C.csv"])],
+        ids=["sumrules", "help", "figure-paths"],
+    )
+    def test_output_to_a_closed_stdout_is_an_io_error(self, tmp_path, args, files):
+        done = cli_process(args, tmp_path, close_stdout=True)
         assert done.returncode == EXIT_IO
         message = f"I/O error: [Errno {errno.EBADF}] standard output is closed\n"
         assert done.stderr == message.encode()
+        assert all((tmp_path / name).is_file() for name in files)
 
     def test_out_file_needs_no_stdout(self, tmp_path):
         done = cli_process(["sumrules", "--samples", "5", "--out", "x.json"], tmp_path,
@@ -203,12 +242,11 @@ class TestClosedStdout:
 
 @posix_only
 class TestClosedStderr:
-    """A closed standard error drops ghzsim's own lines, as argparse drops a
-    message it cannot write: stdout and the exit code are those of a run with
-    stderr open. Descriptor 2 is closed before the interpreter starts, which
-    leaves `sys.stderr` None, or after, which leaves a stream whose writes
-    fail with EBADF; stderr is buffered, or unbuffered under
-    PYTHONUNBUFFERED."""
+    """A closed standard error drops ghzsim's lines, argparse's usage errors
+    included: stdout and the exit code are those of a run with stderr open.
+    Descriptor 2 is closed before the interpreter starts, which leaves
+    `sys.stderr` None, or after, which leaves a stream whose writes fail
+    with EBADF; stderr is buffered, or unbuffered under PYTHONUNBUFFERED."""
 
     LAUNCH = {
         "closed-before-start": ["sh", "-c", 'exec "$0" "$@" 2>&-', sys.executable, "-m",
@@ -240,6 +278,14 @@ class TestClosedStderr:
         assert done.stdout == open_stderr.out.encode()
         assert done.stderr == b""
 
+    def test_usage_error_in_process_with_stderr_none(self, monkeypatch, capsys):
+        """`main` called where `sys.stderr` is None, as in a process started
+        with descriptor 2 closed: the usage line is dropped, not written to
+        stdout."""
+        monkeypatch.setattr(sys, "stderr", None)
+        assert ghzsim.cli.main(["sweep", "--bogus"]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+
 
 class TestHashSeed:
     """No output depends on the string hash seed: fresh processes under two
@@ -259,14 +305,16 @@ class TestHashSeed:
 
 
 class TestEntryInProcess:
-    """`run()` with `main` and `os._exit` replaced: what it calls, in which
-    order. The streams are replaced inside each test, because pytest's
-    capture sets `sys.stdout` again when the test body starts."""
+    """`run()` with `main` and `os._exit` replaced: it calls `main` once and
+    exits with its code, and writes and flushes nothing itself. The streams
+    are replaced inside each test, because pytest's capture sets `sys.stdout`
+    again when the test body starts."""
 
     class Exited(Exception):
         pass
 
-    def run_entry(self, monkeypatch, stdout_flush=None, stdout_none=False):
+    @pytest.mark.parametrize("stdout_none", [False, True], ids=["stdout-open", "stdout-none"])
+    def test_exits_once_with_mains_code_and_writes_nothing(self, monkeypatch, stdout_none):
         events: list = []
 
         class Stream:
@@ -283,34 +331,10 @@ class TestEntryInProcess:
             events.append(("exit", code))
             raise self.Exited
 
-        stdout = None if stdout_none else Stream("stdout")
-        if stdout_flush is not None:
-            stdout.flush = stdout_flush
         monkeypatch.setattr(ghzsim.cli, "main", lambda: events.append("main") or 4)
         monkeypatch.setattr(os, "_exit", fake_exit)
-        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "stdout", None if stdout_none else Stream("stdout"))
         monkeypatch.setattr(sys, "stderr", Stream("stderr"))
-        try:
+        with pytest.raises(self.Exited):
             ghzsim.cli.run()
-        except self.Exited:
-            pass
-        return events
-
-    def test_flushes_then_exits_once_with_mains_code(self, monkeypatch):
-        assert self.run_entry(monkeypatch) == [
-            "main", ("flush", "stdout"), ("flush", "stderr"), ("exit", 4)
-        ]
-
-    def test_skips_a_stream_that_is_none(self, monkeypatch):
-        assert self.run_entry(monkeypatch, stdout_none=True) == [
-            "main", ("flush", "stderr"), ("exit", 4)
-        ]
-
-    def test_failed_stdout_flush_exits_once_with_exit_io(self, monkeypatch):
-        def broken_pipe():
-            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
-
-        assert self.run_entry(monkeypatch, stdout_flush=broken_pipe) == [
-            "main", ("write", "stderr", "I/O error: [Errno 32] Broken pipe\n"),
-            ("flush", "stderr"), ("exit", EXIT_IO)
-        ]
+        assert events == ["main", ("exit", 4)]
