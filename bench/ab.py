@@ -54,9 +54,12 @@ It holds no timestamp, so a rerun changes only the measured values.
 The record's `stages` block holds the median microseconds per grid point of
 each layer function (`engine.scenario_reduced_entries`, `damp_entries`,
 `support_measures` and `numeric_batch`, which runs them; `closedform.cf_eval`;
-`sweep.records_to_csv` and `records_to_json`; `cli.write_text_atomic`) over
-STAGE_CALLS warm calls on `run_sweep`'s default grid, per STAGE_SCENARIOS
-scenario. A child process times them in-process (`stage_times`), so this
+`sweep.records_to_csv` and `records_to_json`; `cli.write_text_atomic`) as a
+default `sweep --scenario S --out F` pays it, per STAGE_SCENARIOS scenario.
+Each of STAGE_RUNS fresh child processes per format (`stage_spans`) wraps
+every stage where its callers look it up, calls `cli.main` once and prints
+each stage's seconds, summed over its calls. `records_to_json` comes from
+the `--format json` runs, every other stage from the CSV runs. So this
 script still imports no numpy.
 
 The record's `cold_split` block says where a cold call's time goes. Before
@@ -132,6 +135,10 @@ COMMANDS: dict[str, tuple[list[str], dict[str, str]]] = {
         {"run.cfg": "measures = S,E\n"},
     ),
     "sweep-negative-zero": (["sweep", "--alpha", "-0.0", "--engine", "closedform"], {}),
+    # stdout is a pipe here: --out writes it as a shell `>` would, with no rename.
+    "sweep-out-dev-stdout": (
+        ["sweep", "--beta-steps", "2", "--p-steps", "2", "--out", "/dev/stdout"], {}
+    ),
     "audit": (["audit"], {}),
     **{f"audit-{name}": (["audit", "--scenario", name], {}) for name in SCENARIOS},
     "audit-config-file": (
@@ -241,8 +248,13 @@ SPLIT_ROUNDS = 15
 
 #: The scenarios whose layer functions `--record` times: one damped mode, and two.
 STAGE_SCENARIOS = ("ABC_I", "AB_I_C_I")
-#: Timed calls of each stage, after one call that warms it.
-STAGE_CALLS = 9
+#: Fresh `sweep` processes per scenario and format that time the stages.
+STAGE_RUNS = 9
+#: Each timed stage at the name its callers look it up by. The record names a
+#: stage by its own module: `sweep.numeric_batch` is `engine.numeric_batch`.
+STAGES = ("sweep.numeric_batch", "engine.scenario_reduced_entries", "engine.damp_entries",
+          "engine.support_measures", "sweep.cf_eval", "sweep.records_to_csv",
+          "sweep.records_to_json", "cli.write_text_atomic")
 
 #: metric -> its print format, in `cold_pass`'s order.
 METRICS = {"wall_s": ".4f", "cpu_s": ".4f", "minflt": ".0f", "rss_mib": ".1f"}
@@ -382,70 +394,62 @@ def cold_split() -> dict[str, list[float]]:
     return walls
 
 
-def stage_times() -> None:
-    """Print, as JSON, the median microseconds per grid point of each layer
-    function over STAGE_CALLS warm calls, per STAGE_SCENARIOS scenario, on
-    `run_sweep`'s default grid at its default alpha. Each engine stage runs
-    once over the whole grid, on the inputs `numeric_batch` gives it; the
-    catalog stage is `run_sweep`'s three `cf_eval` calls. Runs in a child
+def stage_spans(argv: list[str]) -> None:
+    """Run `cli.main(argv)` once with each STAGES function wrapped where its
+    callers look it up, print, as JSON, the grid's point count and each
+    stage's seconds summed over its calls, and exit with `main`'s code. A
+    stage's time includes the stages it calls. Runs as a fresh child
     process of `--record`, so the driver imports no numpy."""
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as the CLI loads numpy
-    import numpy as np
+    from ghzsim import cli, engine, sweep
 
-    from ghzsim import cli, closedform, engine, sweep
-    from ghzsim.qcore import MEASURES, SCENARIOS
+    modules = {"cli": cli, "engine": engine, "sweep": sweep}
+    seconds = {}
 
-    found = {}
-    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
-        out = os.path.join(tmp, "sweep.csv")
-        for name in STAGE_SCENARIOS:
-            grid = sweep.run_sweep(name)
-            alpha, betas, ps = grid["alpha"], np.asarray(grid["betas"]), np.asarray(grid["ps"])
-            points = len(betas) * len(ps)
-            scen = SCENARIOS[name]
-            support, plan, x_table = engine._support(scen)
-            a = np.full(len(betas), alpha)
-            ab, pp = np.repeat(np.arange(len(betas)), len(ps)), np.tile(ps, len(betas))
-            reduced = engine.scenario_reduced_entries(a, betas, scen, support)
-            # Damping works in place, so each call takes a fresh copy, made untimed.
-            fresh = [np.take(reduced, ab, axis=1) for _ in range(2 + STAGE_CALLS)]
-            rows = engine.damp_entries(fresh.pop(), plan, pp)
-            x = x_table[engine._zero_class(a[ab], betas[ab], pp)]
-            text = sweep.records_to_csv(grid)
-            stages = {
-                "engine.numeric_batch": lambda: engine.numeric_batch(
-                    name, alpha, betas[:, None], ps, MEASURES),
-                "engine.scenario_reduced_entries": lambda: engine.scenario_reduced_entries(
-                    a, betas, scen, support),
-                "engine.damp_entries": lambda: engine.damp_entries(fresh.pop(), plan, pp),
-                "engine.support_measures": lambda: engine.support_measures(
-                    rows, support, MEASURES, x),
-                "closedform.cf_eval": lambda: [
-                    closedform.cf_eval(name, m, alpha, betas[:, None], ps) for m in MEASURES],
-                "sweep.records_to_csv": lambda: sweep.records_to_csv(grid),
-                "sweep.records_to_json": lambda: sweep.records_to_json(grid),
-                "cli.write_text_atomic": lambda: cli.write_text_atomic(out, text),
-            }
-            found[name] = {}
-            for stage, call in stages.items():
-                seconds = []
-                for _ in range(1 + STAGE_CALLS):
-                    start = time.perf_counter()
-                    call()
-                    seconds.append(time.perf_counter() - start)
-                found[name][stage] = round(statistics.median(seconds[1:]) / points * 1e6, 4)
-    print(json.dumps({"points": points, "us_per_point": found}))
+    def span(stage: str, function):
+        def timed(*args, **kwargs):
+            start = time.perf_counter()
+            result = function(*args, **kwargs)
+            seconds[stage] += time.perf_counter() - start
+            return result
+        return timed
+
+    for where, name in (stage.split(".") for stage in STAGES):
+        function = getattr(modules[where], name)
+        stage = f"{function.__module__.rsplit('.', 1)[1]}.{name}"
+        seconds[stage] = 0.0
+        setattr(modules[where], name, span(stage, function))
+    code = cli.main(argv)
+    print(json.dumps({"points": sweep.DEFAULT_STEPS ** 2, "seconds": seconds}))
+    sys.exit(code)
 
 
 def _stages() -> dict:
-    """`stage_times`' document, from a child process of this checkout."""
-    done = subprocess.run(
-        [sys.executable, "-c", "import ab; ab.stage_times()"], cwd=Path(__file__).parent,
-        env=_env(ROOT), capture_output=True, text=True,
-    )
-    if done.returncode:
-        sys.exit(f"stage timing exited {done.returncode}:\n{done.stderr}")
-    return {"calls": STAGE_CALLS, **json.loads(done.stdout)}
+    """The `stages` block: per STAGE_SCENARIOS scenario, each stage's median
+    microseconds per grid point over STAGE_RUNS runs of its format's
+    `sweep`, each a fresh child process of this checkout (`stage_spans`)."""
+    found = {}
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        for scenario in STAGE_SCENARIOS:
+            runs: dict[str, list[dict]] = {"csv": [], "json": []}
+            for _ in range(STAGE_RUNS):
+                for fmt, seconds in runs.items():
+                    argv = ["sweep", "--scenario", scenario, "--format", fmt,
+                            "--out", os.path.join(tmp, f"sweep.{fmt}")]
+                    done = subprocess.run(
+                        [sys.executable, "-c", f"import ab; ab.stage_spans({argv!r})"],
+                        cwd=Path(__file__).parent, env=_env(ROOT), capture_output=True, text=True,
+                    )
+                    if done.returncode:
+                        sys.exit(f"{' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
+                    spans = json.loads(done.stdout)
+                    points = spans["points"]
+                    seconds.append(spans["seconds"])
+            found[scenario] = {}
+            for stage in runs["csv"][0]:
+                fmt = "json" if stage == "sweep.records_to_json" else "csv"
+                median = statistics.median(r[stage] for r in runs[fmt])
+                found[scenario][stage] = round(median / points * 1e6, 4)
+    return {"calls": STAGE_RUNS, "points": points, "us_per_point": found}
 
 
 def _median_iqr(values: list[float], spec: str) -> dict[str, float]:

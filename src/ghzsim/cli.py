@@ -11,11 +11,12 @@ is part of it.
 
 The library returns plain data and text and writes no file; only the CLI
 picks where output goes (--out, else stdout), its format (--format) and a
-multi-measure figure's file names, and writes. A file is written whole or
-not at all (`write_text_atomic`). Each subcommand calls its workflow with
-every flag that was set but --out, --format and --config, under the flag's
-own name, which is the parameter's; an unset flag is left out, so the
-library's defaults, each written once in `sweep`, are the CLI's too.
+multi-measure figure's file names, and writes. A regular file is written
+whole or not at all; an existing FIFO or device is written as a plain
+open() writes it (`write_text_atomic`). Each subcommand calls its workflow
+with every flag that was set but --out, --format and --config, under the
+flag's own name, which is the parameter's; an unset flag is left out, so
+the library's defaults, each written once in `sweep`, are the CLI's too.
 
 Exit codes: 0 success, 2 configuration error (a ConfigError), 3 I/O error
 (a closed stdout, or a reader that closes the pipe early, included), 4 the
@@ -210,23 +211,29 @@ def write_text_atomic(path: str, text: str) -> None:
     symlink at `path` is written through: the file it points to is replaced
     and the link stays. The file keeps the mode a plain open() would leave,
     not mkstemp's 0o600: an existing file's own mode, else 0o666 less the
-    umask. An OSError names `path`, not the temporary file or the link's
-    target."""
+    umask. An existing `path` that is not a regular file (a FIFO, a device
+    such as /dev/stdout) has no contents to replace: it is written through
+    a plain open(), with no temporary file and no rename. An OSError names
+    `path`, not the temporary file or the link's target."""
     import stat
     import tempfile
 
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)  # a link's target's mode
+        mode = os.stat(path).st_mode  # a link's target's
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
-        mode = 0o666 & ~umask
-    target = os.path.realpath(path)
+        mode = stat.S_IFREG | 0o666 & ~umask
     tmp = ""
     try:
+        if not stat.S_ISREG(mode):  # a directory fails here, with EISDIR
+            with open(path, "w") as handle:
+                handle.write(text)
+            return
+        target = os.path.realpath(path)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "w") as handle:
-            os.fchmod(handle.fileno(), mode)
+            os.fchmod(handle.fileno(), stat.S_IMODE(mode))
             handle.write(text)
         os.replace(tmp, target)
     except OSError as exc:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import os
+import stat
 import sys
 
 import pytest
@@ -231,6 +233,7 @@ class TestExitCodes:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
         assert errors[0].startswith("I/O error: ") and errors[0].endswith(f": '{target}'\n")
+        assert ("[Errno 21] Is a directory" in errors[0]) == (target == "adir")
         assert ".tmp-" not in errors[0]
         assert [p.name for p in tmp_path.rglob("*")] == ["adir"]
 
@@ -772,6 +775,32 @@ class TestWriteTextAtomic:
         assert dangling.is_symlink()
         assert (tmp_path / "data" / "made.csv").read_text() == "made\n"
         assert (tmp_path / "data" / "made.csv").stat().st_mode & 0o777 == 0o644
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("via_link", [False, True], ids=["fifo", "link-to-fifo"])
+    def test_out_onto_a_fifo_writes_through_it(self, tmp_path, capsys, via_link):
+        """An existing FIFO, or a link to one, has no contents to replace: its
+        reader gets the bytes a run gives to stdout, and the FIFO and the
+        link stay what they were."""
+        args = ["sweep", "--beta-steps", "2", "--p-steps", "2"]
+        fifo = out = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        if via_link:
+            out = tmp_path / "link"
+            out.symlink_to(fifo)
+        # The read end opens first, without blocking, so neither side can hang.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run(args + ["--out", str(out)]) == EXIT_OK
+            received = b""
+            while chunk := os.read(reader, 1 << 16):
+                received += chunk
+        finally:
+            os.close(reader)
+        assert run(args) == EXIT_OK
+        assert received == capsys.readouterr().out.encode()
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert out.is_symlink() == via_link
 
     def test_other_errors_propagate_and_leave_no_temporary_file(self, tmp_path):
         with pytest.raises(UnicodeEncodeError):

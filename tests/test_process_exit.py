@@ -105,6 +105,16 @@ class TestOutputSurvivesTheExit:
         assert (tmp_path / "fig_E.csv").is_file() and (tmp_path / "fig_C.csv").is_file()
 
     @posix_only
+    def test_out_dev_stdout_writes_the_pipe(self, tmp_path):
+        """`--out /dev/stdout` with stdout a pipe writes the pipe, as a shell
+        `>` would, and gives the bytes of a run to stdout."""
+        args = ["sweep", "--beta-steps", "2", "--p-steps", "2"]
+        done = cli_process([*args, "--out", "/dev/stdout"], tmp_path)
+        assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+        assert done.stdout == cli_process(args, tmp_path).stdout
+        assert list(tmp_path.iterdir()) == []
+
+    @posix_only
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
         "args",
