@@ -41,26 +41,31 @@ directory). Without `--workload` every workload runs. The exit status is 1
 if a command exits with another code than its expected one, else 0.
 
 Recording (`--record PATH`, no REV): each command of RECORDED, every
-WORKLOADS command and `sweep --format json`, runs RECORD_RUNS times cold in
-this checkout's working tree, one command after another in each round,
-through the same `os.wait4` path as a timing pass. PATH gets a JSON document:
-per command, the median and interquartile range of each metric above, and a
-`meta` block with the CPUs this process may use (`nproc`), the Python and
-numpy versions (numpy's from its installed metadata, so this script still
-imports no numpy), the git revision (with `+dirty` when `src/` differs from
-it) and PYTHONDONTWRITEBYTECODE, the bytecode policy every child inherits.
-It holds no timestamp, so a rerun changes only the measured values.
+WORKLOADS command, `sweep --format json` and 301 x 301 and 601 x 601 sweeps
+in both formats, runs RECORD_RUNS times cold in this checkout's working
+tree, one command after another in each round, through the same `os.wait4`
+path as a timing pass. PATH gets a JSON document: per command, the median
+and interquartile range of each metric above, and a `meta` block with the
+CPUs this process may use (`nproc`), the Python and numpy versions (numpy's
+from its installed metadata, so this script still imports no numpy), the git
+revision (with `+dirty` when `src/` differs from it) and
+PYTHONDONTWRITEBYTECODE, the bytecode policy every child inherits. It holds
+no timestamp, so a rerun changes only the measured values.
 
 The record's `stages` block holds the median microseconds per grid point of
 each layer function (`engine.scenario_reduced_entries`, `damp_entries`,
-`support_measures` and `numeric_batch`, which runs them; `closedform.cf_eval`;
-`sweep.records_to_csv` and `records_to_json`; `cli.write_text_atomic`) as a
-default `sweep --scenario S --out F` pays it, per STAGE_SCENARIOS scenario.
-Each of STAGE_RUNS fresh child processes per format (`stage_spans`) wraps
-every stage where its callers look it up, calls `cli.main` once and prints
-each stage's seconds, summed over its calls. `records_to_json` comes from
-the `--format json` runs, every other stage from the CSV runs. So this
-script still imports no numpy.
+`support_measures` and `numeric_batch`, which runs them;
+`closedform.cf_eval`; `sweep.records_to_csv` and `records_to_json`;
+`cli.write_text_atomic`) as a default `sweep --scenario S --out F` pays it,
+per STAGE_SCENARIOS scenario. Each of STAGE_RUNS fresh child processes per
+format (`stage_spans`) wraps every stage where its callers look it up, calls
+`cli.main` once and prints each stage's seconds, summed over its calls.
+`records_to_json` comes from the `--format json` runs, every other stage
+from the CSV runs. So this script still imports no numpy. `records_to_csv`
+and `records_to_json` return generators of chunks, which format one beta row
+each as `cli.write_text_atomic` draws them: the two stages time the
+formatting as it is drawn, and `cli.write_text_atomic`, which draws them,
+includes it.
 
 The record's `cold_split` block says where a cold call's time goes. Before
 the commands, each `python3` variant of COLD_SPLIT runs SPLIT_ROUNDS times,
@@ -89,6 +94,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -199,6 +205,9 @@ COMMANDS: dict[str, tuple[list[str], dict[str, str]]] = {
     "sweep-config-unknown-engine": (["sweep", "--config", "run.cfg"], {"run.cfg": "engine = fast\n"}),
     # Each count at the edge of its domain.
     "sweep-beta-steps-1": (["sweep", "--beta-steps", "1"], {}),
+    # Rows of one point each, in both formats.
+    "sweep-p-steps-1": (["sweep", "--p-steps", "1"], {}),
+    "sweep-p-steps-1-json": (["sweep", "--p-steps", "1", "--format", "json"], {}),
     "audit-p-steps-1": (["audit", "--p-steps", "1", "--samples", "2"], {}),
     "boundary-beta-steps-0": (["boundary", "--measure", "S", "--beta-steps", "0"], {}),
     "figure-resolution-15": (
@@ -226,9 +235,15 @@ WORKLOADS: dict[str, list[tuple[list[str], int]]] = {
     ],
 }
 
-#: The commands `--record` times: every workload's, then the sweep as JSON.
+#: The commands `--record` times: every workload's, then the sweep as JSON,
+#: then 301 x 301 and 601 x 601 sweeps in each format, whose peak RSS shows
+#: whether memory grows with the grid.
 RECORDED = [command for commands in WORKLOADS.values() for command in commands] + [
     (["sweep", "--format", "json", "--out", "sweep.json"], 0)
+] + [
+    (["sweep", "--beta-steps", steps, "--p-steps", steps, *fmt, "--out", out], 0)
+    for steps in ("301", "601")
+    for fmt, out in (([], "sweep.csv"), (["--format", "json"], "sweep.json"))
 ]
 #: Cold runs of each recorded command.
 RECORD_RUNS = 10
@@ -398,19 +413,29 @@ def stage_spans(argv: list[str]) -> None:
     """Run `cli.main(argv)` once with each STAGES function wrapped where its
     callers look it up, print, as JSON, the grid's point count and each
     stage's seconds summed over its calls, and exit with `main`'s code. A
-    stage's time includes the stages it calls. Runs as a fresh child
-    process of `--record`, so the driver imports no numpy."""
+    stage's time includes the stages it calls. A stage that returns a
+    generator is timed while its caller draws the chunks too. Runs as a
+    fresh child process of `--record`, so the driver imports no numpy."""
     from ghzsim import cli, engine, sweep
 
     modules = {"cli": cli, "engine": engine, "sweep": sweep}
     seconds = {}
+
+    def drawn(stage: str, chunks):
+        while True:
+            start = time.perf_counter()
+            chunk = next(chunks, None)
+            seconds[stage] += time.perf_counter() - start
+            if chunk is None:
+                return
+            yield chunk
 
     def span(stage: str, function):
         def timed(*args, **kwargs):
             start = time.perf_counter()
             result = function(*args, **kwargs)
             seconds[stage] += time.perf_counter() - start
-            return result
+            return drawn(stage, result) if isinstance(result, types.GeneratorType) else result
         return timed
 
     for where, name in (stage.split(".") for stage in STAGES):

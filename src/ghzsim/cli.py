@@ -9,13 +9,14 @@ twice (`beta-steps` and `beta_steps` are one key). In a config file a `#` at
 the start of a line or after whitespace starts a comment; one inside a value
 is part of it.
 
-The library returns plain data and text and writes no file; only the CLI
-picks where output goes (--out, else stdout), its format (--format) and a
-multi-measure figure's file names, and writes. A regular file is written
-whole or not at all; an existing FIFO or device is written as a plain
-open() writes it (`write_text_atomic`). Each subcommand calls its workflow
-with every flag that was set but --out, --format and --config, under the
-flag's own name, which is the parameter's; an unset flag is left out, so
+The library returns plain data, text and a grid's text in chunks, one per
+beta row, and writes no file; only the CLI picks where output goes (--out,
+else stdout), its format (--format) and a multi-measure figure's file names,
+and writes every chunk through one loop (`_write_all`). A regular file is
+written whole or not at all; an existing FIFO or device is written in place,
+and a file open on stdout through stdout (`_emit`). Each subcommand calls its
+workflow with every flag that was set but --out, --format and --config, under
+the flag's own name, which is the parameter's; an unset flag is left out, so
 the library's defaults, each written once in `sweep`, are the CLI's too.
 
 Exit codes: 0 success, 2 configuration error (a ConfigError), 3 I/O error
@@ -151,7 +152,7 @@ class _Parser(argparse.ArgumentParser):
     """Writes argparse's own help and usage-error bytes through `_emit` and `_say`."""
 
     def print_help(self, file=None) -> None:
-        _emit(self.format_help(), None)
+        _emit([self.format_help()], None)
 
     def error(self, message: str) -> NoReturn:
         _say(f"{self.format_usage()}{self.prog}: error: {message}")
@@ -186,35 +187,37 @@ def _given(args: argparse.Namespace) -> dict:
             if f not in ("out", "format", "config") and getattr(args, f) is not None}
 
 
-def _write_all(stream, text: str) -> None:
-    """Write `text` to a text stream through its binary layer, until every
-    byte is out. Under PYTHONUNBUFFERED that layer is the raw file, which
-    may take only part of a write (a pipe whose reader has gone), and the
-    text layer would drop the rest without an error; here the next write
-    raises EPIPE instead. The text layer is flushed first, so output keeps
-    its order, and the binary layer last, so a failed write or flush is an
-    OSError here. A stream with no binary layer gets the text as it is."""
+def _write_all(stream, chunks) -> None:
+    """Write each text chunk to a text stream through its binary layer,
+    until every byte is out: the CLI's one output loop. Under
+    PYTHONUNBUFFERED that layer is the raw file, which may take only part of
+    a write (a pipe whose reader has gone), and the text layer would drop
+    the rest without an error; here the next write raises EPIPE, at the
+    first chunk that fails. The text layer is flushed first, so output keeps
+    its order, and the binary layer last, so a failed flush is an OSError
+    here. A stream with no binary layer gets the chunks as they are."""
     buffer = getattr(stream, "buffer", None)
-    if buffer is None:
-        stream.write(text)
-        return
     stream.flush()
-    data = memoryview(text.encode(stream.encoding, stream.errors))
-    while data:
-        data = data[buffer.write(data) :]  # None, from a full non-blocking file, retries
-    buffer.flush()
+    for chunk in chunks:
+        if buffer is None:
+            stream.write(chunk)
+            continue
+        data = memoryview(chunk.encode(stream.encoding, stream.errors))
+        while data:
+            data = data[buffer.write(data) :]  # None, from a full non-blocking file, retries
+    (stream if buffer is None else buffer).flush()
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write `text` to a temporary file beside `path`, then rename it over
-    `path`, so no reader sees a partial file. As with a plain open(), a
-    symlink at `path` is written through: the file it points to is replaced
-    and the link stays. The file keeps the mode a plain open() would leave,
-    not mkstemp's 0o600: an existing file's own mode, else 0o666 less the
-    umask. An existing `path` that is not a regular file (a FIFO, a device
-    such as /dev/stdout) has no contents to replace: it is written through
-    a plain open(), with no temporary file and no rename. An OSError names
-    `path`, not the temporary file or the link's target."""
+def write_text_atomic(path: str, chunks) -> None:
+    """Write the text `chunks` (`_write_all`) to a temporary file beside
+    `path`, then rename it over `path`, so no reader sees a partial file. As
+    with a plain open(), a symlink at `path` is written through: the file it
+    points to is replaced and the link stays. The file keeps the mode a
+    plain open() would leave, not mkstemp's 0o600: an existing file's own
+    mode, else 0o666 less the umask. An existing `path` that is not a
+    regular file (a FIFO, a device) has no contents to replace: it is
+    written in place, through a plain open(). An OSError names `path`, not
+    the temporary file or the link's target."""
     import stat
     import tempfile
 
@@ -226,16 +229,14 @@ def write_text_atomic(path: str, text: str) -> None:
         mode = stat.S_IFREG | 0o666 & ~umask
     tmp = ""
     try:
-        if not stat.S_ISREG(mode):  # a directory fails here, with EISDIR
-            with open(path, "w") as handle:
-                handle.write(text)
-            return
-        target = os.path.realpath(path)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-", suffix=".part")
-        with os.fdopen(fd, "w") as handle:
-            os.fchmod(handle.fileno(), stat.S_IMODE(mode))
-            handle.write(text)
-        os.replace(tmp, target)
+        if stat.S_ISREG(mode):
+            target = os.path.realpath(path)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-", suffix=".part")
+            os.fchmod(fd, stat.S_IMODE(mode))
+        with open(fd if tmp else path, "w") as handle:  # a directory fails here, with EISDIR
+            _write_all(handle, chunks)
+        if tmp:
+            os.replace(tmp, target)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     finally:
@@ -252,13 +253,20 @@ def _say(line: str) -> None:
         pass
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        write_text_atomic(out, text)
+def _emit(chunks, out: str | None) -> None:
+    """Write the text `chunks` to `out`, else to stdout. A file open on
+    stdout (`/dev/stdout` onto a shell's `>` file) is written through
+    stdout, at the offset the shell shares, so nothing is renamed over it."""
+    try:
+        to_stdout = not out or os.path.samestat(os.stat(out), os.fstat(1))
+    except OSError:  # no file at `out` yet, or descriptor 1 is closed
+        to_stdout = False
+    if not to_stdout:
+        write_text_atomic(out, chunks)
     elif sys.stdout is None:  # the process started with descriptor 1 closed
         raise OSError(errno.EBADF, "standard output is closed")
     else:
-        _write_all(sys.stdout, text)
+        _write_all(sys.stdout, chunks)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -271,7 +279,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     from .sweep import json_text, run_audit
     report = run_audit(**_given(args))
-    _emit(json_text(report), args.out)
+    _emit([json_text(report)], args.out)
     if report["flags"]:
         _say(f"audit: {len(report['flags'])} discrepancy flag(s) raised")
         return EXIT_AUDIT_FLAGGED
@@ -283,13 +291,13 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
         raise ConfigError(f"boundary requires --measure {'|'.join(CHOICES['measure'])}")
     from .sweep import boundary_to_csv, find_boundary, json_text
     result = find_boundary(**_given(args))
-    _emit(json_text(result) if args.format == "json" else boundary_to_csv(result), args.out)
+    _emit([json_text(result) if args.format == "json" else boundary_to_csv(result)], args.out)
     return EXIT_OK
 
 
 def _cmd_sumrules(args: argparse.Namespace) -> int:
     from .sweep import json_text, sum_rule_samples
-    _emit(json_text(sum_rule_samples(**_given(args))), args.out)
+    _emit([json_text(sum_rule_samples(**_given(args)))], args.out)
     return EXIT_OK
 
 
@@ -304,8 +312,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     stem, ext = os.path.splitext(args.out)
     paths = [args.out] if len(texts) == 1 else [f"{stem}_{m}{ext or '.csv'}" for m in texts]
     for path, text in zip(paths, texts.values()):
-        _emit(text, path)
-    _emit("".join(f"{path}\n" for path in paths), None)
+        _emit([text], path)
+    _emit([f"{path}\n" for path in paths], None)
     return EXIT_OK
 
 

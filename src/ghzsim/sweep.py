@@ -20,13 +20,14 @@ out as len(betas) * len(ps) * len(surfaces) rows; `run_audit`,
 `sum_rule_samples` and `find_boundary` their JSON documents as dicts;
 `figure_csv` each measure's CSV text. Only the CLI picks output paths and
 formats, and writes. Sweep CSV, sweep JSON and figure CSV are made straight
-from the arrays, in the documented row order, each by one `%` operation over
-a template that repeats one per-point block: per column, the column's
-constant text, a slot for the point's preformatted (beta, p) text and a slot
-for its value. `json_text` spells every other JSON document. Each workflow
-checks every parameter it takes with the engines' one check `qcore.checked`,
-names first in `CHOICES` order, as the CLI does, then numbers, and keeps
-what it returns: no echo shows -0.
+from the arrays, in the documented row order, by one writer that yields a
+head, one chunk per beta row and a tail, so no more than one row of a
+surface is ever held as Python floats or text: `records_to_csv` and
+`records_to_json` return the chunks, `figure_csv` joins them. `json_text`
+spells every other JSON document. Each workflow checks every parameter it
+takes with the engines' one check `qcore.checked`, names first in `CHOICES`
+order, as the CLI does, then numbers, and keeps what it returns: no echo
+shows -0.
 
 All outputs are deterministic for a fixed configuration: grid order defines
 row order, floats are serialized with 17 significant digits, random sampling
@@ -92,46 +93,40 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _fill(head: str, prefixes: list[str], slots: str, keys: list[str], columns: list[list],
-          sep: str = "", tail: str = "") -> str:
-    """`head`, one block per key joined by `sep`, then `tail`, formatted by a
-    single `%` operation. A block is one cell per column, joined by `sep`:
-    the column's prefix as text (a `%` in it is escaped), then `slots`, a
-    template whose two conversions take the point's key and its value in
-    the column. `head`, `sep` and `tail` are templates with no conversion."""
+def _grid_chunks(head: str, prefixes: list[str], slots: str, betas, ps: list[str], surfaces,
+                 values, sep: str = "", tail: str = ""):
+    """Yield `head`, one chunk per beta row, then `tail`: one block per grid
+    point, p fastest, the blocks and the cells of a block joined by `sep`. A
+    cell is its column's prefix as text, then `slots`, which takes the
+    point's key (its beta text, then its p text) and its value in the
+    column's surface. A row is one `%` pass over a template that repeats the
+    block once per p; `values` converts one row of a surface for its slot."""
     k = len(prefixes)
-    args = [None] * (2 * k * len(keys))
-    for j, column in enumerate(columns):
-        args[2 * j :: 2 * k] = keys
-        args[2 * j + 1 :: 2 * k] = column
-    block = sep.join(prefix.replace("%", "%%") + slots for prefix in prefixes)
-    return (head + sep.join([block] * len(keys)) + tail) % tuple(args)
+    row = sep.join([sep.join(prefix.replace("%", "%%") + slots for prefix in prefixes)] * len(ps))
+    args = [None] * (2 * k * len(ps))
+    yield head
+    for i, b in enumerate(betas):
+        keys = [b + p for p in ps]
+        for j, surface in enumerate(surfaces):
+            args[2 * j :: 2 * k] = keys
+            args[2 * j + 1 :: 2 * k] = values(surface[i])
+        yield (sep if i else "") + row % tuple(args)
+    yield tail
 
 
-def _csv_keys(betas, ps) -> list[str]:
-    """The "beta,p," text of each grid point, beta slowest."""
-    ps_text = [_fmt(p) for p in ps]
-    return [f"{b},{p}," for b in map(_fmt, betas) for p in ps_text]
+def _grid_csv(header: str, prefixes: list[str], betas, ps, surfaces):
+    """CSV chunks of (beta, p) surfaces: after `header`, a line per grid
+    point and surface, its prefix, then beta, p and the value, each spelled
+    as `_fmt` spells it (`%.17g` does so for NaN and infinities too)."""
+    return _grid_chunks(header + "\n", prefixes, "%s%.17g\n", map(_fmt, betas),
+                        [f",{_fmt(p)}," for p in ps], surfaces, np.ndarray.tolist)
 
 
-def _grid_csv(header: str, keys: list[str], columns: list[tuple[str, np.ndarray]]) -> str:
-    """CSV of (beta, p) surfaces: after `header`, one line per grid point and
-    column, beta slowest, then p, then column order. A line is the column's
-    prefix, the point's `_csv_keys` text and the surface value in the `_fmt`
-    format. The whole text is one `%` pass (`_fill`) over a template that
-    repeats one per-point block once per point: per column, the prefix with
-    `%` escaped as `%%`, `%s` for the key and `%.17g`, which spells every
-    float, NaN and infinities included, as `_fmt` does."""
-    prefixes = [prefix for prefix, _ in columns]
-    values = [s.ravel().tolist() for _, s in columns]
-    return _fill(header + "\n", prefixes, "%s%.17g\n", keys, values)
-
-
-def records_to_csv(grid: dict) -> str:
-    scenario, alpha = grid["scenario"], _fmt(grid["alpha"])
-    columns = [(f"{scenario},{m},{e},{alpha},", s) for (m, e), s in grid["surfaces"].items()]
-    header = "scenario,measure,engine,alpha,beta,p,value"
-    return _grid_csv(header, _csv_keys(grid["betas"], grid["ps"]), columns)
+def records_to_csv(grid: dict):
+    scenario, alpha, surfaces = grid["scenario"], _fmt(grid["alpha"]), grid["surfaces"]
+    prefixes = [f"{scenario},{m},{e},{alpha}," for m, e in surfaces]
+    return _grid_csv("scenario,measure,engine,alpha,beta,p,value", prefixes, grid["betas"],
+                     grid["ps"], surfaces.values())
 
 
 #: float.__repr__ texts that JSON spells otherwise; a NaN value is null.
@@ -142,33 +137,30 @@ def _json_num(x: float) -> str:
     return _JSON_SPECIAL.get(text := float.__repr__(x), text)
 
 
-def _json_values(surface: np.ndarray) -> list:
-    """A surface's values for a `%s` slot: Python floats, whose str is their
-    repr as json.dumps spells them, with each non-finite value replaced by
-    its JSON text."""
-    flat = surface.ravel()
-    values = flat.tolist()
-    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+def _json_values(row: np.ndarray) -> list:
+    """A surface row's values for a `%s` slot: Python floats, whose str is
+    their repr as json.dumps spells them, with each non-finite value
+    replaced by its JSON text."""
+    values = row.tolist()
+    for i in np.flatnonzero(~np.isfinite(row)).tolist():
         values[i] = _json_num(values[i])
     return values
 
 
-def records_to_json(grid: dict) -> str:
+def records_to_json(grid: dict):
     """The bytes `json.dumps(..., indent=2)` gives for the list of record
-    dicts (NaN values as null), in one `%` pass over a template that
-    repeats one per-point block of records, as `_grid_csv` does."""
+    dicts (NaN values as null), as `_grid_chunks` yields them."""
     betas, ps, surfaces = grid["betas"], grid["ps"], grid["surfaces"]
     if not (betas and ps and surfaces):
-        return "[]\n"
+        return ["[]\n"]
     prefixes = [
         f'  {{\n    "scenario": {json.dumps(grid["scenario"])},\n    "measure": {json.dumps(m)},\n'
         f'    "engine": {json.dumps(e)},\n    "alpha": {json.dumps(grid["alpha"])},\n    "beta": '
         for m, e in surfaces
     ]
-    ps = [_json_num(p) for p in ps]
-    keys = [f'{b},\n    "p": {p},\n    "value": ' for b in map(_json_num, betas) for p in ps]
-    values = [_json_values(s) for s in surfaces.values()]
-    return _fill("[\n", prefixes, "%s%s\n  }", keys, values, sep=",\n", tail="\n]\n")
+    ps = [f',\n    "p": {_json_num(p)},\n    "value": ' for p in ps]
+    return _grid_chunks("[\n", prefixes, "%s%s\n  }", map(_json_num, betas), ps,
+                        surfaces.values(), _json_values, sep=",\n", tail="\n]\n")
 
 
 def _jsonify(obj):
@@ -288,9 +280,8 @@ def figure_csv(
     engine = "numeric" if is_x_structured(scenario) else "closedform"
     grid = run_sweep(scenario, alpha=alpha, beta_steps=resolution, p_steps=resolution,
                      measures=measures, engine=engine)
-    keys = _csv_keys(grid["betas"], grid["ps"])
     return {
-        m: _grid_csv("beta,p,value", keys, [("", surface)])
+        m: "".join(_grid_csv("beta,p,value", [""], grid["betas"], grid["ps"], [surface]))
         for (m, _), surface in grid["surfaces"].items()
     }
 

@@ -226,4 +226,4 @@ def test_criterion_9_performance_envelope(tmp_path):
     assert elapsed < 5.0, f"sweep took {elapsed:.2f}s"
 
     again = run_sweep(scenario="ABC_I", beta_steps=101, p_steps=101, engine="both")
-    assert records_to_csv(rows) == records_to_csv(again)
+    assert "".join(records_to_csv(rows)) == "".join(records_to_csv(again))

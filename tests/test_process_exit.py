@@ -27,6 +27,7 @@ from ghzsim.sweep import records_to_csv, run_sweep
 SRC = str(Path(ghzsim.__file__).resolve().parents[1])
 
 posix_only = pytest.mark.skipif(os.name != "posix", reason="uses POSIX descriptors and sh")
+proc_fds = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 
 
 def cli_env(unbuffered: bool = False, **extra: str) -> dict[str, str]:
@@ -95,7 +96,7 @@ class TestOutputSurvivesTheExit:
     def test_piped_sweep_gives_the_bytes_of_records_to_csv(self, tmp_path):
         done = cli_process(["sweep"], tmp_path)
         assert done.returncode == EXIT_OK
-        assert done.stdout == records_to_csv(run_sweep()).encode()
+        assert done.stdout == "".join(records_to_csv(run_sweep())).encode()
 
     def test_figure_prints_its_paths(self, tmp_path):
         done = cli_process(["figure", "--figure", "2", "--resolution", "16", "--out",
@@ -113,6 +114,48 @@ class TestOutputSurvivesTheExit:
         assert (done.returncode, done.stderr) == (EXIT_OK, b"")
         assert done.stdout == cli_process(args, tmp_path).stdout
         assert list(tmp_path.iterdir()) == []
+
+    @proc_fds
+    def test_out_naming_the_file_on_stdout_writes_at_its_offset(self, tmp_path):
+        """`--out` naming the regular file open on stdout, as `/dev/stdout`
+        does under a shell's `>`, writes through stdout at the offset the
+        shell shares, so what the shell writes before and after stays."""
+        args = ["sweep", "--beta-steps", "2", "--p-steps", "2"]
+        log = tmp_path / "log"
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+        try:
+            os.write(fd, b"header\n")
+            done = cli_process([*args, "--out", "/proc/self/fd/1"], tmp_path, stdout=fd)
+            os.write(fd, b"footer\n")
+        finally:
+            os.close(fd)
+        assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+        assert log.read_bytes() == b"header\n" + cli_process(args, tmp_path).stdout + b"footer\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["log"]
+
+    @posix_only
+    def test_write_failing_mid_out_leaves_the_target(self, tmp_path):
+        """A write that fails part-way through `--out`, here at a file-size
+        limit with SIGXFSZ ignored, so that the write fails with EFBIG: one
+        I/O error line and exit 3, no temporary file left, and the existing
+        target keeps its bytes."""
+        limit = 1 << 14
+        code = (
+            "import resource, signal, ghzsim.cli\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, hard))\n"
+            "ghzsim.cli.run()\n"
+        )
+        args = ["sweep", "--beta-steps", "11", "--p-steps", "11"]
+        assert len(cli_process(args, tmp_path).stdout) > 3 * limit
+        (tmp_path / "out.csv").write_bytes(b"old\n")
+        done = cli_process([*args, "--out", "out.csv"], tmp_path, code=code)
+        assert done.returncode == EXIT_IO
+        message = f"I/O error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: 'out.csv'\n"
+        assert done.stderr == message.encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert (tmp_path / "out.csv").read_bytes() == b"old\n"
 
     @posix_only
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -177,7 +220,7 @@ class TestEarlyClosingReader:
             stderr=subprocess.PIPE,
         )
         try:
-            assert proc.stdout.read(100) == records_to_csv(run_sweep())[:100].encode()
+            assert proc.stdout.read(100) == "".join(records_to_csv(run_sweep()))[:100].encode()
             proc.stdout.close()
             stderr = proc.stderr.read()
             assert proc.wait(timeout=120) == EXIT_IO
@@ -214,7 +257,7 @@ class TestEarlyClosingReader:
         monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=write_through))
         print("before", end="")
         assert ghzsim.cli.main(["sweep", "--beta-steps", "11", "--p-steps", "7"]) == EXIT_OK
-        text = records_to_csv(run_sweep(beta_steps=11, p_steps=7))
+        text = "".join(records_to_csv(run_sweep(beta_steps=11, p_steps=7)))
         assert len(text) > 3 * 4096
         assert bytes(raw.received) == b"before" + text.encode()
 
@@ -222,7 +265,7 @@ class TestEarlyClosingReader:
         monkeypatch.setattr(sys, "stdout", io.StringIO())
         assert ghzsim.cli.main(["sweep", "--beta-steps", "2", "--p-steps", "2"]) == EXIT_OK
         grid = run_sweep(beta_steps=2, p_steps=2)
-        assert sys.stdout.getvalue() == records_to_csv(grid)
+        assert sys.stdout.getvalue() == "".join(records_to_csv(grid))
 
 
 @posix_only

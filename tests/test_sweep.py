@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import random
+import re
 import sys
 from unittest import mock
 
@@ -35,7 +36,6 @@ from ghzsim.sweep import (
     json_text,
     records_to_csv,
     records_to_json,
-    _csv_keys,
     _fmt,
     _grid_csv,
 )
@@ -171,7 +171,7 @@ class TestRunSweep:
 
 class TestSerialization:
     def test_csv_header_and_precision(self):
-        text = records_to_csv(run_sweep(**SMALL))
+        text = "".join(records_to_csv(run_sweep(**SMALL)))
         lines = text.strip().split("\n")
         assert lines[0] == "scenario,measure,engine,alpha,beta,p,value"
         assert lines[1].startswith("ABC_I,S,numeric,0.70710678118654746,0,0,")
@@ -186,8 +186,8 @@ class TestSerialization:
         def texts(alpha, tol):
             grid = run_sweep(alpha=alpha, **SMALL)
             return [
-                records_to_csv(grid),
-                records_to_json(grid),
+                "".join(records_to_csv(grid)),
+                "".join(records_to_json(grid)),
                 json_text(find_boundary(measure="S", alpha=alpha, beta_steps=2)),
                 json_text(sum_rule_samples(alpha, samples=2)),
                 json_text(run_audit(alpha, **SMALL, tol=tol, samples=2, scenario="ABC_I")),
@@ -203,9 +203,9 @@ class TestSerialization:
         # Svetlichny value is undefined
         grid = run_sweep("AB_I_B_II", beta_steps=3, p_steps=3, engine="numeric", measures=("S",))
         assert (grid["betas"][1], grid["ps"][0]) == (math.pi / 8, 0.0)
-        csv_text = records_to_csv(grid)
+        csv_text = "".join(records_to_csv(grid))
         assert csv_text.strip().split("\n")[4].endswith(",nan")
-        payload = json.loads(records_to_json(grid))
+        payload = json.loads("".join(records_to_json(grid)))
         assert payload[3]["value"] is None
 
     @pytest.mark.parametrize(
@@ -236,6 +236,13 @@ SPECIAL_GRID = dict(
     surfaces={("S", "numeric"): SPECIAL_VALUES, ("C", "closedform"): SPECIAL_VALUES[::-1].copy()},
 )
 EMPTY_GRID = dict(scenario="ABC_I", alpha=0.5, betas=(), ps=(), surfaces={})
+#: Scenario names with `%` conversions in them.
+PERCENT_NAMES = ["100%", "A%sB%%C%(x)s%.17g"]
+
+
+def percent_grid(name):
+    return dict(scenario=name, alpha=0.3, betas=(0.0, 0.5), ps=(0.25,),
+                surfaces={("C", "numeric"): SPECIAL_VALUES[:2, :1]})
 
 
 class TestColumnarOutput:
@@ -246,41 +253,73 @@ class TestColumnarOutput:
         grid = run_sweep(**config)
         records = sweep_records_oracle(**config)
         assert records_csv_oracle(records).count("nan") == (48 if config["engine"] == "both" else 0)
-        assert records_to_csv(grid) == records_csv_oracle(records)
-        assert records_to_json(grid) == records_json_oracle(records)
+        assert "".join(records_to_csv(grid)) == records_csv_oracle(records)
+        assert "".join(records_to_json(grid)) == records_json_oracle(records)
 
     def test_json_spells_every_float_as_the_encoder_does(self):
         """NaN, infinities, signed zeros, subnormals and 17-digit values, and
         a grid with no records."""
-        assert records_to_json(SPECIAL_GRID) == records_json_oracle(grid_records(SPECIAL_GRID))
-        assert records_to_json(EMPTY_GRID) == records_json_oracle(grid_records(EMPTY_GRID)) == "[]\n"
+        assert "".join(records_to_json(SPECIAL_GRID)) == records_json_oracle(
+            grid_records(SPECIAL_GRID))
+        assert "".join(records_to_json(EMPTY_GRID)) == records_json_oracle(
+            grid_records(EMPTY_GRID)) == "[]\n"
 
     def test_csv_spells_every_float_as_format_does(self):
         """The same grids through the CSV writer, whose floats must read as
         `format(x, ".17g")` spells them."""
-        assert records_to_csv(SPECIAL_GRID) == records_csv_oracle(grid_records(SPECIAL_GRID))
+        assert "".join(records_to_csv(SPECIAL_GRID)) == records_csv_oracle(
+            grid_records(SPECIAL_GRID))
         header = "scenario,measure,engine,alpha,beta,p,value\n"
-        assert records_to_csv(EMPTY_GRID) == records_csv_oracle(grid_records(EMPTY_GRID)) == header
+        assert "".join(records_to_csv(EMPTY_GRID)) == records_csv_oracle(
+            grid_records(EMPTY_GRID)) == header
 
     def test_figure_file_spells_every_float_as_format_does(self):
         betas, ps = (0.0, 1e-300, BETA_MAX), (-0.0, 1.0)
-        figure = _grid_csv("beta,p,value", _csv_keys(betas, ps), [("", SPECIAL_VALUES)])
+        figure = "".join(_grid_csv("beta,p,value", [""], betas, ps, [SPECIAL_VALUES]))
         assert figure == figure_csv_oracle(betas, ps, SPECIAL_VALUES)
         empty = np.empty((0, 0))
-        assert _grid_csv("beta,p,value", _csv_keys((), ()), [("", empty)]) == "beta,p,value\n"
+        assert "".join(_grid_csv("beta,p,value", [""], (), (), [empty])) == "beta,p,value\n"
         assert figure_csv_oracle((), (), empty) == "beta,p,value\n"
 
-    @pytest.mark.parametrize("name", ["100%", "A%sB%%C%(x)s%.17g"])
+    @pytest.mark.parametrize("name", PERCENT_NAMES)
     def test_percent_in_a_scenario_name_is_text(self, name):
         """Both writers fill one `%` template; a `%` in the name is not a
         conversion of it."""
-        grid = dict(scenario=name, alpha=0.3, betas=(0.0, 0.5), ps=(0.25,),
-                    surfaces={("C", "numeric"): SPECIAL_VALUES[:2, :1]})
-        text = records_to_csv(grid)
+        grid = percent_grid(name)
+        text = "".join(records_to_csv(grid))
         assert text == records_csv_oracle(grid_records(grid))
         assert text.split("\n")[1].startswith(name + ",C,numeric,")
-        assert records_to_json(grid) == records_json_oracle(grid_records(grid))
-        assert [r["scenario"] for r in json.loads(records_to_json(grid))] == [name, name]
+        assert "".join(records_to_json(grid)) == records_json_oracle(grid_records(grid))
+        assert [r["scenario"] for r in json.loads("".join(records_to_json(grid)))] == [name, name]
+
+    @pytest.mark.parametrize(
+        "grid",
+        [*COLUMNAR_CONFIGS, SPECIAL_GRID, EMPTY_GRID, *map(percent_grid, PERCENT_NAMES)],
+        ids=["columnar-0", "columnar-1", "special", "empty", "percent-0", "percent-1"],
+    )
+    def test_writers_yield_one_chunk_per_beta_row(self, grid):
+        """The sweep CSV, sweep JSON and figure writers yield their head, one
+        chunk per beta row and their tail, and the chunks join to the text
+        of the per-record and per-cell writers."""
+        if "surfaces" not in grid:  # a sweep configuration
+            grid = run_sweep(**grid)
+        betas, ps = grid["betas"], grid["ps"]
+        records = list(grid_records(grid))
+        csv_betas = lambda chunk: {line.split(",")[-3] for line in chunk.splitlines()}
+        json_betas = lambda chunk: set(re.findall(r'^    "beta": (.*),$', chunk, re.M))
+        writers = [(records_to_csv(grid), records_csv_oracle(records), csv_betas),
+                   (records_to_json(grid), records_json_oracle(records), json_betas)]
+        writers += [
+            (_grid_csv("beta,p,value", [""], betas, ps, [surface]),
+             figure_csv_oracle(betas, ps, surface), csv_betas)
+            for surface in grid["surfaces"].values()
+        ]
+        for chunks, want, betas_in in writers:
+            chunks = list(chunks)
+            assert "".join(chunks) == want
+            if records:
+                assert len(chunks) == len(betas) + 2
+                assert all(len(betas_in(chunk)) <= 1 for chunk in chunks[1:-1])
 
     @pytest.mark.parametrize("config", COLUMNAR_CONFIGS)
     def test_grid_reads_as_its_records(self, config):
